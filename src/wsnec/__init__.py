@@ -52,7 +52,6 @@ from .simulator import (
     RunResult,
     SliceRecord,
     build_topology,
-    classify_packet,
     run,
 )
 

@@ -15,12 +15,17 @@ network-wide (or hop-limited) topology probe and routing announcement
 flood, which is what makes those slices expensive.
 
 Every packet handling is charged against the node's battery through the
-per-resource price profile and logged in a ledger; per-slice flow totals
-per constituent plus the slice energy form the trace. Identical
-configurations (same seed) produce identical traces, byte for byte once
-serialized. Alongside the profile-based charges the run accumulates a
-per-bit radio-model audit of the same tx/rx events as an independent
-cross-check on radio energy accounting.
+per-resource price profile and logged in a ledger of light
+``ChargeEntry`` tuples; per-slice flow totals per constituent plus the
+slice energy form the trace. Each run prices its handlings once, with
+``task_energy``, into a table (queued relays by queue depth), so a charge
+does no arithmetic beyond the battery update. Neighbor lists and the
+nodes an event covers are found through a uniform cell grid, with cells
+as wide as the radio or sensing range, instead of scanning every node.
+Identical configurations (same seed) produce identical traces, byte for
+byte once serialized. Alongside the profile-based charges the run
+accumulates a per-bit radio-model audit of the same tx/rx events as an
+independent cross-check on radio energy accounting.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 from .config import ScenarioConfig
 from .energy_core import (
@@ -60,6 +67,10 @@ class PacketKind(Enum):
     ROUTING_INFO = "routing_info"
     RELAYED_DATA = "relayed_data"
 
+    # Set below for every member: the index of its constituent in
+    # CONSTITUENT_ORDER, read on every charge without a dict lookup.
+    flow_slot: int
+
     @property
     def constituent(self) -> Constituent:
         return KIND_CONSTITUENT[self]
@@ -73,25 +84,28 @@ KIND_CONSTITUENT: dict[PacketKind, Constituent] = {
     PacketKind.ROUTING_INFO: Constituent.GLOBAL,
     PacketKind.RELAYED_DATA: Constituent.GLOBAL,
 }
-
-
-def classify_packet(kind: PacketKind) -> Constituent:
-    """Constituent a packet of this kind is accounted under (total mapping)."""
-    return KIND_CONSTITUENT[kind]
+for _kind, _constituent in KIND_CONSTITUENT.items():
+    _kind.flow_slot = CONSTITUENT_ORDER.index(_constituent)
+del _kind, _constituent
 
 
 # Per-handling resource usage: every handling costs a cpu unit; radio legs add
 # tx/rx; a packet that waits in the node's queue adds a mem unit; sensed
-# packets add a sensor reading. A relay forwards immediately when it is the
-# node's first of the slice and queues behind earlier traffic otherwise.
+# packets add a sensor reading (a warm-up reading, or a sensed packet with no
+# route, is sensed and not sent). Relays are priced by queue depth in
+# ``Simulation._relay_handling``.
 USAGE_WARMUP = ResourceUsageVector(b_cpu=1, b_sens=1)
 USAGE_SENSE_SEND = ResourceUsageVector(b_cpu=1, b_sens=1, b_tx=1)
-USAGE_SENSE_ONLY = ResourceUsageVector(b_cpu=1, b_sens=1)
 USAGE_SEND = ResourceUsageVector(b_cpu=1, b_tx=1)
 USAGE_RECV = ResourceUsageVector(b_cpu=1, b_rx=1)
-USAGE_RELAY_DIRECT = ResourceUsageVector(b_cpu=1, b_rx=1, b_tx=1)
-USAGE_RELAY_QUEUED = ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1, b_tx=1)
 USAGE_RECV_QUEUE = ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1)
+
+
+class Handling(NamedTuple):
+    """A usage vector priced once per run."""
+
+    usage: ResourceUsageVector
+    cost: float
 
 
 @dataclass
@@ -113,27 +127,31 @@ class NodeState:
     neighbors: list[Neighbor] = field(default_factory=list)   # sorted by node_id
     next_hop: int | None = None                               # SINK_ID = direct delivery
     drops: int = 0
-    slice_usage: list[int] = field(default_factory=lambda: [0] * 5)
     slice_flows: list[int] = field(default_factory=lambda: [0] * 5)
+    _neighbor_by_id: dict[int, Neighbor] = field(default_factory=dict, init=False, repr=False)
 
     def reset_slice(self) -> None:
-        self.slice_usage = [0] * 5
         self.slice_flows = [0] * 5
 
+    def add_neighbor(self, nbr: Neighbor) -> None:
+        self.neighbors.append(nbr)
+        self._neighbor_by_id[nbr.node_id] = nbr
+
     def neighbor_entry(self, node_id: int) -> Neighbor | None:
-        for nbr in self.neighbors:
-            if nbr.node_id == node_id:
-                return nbr
-        return None
+        return self._neighbor_by_id.get(node_id)
 
 
-@dataclass(frozen=True)
-class ChargeEntry:
+class ChargeEntry(NamedTuple):
+    """One booked handling; its constituent follows from the packet kind."""
+
     slice_index: int
     node_id: int
     kind: PacketKind
-    constituent: Constituent
     energy: float
+
+    @property
+    def constituent(self) -> Constituent:
+        return KIND_CONSTITUENT[self.kind]
 
 
 @dataclass(frozen=True)
@@ -184,7 +202,8 @@ def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
     the task. Both cases count as a drop and return ``None``. A node whose
-    battery lands exactly on zero dies with the charge.
+    battery lands exactly on zero dies with the charge. ``cost`` defaults
+    to ``task_energy(usage, profile)``.
     """
     if not node.alive:
         node.drops += 1
@@ -198,12 +217,8 @@ def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
     if node.battery <= 0.0:
         node.battery = 0.0
         node.alive = False
-    constituent = KIND_CONSTITUENT[kind]
-    k = CONSTITUENT_ORDER.index(constituent)
-    node.slice_flows[k] += 1
-    for r, used in enumerate(usage.as_tuple()):
-        node.slice_usage[r] += used
-    return ChargeEntry(slice_index, node.node_id, kind, constituent, cost)
+    node.slice_flows[kind.flow_slot] += 1
+    return ChargeEntry(slice_index, node.node_id, kind, cost)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -218,6 +233,50 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
+class CellGrid:
+    """Nodes hashed into square cells at least ``radius`` wide.
+
+    Every node within ``radius`` of a point lies in the 3x3 block of cells
+    around the point's cell, so ``near`` returns a superset of those nodes,
+    in ascending node id; callers apply the exact distance test. Node and
+    query coordinates lie in ``[0, extent]``.
+    """
+
+    def __init__(self, nodes: list[NodeState], radius: float, extent: float):
+        # At most 2^20 cells a side keeps a computed cell index within 2^-33
+        # of the exact quotient, and the 1e-9 margin then keeps two points
+        # whose rounded distance is at most ``radius`` in adjacent cells.
+        self.size = max(radius, extent * 2.0 ** -20) * (1.0 + 1e-9)
+        self._cells: dict[tuple[int, int], list[NodeState]] = {}
+        for node in nodes:
+            self._cells.setdefault(self._key(node.x, node.y), []).append(node)
+
+    def _key(self, x: float, y: float) -> tuple[int, int]:
+        return math.floor(x / self.size), math.floor(y / self.size)
+
+    def near(self, x: float, y: float) -> list[NodeState]:
+        cx, cy = self._key(x, y)
+        return sorted((node for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                       for node in self._cells.get((i, j), ())), key=attrgetter("node_id"))
+
+
+def connect_neighbors(nodes: list[NodeState], r_tx: float, extent: float) -> None:
+    """Link every pair of distinct-position nodes at most ``r_tx`` apart.
+
+    Pairs are visited in ascending (lower id, higher id) order, so every
+    neighbor list fills in ascending node id.
+    """
+    grid = CellGrid(nodes, r_tx, extent)
+    for a in nodes:
+        for b in grid.near(a.x, a.y):
+            if b.node_id <= a.node_id:
+                continue
+            d = math.hypot(a.x - b.x, a.y - b.y)
+            if 0.0 < d <= r_tx:
+                a.add_neighbor(Neighbor(b.node_id, d, b.battery))
+                b.add_neighbor(Neighbor(a.node_id, d, a.battery))
+
+
 def _place_nodes(cfg: ScenarioConfig, rng: random.Random) -> list[NodeState]:
     nodes = []
     for node_id in range(cfg.nodes):
@@ -225,16 +284,7 @@ def _place_nodes(cfg: ScenarioConfig, rng: random.Random) -> list[NodeState]:
         y = rng.uniform(0.0, cfg.area_height)
         dist_sink = math.hypot(x - cfg.sink_x, y - cfg.sink_y)
         nodes.append(NodeState(node_id, x, y, cfg.initial_battery, dist_sink))
-    for a in nodes:
-        for b in nodes:
-            if b.node_id <= a.node_id:
-                continue
-            d = math.hypot(a.x - b.x, a.y - b.y)
-            if 0.0 < d <= cfg.r_tx:
-                a.neighbors.append(Neighbor(b.node_id, d, b.battery))
-                b.neighbors.append(Neighbor(a.node_id, d, a.battery))
-    for node in nodes:
-        node.neighbors.sort(key=lambda nbr: nbr.node_id)
+    connect_neighbors(nodes, cfg.r_tx, max(cfg.area_width, cfg.area_height))
     return nodes
 
 
@@ -267,9 +317,7 @@ def build_topology(cfg: ScenarioConfig) -> list[NodeState]:
     Invalid node counts or an out-of-area sink are rejected when the
     configuration itself is constructed.
     """
-    nodes = _place_nodes(cfg, random.Random(cfg.seed))
-    recompute_next_hops(nodes, cfg.r_tx)
-    return nodes
+    return Simulation(cfg).nodes
 
 
 class Simulation:
@@ -280,6 +328,7 @@ class Simulation:
         self.rng = random.Random(cfg.seed)
         self.nodes = _place_nodes(cfg, self.rng)
         recompute_next_hops(self.nodes, cfg.r_tx)
+        self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
         self.ledger: list[ChargeEntry] = []
         self.records: list[SliceRecord] = []
         self.radio = RadioAudit()
@@ -292,35 +341,62 @@ class Simulation:
         self._slices_since_repair = 0
         self._sensed_this_slice: dict[int, int] = {}
         self._relayed_this_slice: dict[int, int] = {}
+        self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else None
+        # Cost table: every handling priced once, with the same task_energy
+        # sum a charge without a given cost would compute.
+        self._warmup = self._price(USAGE_WARMUP)
+        self._sense_send = self._price(USAGE_SENSE_SEND)
+        self._send = self._price(USAGE_SEND)
+        self._recv = self._price(USAGE_RECV)
+        self._recv_queue = self._price(USAGE_RECV_QUEUE)
+        self._relay_by_depth: list[Handling] = []
+        # Radio-model joules per bit: tx per hop distance, rx once.
+        self._tx_per_bit: dict[float, float] = {}
+        self._rx_per_bit = rx_energy_per_bit(cfg.radio)
         if cfg.mix_charging:
-            self._mix_cost = {c: constituent_alpha(cfg.mix.row(c), cfg.profile)
-                              for c in CONSTITUENT_ORDER}
+            self._mix_cost = [constituent_alpha(cfg.mix.row(c), cfg.profile)
+                              for c in CONSTITUENT_ORDER]
         else:
             self._mix_cost = None
 
     # -- charging ----------------------------------------------------------
 
-    def _charge(self, node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
-                tx_distance: float | None = None) -> ChargeEntry | None:
-        cost = None if self._mix_cost is None else self._mix_cost[KIND_CONSTITUENT[kind]]
-        entry = charge(node, kind, usage, self.cfg.profile,
-                       cost=cost, slice_index=self.slice_index)
+    def _price(self, usage: ResourceUsageVector) -> Handling:
+        return Handling(usage, task_energy(usage, self.cfg.profile))
+
+    def _relay_handling(self, depth: int) -> Handling:
+        """A relay by queue depth: the first relay of a slice forwards straight
+        through; later ones queue, paying one mem unit per buffer slot they
+        sit behind."""
+        table = self._relay_by_depth
+        while len(table) <= depth:
+            table.append(self._price(ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1)))
+        return table[depth]
+
+    def _charge(self, node: NodeState, kind: PacketKind, handling: Handling,
+                tx_distance: float = 0.0) -> ChargeEntry | None:
+        usage, cost = handling
+        if self._mix_cost is not None:
+            cost = self._mix_cost[kind.flow_slot]
+        cfg = self.cfg
+        entry = charge(node, kind, usage, cfg.profile, cost=cost, slice_index=self.slice_index)
         if entry is None:
             self.dropped += 1
             return None
         self.ledger.append(entry)
-        self.slice_energy += entry.energy
+        self.slice_energy += cost
+        radio = self.radio
         if usage.b_tx:
-            d = tx_distance if tx_distance is not None else 0.0
-            self.radio.model_tx_j += usage.b_tx * self.cfg.bits_per_packet * \
-                tx_energy_per_bit(d, self.cfg.radio)
-            self.radio.charged_tx_j += usage.b_tx * self.cfg.profile.p_tx
-            self.radio.tx_events += usage.b_tx
+            per_bit = self._tx_per_bit.get(tx_distance)
+            if per_bit is None:
+                per_bit = self._tx_per_bit[tx_distance] = tx_energy_per_bit(tx_distance, cfg.radio)
+            radio.model_tx_j += usage.b_tx * cfg.bits_per_packet * per_bit
+            radio.charged_tx_j += usage.b_tx * cfg.profile.p_tx
+            radio.tx_events += usage.b_tx
         if usage.b_rx:
-            self.radio.model_rx_j += usage.b_rx * self.cfg.bits_per_packet * \
-                rx_energy_per_bit(self.cfg.radio)
-            self.radio.charged_rx_j += usage.b_rx * self.cfg.profile.p_rx
-            self.radio.rx_events += usage.b_rx
+            radio.model_rx_j += usage.b_rx * cfg.bits_per_packet * self._rx_per_bit
+            radio.charged_rx_j += usage.b_rx * cfg.profile.p_rx
+            radio.rx_events += usage.b_rx
         return entry
 
     # -- neighbor interaction ----------------------------------------------
@@ -336,11 +412,11 @@ class Simulation:
     def _probe(self, prober: NodeState, nbr: Neighbor, kind: PacketKind) -> None:
         """Request/response exchange with one neighbor; a silent neighbor is
         marked not known-alive, and a silent next hop schedules a repair."""
-        sent = self._charge(prober, kind, USAGE_SEND, tx_distance=nbr.distance)
+        sent = self._charge(prober, kind, self._send, tx_distance=nbr.distance)
         if sent is None:
             return
         target = self.nodes[nbr.node_id]
-        answered = self._charge(target, kind, USAGE_RECV)
+        answered = self._charge(target, kind, self._recv)
         if answered is not None:
             nbr.last_residual = target.battery
             nbr.known_alive = True
@@ -363,20 +439,16 @@ class Simulation:
 
     # -- sensing and relaying ------------------------------------------------
 
-    def _sense_capacity(self) -> int | None:
-        if self.cfg.g_sense <= 0:
-            return None
-        return int(self.cfg.delta_t // self.cfg.g_sense)
-
     def _handle_event(self, node: NodeState) -> None:
-        cap = self._sense_capacity()
         seen = self._sensed_this_slice.get(node.node_id, 0)
-        if cap is not None and seen >= cap:
+        if self._sense_cap is not None and seen >= self._sense_cap:
             return
         has_route = node.next_hop is not None
-        usage = USAGE_SENSE_SEND if has_route else USAGE_SENSE_ONLY
-        entry = self._charge(node, PacketKind.SENSED, usage,
-                             tx_distance=self._hop_distance(node) if has_route else None)
+        if has_route:
+            entry = self._charge(node, PacketKind.SENSED, self._sense_send,
+                                 tx_distance=self._hop_distance(node))
+        else:
+            entry = self._charge(node, PacketKind.SENSED, self._warmup)
         if entry is None:
             return
         self._sensed_this_slice[node.node_id] = seen + 1
@@ -384,7 +456,7 @@ class Simulation:
             self.dropped += 1
             return
         if self.cfg.scheduling:
-            self._charge(node, PacketKind.SCHEDULING, USAGE_SEND,
+            self._charge(node, PacketKind.SCHEDULING, self._send,
                          tx_distance=self._hop_distance(node))
         self._relay(node)
 
@@ -409,21 +481,16 @@ class Simulation:
                 return
             if target.next_hop is None:
                 # Stranded relay: receives and queues, cannot forward.
-                self._charge(target, PacketKind.RELAYED_DATA, USAGE_RECV_QUEUE)
+                self._charge(target, PacketKind.RELAYED_DATA, self._recv_queue)
                 self.dropped += 1
                 return
             depth = self._relayed_this_slice.get(target.node_id, 0)
-            # First relay of the slice forwards straight through; later ones
-            # queue, paying one mem unit per buffer slot they sit behind.
-            usage = USAGE_RELAY_DIRECT if depth == 0 else \
-                ResourceUsageVector(b_cpu=1, b_mem=depth, b_rx=1, b_tx=1)
-            entry = self._charge(target, PacketKind.RELAYED_DATA, usage,
+            entry = self._charge(target, PacketKind.RELAYED_DATA, self._relay_handling(depth),
                                  tx_distance=self._hop_distance(target))
             if entry is None:
                 self.dropped += 1
                 return
-            self._relayed_this_slice[target.node_id] = \
-                self._relayed_this_slice.get(target.node_id, 0) + 1
+            self._relayed_this_slice[target.node_id] = depth + 1
             current = target
 
     def _collection_work(self, full_refresh: bool) -> None:
@@ -433,9 +500,17 @@ class Simulation:
         for _ in range(events):
             ex = self.rng.uniform(0.0, self.cfg.area_width)
             ey = self.rng.uniform(0.0, self.cfg.area_height)
-            for node in self.nodes:
-                if node.alive and math.hypot(node.x - ex, node.y - ey) <= self.cfg.r_sense:
-                    self._handle_event(node)
+            for node in self._covered(ex, ey):
+                self._handle_event(node)
+
+    def _covered(self, ex: float, ey: float):
+        """Alive nodes within sensing range of an event, in ascending id. Each
+        node is tested only when the previous one has been handled, so a node
+        an earlier handling of the same event killed is skipped."""
+        r_sense = self.cfg.r_sense
+        for node in self._sense_grid.near(ex, ey):
+            if node.alive and math.hypot(node.x - ex, node.y - ey) <= r_sense:
+                yield node
 
     # -- maintenance ----------------------------------------------------------
 
@@ -457,8 +532,9 @@ class Simulation:
                     frontier.append((nbr.node_id, depth + 1))
         return [self.nodes[i] for i in sorted(seen)]
 
-    def _maintenance_work(self) -> None:
-        participants = self._repair_participants()
+    def _route_setup(self, participants: list[NodeState]) -> None:
+        """Topology probes from every alive participant, their next hops
+        recomputed, then a routing announcement to each of their neighbors."""
         for node in participants:
             if not node.alive:
                 continue
@@ -469,11 +545,12 @@ class Simulation:
             if not node.alive:
                 continue
             for nbr in node.neighbors:
-                target = self.nodes[nbr.node_id]
-                if self._charge(node, PacketKind.ROUTING_INFO, USAGE_SEND,
-                                tx_distance=nbr.distance) is None:
-                    continue
-                self._charge(target, PacketKind.ROUTING_INFO, USAGE_RECV)
+                if self._charge(node, PacketKind.ROUTING_INFO, self._send,
+                                tx_distance=nbr.distance) is not None:
+                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, self._recv)
+
+    def _maintenance_work(self) -> None:
+        self._route_setup(self._repair_participants())
         self._repair_triggers.clear()
 
     # -- initialization --------------------------------------------------------
@@ -491,29 +568,11 @@ class Simulation:
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    self._charge(node, PacketKind.SENSED, USAGE_WARMUP)
+                    self._charge(node, PacketKind.SENSED, self._warmup)
         if do_handshake:
-            for node in self.nodes:
-                if not node.alive:
-                    continue
-                for nbr in node.neighbors:
-                    self._probe(node, nbr, PacketKind.NEIGHBOR_INFO)
+            self._monitoring(full_refresh=True)
         if last:
-            for node in self.nodes:
-                if not node.alive:
-                    continue
-                for nbr in node.neighbors:
-                    self._probe(node, nbr, PacketKind.TOPOLOGY_INFO)
-            recompute_next_hops(self.nodes, self.cfg.r_tx)
-            for node in self.nodes:
-                if not node.alive:
-                    continue
-                for nbr in node.neighbors:
-                    target = self.nodes[nbr.node_id]
-                    if self._charge(node, PacketKind.ROUTING_INFO, USAGE_SEND,
-                                    tx_distance=nbr.distance) is None:
-                        continue
-                    self._charge(target, PacketKind.ROUTING_INFO, USAGE_RECV)
+            self._route_setup(self.nodes)
 
     # -- main loop ----------------------------------------------------------------
 

@@ -1,0 +1,220 @@
+"""Equivalence of the simulator's charging core with its plain references.
+
+The cell grid must find exactly the neighbors and covered nodes an O(n^2)
+scan finds, in the same order; the per-run cost table must hold exactly the
+``task_energy`` of each usage; and the radio audit must not move.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsnec.config import ScenarioConfig
+from wsnec.energy_core import ResourcePowerProfile, ResourceUsageVector, task_energy
+from wsnec.simulator import (
+    CellGrid,
+    Neighbor,
+    NodeState,
+    RadioAudit,
+    Simulation,
+    _poisson,
+    build_topology,
+    connect_neighbors,
+)
+
+EXTENT = 100.0
+
+
+def reference_neighbors(nodes, r_tx):
+    """The O(n^2) pair loop the grid replaces, as (id, distance, residual) lists."""
+    lists = {node.node_id: [] for node in nodes}
+    for a in nodes:
+        for b in nodes:
+            if b.node_id <= a.node_id:
+                continue
+            d = math.hypot(a.x - b.x, a.y - b.y)
+            if 0.0 < d <= r_tx:
+                lists[a.node_id].append(Neighbor(b.node_id, d, b.battery))
+                lists[b.node_id].append(Neighbor(a.node_id, d, a.battery))
+    for nbrs in lists.values():
+        nbrs.sort(key=lambda nbr: nbr.node_id)
+    return {k: [(n.node_id, n.distance, n.last_residual) for n in v] for k, v in lists.items()}
+
+
+def reference_covered(nodes, x, y, radius):
+    return [n.node_id for n in nodes if n.alive and math.hypot(n.x - x, n.y - y) <= radius]
+
+
+coord = st.floats(0.0, EXTENT, allow_nan=False)
+border = st.sampled_from([0.0, EXTENT])
+radius = st.one_of(st.just(0.0), st.sampled_from([0.5, 7.0, 12.0, 30.0, 150.0]),
+                   st.floats(0.0, 2 * EXTENT, allow_nan=False))
+
+
+@st.composite
+def layouts(draw):
+    """Node positions mixing uniform points, border points, dense clusters and
+    points exactly ``r`` apart, and a radius ``r`` (possibly 0)."""
+    r = draw(radius)
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["uniform", "border", "cluster", "at_r", "lattice"]))
+        if kind == "uniform" or not points and kind in ("cluster", "at_r"):
+            points.append((draw(coord), draw(coord)))
+        elif kind == "border":
+            points.append(draw(st.sampled_from([(draw(border), draw(coord)),
+                                                (draw(coord), draw(border))])))
+        elif kind == "cluster":
+            x, y = draw(st.sampled_from(points))
+            dx, dy = draw(st.floats(-1e-3, 1e-3)), draw(st.floats(-1e-3, 1e-3))
+            points.append((min(max(x + dx, 0.0), EXTENT), min(max(y + dy, 0.0), EXTENT)))
+        elif kind == "at_r":
+            x, y = draw(st.sampled_from(points))
+            dx, dy = draw(st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r),
+                                           (0.6 * r, 0.8 * r)]))
+            points.append((min(max(x + dx, 0.0), EXTENT), min(max(y + dy, 0.0), EXTENT)))
+        else:
+            i, j = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+            points.append((min(i * r, EXTENT), min(j * r, EXTENT)))
+    return points, r
+
+
+def make_nodes(points, battery=1.0):
+    return [NodeState(i, x, y, battery + i, 0.0) for i, (x, y) in enumerate(points)]
+
+
+class TestCellGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(layouts())
+    def test_neighbor_lists_match_pair_loop(self, layout):
+        points, r_tx = layout
+        nodes = make_nodes(points)
+        connect_neighbors(nodes, r_tx, EXTENT)
+        got = {n.node_id: [(b.node_id, b.distance, b.last_residual) for b in n.neighbors]
+               for n in nodes}
+        assert got == reference_neighbors(nodes, r_tx)
+        for node in nodes:
+            for nbr in node.neighbors:
+                assert node.neighbor_entry(nbr.node_id) is nbr
+
+    @settings(max_examples=300, deadline=None)
+    @given(layouts(), st.data())
+    def test_covered_nodes_match_full_scan(self, layout, data):
+        points, r = layout
+        nodes = make_nodes(points)
+        for node in nodes:
+            node.alive = data.draw(st.booleans()) or node.node_id % 2 == 0
+        grid = CellGrid(nodes, r, EXTENT)
+        queries = [(data.draw(coord), data.draw(coord)), (data.draw(border), data.draw(coord))]
+        for x, y in points[:5]:
+            queries += [(x, y), (min(x + r, EXTENT), y), (x, max(y - r, 0.0))]
+        for x, y in queries:
+            near = grid.near(x, y)
+            assert [n.node_id for n in near] == sorted(n.node_id for n in near)
+            got = [n.node_id for n in near if n.alive and math.hypot(n.x - x, n.y - y) <= r]
+            assert got == reference_covered(nodes, x, y, r)
+
+    def test_distance_rounded_down_to_the_range_across_two_cell_edges(self):
+        # 1.0 - 0.49999999999999994 rounds to exactly 0.5, yet with cells
+        # exactly 0.5 wide the two points sit two cells apart.
+        nodes = make_nodes([(0.49999999999999994, 3.0), (1.0, 3.0)])
+        connect_neighbors(nodes, 0.5, EXTENT)
+        assert [n.node_id for n in nodes[0].neighbors] == [1]
+        grid = CellGrid(nodes, 0.5, EXTENT)
+        assert [n.node_id for n in grid.near(1.0, 3.0)] == [0, 1]
+
+    def test_zero_range_gives_no_neighbors(self):
+        nodes = make_nodes([(0.0, 0.0), (0.0, 0.0), (1e-12, 0.0), (EXTENT, EXTENT)])
+        connect_neighbors(nodes, 0.0, EXTENT)
+        assert all(not n.neighbors for n in nodes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60), radius)
+    def test_placed_topology_matches_pair_loop(self, seed, n, r_tx):
+        cfg = ScenarioConfig(seed=seed, nodes=n, r_tx=r_tx)
+        nodes = build_topology(cfg)
+        got = {n.node_id: [(b.node_id, b.distance, b.last_residual) for b in n.neighbors]
+               for n in nodes}
+        assert got == reference_neighbors(nodes, r_tx)
+
+
+class _Logged(Simulation):
+    """Records every node an event reaches, in order."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.handled = []
+
+    def _handle_event(self, node):
+        self.handled.append((self.slice_index, node.node_id))
+        super()._handle_event(node)
+
+
+class _FullScan(_Logged):
+    """The collection step the grid replaces: every event scans every node,
+    testing each one only after the previous one was handled."""
+
+    def _collection_work(self, full_refresh):
+        if self.cfg.monitoring:
+            self._monitoring(full_refresh)
+        for _ in range(_poisson(self.rng, self.cfg.event_rate)):
+            ex = self.rng.uniform(0.0, self.cfg.area_width)
+            ey = self.rng.uniform(0.0, self.cfg.area_height)
+            for node in self.nodes:
+                if node.alive and math.hypot(node.x - ex, node.y - ey) <= self.cfg.r_sense:
+                    self._handle_event(node)
+
+
+# Power-of-two prices and batteries make batteries land exactly on zero, so
+# nodes die in the middle of an event's handlings.
+EXACT_PROFILE = ResourcePowerProfile(2 ** -12, 2 ** -13, 2 ** -12, 2 ** -11, 2 ** -12)
+
+
+class TestCoveredSequence:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), nodes=st.integers(1, 40),
+           r_sense=st.sampled_from([0.5, 12.0, 40.0, 150.0]),
+           battery=st.sampled_from([0.5, 0.004, 2 ** -6, 2 ** -8]),
+           exact=st.booleans(), side=st.sampled_from([10.0, 100.0]))
+    def test_run_handles_the_same_nodes_as_a_full_scan(self, seed, nodes, r_sense, battery,
+                                                       exact, side):
+        cfg = ScenarioConfig(seed=seed, nodes=nodes, r_sense=r_sense, initial_battery=battery,
+                             area_width=side, area_height=side, sink_x=side / 2,
+                             sink_y=0.0, total_slices=20)
+        if exact:
+            cfg = dataclasses.replace(cfg, profile=EXACT_PROFILE)
+        grid, scan = _Logged(cfg), _FullScan(cfg)
+        a, b = grid.run(), scan.run()
+        assert grid.handled == scan.handled
+        assert a.ledger == b.ledger
+        assert a.radio == b.radio
+        assert (a.delivered, a.dropped) == (b.delivered, b.dropped)
+
+
+class TestCostTable:
+    @pytest.mark.parametrize("profile", [
+        ScenarioConfig().profile,
+        ResourcePowerProfile(0.1, 0.2, 0.3, 1e-17, 3.0),
+        ResourcePowerProfile(1 / 3, 1 / 7, 1 / 11, 1 / 13, 1 / 17),
+    ])
+    def test_every_cost_equals_task_energy(self, profile):
+        sim = Simulation(dataclasses.replace(ScenarioConfig(), nodes=3, profile=profile))
+        table = [sim._warmup, sim._sense_send, sim._send, sim._recv, sim._recv_queue]
+        table += [sim._relay_handling(depth) for depth in range(33)]
+        for depth in range(33):
+            assert sim._relay_handling(depth).usage == \
+                ResourceUsageVector(b_cpu=1, b_mem=depth, b_rx=1, b_tx=1)
+        for handling in table:
+            assert handling.cost == task_energy(handling.usage, profile)
+
+
+def test_radio_audit_unchanged_on_depleted_scenario():
+    result = Simulation(ScenarioConfig(initial_battery=0.004)).run()
+    assert result.radio == RadioAudit(
+        model_tx_j=0.04126919242013264, model_rx_j=0.027699200000000243,
+        charged_tx_j=0.04475999999999964, charged_rx_j=0.02163999999999979,
+        tx_events=746, rx_events=541)
+    assert (result.delivered, result.dropped, len(result.ledger)) == (20, 4720, 1375)

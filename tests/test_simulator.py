@@ -15,7 +15,6 @@ from wsnec.simulator import (
     Phase,
     build_topology,
     charge,
-    classify_packet,
     run,
 )
 
@@ -29,13 +28,13 @@ PROFILE = ResourcePowerProfile(2e-5, 1e-5, 4e-5, 6e-5, 3e-5)
 
 class TestClassifyPacket:
     def test_sensed_is_individual(self):
-        assert classify_packet(PacketKind.SENSED) is Constituent.INDIVIDUAL
+        assert PacketKind.SENSED.constituent is Constituent.INDIVIDUAL
 
     def test_scheduling_is_local(self):
-        assert classify_packet(PacketKind.SCHEDULING) is Constituent.LOCAL
+        assert PacketKind.SCHEDULING.constituent is Constituent.LOCAL
 
     def test_relayed_data_is_global(self):
-        assert classify_packet(PacketKind.RELAYED_DATA) is Constituent.GLOBAL
+        assert PacketKind.RELAYED_DATA.constituent is Constituent.GLOBAL
 
     def test_mapping_is_total_and_exact(self):
         expected = {
@@ -46,9 +45,10 @@ class TestClassifyPacket:
             PacketKind.ROUTING_INFO: Constituent.GLOBAL,
             PacketKind.RELAYED_DATA: Constituent.GLOBAL,
         }
-        assert {k: classify_packet(k) for k in PacketKind} == expected
+        assert {k: k.constituent for k in PacketKind} == expected
         for kind in PacketKind:
             assert kind.constituent is expected[kind]
+            assert CONSTITUENT_ORDER[kind.flow_slot] is expected[kind]
 
 
 class TestBuildTopology:
