@@ -500,17 +500,11 @@ class Simulation:
         for _ in range(events):
             ex = self.rng.uniform(0.0, self.cfg.area_width)
             ey = self.rng.uniform(0.0, self.cfg.area_height)
-            for node in self._covered(ex, ey):
-                self._handle_event(node)
-
-    def _covered(self, ex: float, ey: float):
-        """Alive nodes within sensing range of an event, in ascending id. Each
-        node is tested only when the previous one has been handled, so a node
-        an earlier handling of the same event killed is skipped."""
-        r_sense = self.cfg.r_sense
-        for node in self._sense_grid.near(ex, ey):
-            if node.alive and math.hypot(node.x - ex, node.y - ey) <= r_sense:
-                yield node
+            # Tested only after the previous node was handled, so a node an
+            # earlier handling of the same event killed is skipped.
+            for node in self._sense_grid.near(ex, ey):
+                if node.alive and math.hypot(node.x - ex, node.y - ey) <= self.cfg.r_sense:
+                    self._handle_event(node)
 
     # -- maintenance ----------------------------------------------------------
 
