@@ -15,17 +15,23 @@ network-wide (or hop-limited) topology probe and routing announcement
 flood, which is what makes those slices expensive.
 
 Every packet handling is charged against the node's battery through the
-per-resource price profile and logged in a ledger of light
-``ChargeEntry`` tuples; per-slice flow totals per constituent plus the
-slice energy form the trace. Each run prices its handlings once, with
-``task_energy``, into a table (queued relays by queue depth), so a charge
-does no arithmetic beyond the battery update. Neighbor lists and the
-nodes an event covers are found through a uniform cell grid, with cells
-as wide as the radio or sensing range, instead of scanning every node.
-Identical configurations (same seed) produce identical traces, byte for
-byte once serialized. Alongside the profile-based charges the run
-accumulates a per-bit radio-model audit of the same tx/rx events as an
-independent cross-check on radio energy accounting.
+per-resource price profile and booked in the run's ledger; per-slice flow
+totals per constituent plus the slice energy form the trace. The ledger
+stores each handling as an exact tuple of numbers (slice, node, kind code,
+energy) and hands it out as a ``ChargeEntry``: CPython's cyclic collector
+untracks an exact tuple of atoms the first time it survives a collection,
+but never a tuple subclass or a tuple that holds an enum member, so a
+ledger of entries would be traversed again by every full collection. Each
+run prices its handlings once, with ``task_energy``, into a table (queued
+relays by queue depth) that also holds the handling's radio-audit
+increments, so a charge does no arithmetic beyond the battery update and
+the audit sums. Neighbor lists and the nodes an event covers are found
+through a uniform cell grid, with cells as wide as the radio or sensing
+range, instead of scanning every node. Identical configurations (same
+seed) produce identical traces, byte for byte once serialized. Alongside
+the profile-based charges the run accumulates a per-bit radio-model audit
+of the same tx/rx events as an independent cross-check on radio energy
+accounting.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -68,8 +75,10 @@ class PacketKind(Enum):
     RELAYED_DATA = "relayed_data"
 
     # Set below for every member: the index of its constituent in
-    # CONSTITUENT_ORDER, read on every charge without a dict lookup.
+    # CONSTITUENT_ORDER, read on every charge without a dict lookup, and the
+    # member's position, which stands for it in ledger rows.
     flow_slot: int
+    code: int
 
     @property
     def constituent(self) -> Constituent:
@@ -84,8 +93,10 @@ KIND_CONSTITUENT: dict[PacketKind, Constituent] = {
     PacketKind.ROUTING_INFO: Constituent.GLOBAL,
     PacketKind.RELAYED_DATA: Constituent.GLOBAL,
 }
+KIND_BY_CODE = tuple(PacketKind)
 for _kind, _constituent in KIND_CONSTITUENT.items():
     _kind.flow_slot = CONSTITUENT_ORDER.index(_constituent)
+    _kind.code = KIND_BY_CODE.index(_kind)
 del _kind, _constituent
 
 
@@ -102,10 +113,19 @@ USAGE_RECV_QUEUE = ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1)
 
 
 class Handling(NamedTuple):
-    """A usage vector priced once per run."""
+    """A usage vector priced once per run, with what one booking of it adds
+    to the radio audit: its tx and rx events, the profile joules charged for
+    them and the radio model's rx joules. No usage sends more than one
+    packet, so the model's tx joules are those of the link it is sent over
+    (``Neighbor.tx_j``)."""
 
     usage: ResourceUsageVector
     cost: float
+    tx_events: int
+    charged_tx_j: float
+    rx_events: int
+    model_rx_j: float
+    charged_rx_j: float
 
 
 @dataclass
@@ -114,6 +134,7 @@ class Neighbor:
     distance: float
     last_residual: float
     known_alive: bool = True
+    tx_j: float = 0.0   # radio-model joules to send one packet over this link
 
 
 @dataclass
@@ -131,7 +152,9 @@ class NodeState:
     _neighbor_by_id: dict[int, Neighbor] = field(default_factory=dict, init=False, repr=False)
 
     def reset_slice(self) -> None:
-        self.slice_flows = [0] * 5
+        # In place: a new list per node and slice would survive into the
+        # collector's oldest generation and set off full collections.
+        self.slice_flows[:] = (0, 0, 0, 0, 0)
 
     def add_neighbor(self, nbr: Neighbor) -> None:
         self.neighbors.append(nbr)
@@ -152,6 +175,51 @@ class ChargeEntry(NamedTuple):
     @property
     def constituent(self) -> Constituent:
         return KIND_CONSTITUENT[self.kind]
+
+
+_tuple_new = tuple.__new__
+
+
+def _entry(row: tuple[int, int, int, float]) -> ChargeEntry:
+    return _tuple_new(ChargeEntry, (row[0], row[1], KIND_BY_CODE[row[2]], row[3]))
+
+
+class Ledger(Sequence):
+    """A run's booked handlings, in booking order, read as ``ChargeEntry``.
+
+    Rows are exact tuples ``(slice_index, node_id, kind.code, energy)``, so
+    the cyclic collector stops tracking them once they survive a
+    collection; entries are built when read. Nothing the ledger holds
+    refers back to it, so reference counting alone frees it.
+    """
+
+    __slots__ = ("_rows", "__weakref__")
+
+    def __init__(self, rows: list[tuple[int, int, int, float]]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_entry(row) for row in self._rows[index]]
+        return _entry(self._rows[index])
+
+    def __iter__(self):
+        return map(_entry, self._rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Ledger):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Ledger({len(self._rows)} entries)"
 
 
 @dataclass(frozen=True)
@@ -181,7 +249,7 @@ class RunResult:
     config: ScenarioConfig
     records: list[SliceRecord]
     nodes: list[NodeState]
-    ledger: list[ChargeEntry]
+    ledger: Ledger
     delivered: int
     dropped: int
     initial_battery_total: float
@@ -213,12 +281,12 @@ def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
     if node.battery < cost:
         node.drops += 1
         return None
-    node.battery -= cost
-    if node.battery <= 0.0:
+    battery = node.battery = node.battery - cost
+    if battery <= 0.0:
         node.battery = 0.0
         node.alive = False
     node.slice_flows[kind.flow_slot] += 1
-    return ChargeEntry(slice_index, node.node_id, kind, cost)
+    return _tuple_new(ChargeEntry, (slice_index, node.node_id, kind, cost))
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -327,9 +395,17 @@ class Simulation:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.nodes = _place_nodes(cfg, self.rng)
-        recompute_next_hops(self.nodes, cfg.r_tx)
+        # Radio-model joules to send one packet: per hop distance, per link,
+        # and per node to its current next hop.
+        self._tx_j_by_distance: dict[float, float] = {}
+        for node in self.nodes:
+            for nbr in node.neighbors:
+                nbr.tx_j = self._tx_j(nbr.distance)
+        self._hop_tx_j = [0.0] * len(self.nodes)
+        self._route(self.nodes)
         self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
-        self.ledger: list[ChargeEntry] = []
+        self._ledger_rows: list[tuple[int, int, int, float]] = []
+        self.ledger = Ledger(self._ledger_rows)
         self.records: list[SliceRecord] = []
         self.radio = RadioAudit()
         self.delivered = 0
@@ -342,6 +418,8 @@ class Simulation:
         self._sensed_this_slice: dict[int, int] = {}
         self._relayed_this_slice: dict[int, int] = {}
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else None
+        self._profile = cfg.profile
+        self._rx_per_bit = rx_energy_per_bit(cfg.radio)
         # Cost table: every handling priced once, with the same task_energy
         # sum a charge without a given cost would compute.
         self._warmup = self._price(USAGE_WARMUP)
@@ -350,9 +428,6 @@ class Simulation:
         self._recv = self._price(USAGE_RECV)
         self._recv_queue = self._price(USAGE_RECV_QUEUE)
         self._relay_by_depth: list[Handling] = []
-        # Radio-model joules per bit: tx per hop distance, rx once.
-        self._tx_per_bit: dict[float, float] = {}
-        self._rx_per_bit = rx_energy_per_bit(cfg.radio)
         if cfg.mix_charging:
             self._mix_cost = [constituent_alpha(cfg.mix.row(c), cfg.profile)
                               for c in CONSTITUENT_ORDER]
@@ -362,7 +437,18 @@ class Simulation:
     # -- charging ----------------------------------------------------------
 
     def _price(self, usage: ResourceUsageVector) -> Handling:
-        return Handling(usage, task_energy(usage, self.cfg.profile))
+        cfg = self.cfg
+        return Handling(usage, task_energy(usage, cfg.profile),
+                        usage.b_tx, usage.b_tx * cfg.profile.p_tx,
+                        usage.b_rx, usage.b_rx * cfg.bits_per_packet * self._rx_per_bit,
+                        usage.b_rx * cfg.profile.p_rx)
+
+    def _tx_j(self, distance: float) -> float:
+        joules = self._tx_j_by_distance.get(distance)
+        if joules is None:
+            joules = self._tx_j_by_distance[distance] = \
+                self.cfg.bits_per_packet * tx_energy_per_bit(distance, self.cfg.radio)
+        return joules
 
     def _relay_handling(self, depth: int) -> Handling:
         """A relay by queue depth: the first relay of a slice forwards straight
@@ -374,45 +460,51 @@ class Simulation:
         return table[depth]
 
     def _charge(self, node: NodeState, kind: PacketKind, handling: Handling,
-                tx_distance: float = 0.0) -> ChargeEntry | None:
-        usage, cost = handling
+                tx_j: float = 0.0) -> ChargeEntry | None:
+        """Book one handling; ``tx_j`` is the radio model's joules for the
+        packet it sends, if it sends one."""
+        (usage, cost, tx_events, charged_tx_j,
+         rx_events, model_rx_j, charged_rx_j) = handling
         if self._mix_cost is not None:
             cost = self._mix_cost[kind.flow_slot]
-        cfg = self.cfg
-        entry = charge(node, kind, usage, cfg.profile, cost=cost, slice_index=self.slice_index)
+        slice_index = self.slice_index
+        entry = charge(node, kind, usage, self._profile, cost=cost, slice_index=slice_index)
         if entry is None:
             self.dropped += 1
             return None
-        self.ledger.append(entry)
+        self._ledger_rows.append((slice_index, node.node_id, kind.code, cost))
         self.slice_energy += cost
         radio = self.radio
-        if usage.b_tx:
-            per_bit = self._tx_per_bit.get(tx_distance)
-            if per_bit is None:
-                per_bit = self._tx_per_bit[tx_distance] = tx_energy_per_bit(tx_distance, cfg.radio)
-            radio.model_tx_j += usage.b_tx * cfg.bits_per_packet * per_bit
-            radio.charged_tx_j += usage.b_tx * cfg.profile.p_tx
-            radio.tx_events += usage.b_tx
-        if usage.b_rx:
-            radio.model_rx_j += usage.b_rx * cfg.bits_per_packet * self._rx_per_bit
-            radio.charged_rx_j += usage.b_rx * cfg.profile.p_rx
-            radio.rx_events += usage.b_rx
+        if tx_events:
+            radio.model_tx_j += tx_j
+            radio.charged_tx_j += charged_tx_j
+            radio.tx_events += tx_events
+        if rx_events:
+            radio.model_rx_j += model_rx_j
+            radio.charged_rx_j += charged_rx_j
+            radio.rx_events += rx_events
         return entry
 
     # -- neighbor interaction ----------------------------------------------
 
-    def _hop_distance(self, node: NodeState) -> float:
-        if node.next_hop == SINK_ID:
-            return node.dist_to_sink
-        if node.next_hop is None:
-            return 0.0
-        entry = node.neighbor_entry(node.next_hop)
-        return entry.distance if entry is not None else 0.0
+    def _route(self, participants: list[NodeState]) -> None:
+        """Recompute the participants' next hops and the model joules to
+        send one packet to each."""
+        recompute_next_hops(self.nodes, self.cfg.r_tx, participants)
+        for node in participants:
+            hop = node.next_hop
+            if hop == SINK_ID:
+                joules = self._tx_j(node.dist_to_sink)
+            elif hop is None:
+                joules = 0.0   # no route, so nothing is sent
+            else:
+                joules = node.neighbor_entry(hop).tx_j
+            self._hop_tx_j[node.node_id] = joules
 
     def _probe(self, prober: NodeState, nbr: Neighbor, kind: PacketKind) -> None:
         """Request/response exchange with one neighbor; a silent neighbor is
         marked not known-alive, and a silent next hop schedules a repair."""
-        sent = self._charge(prober, kind, self._send, tx_distance=nbr.distance)
+        sent = self._charge(prober, kind, self._send, nbr.tx_j)
         if sent is None:
             return
         target = self.nodes[nbr.node_id]
@@ -446,7 +538,7 @@ class Simulation:
         has_route = node.next_hop is not None
         if has_route:
             entry = self._charge(node, PacketKind.SENSED, self._sense_send,
-                                 tx_distance=self._hop_distance(node))
+                                 self._hop_tx_j[node.node_id])
         else:
             entry = self._charge(node, PacketKind.SENSED, self._warmup)
         if entry is None:
@@ -457,7 +549,7 @@ class Simulation:
             return
         if self.cfg.scheduling:
             self._charge(node, PacketKind.SCHEDULING, self._send,
-                         tx_distance=self._hop_distance(node))
+                         self._hop_tx_j[node.node_id])
         self._relay(node)
 
     def _relay(self, origin: NodeState) -> None:
@@ -486,7 +578,7 @@ class Simulation:
                 return
             depth = self._relayed_this_slice.get(target.node_id, 0)
             entry = self._charge(target, PacketKind.RELAYED_DATA, self._relay_handling(depth),
-                                 tx_distance=self._hop_distance(target))
+                                 self._hop_tx_j[hop])
             if entry is None:
                 self.dropped += 1
                 return
@@ -534,13 +626,12 @@ class Simulation:
                 continue
             for nbr in node.neighbors:
                 self._probe(node, nbr, PacketKind.TOPOLOGY_INFO)
-        recompute_next_hops(self.nodes, self.cfg.r_tx, participants)
+        self._route(participants)
         for node in participants:
             if not node.alive:
                 continue
             for nbr in node.neighbors:
-                if self._charge(node, PacketKind.ROUTING_INFO, self._send,
-                                tx_distance=nbr.distance) is not None:
+                if self._charge(node, PacketKind.ROUTING_INFO, self._send, nbr.tx_j) is not None:
                     self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, self._recv)
 
     def _maintenance_work(self) -> None:

@@ -1,0 +1,70 @@
+"""The run's ledger: what the ``charge`` hook sees, and how the rows are kept.
+
+Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
+every handling, and counts its non-``None`` returns as booked handlings, so
+those returns must be the ledger, entry for entry. The ledger keeps its
+rows out of the cyclic collector and out of reference cycles.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from wsnec import simulator
+from wsnec.config import ScenarioConfig
+from wsnec.simulator import ChargeEntry, PacketKind
+
+
+def test_charge_hook_returns_are_the_ledger(monkeypatch):
+    returns = []
+    original = simulator.charge
+
+    def recording(*args, **kwargs):
+        entry = original(*args, **kwargs)
+        returns.append(entry)
+        return entry
+
+    monkeypatch.setattr(simulator, "charge", recording)
+    result = simulator.run(ScenarioConfig())
+    booked = [entry for entry in returns if entry is not None]
+    assert booked == list(result.ledger)
+    assert len(booked) == len(result.ledger)
+    assert len(booked) == sum(sum(rec.flows.as_tuple()) for rec in result.records)
+
+
+def test_ledger_reads_as_a_sequence_of_entries():
+    ledger = simulator.run(ScenarioConfig(total_slices=8)).ledger
+    entries = list(ledger)
+    assert len(ledger) == len(entries) > 2
+    assert all(type(e) is ChargeEntry and isinstance(e.kind, PacketKind) for e in entries)
+    assert ledger[0] == entries[0] and ledger[-1] == entries[-1]
+    assert ledger[1:3] == entries[1:3]
+    assert ledger == entries and ledger != entries[:-1]
+    assert ledger == simulator.run(ScenarioConfig(total_slices=8)).ledger
+    assert ledger != simulator.run(ScenarioConfig(total_slices=7)).ledger
+    with pytest.raises(IndexError):
+        ledger[len(entries)]
+    with pytest.raises(TypeError):
+        ledger[0] = entries[0]
+
+
+def test_ledger_rows_are_untracked_after_a_collection():
+    result = simulator.run(ScenarioConfig())
+    gc.collect()
+    rows = result.ledger._rows
+    assert len(rows) == len(result.ledger) > 0
+    assert not any(gc.is_tracked(row) for row in rows)
+
+
+def test_reference_counting_alone_frees_the_ledger():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = simulator.run(ScenarioConfig(total_slices=10))
+        ref = weakref.ref(result.ledger)
+        del result
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
