@@ -218,9 +218,6 @@ class Ledger(Sequence):
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"Ledger({len(self._rows)} entries)"
-
 
 @dataclass(frozen=True)
 class SliceRecord:
