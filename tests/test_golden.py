@@ -1,4 +1,4 @@
-"""Golden outputs: byte-for-byte pins of traces, ledgers and a sample sweep.
+"""Golden outputs: byte-for-byte pins of traces, ledgers, a sample sweep and schedules.
 
 A change to the simulator that is meant to keep behaviour (a refactor or a
 speed-up) must leave both digests as they are. A change that alters traces
@@ -6,10 +6,12 @@ on purpose updates the digests here and says why.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from wsnec import cli, config, simulator, traceio
+from wsnec.energy_core import Constituent
 
 DEFAULT_TRACE_SHA256 = "da9eb03e4782481f8720e7b427754c90195322cb509d1dce36ca7d7e622c7e83"
 SWEEP_8_SEED_1_SHA256 = "c9a3273be17bea068d37935f92342945f172ea709490d14c623310a99f803894"
@@ -23,6 +25,16 @@ LEDGER_PINS = {
                  "1ef5532d185812a0c8fbe1953bf3d49a1c19f0bbccff496ca7f7ab10ba5eef91"),
     "mix-charging": ({"mix_charging": True}, 13390,
                      "10971bae3c9bb10cc6a309339bad8118615a8f9decf23ac3e43199b5bdcd59af"),
+}
+
+
+# `budget` schedules under the `fit --fit-fraction 0.7` model of the default
+# trace: a seeded 64-task random list, and 16 optional equal-density tasks
+# (importance = pf size, distinct subset sums) that keep every subset on the
+# exact solver's frontier.
+SCHEDULE_PINS = {
+    "random-64": "8e1afe8c51a01f364030768c9f1e369e3e3ef7fe3cf7ee597c61c8bcc01e10e4",
+    "equal-density-16": "18ae245b12aaa274ca500341dc00f1dea9254be252861640ee55a96fe47ba3c9",
 }
 
 
@@ -61,3 +73,42 @@ def test_sample_config_sweep_observations_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(out) == SWEEP_8_SEED_1_SHA256
+
+
+def _random_tasks(rng: random.Random) -> list[tuple]:
+    mandatory = [(0, "local", rng.randint(1, 4), 1.0, True),
+                 (1, "global", rng.randint(1, 4), 1.0, True)]
+    return mandatory + [(k, rng.choice(("individual", "local", "global")), rng.randint(1, 40),
+                         round(rng.uniform(0.5, 10.0), 6), False) for k in range(2, 64)]
+
+
+def _equal_density_tasks(rng: random.Random) -> list[tuple]:
+    # pf = 256 * 2^k + r with sum(r) < 256: the high part names the subset.
+    sizes = [256 * 2 ** k + rng.randrange(16) for k in range(16)]
+    rng.shuffle(sizes)
+    return ([(0, "local", 1, 1.0, True), (1, "global", 1, 1.0, True)]
+            + [(k + 2, "global", pf, float(pf), False) for k, pf in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("name", SCHEDULE_PINS)
+def test_budget_schedules_are_pinned(name, tmp_path, capsys):
+    trace, model = tmp_path / "trace.csv", tmp_path / "model.csv"
+    traceio.write_trace(str(trace), simulator.run(config.ScenarioConfig()).records)
+    assert cli.main(["fit", "--input", str(trace), "--output", str(model),
+                     "--fit-fraction", "0.7"]) == 0
+    alpha = traceio.read_coefficients(str(model))
+    rng = random.Random(7)
+    tasks = _random_tasks(rng) if name == "random-64" else _equal_density_tasks(rng)
+    mandatory = sum(alpha.get(Constituent(c)) * pf for _, c, pf, _, m in tasks if m)
+    optional = sum(alpha.get(Constituent(c)) * pf for _, c, pf, _, m in tasks if not m)
+    battery = mandatory + 0.4 * optional
+    path = tmp_path / "tasks.csv"
+    path.write_text("id,constituent,pf_size,importance,mandatory\n" + "".join(
+        f"{i},{c},{pf},{imp!r},{str(m).lower()}\n" for i, c, pf, imp, m in tasks),
+        encoding="utf-8")
+    out = tmp_path / "schedule.csv"
+    code = cli.main(["budget", "--tasks", str(path), "--model", str(model),
+                     "--battery", repr(battery), "--output", str(out)])
+    assert "method: exact-dp" in capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == SCHEDULE_PINS[name]
