@@ -26,7 +26,6 @@ from .estimation import (
     RankDeficientError,
     error_report,
     fit_ls,
-    predict,
     rolling_fit,
 )
 from .flow_models import (

@@ -24,7 +24,6 @@ from .energy_core import (
     CoefficientVector,
     Constituent,
     ConstituentFlowVector,
-    overall_energy,
 )
 
 #: Smallest-to-largest singular value ratio below which the design matrix is
@@ -169,11 +168,6 @@ def _dependent_columns(s: np.ndarray, vt: np.ndarray, names: tuple[str, ...]) ->
         peak = np.max(np.abs(null_vec))
         involved.update(int(i) for i in np.nonzero(np.abs(null_vec) >= 1e-6 * peak)[0])
     return [names[i] for i in sorted(involved)]
-
-
-def predict(coefficients: CoefficientVector, flows: ConstituentFlowVector) -> float:
-    """Predicted slice energy for one flow vector (mask must match)."""
-    return overall_energy(coefficients, flows)
 
 
 def predict_rows(coefficients: CoefficientVector, obs: ObservationSet) -> np.ndarray:

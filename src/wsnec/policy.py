@@ -5,8 +5,13 @@ battery, pick which tasks to run. Mandatory tasks are always included;
 optional tasks are a 0/1 knapsack maximizing total importance with the
 battery as a strict budget. Costs are real-valued joules, so the exact
 solver is a Pareto-frontier dynamic program (non-dominated cost/importance
-states per item prefix) rather than an integer-capacity table; past 64
-optional tasks it falls back to a density greedy and says so in the report.
+states per item prefix, Nemhauser & Ullmann 1969) rather than an
+integer-capacity table. The frontier is held as three numpy arrays (cost,
+importance, chosen subset as a uint64 bitmask) and each item extends, sorts
+and prunes it in bulk. The frontier can double with every item (it does when
+importance is proportional to cost), so its size is capped: past 64 optional
+tasks, or once one item's candidate states would exceed ``STATE_LIMIT``,
+selection falls back to a density greedy and says so in the report.
 
 The budget inequality is strict: a schedule consuming exactly the battery
 is not feasible.
@@ -18,10 +23,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent
 
 #: Optional-task count above which selection switches to the greedy heuristic.
 EXACT_LIMIT = 64
+#: Candidate states per item above which the exact solver gives up for the greedy.
+STATE_LIMIT = 2 ** 20
 
 CONSTRAINT_LOCAL = "local_energy_positive"
 CONSTRAINT_GLOBAL = "global_energy_positive"
@@ -136,34 +145,35 @@ def _density_order(tasks: Sequence[TaskDescriptor],
     return sorted(tasks, key=key)
 
 
-def _knapsack_exact(costs: list[float], values: list[float], capacity: float) -> int:
+def _knapsack_exact(costs: list[float], values: list[float], capacity: float) -> int | None:
     """Max-importance subset with total cost strictly below capacity.
 
     Pareto-frontier DP: after each item, keep only non-dominated
     (cost, value) states; the chosen subset rides along as a bitmask.
-    Returns the winning bitmask (ties: cheapest, then lowest ids).
+    States are ordered by (cost, -value, mask) and a state survives only if
+    its value beats every state before it, so the survivors' values strictly
+    increase and the last one wins (ties: cheapest, then lowest ids).
+    Returns the winning bitmask, or None if one item's candidate states
+    would exceed ``STATE_LIMIT``.
     """
-    frontier: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
+    fc = np.zeros(1)
+    fv = np.zeros(1)
+    fm = np.zeros(1, dtype=np.uint64)
     for i, (cost, value) in enumerate(zip(costs, values)):
-        extended = []
-        for c, v, mask in frontier:
-            nc = c + cost
-            if nc < capacity:
-                extended.append((nc, v + value, mask | (1 << i)))
-        merged = sorted(frontier + extended, key=lambda s: (s[0], -s[1], s[2]))
-        pruned: list[tuple[float, float, int]] = []
-        best_value = -math.inf
-        for c, v, mask in merged:
-            if v > best_value:
-                pruned.append((c, v, mask))
-                best_value = v
-        frontier = pruned
-    best = max(frontier, key=lambda s: (s[1], -s[0], -s[2]))
-    # max() keeps the first of equal keys; resolve ties explicitly instead.
-    candidates = [s for s in frontier if s[1] == best[1]]
-    min_cost = min(c for c, _, _ in candidates)
-    masks = sorted(mask for c, _, mask in candidates if c == min_cost)
-    return masks[0]
+        nc = fc + cost
+        fits = nc < capacity
+        if len(fc) + np.count_nonzero(fits) > STATE_LIMIT:
+            return None
+        c = np.concatenate((fc, nc[fits]))
+        v = np.concatenate((fv, fv[fits] + value))
+        m = np.concatenate((fm, fm[fits] | np.uint64(1 << i)))
+        order = np.lexsort((m, -v, c))
+        c, v, m = c[order], v[order], m[order]
+        keep = np.empty(len(v), dtype=bool)
+        keep[0] = True
+        np.greater(v[1:], np.maximum.accumulate(v)[:-1], out=keep[1:])
+        fc, fv, fm = c[keep], v[keep], m[keep]
+    return int(fm[-1])
 
 
 def _knapsack_greedy(costs: list[float], values: list[float], capacity: float,
@@ -219,10 +229,9 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
     capacity = battery - mandatory_cost
     costs = [task_cost(t, coeffs) for t in optional]
     values = [t.importance for t in optional]
-    if len(optional) <= EXACT_LIMIT:
-        mask = _knapsack_exact(costs, values, capacity)
-        method = "exact-dp"
-    else:
+    mask = _knapsack_exact(costs, values, capacity) if len(optional) <= EXACT_LIMIT else None
+    method = "exact-dp"
+    if mask is None:
         mask = _knapsack_greedy(costs, values, capacity, [t.task_id for t in optional])
         method = "greedy"
     chosen = mandatory + [t for i, t in enumerate(optional) if mask & (1 << i)]

@@ -12,14 +12,13 @@ import warnings
 import numpy as np
 import pytest
 
-from wsnec.energy_core import CoefficientVector, ConstituentFlowVector
+from wsnec.energy_core import CoefficientVector, ConstituentFlowVector, overall_energy
 from wsnec.estimation import (
     ErrorReport,
     ObservationSet,
     RankDeficientError,
     error_report,
     fit_ls,
-    predict,
     predict_rows,
     rolling_fit,
 )
@@ -129,11 +128,11 @@ class TestFitLS:
 class TestPredict:
     def test_zero_flows(self):
         a = CoefficientVector((1, 1, 1, 0, 0), MASK_ILG)
-        assert predict(a, ConstituentFlowVector()) == 0.0
+        assert overall_energy(a, ConstituentFlowVector()) == 0.0
 
     def test_unit_coefficients(self):
         a = CoefficientVector((1, 1, 1, 0, 0), MASK_ILG)
-        assert predict(a, ConstituentFlowVector(2, 3, 4, 0, 0)) == 9.0
+        assert overall_energy(a, ConstituentFlowVector(2, 3, 4, 0, 0)) == 9.0
 
     def test_random_dot_oracle(self):
         rng = random.Random(29)
@@ -142,12 +141,12 @@ class TestPredict:
             flows = [rng.uniform(0, 100) for _ in range(3)] + [0.0, 0.0]
             expected = sum(a * f for a, f in zip(alpha, flows))
             a = CoefficientVector(alpha, MASK_ILG)
-            assert predict(a, ConstituentFlowVector(*flows)) == pytest.approx(expected, rel=1e-9)
+            assert overall_energy(a, ConstituentFlowVector(*flows)) == pytest.approx(expected, rel=1e-9)
 
     def test_mask_mismatch(self):
         a = CoefficientVector((1, 1, 0, 0, 0), (True, True, False, False, False))
         with pytest.raises(ValueError):
-            predict(a, ConstituentFlowVector(1, 1, 5, 0, 0))
+            overall_energy(a, ConstituentFlowVector(1, 1, 5, 0, 0))
 
     def test_predict_rows_mask_check(self):
         a = CoefficientVector((1, 1, 1, 0, 0), MASK_ILG)

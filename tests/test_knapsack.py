@@ -1,0 +1,150 @@
+"""Equivalence and bounds of the exact knapsack solver.
+
+``reference_knapsack_exact`` is the list-of-tuples Pareto-frontier DP the
+numpy solver replaced, kept verbatim. Both do the same IEEE float64 sums and
+comparisons in the same order, so the chosen bitmasks must be equal, not
+merely of equal value.
+"""
+
+import math
+import random
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsnec.energy_core import CoefficientVector, Constituent
+from wsnec.policy import (
+    STATE_LIMIT,
+    BudgetProblem,
+    TaskDescriptor,
+    _knapsack_exact,
+    select_tasks,
+)
+
+
+def reference_knapsack_exact(costs: list[float], values: list[float], capacity: float) -> int:
+    """Max-importance subset with total cost strictly below capacity.
+
+    Pareto-frontier DP: after each item, keep only non-dominated
+    (cost, value) states; the chosen subset rides along as a bitmask.
+    Returns the winning bitmask (ties: cheapest, then lowest ids).
+    """
+    frontier: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
+    for i, (cost, value) in enumerate(zip(costs, values)):
+        extended = []
+        for c, v, mask in frontier:
+            nc = c + cost
+            if nc < capacity:
+                extended.append((nc, v + value, mask | (1 << i)))
+        merged = sorted(frontier + extended, key=lambda s: (s[0], -s[1], s[2]))
+        pruned: list[tuple[float, float, int]] = []
+        best_value = -math.inf
+        for c, v, mask in merged:
+            if v > best_value:
+                pruned.append((c, v, mask))
+                best_value = v
+        frontier = pruned
+    best = max(frontier, key=lambda s: (s[1], -s[0], -s[2]))
+    # max() keeps the first of equal keys; resolve ties explicitly instead.
+    candidates = [s for s in frontier if s[1] == best[1]]
+    min_cost = min(c for c, _, _ in candidates)
+    masks = sorted(mask for c, _, mask in candidates if c == min_cost)
+    return masks[0]
+
+
+def assert_same(costs, values, capacity):
+    expected = reference_knapsack_exact(costs, values, capacity)
+    assert _knapsack_exact(costs, values, capacity) == expected
+    return expected
+
+
+# Values that collide after rounding (0.1 + 0.2 != 0.3), zero, negative and
+# tiny costs, and a few equal values, mixed with arbitrary floats.
+TIE_COSTS = [0.0, -0.0, -0.5, -0.1, 0.1, 0.2, 0.3, 0.30000000000000004, 0.4, 0.5, 0.7,
+             1.0, 2.0 ** -52]
+costs_st = st.one_of(st.sampled_from(TIE_COSTS), st.floats(-1.0, 5.0))
+values_st = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 10.0))
+capacity_st = st.one_of(st.sampled_from([0.0, 0.3, 0.6, 0.7, 1.0, 1.5]), st.floats(-1.0, 12.0))
+
+
+class TestEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(costs_st, values_st), max_size=14), capacity_st)
+    def test_matches_reference(self, items, capacity):
+        assert_same([c for c, _ in items], [v for _, v in items], capacity)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(TIE_COSTS), st.sampled_from([1.0, 2.0])),
+                    max_size=16), st.sampled_from([0.3, 0.6, 0.7, 0.9, 1.0]))
+    def test_matches_reference_on_tie_heavy_lists(self, items, capacity):
+        assert_same([c for c, _ in items], [v for _, v in items], capacity)
+
+    def test_rounded_sums_collide(self):
+        # 0.1 + 0.2 rounds above 0.3, and 0.3 + 0.30000000000000004 ties with
+        # 0.30000000000000004 + 0.3 only after rounding.
+        costs = [0.1, 0.2, 0.3, 0.30000000000000004, 0.3, 0.1]
+        values = [1.0, 1.0, 2.0, 2.0, 2.0, 1.0]
+        for capacity in (0.3, 0.30000000000000004, 0.4, 0.6, 0.7, 0.9):
+            assert_same(costs, values, capacity)
+        # {0, 1} and {2} tie on value; rounding makes {2} the cheaper one.
+        assert assert_same([0.1, 0.2, 0.3], [1.0, 1.0, 2.0], 0.31) == 0b100
+        # At capacity 0.1 + 0.2, {0, 1} does not fit at all.
+        assert assert_same([0.1, 0.2, 0.3], [1.0, 1.0, 2.0], 0.1 + 0.2) == 0b100
+
+    def test_zero_and_negative_costs_with_equal_values(self):
+        costs = [0.0, -0.5, 0.5, 0.0, 1.0, -0.25, 0.5]
+        values = [1.0] * len(costs)
+        for capacity in (-0.5, 0.0, 0.25, 0.5, 1.0, 2.0):
+            assert_same(costs, values, capacity)
+        assert assert_same([0.0, -1.0], [1.0, 1.0], 0.5) == 0b11
+
+    def test_no_items(self):
+        assert _knapsack_exact([], [], 1.0) == reference_knapsack_exact([], [], 1.0) == 0
+        assert _knapsack_exact([], [], -1.0) == 0
+
+    def test_sixty_four_items_use_bit_63(self):
+        rng = random.Random(64)
+        costs = [rng.uniform(0.5, 3.0) for _ in range(64)]
+        values = [rng.uniform(0.5, 3.0) for _ in range(64)]
+        values[63] = 100.0
+        mask = assert_same(costs, values, 0.3 * sum(costs))
+        assert mask >> 63 == 1
+
+    def test_capacity_equal_to_a_subset_sum_excludes_it(self):
+        # Binary fractions sum exactly, so 0.25 + 0.5 == 0.75 == capacity.
+        costs, values = [0.25, 0.5, 0.25], [1.0, 3.0, 0.5]
+        assert assert_same(costs, values, 0.75) == 0b010
+        assert assert_same(costs, values, 1.0) == 0b011
+
+
+class TestStateLimit:
+    def test_equal_density_items_fall_back_to_greedy_in_bounded_time(self):
+        # 24 equal-density items with distinct subset sums: every subset is on
+        # the frontier, so it would reach 2^24 states; the cap stops it at
+        # STATE_LIMIT = 2^20 candidates, after about 20 items.
+        rng = random.Random(24)
+        sizes = [256 * 2 ** k + rng.randrange(10) for k in range(24)]
+        rng.shuffle(sizes)
+        alpha = CoefficientVector((0.0, 1e-4, 1e-4, 0.0, 0.0),
+                                  (False, True, True, False, False))
+        tasks = [TaskDescriptor(0, Constituent.LOCAL, 1, 1.0, mandatory=True),
+                 TaskDescriptor(1, Constituent.GLOBAL, 1, 1.0, mandatory=True)]
+        tasks += [TaskDescriptor(k + 2, Constituent.GLOBAL, pf, float(pf))
+                  for k, pf in enumerate(sizes)]
+        battery = 1e-4 * (2 + int(0.75 * sum(sizes)) + 0.5)
+        start = time.perf_counter()
+        result = select_tasks(BudgetProblem(tuple(tasks), alpha, battery))
+        elapsed = time.perf_counter() - start
+        assert result.method == "greedy"
+        assert result.feasible
+        assert result.total_cost < battery
+        assert elapsed < 10.0, f"select_tasks took {elapsed:.2f} s"
+
+    def test_cap_is_a_candidate_count(self):
+        # Costs and values 2^k keep every subset on the frontier, so item k
+        # (from 0) has 2^(k + 1) candidate states: n items reach STATE_LIMIT.
+        n = STATE_LIMIT.bit_length() - 1
+        weights = [2.0 ** k for k in range(n + 1)]
+        assert _knapsack_exact(weights[:n], weights[:n], 2.0 ** (n + 2)) == 2 ** n - 1
+        assert _knapsack_exact(weights, weights, 2.0 ** (n + 2)) is None
