@@ -169,9 +169,7 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
         m = np.concatenate((fm, fm[fits] | np.uint64(1 << i)))
         order = np.lexsort((m, -v, c))
         c, v, m = c[order], v[order], m[order]
-        keep = np.empty(len(v), dtype=bool)
-        keep[0] = True
-        np.greater(v[1:], np.maximum.accumulate(v)[:-1], out=keep[1:])
+        keep = v > np.maximum.accumulate(np.concatenate(([-np.inf], v[:-1])))
         fc, fv, fm = c[keep], v[keep], m[keep]
     return int(fm[-1])
 
