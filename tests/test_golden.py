@@ -1,4 +1,5 @@
-"""Golden outputs: byte-for-byte pins of traces, ledgers, a sample sweep and schedules.
+"""Golden outputs: byte-for-byte pins of traces, ledgers, a sample sweep, fit
+reports, a rolling fit and schedules.
 
 A change to the simulator that is meant to keep behaviour (a refactor or a
 speed-up) must leave both digests as they are. A change that alters traces
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from wsnec import cli, config, simulator, traceio
+from wsnec import cli, config, estimation, simulator, traceio
 from wsnec.energy_core import Constituent
 
 DEFAULT_TRACE_SHA256 = "da9eb03e4782481f8720e7b427754c90195322cb509d1dce36ca7d7e622c7e83"
@@ -36,6 +37,22 @@ SCHEDULE_PINS = {
     "random-64": "8e1afe8c51a01f364030768c9f1e369e3e3ef7fe3cf7ee597c61c8bcc01e10e4",
     "equal-density-16": "18ae245b12aaa274ca500341dc00f1dea9254be252861640ee55a96fe47ba3c9",
 }
+
+
+# `fit` reports on the default trace: a 70/30 split fit and a 20-slice rolling fit.
+FIT_REPORT_PINS = {
+    "split-0.7": (["--fit-fraction", "0.7"],
+                  "a67dada1024b3dbb900bf290f3d4a119d42ec0aac63c9406dba3bfc6ed5d5c95"),
+    "window-20": (["--window", "20"],
+                  "4cdf5d509ad9c6d5943a93944b4b44b0d66e7201d9b2bb30d13e1877cbb50f46"),
+}
+
+# Every field of `rolling_fit(window=8)` on the `initial_battery=0.004` trace,
+# whose quiet stretches make 30 of the 73 windows rank-deficient: (fitted,
+# skipped, SHA-256 of the hex-encoded fits and the skip reasons). The `fit`
+# command itself exits 1 on that trace, because some observed slice energies
+# are 0 and have no percentage error, so no report file exists to pin.
+DEPLETED_ROLLING_8 = (43, 30, "344d73a8999e24cf34bf4fb6695947d5537516b2dcdac619a8d1aa9b3ffe6fbe")
 
 
 def _sha256(path) -> str:
@@ -112,3 +129,28 @@ def test_budget_schedules_are_pinned(name, tmp_path, capsys):
     assert "method: exact-dp" in capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == SCHEDULE_PINS[name]
+
+
+@pytest.mark.parametrize("name", FIT_REPORT_PINS)
+def test_fit_reports_are_pinned(name, tmp_path, capsys):
+    trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+    traceio.write_trace(str(trace), simulator.run(config.ScenarioConfig()).records)
+    extra, digest = FIT_REPORT_PINS[name]
+    code = cli.main(["fit", "--input", str(trace), "--output", str(report)] + extra)
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(report) == digest
+
+
+def test_depleted_rolling_fit_is_pinned():
+    records = simulator.run(config.ScenarioConfig(initial_battery=0.004)).records
+    rolling = estimation.rolling_fit(traceio.observations_from_slices(records), 8)
+    rows = hashlib.sha256()
+    for wf in rolling.fits:
+        r = wf.result
+        fields = [*r.coefficients.alpha, *r.stderr, r.condition, *r.residuals]
+        rows.update(f"{wf.start},{wf.stop},{r.n_obs},{','.join(float(x).hex() for x in fields)}\n"
+                    .encode())
+    for start, reason in rolling.skipped:
+        rows.update(f"skip,{start},{reason}\n".encode())
+    assert (len(rolling.fits), len(rolling.skipped), rows.hexdigest()) == DEPLETED_ROLLING_8
