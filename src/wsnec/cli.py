@@ -77,11 +77,13 @@ def cmd_fit(args) -> int:
             wf = by_start.get(target - args.window)
             if wf is None:
                 continue    # window was rank-deficient; no one-step prediction
-            row = obs.rows(target, target + 1)
-            pred = float(estimation.predict_rows(wf.result.coefficients, row)[0])
+            coeffs = wf.result.coefficients
+            alpha_active = np.array([a for a, act in zip(coeffs.alpha, coeffs.active) if act])
+            pred = float((obs.flows[target:target + 1] @ alpha_active)[0])
+            energy = float(obs.energy[target])
             idx = obs.slices[target] if obs.slices else target
-            predictions.append((idx, float(row.energy[0]), pred))
-            observed.append(float(row.energy[0]))
+            predictions.append((idx, energy, pred))
+            observed.append(energy)
             predicted.append(pred)
         errors = estimation.error_report(predicted, observed) if predicted else None
         traceio.write_rolling_report(args.output, rolling, predictions, errors)

@@ -6,7 +6,9 @@ least-squares solution. The solve goes through an SVD rather than the
 textbook normal-equation inverse: the inverse is numerically fragile
 exactly when flow columns are nearly collinear, which is common in quiet
 phases. Rank deficiency is surfaced as an error naming the dependent
-columns instead of returning garbage coefficients.
+columns instead of returning garbage coefficients. A rolling refit solves
+every window with the same code as a single fit, from one stacked SVD per
+block of windows, so each window's fit is bit-identical to ``fit_ls`` on it.
 
 No intercept term anywhere: zero flows must predict zero energy.
 """
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .energy_core import (
     CONSTITUENT_ORDER,
@@ -29,6 +32,9 @@ from .energy_core import (
 #: Smallest-to-largest singular value ratio below which the design matrix is
 #: treated as rank-deficient.
 RANK_RTOL = 1e-10
+#: Float64 values the stacked left singular vectors of one block of rolling
+#: windows may hold; ``rolling_fit`` sizes its blocks to stay under it.
+WINDOW_BLOCK_VALUES = 2 ** 20
 
 
 class RankDeficientError(ValueError):
@@ -86,9 +92,6 @@ class ObservationSet:
     def n_constituents(self) -> int:
         return self.flows.shape[1]
 
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(f"b_{c.value}" for c, a in zip(CONSTITUENT_ORDER, self.active) if a)
-
     @classmethod
     def from_flow_vectors(cls, flow_vectors: Sequence[ConstituentFlowVector],
                           energies: Sequence[float], active=(True,) * 5,
@@ -138,30 +141,38 @@ def fit_ls(obs: ObservationSet, *, warn_small: bool = True) -> FitResult:
                       stacklevel=2)
 
     u, s, vt = np.linalg.svd(obs.flows, full_matrices=False)
-    if s[0] == 0.0 or s[-1] / s[0] < RANK_RTOL:
-        raise RankDeficientError(_dependent_columns(s, vt, obs.column_names()))
+    return _solve(obs.flows, obs.energy, obs.active, u, s, vt)
 
-    alpha_active = vt.T @ ((u.T @ obs.energy) / s)
-    residuals = obs.energy - obs.flows @ alpha_active
+
+def _solve(flows: np.ndarray, energy: np.ndarray, active: tuple[bool, ...],
+           u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> FitResult:
+    """The least-squares fit of ``energy`` on ``flows`` from their thin SVD ``u, s, vt``."""
+    if s[0] == 0.0 or s[-1] / s[0] < RANK_RTOL:
+        raise RankDeficientError(_dependent_columns(s, vt, active))
+
+    alpha_active = vt.T @ ((u.T @ energy) / s)
+    residuals = energy - flows @ alpha_active
 
     # Classical per-coefficient standard-error proxy: sqrt(sigma^2 * (b^T b)^-1_kk).
+    m, n = flows.shape
     dof = m - n
     sigma2 = float(residuals @ residuals) / dof if dof > 0 else float("nan")
     inv_diag = np.sum((vt.T / s) ** 2, axis=1)
     stderr = tuple(float(x) for x in np.sqrt(sigma2 * inv_diag))
 
     alpha = np.zeros(5)
-    alpha[[i for i, a in enumerate(obs.active) if a]] = alpha_active
-    coeffs = CoefficientVector(alpha, obs.active)
+    alpha[[i for i, a in enumerate(active) if a]] = alpha_active
+    coeffs = CoefficientVector(alpha, active)
     if any(a < 0 for a in alpha_active):
         warnings.warn("fitted coefficients contain negative entries (least-squares artifact)",
-                      stacklevel=2)
+                      stacklevel=3)
     return FitResult(coeffs, residuals, float(s[0] / s[-1]), m, stderr)
 
 
-def _dependent_columns(s: np.ndarray, vt: np.ndarray, names: tuple[str, ...]) -> list[str]:
+def _dependent_columns(s: np.ndarray, vt: np.ndarray, active: tuple[bool, ...]) -> list[str]:
+    names = [f"b_{c.value}" for c, a in zip(CONSTITUENT_ORDER, active) if a]
     if s[0] == 0.0:
-        return list(names)
+        return names
     rank = int(np.sum(s / s[0] >= RANK_RTOL))
     involved: set[int] = set()
     for null_vec in vt[rank:]:
@@ -221,6 +232,9 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
 
     Rank-deficient windows are recorded in ``skipped`` and do not abort the
     sweep; the window must exceed the constituent count and fit in the data.
+    Every window gets the fit ``fit_ls`` would give it, bit for bit: the
+    windows are strided views of the observations, and one stacked SVD per
+    block of ``WINDOW_BLOCK_VALUES`` feeds the same solve.
     """
     n = obs.n_constituents
     if window <= n:
@@ -228,10 +242,16 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
     if window > obs.n_obs:
         raise ValueError(f"window {window} larger than observation count {obs.n_obs}")
     out = RollingFit(window)
-    for start in range(obs.n_obs - window + 1):
-        sub = obs.rows(start, start + window)
-        try:
-            out.fits.append(WindowFit(start, start + window, fit_ls(sub, warn_small=False)))
-        except RankDeficientError as exc:
-            out.skipped.append((start, str(exc)))
+    flows = sliding_window_view(obs.flows, window, axis=0).transpose(0, 2, 1)
+    energy = sliding_window_view(obs.energy, window)
+    block = max(1, WINDOW_BLOCK_VALUES // (window * n))
+    for first in range(0, len(flows), block):
+        u, s, vt = np.linalg.svd(flows[first:first + block], full_matrices=False)
+        for k, start in enumerate(range(first, first + len(s))):
+            try:
+                fit = _solve(flows[start], energy[start], obs.active, u[k], s[k], vt[k])
+            except RankDeficientError as exc:
+                out.skipped.append((start, str(exc)))
+            else:
+                out.fits.append(WindowFit(start, start + window, fit))
     return out

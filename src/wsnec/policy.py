@@ -7,7 +7,7 @@ battery as a strict budget. Costs are real-valued joules, so the exact
 solver is a Pareto-frontier dynamic program (non-dominated cost/importance
 states per item prefix, Nemhauser & Ullmann 1969) rather than an
 integer-capacity table. The frontier is held as three numpy arrays (cost,
-importance, chosen subset as a uint64 bitmask) and each item extends, sorts
+importance, chosen subset as a uint64 bitmask) and each item extends, merges
 and prunes it in bulk. The frontier can double with every item (it does when
 importance is proportional to cost), so its size is capped: past 64 optional
 tasks, or once one item's candidate states would exceed ``STATE_LIMIT``,
@@ -151,8 +151,12 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
     Pareto-frontier DP: after each item, keep only non-dominated
     (cost, value) states; the chosen subset rides along as a bitmask.
     States are ordered by (cost, -value, mask) and a state survives only if
-    its value beats every state before it, so the survivors' values strictly
-    increase and the last one wins (ties: cheapest, then lowest ids).
+    its value beats every state before it, so the survivors' costs and
+    values strictly increase and the last one wins (ties: cheapest, then
+    lowest ids). Because the old costs increase, the extended costs never
+    decrease: the states that still fit are a prefix, and a stable sort on
+    cost merges the two sorted runs. Only an item that makes two costs equal
+    (equal-cost tasks, or sums that round together) needs the full key.
     Returns the winning bitmask, or None if one item's candidate states
     would exceed ``STATE_LIMIT``.
     """
@@ -161,14 +165,18 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
     fm = np.zeros(1, dtype=np.uint64)
     for i, (cost, value) in enumerate(zip(costs, values)):
         nc = fc + cost
-        fits = nc < capacity
-        if len(fc) + np.count_nonzero(fits) > STATE_LIMIT:
+        fits = int(nc.searchsorted(capacity))
+        if len(fc) + fits > STATE_LIMIT:
             return None
-        c = np.concatenate((fc, nc[fits]))
-        v = np.concatenate((fv, fv[fits] + value))
-        m = np.concatenate((fm, fm[fits] | np.uint64(1 << i)))
-        order = np.lexsort((m, -v, c))
-        c, v, m = c[order], v[order], m[order]
+        c = np.concatenate((fc, nc[:fits]))
+        v = np.concatenate((fv, fv[:fits] + value))
+        m = np.concatenate((fm, fm[:fits] | np.uint64(1 << i)))
+        order = c.argsort(kind="stable")
+        sc = c[order]
+        if (sc[1:] == sc[:-1]).any():
+            order = np.lexsort((m, -v, c))
+            sc = c[order]
+        c, v, m = sc, v[order], m[order]
         keep = v > np.maximum.accumulate(np.concatenate(([-np.inf], v[:-1])))
         fc, fv, fm = c[keep], v[keep], m[keep]
     return int(fm[-1])

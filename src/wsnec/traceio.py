@@ -32,6 +32,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_lines(path: str, lines: Sequence[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_lines(path: str, header: str, what: str) -> list[str]:
+    """The non-blank lines after ``header``, which must be the first one."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+    if not lines or lines[0] != header:
+        raise ValueError(f"{what} header must be exactly {header!r}")
+    return lines[1:]
+
+
 def _split_blocks(text: str) -> list[list[str]]:
     blocks: list[list[str]] = [[]]
     for line in text.splitlines():
@@ -58,8 +72,7 @@ def write_trace(path: str, records: Sequence[SliceRecord]) -> None:
             _fmt(f.b_environment), _fmt(f.b_snk),
             _fmt(rec.energy_j), str(rec.alive_nodes),
         ]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_trace(path: str, delta_t: float = 1.0) -> list[SliceRecord]:
@@ -68,13 +81,9 @@ def read_trace(path: str, delta_t: float = 1.0) -> list[SliceRecord]:
     The slice duration is scenario configuration, not trace data, so the
     caller supplies it (it defaults to the default scenario's 1 s).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"trace header must be exactly {TRACE_HEADER!r}")
     records = []
     previous = None
-    for ln in lines[1:]:
+    for ln in _read_lines(path, TRACE_HEADER, "trace"):
         parts = ln.split(",")
         if len(parts) != 9:
             raise ValueError(f"malformed trace row: {ln!r}")
@@ -106,18 +115,13 @@ def write_observations(path: str, rows: Sequence[tuple[int, ConstituentFlowVecto
     lines = [OBSERVATIONS_HEADER]
     for run, flows, energy in rows:
         lines.append(",".join([str(run)] + [_fmt(v) for v in flows.as_tuple()] + [_fmt(energy)]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_observations(path: str,
                       active=(True, True, True, False, False)) -> ObservationSet:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines or lines[0] != OBSERVATIONS_HEADER:
-        raise ValueError(f"observations header must be exactly {OBSERVATIONS_HEADER!r}")
     flows, energies, runs = [], [], []
-    for ln in lines[1:]:
+    for ln in _read_lines(path, OBSERVATIONS_HEADER, "observations"):
         parts = ln.split(",")
         if len(parts) != 7:
             raise ValueError(f"malformed observation row: {ln!r}")
@@ -150,8 +154,7 @@ def write_report(path: str, fit: FitResult,
     lines.append("")
     lines.append("mape_pct,max_abs_pct_error,dominant_constituent")
     lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{dominant.value}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_rolling_report(path: str, rolling: RollingFit,
@@ -173,8 +176,7 @@ def write_rolling_report(path: str, rolling: RollingFit,
         lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{len(rolling.skipped)}")
     else:
         lines.append(f"nan,nan,{len(rolling.skipped)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_coefficients(path: str) -> CoefficientVector:
@@ -205,12 +207,8 @@ def read_coefficients(path: str) -> CoefficientVector:
 # Task lists and schedules
 
 def read_tasks(path: str) -> list[TaskDescriptor]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines or lines[0] != TASKS_HEADER:
-        raise ValueError(f"task file header must be exactly {TASKS_HEADER!r}")
     tasks = []
-    for ln in lines[1:]:
+    for ln in _read_lines(path, TASKS_HEADER, "task file"):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 5:
             raise ValueError(f"malformed task row: {ln!r}")
@@ -252,5 +250,4 @@ def write_schedule(path: str, result: ScheduleResult,
     lines.append("constituent,energy_j")
     for c in CONSTITUENT_ORDER:
         lines.append(f"{c.value},{_fmt(result.per_constituent[c])}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -7,10 +7,15 @@ code with the production solver.
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsnec import estimation
 
 from wsnec.energy_core import CoefficientVector, ConstituentFlowVector, overall_energy
 from wsnec.estimation import (
@@ -236,6 +241,96 @@ class TestRollingFit:
         assert rolling.skipped
         assert all("b_global" in reason for _, reason in rolling.skipped)
         assert rolling.fits  # healthy windows still fitted
+
+
+def reference_rolling_fit(obs: ObservationSet, window: int):
+    """One ``fit_ls`` per window on a fresh ``ObservationSet``: the loop rolling_fit replaced."""
+    fits, skipped = [], []
+    for start in range(obs.n_obs - window + 1):
+        try:
+            fits.append((start, fit_ls(obs.rows(start, start + window), warn_small=False)))
+        except RankDeficientError as exc:
+            skipped.append((start, str(exc)))
+    return fits, skipped
+
+
+def assert_rolling_matches_reference(obs, window):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # negative least-squares coefficients
+        rolling = rolling_fit(obs, window)
+        fits, skipped = reference_rolling_fit(obs, window)
+    assert rolling.skipped == skipped
+    assert [(wf.start, wf.stop) for wf in rolling.fits] == [(s, s + window) for s, _ in fits]
+    for wf, (_, ref) in zip(rolling.fits, fits):
+        got = wf.result
+        assert got.coefficients == ref.coefficients
+        assert got.residuals.shape == ref.residuals.shape
+        assert (got.residuals == ref.residuals).all()
+        assert got.stderr == ref.stderr
+        assert got.condition == ref.condition
+        assert got.n_obs == ref.n_obs
+    return rolling
+
+
+@st.composite
+def rolling_cases(draw):
+    """Observations with zero-flow stretches and collinear columns, and a window."""
+    active = draw(st.lists(st.booleans(), min_size=5, max_size=5).filter(any))
+    n = sum(active)
+    m = draw(st.integers(n + 1, 40))
+    count = st.integers(0, 4)
+    flows = np.array(draw(st.lists(st.lists(count, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)), dtype=float)
+    if draw(st.booleans()):                     # a dead stretch: every flow zero
+        lo = draw(st.integers(0, m - 1))
+        flows[lo:draw(st.integers(lo, m))] = 0.0
+    if n > 1 and draw(st.booleans()):           # one column a multiple of another
+        flows[:, n - 1] = draw(st.sampled_from([1.0, 2.0, 0.5])) * flows[:, 0]
+    energy = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
+    window = draw(st.one_of(st.just(n + 1), st.just(m), st.integers(n + 1, m)))
+    return ObservationSet(flows, energy, tuple(active)), window
+
+
+class TestRollingEquivalence:
+    """rolling_fit must give every window exactly what fit_ls gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rolling_cases())
+    def test_matches_per_window_fit_ls(self, case):
+        assert_rolling_matches_reference(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rolling_cases(), st.integers(1, 4))
+    def test_matches_across_blocks(self, case, per_block):
+        obs, window = case
+        limit = per_block * window * obs.n_constituents
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "WINDOW_BLOCK_VALUES", limit)
+            assert_rolling_matches_reference(obs, window)
+
+    def test_skipped_and_fitted_windows_span_blocks(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        b = rng.integers(0, 6, size=(60, 3)).astype(float)
+        b[20:30] = 0.0
+        e = b @ np.array([1e-4, 2e-4, 3e-4]) + rng.uniform(0, 1e-3, size=60)
+        monkeypatch.setattr(estimation, "WINDOW_BLOCK_VALUES", 7 * 8 * 3)
+        rolling = assert_rolling_matches_reference(obs_from_arrays(b, e), 8)
+        assert rolling.fits and rolling.skipped
+
+    def test_peak_memory_is_bounded_by_blocks(self):
+        # 18,001 windows of 2,000 x 3: their stacked left singular vectors
+        # alone would take ~860 MB. The flows are all zero, so every window
+        # is skipped, no residuals are kept and one block's SVD sets the peak.
+        obs = obs_from_arrays(np.zeros((20_000, 3)), np.full(20_000, 0.5))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rolling = rolling_fit(obs, 2_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rolling.skipped) == 18_001 and not rolling.fits
+        assert peak < 64 * 2 ** 20
 
 
 class TestInvariants:

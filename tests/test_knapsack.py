@@ -92,6 +92,18 @@ class TestEquivalence:
         # At capacity 0.1 + 0.2, {0, 1} does not fit at all.
         assert assert_same([0.1, 0.2, 0.3], [1.0, 1.0, 2.0], 0.1 + 0.2) == 0b100
 
+    def test_equal_costs_keep_only_the_higher_value(self):
+        # 0.1 + 0.6 rounds to exactly 0.7, the cost of item 1, and {0, 2} is
+        # worth 0.30000000000000004 against item 1's 0.3: the equal-cost
+        # states must be ordered by value, or {1} stays on the frontier; with
+        # item 3, {1, 3} then ties {0, 2, 3} in cost and in value after
+        # rounding, and wins as the lower mask.
+        assert assert_same([0.1, 0.7, 0.6, 0.2], [0.2, 0.3, 0.1, 0.30000000000000004],
+                           1.0) == 0b1101
+        # The same with an old and a new state of exactly equal cost.
+        assert assert_same([3.0, 3.0, 0.5], [0.3, 0.30000000000000004, 0.30000000000000004],
+                           5.0) == 0b110
+
     def test_zero_and_negative_costs_with_equal_values(self):
         costs = [0.0, -0.5, 0.5, 0.0, 1.0, -0.25, 0.5]
         values = [1.0] * len(costs)
