@@ -234,7 +234,7 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
     sweep; the window must exceed the constituent count and fit in the data.
     Every window gets the fit ``fit_ls`` would give it, bit for bit: the
     windows are strided views of the observations, and one stacked SVD per
-    block of ``WINDOW_BLOCK_VALUES`` feeds the same solve.
+    block of windows (sized by ``WINDOW_BLOCK_VALUES``) feeds the same solve.
     """
     n = obs.n_constituents
     if window <= n:
