@@ -30,13 +30,11 @@ from .estimation import (
 )
 from .flow_models import (
     BoundaryError,
-    EnvironmentParams,
     FlowSingularityError,
     GlobalParams,
     IndividualParams,
     LocalParams,
     ProbabilityModelConfig,
-    SinkParams,
     environment_flow,
     global_flow,
     individual_flow,

@@ -13,13 +13,7 @@ import sys
 import numpy as np
 
 from . import estimation, policy, simulator, traceio
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    load_config,
-    sweep_parameter_is_integer,
-    with_overrides,
-)
+from .config import SWEEPABLE, ConfigError, ScenarioConfig, load_config, with_overrides
 from .energy_core import CONSTITUENT_ORDER, Constituent, ConstituentFlowVector
 
 EXIT_OK = 0
@@ -123,7 +117,7 @@ def cmd_sweep(args) -> int:
         sampled = {}
         for name in sorted(ranges):
             low, high = ranges[name]
-            if sweep_parameter_is_integer(name):
+            if SWEEPABLE[name]:
                 sampled[name] = master.randint(int(low), int(high))
             else:
                 sampled[name] = master.uniform(low, high)
@@ -153,10 +147,8 @@ def cmd_budget(args) -> int:
           f"importance: {result.total_importance:.6g}")
     if not result.feasible:
         print("infeasible: " + ", ".join(result.failed_constraints), file=sys.stderr)
-        print(f"schedule written to {args.output}")
-        return EXIT_INFEASIBLE
     print(f"schedule written to {args.output}")
-    return EXIT_OK
+    return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
 def _seed_override(args) -> dict | None:

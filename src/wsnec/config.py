@@ -3,8 +3,7 @@
 A scenario is described by a plain-text INI file with one section per
 concern: ``[sim]`` for the network and workload, ``[energy]`` for the
 per-resource packet prices, ``[mix]`` for the constituent resource-weight
-matrix, ``[flows.probabilities]`` for the probability-model coefficients,
-``[radio]`` for the per-bit radio model and ``[sweep]`` for batch-run
+matrix, ``[radio]`` for the per-bit radio model and ``[sweep]`` for batch-run
 parameter ranges. Every key has a default, so a minimal file is just::
 
     [sim]
@@ -21,11 +20,10 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .energy_core import ConstituentResourceMix, ResourcePowerProfile
-from .flow_models import ProbabilityModelConfig
 from .radio import RadioModelParams
 
 
@@ -88,7 +86,6 @@ class ScenarioConfig:
     # sub-models
     profile: ResourcePowerProfile = DEFAULT_PROFILE
     mix: ConstituentResourceMix = field(default_factory=lambda: ConstituentResourceMix(DEFAULT_MIX_ROWS))
-    probabilities: ProbabilityModelConfig = ProbabilityModelConfig()
     radio: RadioModelParams = RadioModelParams()
     sweep: SweepConfig | None = None
 
@@ -144,9 +141,9 @@ def sweep_violations(sweep: SweepConfig) -> list[str]:
     if sweep.runs < 1:
         out.append(f"sweep runs must be >= 1 (got {sweep.runs!r})")
     for name, (low, high) in sweep.ranges.items():
-        if name not in _SWEEPABLE:
+        if name not in SWEEPABLE:
             out.append(f"sweep parameter {name!r} is not sweepable "
-                       f"(choose from {sorted(_SWEEPABLE)})")
+                       f"(choose from {sorted(SWEEPABLE)})")
             continue
         if not (math.isfinite(low) and math.isfinite(high) and low <= high):
             out.append(f"sweep range for {name} must be low:high with low <= high "
@@ -162,53 +159,30 @@ def sweep_violations(sweep: SweepConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # INI loading
 
-_SIM_SCHEMA: dict[str, type] = {
-    "seed": int, "nodes": int,
-    "area_width": float, "area_height": float,
-    "sink_x": float, "sink_y": float,
-    "r_tx": float, "r_sense": float, "g_sense": float, "g_tx": float,
-    "delta_t": float, "init_slices": int, "total_slices": int, "epochs": int,
-    "event_rate": float, "initial_battery": float, "bits_per_packet": int,
-    "maintenance_period": int, "maintenance_slices": int,
-    "repair_radius_hops": int, "monitor_period": int,
-    "monitoring": bool, "scheduling": bool,
-    "warmup_packets": int, "mix_charging": bool,
-}
+#: Every scalar field of ScenarioConfig, typed by its default (the annotations
+#: are strings under ``from __future__ import annotations``).
+_SIM_SCHEMA: dict[str, type] = {f.name: type(f.default) for f in fields(ScenarioConfig)
+                                if type(f.default) in (int, float, bool)}
 
-_ENERGY_SCHEMA = {"p_cpu": float, "p_mem": float, "p_rx": float, "p_tx": float, "p_sens": float}
+_ENERGY_SCHEMA = {f.name: float for f in fields(ResourcePowerProfile)}
 
-_PROB_SCHEMA = {"sigma_sense": float, "kappa_coll": float, "kappa_ohear": float,
-                "kappa_idle": float, "kappa_loss": float, "area": float, "p_cap": float}
-
-_RADIO_SCHEMA = {"e_t_elec": float, "e_r_elec": float, "eps_fs": float, "eps_mp": float,
-                 "eps_amp": float, "alpha_pl": float, "d0": float}
+_RADIO_SCHEMA = {f.name: float for f in fields(RadioModelParams)}
 
 _MIX_KEYS = ("individual", "local", "global", "environment", "snk")
 
 #: Parameters cmd_sweep may randomize, with their integer-ness.
-_SWEEPABLE: dict[str, bool] = {
+SWEEPABLE: dict[str, bool] = {
     "event_rate": False, "r_sense": False, "g_sense": False, "g_tx": False,
     "r_tx": False, "initial_battery": False,
     "maintenance_period": True, "monitor_period": True, "warmup_packets": True,
 }
 
 
-def sweepable_parameters() -> tuple[str, ...]:
-    return tuple(sorted(_SWEEPABLE))
-
-
-def sweep_parameter_is_integer(name: str) -> bool:
-    return _SWEEPABLE[name]
-
-
-_BOOLEAN_STATES = configparser.ConfigParser.BOOLEAN_STATES
-
-
 def _convert(raw: str, kind: type, where: str, violations: list[str]):
     raw = raw.strip()
     try:
         if kind is bool:
-            state = _BOOLEAN_STATES.get(raw.lower())
+            state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
             if state is None:
                 raise ValueError
             return state
@@ -248,7 +222,7 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
         raise ConfigError([f"cannot parse config: {exc}"]) from exc
 
     violations: list[str] = []
-    known = {"sim", "energy", "mix", "flows.probabilities", "radio", "sweep"}
+    known = {"sim", "energy", "mix", "radio", "sweep"}
     for section in parser.sections():
         if section not in known:
             violations.append(f"unknown section [{section}]")
@@ -261,7 +235,6 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
             violations.append(f"[sim] missing required key {required!r}")
 
     energy = _parse_section(parser, "energy", _ENERGY_SCHEMA, violations)
-    prob = _parse_section(parser, "flows.probabilities", _PROB_SCHEMA, violations)
     radio = _parse_section(parser, "radio", _RADIO_SCHEMA, violations)
 
     mix_rows = list(DEFAULT_MIX_ROWS)
@@ -289,9 +262,9 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
                 if value is not None:
                     runs = value
                 continue
-            if key not in _SWEEPABLE:
+            if key not in SWEEPABLE:
                 violations.append(f"[sweep] unknown parameter {key!r} "
-                                  f"(choose from {sorted(_SWEEPABLE)})")
+                                  f"(choose from {sorted(SWEEPABLE)})")
                 continue
             parts = raw.split(":")
             if len(parts) != 2:
@@ -306,28 +279,14 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
     if violations:
         raise ConfigError(violations)
 
-    # Probability-model area defaults to the deployment area unless set.
-    if "area" not in prob:
-        width = sim.get("area_width", 100.0)
-        height = sim.get("area_height", 100.0)
-        prob["area"] = width * height
-
     try:
-        profile = ResourcePowerProfile(**{**_as_kwargs(DEFAULT_PROFILE), **energy}) \
-            if energy else DEFAULT_PROFILE
+        profile = replace(DEFAULT_PROFILE, **energy)
         mix = ConstituentResourceMix(mix_rows)
-        probabilities = ProbabilityModelConfig(**prob)
         radio_params = RadioModelParams(**radio)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
 
-    return ScenarioConfig(profile=profile, mix=mix, probabilities=probabilities,
-                          radio=radio_params, sweep=sweep, **sim)
-
-
-def _as_kwargs(profile: ResourcePowerProfile) -> dict:
-    return {"p_cpu": profile.p_cpu, "p_mem": profile.p_mem, "p_rx": profile.p_rx,
-            "p_tx": profile.p_tx, "p_sens": profile.p_sens}
+    return ScenarioConfig(profile=profile, mix=mix, radio=radio_params, sweep=sweep, **sim)
 
 
 def with_overrides(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
@@ -336,76 +295,39 @@ def with_overrides(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
 
 
 def sample_config() -> str:
-    """A commented INI showing every section with its default values."""
-    prob = ProbabilityModelConfig()
-    radio = RadioModelParams()
+    """A commented INI showing every section with its default values, one
+    ``key = value`` line per key of the section schemas."""
+    cfg = ScenarioConfig()
+
+    def lines(obj, keys) -> str:
+        # str() of a number is already lower case; bools are written true/false.
+        return "\n".join(f"{key} = {str(getattr(obj, key)).lower()}" for key in keys)
+
     mix_lines = "\n".join(
         f"{name} = " + ", ".join(str(w) for w in row)
-        for name, row in zip(_MIX_KEYS, DEFAULT_MIX_ROWS))
+        for name, row in zip(_MIX_KEYS, cfg.mix.rows))
     return f"""\
 # Scenario configuration. Every key is optional except [sim] seed and nodes;
 # values shown are the defaults (synthetic reference scenario).
 
 [sim]
-seed = 1
-nodes = 25
-area_width = 100.0
-area_height = 100.0
-sink_x = 5.0
-sink_y = 5.0
-r_tx = 30.0
-r_sense = 12.0
-g_sense = 0.05
-g_tx = 0.01
-delta_t = 1.0
-init_slices = 3
-total_slices = 80
-epochs = 1
-event_rate = 18.0
-initial_battery = 0.5
-bits_per_packet = 1024
-maintenance_period = 8
-maintenance_slices = 1
-repair_radius_hops = 0
-monitor_period = 10
-monitoring = true
-scheduling = true
-warmup_packets = 2
-mix_charging = false
+{lines(cfg, _SIM_SCHEMA)}
 
 [energy]
 # joules per packet handled by each resource
-p_cpu = {DEFAULT_PROFILE.p_cpu}
-p_mem = {DEFAULT_PROFILE.p_mem}
-p_rx = {DEFAULT_PROFILE.p_rx}
-p_tx = {DEFAULT_PROFILE.p_tx}
-p_sens = {DEFAULT_PROFILE.p_sens}
+{lines(cfg.profile, _ENERGY_SCHEMA)}
 
 [mix]
 # per-packet resource weights (cpu, mem, rx, tx, sens) per constituent
 {mix_lines}
 
-[flows.probabilities]
-sigma_sense = {prob.sigma_sense}
-kappa_coll = {prob.kappa_coll}
-kappa_ohear = {prob.kappa_ohear}
-kappa_idle = {prob.kappa_idle}
-kappa_loss = {prob.kappa_loss}
-# area defaults to area_width * area_height
-p_cap = {prob.p_cap}
-
 [radio]
-e_t_elec = {radio.e_t_elec}
-e_r_elec = {radio.e_r_elec}
-eps_fs = {radio.eps_fs}
-eps_mp = {radio.eps_mp}
-eps_amp = {radio.eps_amp}
-alpha_pl = {radio.alpha_pl}
+{lines(cfg.radio, [key for key in _RADIO_SCHEMA if key != "d0"])}
 # d0 defaults to sqrt(eps_fs / eps_mp)
 
 [sweep]
 runs = 50
-# uniform ranges as low:high over: {", ".join(sorted(_SWEEPABLE))}
+# uniform ranges as low:high over: {", ".join(sorted(SWEEPABLE))}
 event_rate = 6.0:30.0
 r_sense = 8.0:18.0
 g_sense = 0.0:0.2

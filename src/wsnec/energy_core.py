@@ -37,25 +37,28 @@ CONSTITUENT_ORDER: tuple[Constituent, ...] = tuple(Constituent)
 RESOURCE_NAMES = ("cpu", "mem", "rx", "tx", "sens")
 
 
-def _check_finite_nonneg(name: str, value: float) -> float:
+class BoundaryError(ValueError):
+    """A parameter violated its documented boundary."""
+
+
+def bound(condition: bool, boundary: str, value) -> None:
+    """Raise :class:`BoundaryError` citing ``boundary`` unless ``condition`` holds."""
+    if not condition:
+        raise BoundaryError(f"parameter boundary {boundary} violated (got {value!r})")
+
+
+def nonneg(name: str, value: float) -> float:
+    """``value`` as a float, which must be finite and >= 0."""
     value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    bound(math.isfinite(value) and value >= 0, f"{name} >= 0", value)
     return value
 
 
-def _check_count(name: str, value) -> int:
-    if isinstance(value, float):
-        if not math.isfinite(value) or not value.is_integer():
-            raise ValueError(f"{name} must be an integer count, got {value!r}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer count, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
+def count(name: str, value) -> int:
+    """``value`` as an int, which must be a whole number >= 0 (int or float)."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    bound(whole and value >= 0, f"{name} is a whole number >= 0", value)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class ResourcePowerProfile:
 
     def __post_init__(self):
         for name in ("p_cpu", "p_mem", "p_rx", "p_tx", "p_sens"):
-            object.__setattr__(self, name, _check_finite_nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.p_cpu, self.p_mem, self.p_rx, self.p_tx, self.p_sens)
@@ -88,7 +91,7 @@ class ResourceUsageVector:
 
     def __post_init__(self):
         for name in ("b_cpu", "b_mem", "b_rx", "b_tx", "b_sens"):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
+            object.__setattr__(self, name, count(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.b_cpu, self.b_mem, self.b_rx, self.b_tx, self.b_sens)
@@ -107,7 +110,7 @@ class ConstituentResourceMix:
             raise ValueError("mix must be a 5x5 matrix (constituents x resources)")
         for k, row in enumerate(rows):
             for r, w in enumerate(row):
-                _check_finite_nonneg(f"mix[{CONSTITUENT_ORDER[k].value}][{RESOURCE_NAMES[r]}]", w)
+                nonneg(f"mix[{CONSTITUENT_ORDER[k].value}][{RESOURCE_NAMES[r]}]", w)
         self._rows = tuple(rows)
 
     def row(self, constituent: Constituent) -> tuple[float, ...]:
@@ -140,7 +143,7 @@ class ConstituentFlowVector:
 
     def __post_init__(self):
         for name in ("b_individual", "b_local", "b_global", "b_environment", "b_snk"):
-            object.__setattr__(self, name, _check_finite_nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.b_individual, self.b_local, self.b_global, self.b_environment, self.b_snk)
@@ -209,7 +212,7 @@ def constituent_alpha(mix_row: Sequence[float], profile: ResourcePowerProfile) -
     if len(weights) != 5:
         raise ValueError("mix_row must have 5 weights (cpu, mem, rx, tx, sens)")
     for r, w in enumerate(weights):
-        _check_finite_nonneg(f"weight[{RESOURCE_NAMES[r]}]", w)
+        nonneg(f"weight[{RESOURCE_NAMES[r]}]", w)
     return math.fsum(w * p for w, p in zip(weights, profile.as_tuple()))
 
 

@@ -18,7 +18,9 @@ so alternates can be swapped without touching callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .energy_core import BoundaryError, bound, nonneg  # BoundaryError re-exported
 
 #: Denominators closer to zero than this are treated as misconfiguration.
 EPSILON_DIV = 1e-9
@@ -28,79 +30,43 @@ EPSILON_DIV = 1e-9
 LOCAL_CAP_LIMIT = 0.33
 
 
-class BoundaryError(ValueError):
-    """A parameter violated its documented boundary."""
-
-
 class FlowSingularityError(ValueError):
     """A flow denominator (1 - probability) fell below the division guard."""
 
 
-def _bound(condition: bool, boundary: str, value) -> None:
-    if not condition:
-        raise BoundaryError(f"parameter boundary {boundary} violated (got {value!r})")
-
-
-def _nonneg(name: str, value: float) -> float:
-    value = float(value)
-    _bound(math.isfinite(value) and value >= 0, f"{name} >= 0", value)
-    return value
-
-
 @dataclass(frozen=True)
 class IndividualParams:
-    """Inputs of the individual-constituent flow.
-
-    ``b_store`` is carried through traces for completeness but enters no
-    flow equation.
-    """
+    """Inputs of the individual-constituent flow."""
 
     r_sense: float
     g_sense: float = 0.0
     b_os: float = 0.0
     b_sec: float = 0.0
-    b_store: float = 0.0
 
     def __post_init__(self):
-        _bound(math.isfinite(self.r_sense) and self.r_sense > 0, "r_sense > 0", self.r_sense)
-        _nonneg("g_sense", self.g_sense)
-        _nonneg("b_os", self.b_os)
-        _nonneg("b_sec", self.b_sec)
-        _nonneg("b_store", self.b_store)
+        bound(math.isfinite(self.r_sense) and self.r_sense > 0, "r_sense > 0", self.r_sense)
+        for name in ("g_sense", "b_os", "b_sec"):
+            nonneg(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
 class LocalParams:
-    """Inputs of the local-constituent flow.
-
-    ``idle_power`` (the idle per-packet cost) and ``b_retx`` are carried but
-    not used by the closed form; idle/retransmission costs surface through
-    the probability terms instead.
-    """
+    """Inputs of the local-constituent flow. Idle-listening and
+    retransmission costs enter through the probability terms."""
 
     n: int
     net_dens: int
     g_tx: float = 0.0
     r_tx: float = 0.0
-    d_ij: float | None = None
-    idle_power: float = 0.0
     b_mon: float = 0.0
     b_sec: float = 0.0
     b_ohead: float = 0.0
-    b_retx: float = 0.0
 
     def __post_init__(self):
-        _bound(isinstance(self.n, int) and self.n >= 1, "n >= 1", self.n)
-        _bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
-        _nonneg("g_tx", self.g_tx)
-        _nonneg("r_tx", self.r_tx)
-        if self.d_ij is not None:
-            _bound(0 < self.d_ij <= self.r_tx, "0 < d_ij <= r_tx", self.d_ij)
-        _nonneg("idle_power", self.idle_power)
-        _nonneg("b_mon", self.b_mon)
-        _nonneg("b_sec", self.b_sec)
-        _nonneg("b_ohead", self.b_ohead)
-        _nonneg("b_retx", self.b_retx)
+        bound(isinstance(self.n, int) and self.n >= 1, "n >= 1", self.n)
+        bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
+        for name in ("g_tx", "r_tx", "b_mon", "b_sec", "b_ohead"):
+            nonneg(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -120,38 +86,10 @@ class GlobalParams:
     b_ohead: float = 0.0
 
     def __post_init__(self):
-        _nonneg("dist_to_sink", self.dist_to_sink)
-        _bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
-        _nonneg("r_tx", self.r_tx)
-        _nonneg("b_sec", self.b_sec)
-        _nonneg("b_topo", self.b_topo)
-        _nonneg("b_rout", self.b_rout)
-        _nonneg("b_ohead", self.b_ohead)
-
-
-@dataclass(frozen=True)
-class EnvironmentParams:
-    """Harvesting-management flow inputs. ``harvested_power`` (watts) is
-    carried for trace completeness only; energy inflow is out of scope."""
-
-    harvested_power: float = 0.0
-    b_ph: float = 0.0
-    b_sec: float = 0.0
-
-    def __post_init__(self):
-        _nonneg("harvested_power", self.harvested_power)
-        _nonneg("b_ph", self.b_ph)
-        _nonneg("b_sec", self.b_sec)
-
-
-@dataclass(frozen=True)
-class SinkParams:
-    b_ohead: float = 0.0
-    b_sec: float = 0.0
-
-    def __post_init__(self):
-        _nonneg("b_ohead", self.b_ohead)
-        _nonneg("b_sec", self.b_sec)
+        nonneg("dist_to_sink", self.dist_to_sink)
+        bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
+        for name in ("r_tx", "b_sec", "b_topo", "b_rout", "b_ohead"):
+            nonneg(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -171,13 +109,10 @@ class ProbabilityModelConfig:
     p_cap: float = 0.3
 
     def __post_init__(self):
-        _nonneg("sigma_sense", self.sigma_sense)
-        _nonneg("kappa_coll", self.kappa_coll)
-        _nonneg("kappa_ohear", self.kappa_ohear)
-        _nonneg("kappa_idle", self.kappa_idle)
-        _nonneg("kappa_loss", self.kappa_loss)
-        _bound(math.isfinite(self.area) and self.area > 0, "area > 0", self.area)
-        _bound(0 <= self.p_cap < 1, "0 <= p_cap < 1", self.p_cap)
+        for name in ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss"):
+            nonneg(name, getattr(self, name))
+        bound(math.isfinite(self.area) and self.area > 0, "area > 0", self.area)
+        bound(0 <= self.p_cap < 1, "0 <= p_cap < 1", self.p_cap)
 
     @property
     def local_cap(self) -> float:
@@ -191,8 +126,8 @@ def solve_flow_total(numerator: float, probability: float) -> float:
     the division guard; a probability that close to 1 means the model is
     misconfigured, not that the flow is infinite.
     """
-    numerator = _nonneg("flow numerator", numerator)
-    _bound(math.isfinite(probability) and probability >= 0, "probability >= 0", probability)
+    numerator = nonneg("flow numerator", numerator)
+    nonneg("probability", probability)
     denom = 1.0 - probability
     if denom < EPSILON_DIV:
         raise FlowSingularityError(
@@ -206,31 +141,31 @@ def p_sense(r_sense: float, g_sense: float, cfg: ProbabilityModelConfig) -> floa
     sigma*r^2 / (sigma*r^2 + g + 1): increasing in coverage radius,
     non-increasing in sensing delay, bounded below 1, then capped.
     """
-    _bound(math.isfinite(r_sense) and r_sense > 0, "r_sense > 0", r_sense)
-    _nonneg("g_sense", g_sense)
+    bound(math.isfinite(r_sense) and r_sense > 0, "r_sense > 0", r_sense)
+    nonneg("g_sense", g_sense)
     coverage = cfg.sigma_sense * r_sense * r_sense
     return min(cfg.p_cap, coverage / (coverage + g_sense + 1.0))
 
 
 def p_coll(n: int, g_tx: float, net_dens: int, cfg: ProbabilityModelConfig) -> float:
     """Collision probability: linear in neighbors, delay and density, capped."""
-    _bound(n >= 1, "n >= 1", n)
-    _nonneg("g_tx", g_tx)
-    _bound(net_dens >= 1, "net_dens >= 1", net_dens)
+    bound(n >= 1, "n >= 1", n)
+    nonneg("g_tx", g_tx)
+    bound(net_dens >= 1, "net_dens >= 1", net_dens)
     return min(cfg.local_cap, cfg.kappa_coll * n * g_tx * net_dens)
 
 
 def p_ohear(n: int, net_dens: int, r_tx: float, cfg: ProbabilityModelConfig) -> float:
     """Overhearing probability: scales with neighbor coverage overlap, capped."""
-    _bound(n >= 1, "n >= 1", n)
-    _bound(net_dens >= 1, "net_dens >= 1", net_dens)
-    _nonneg("r_tx", r_tx)
+    bound(n >= 1, "n >= 1", n)
+    bound(net_dens >= 1, "net_dens >= 1", net_dens)
+    nonneg("r_tx", r_tx)
     return min(cfg.local_cap, cfg.kappa_ohear * n * r_tx * r_tx / cfg.area)
 
 
 def p_idle(n: int, cfg: ProbabilityModelConfig) -> float:
     """Idle-listening probability: fewer neighbors, more idle time, capped."""
-    _bound(n >= 1, "n >= 1", n)
+    bound(n >= 1, "n >= 1", n)
     return min(cfg.local_cap, cfg.kappa_idle / (n + 1.0))
 
 
@@ -241,11 +176,11 @@ def p_pktls(dist_to_sink: float, r_tx: float, net_dens: int,
     Per-hop loss is kappa_loss / net_dens (denser networks lose less),
     clamped to 0.5; the result is capped like every other probability.
     """
-    _nonneg("dist_to_sink", dist_to_sink)
-    _bound(net_dens >= 1, "net_dens >= 1", net_dens)
+    nonneg("dist_to_sink", dist_to_sink)
+    bound(net_dens >= 1, "net_dens >= 1", net_dens)
     if dist_to_sink == 0:
         return 0.0
-    _bound(math.isfinite(r_tx) and r_tx > 0, "r_tx > 0 when dist_to_sink > 0", r_tx)
+    bound(math.isfinite(r_tx) and r_tx > 0, "r_tx > 0 when dist_to_sink > 0", r_tx)
     hops = math.ceil(dist_to_sink / r_tx)
     p_hop = min(0.5, cfg.kappa_loss / net_dens)
     return min(cfg.p_cap, 1.0 - (1.0 - p_hop) ** hops)
@@ -278,11 +213,11 @@ def global_flow(params: GlobalParams,
     return total, p * total
 
 
-def environment_flow(params: EnvironmentParams) -> float:
+def environment_flow(b_ph: float = 0.0, b_sec: float = 0.0) -> float:
     """Harvesting-management flow: plain sum of its overheads."""
-    return params.b_sec + params.b_ph
+    return nonneg("b_sec", b_sec) + nonneg("b_ph", b_ph)
 
 
-def sink_flow(params: SinkParams) -> float:
+def sink_flow(b_ohead: float = 0.0, b_sec: float = 0.0) -> float:
     """Sink-directed management flow: plain sum of its overheads."""
-    return params.b_sec + params.b_ohead
+    return nonneg("b_sec", b_sec) + nonneg("b_ohead", b_ohead)

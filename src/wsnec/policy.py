@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent
+from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, bound, nonneg
 
 #: Optional-task count above which selection switches to the greedy heuristic.
 EXACT_LIMIT = 64
@@ -48,10 +48,8 @@ class TaskDescriptor:
     mandatory: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.pf_size, int) or self.pf_size < 1:
-            raise ValueError(f"pf_size must be an integer >= 1, got {self.pf_size!r}")
-        if not math.isfinite(self.importance) or self.importance <= 0:
-            raise ValueError(f"importance must be finite and > 0, got {self.importance!r}")
+        bound(isinstance(self.pf_size, int) and self.pf_size >= 1, "integer pf_size >= 1", self.pf_size)
+        bound(math.isfinite(self.importance) and self.importance > 0, "importance > 0", self.importance)
 
 
 def task_cost(task: TaskDescriptor, coefficients: CoefficientVector) -> float:
@@ -77,8 +75,7 @@ class BudgetProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
-        if not math.isfinite(self.e_battery) or self.e_battery < 0:
-            raise ValueError(f"e_battery must be finite and >= 0, got {self.e_battery!r}")
+        nonneg("e_battery", self.e_battery)
         ids = [t.task_id for t in self.tasks]
         if len(ids) != len(set(ids)):
             raise ValueError("task ids must be unique")

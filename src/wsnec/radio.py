@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .energy_core import bound, nonneg
+
 
 @dataclass(frozen=True)
 class RadioModelParams:
@@ -31,20 +33,16 @@ class RadioModelParams:
     def __post_init__(self):
         for name in ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp"):
             v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be > 0, got {v!r}")
-        if not math.isfinite(self.alpha_pl) or self.alpha_pl <= 1:
-            raise ValueError(f"alpha_pl must be > 1, got {self.alpha_pl!r}")
+            bound(math.isfinite(v) and v > 0, f"{name} > 0", v)
+        bound(math.isfinite(self.alpha_pl) and self.alpha_pl > 1, "alpha_pl > 1", self.alpha_pl)
         if self.d0 is None:
             object.__setattr__(self, "d0", math.sqrt(self.eps_fs / self.eps_mp))
-        if not math.isfinite(self.d0) or self.d0 <= 0:
-            raise ValueError(f"d0 must be > 0, got {self.d0!r}")
+        bound(math.isfinite(self.d0) and self.d0 > 0, "d0 > 0", self.d0)
 
 
 def tx_energy_per_bit(d: float, params: RadioModelParams) -> float:
     """Transmit energy per bit over distance d (fs below d0, mp at and above)."""
-    if not math.isfinite(d) or d < 0:
-        raise ValueError(f"distance must be >= 0, got {d!r}")
+    nonneg("distance", d)
     if d < params.d0:
         return params.e_t_elec + params.eps_fs * d * d
     return params.e_t_elec + params.eps_mp * d ** 4
@@ -57,8 +55,7 @@ def rx_energy_per_bit(params: RadioModelParams) -> float:
 
 def tx_energy_per_bit_power_law(d: float, params: RadioModelParams) -> float:
     """Transmit energy per bit in the single-coefficient amplifier form."""
-    if not math.isfinite(d) or d < 0:
-        raise ValueError(f"distance must be >= 0, got {d!r}")
+    nonneg("distance", d)
     return params.e_t_elec + params.eps_amp * d ** params.alpha_pl
 
 
@@ -69,6 +66,5 @@ def relay_threshold(params: RadioModelParams) -> float:
     in the single-coefficient amplifier form.
     """
     scale = 1.0 - 2.0 ** (1.0 - params.alpha_pl)
-    if scale <= 0:
-        raise ValueError(f"alpha_pl must be > 1 for a finite threshold, got {params.alpha_pl!r}")
+    bound(scale > 0, "alpha_pl > 1 for a finite threshold", params.alpha_pl)
     return ((params.e_t_elec + params.e_r_elec) / (scale * params.eps_amp)) ** (1.0 / params.alpha_pl)

@@ -74,27 +74,23 @@ class PacketKind(Enum):
     ROUTING_INFO = "routing_info"
     RELAYED_DATA = "relayed_data"
 
-    # Set below for every member: the index of its constituent in
-    # CONSTITUENT_ORDER, read on every charge without a dict lookup, and the
+    # Set below for every member: its constituent, that constituent's index
+    # in CONSTITUENT_ORDER, read on every charge without a lookup, and the
     # member's position, which stands for it in ledger rows.
+    constituent: Constituent
     flow_slot: int
     code: int
 
-    @property
-    def constituent(self) -> Constituent:
-        return KIND_CONSTITUENT[self]
 
-
-KIND_CONSTITUENT: dict[PacketKind, Constituent] = {
-    PacketKind.SENSED: Constituent.INDIVIDUAL,
-    PacketKind.NEIGHBOR_INFO: Constituent.LOCAL,
-    PacketKind.SCHEDULING: Constituent.LOCAL,
-    PacketKind.TOPOLOGY_INFO: Constituent.GLOBAL,
-    PacketKind.ROUTING_INFO: Constituent.GLOBAL,
-    PacketKind.RELAYED_DATA: Constituent.GLOBAL,
-}
 KIND_BY_CODE = tuple(PacketKind)
-for _kind, _constituent in KIND_CONSTITUENT.items():
+for _kind, _constituent in {
+        PacketKind.SENSED: Constituent.INDIVIDUAL,
+        PacketKind.NEIGHBOR_INFO: Constituent.LOCAL,
+        PacketKind.SCHEDULING: Constituent.LOCAL,
+        PacketKind.TOPOLOGY_INFO: Constituent.GLOBAL,
+        PacketKind.ROUTING_INFO: Constituent.GLOBAL,
+        PacketKind.RELAYED_DATA: Constituent.GLOBAL}.items():
+    _kind.constituent = _constituent
     _kind.flow_slot = CONSTITUENT_ORDER.index(_constituent)
     _kind.code = KIND_BY_CODE.index(_kind)
 del _kind, _constituent
@@ -174,7 +170,7 @@ class ChargeEntry(NamedTuple):
 
     @property
     def constituent(self) -> Constituent:
-        return KIND_CONSTITUENT[self.kind]
+        return self.kind.constituent
 
 
 _tuple_new = tuple.__new__
@@ -370,12 +366,6 @@ def select_next_hop(node: NodeState, nodes: list[NodeState], r_tx: float) -> int
     return best.node_id if best is not None else None
 
 
-def recompute_next_hops(nodes: list[NodeState], r_tx: float,
-                        participants: list[NodeState] | None = None) -> None:
-    for node in (participants if participants is not None else nodes):
-        node.next_hop = select_next_hop(node, nodes, r_tx) if node.alive else None
-
-
 def build_topology(cfg: ScenarioConfig) -> list[NodeState]:
     """Seeded node placement, range-based adjacency and initial next hops.
 
@@ -487,9 +477,9 @@ class Simulation:
     def _route(self, participants: list[NodeState]) -> None:
         """Recompute the participants' next hops and the model joules to
         send one packet to each."""
-        recompute_next_hops(self.nodes, self.cfg.r_tx, participants)
+        r_tx = self.cfg.r_tx
         for node in participants:
-            hop = node.next_hop
+            hop = node.next_hop = select_next_hop(node, self.nodes, r_tx) if node.alive else None
             if hop == SINK_ID:
                 joules = self._tx_j(node.dist_to_sink)
             elif hop is None:

@@ -9,6 +9,7 @@ its own header row.
 
 from __future__ import annotations
 
+import configparser
 import math
 from typing import Sequence
 
@@ -23,9 +24,6 @@ TASKS_HEADER = "id,constituent,pf_size,importance,mandatory"
 
 _PHASES = {p.value: p for p in Phase}
 _CONSTITUENTS = {c.value: c for c in CONSTITUENT_ORDER}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
 
 
 def _fmt(x: float) -> str:
@@ -215,12 +213,8 @@ def read_tasks(path: str) -> list[TaskDescriptor]:
         constituent = _CONSTITUENTS.get(parts[1])
         if constituent is None:
             raise ValueError(f"unknown constituent {parts[1]!r} in task row")
-        flag = parts[4].lower()
-        if flag in _TRUE:
-            mandatory = True
-        elif flag in _FALSE:
-            mandatory = False
-        else:
+        mandatory = configparser.ConfigParser.BOOLEAN_STATES.get(parts[4].lower())
+        if mandatory is None:
             raise ValueError(f"mandatory flag must be true/false, got {parts[4]!r}")
         tasks.append(TaskDescriptor(int(parts[0]), constituent, int(parts[2]),
                                     float(parts[3]), mandatory))

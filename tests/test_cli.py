@@ -54,6 +54,24 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
         assert "r_sense > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, boundary", [
+        ("[energy]\np_cpu = -1\n", "p_cpu >= 0"),
+        ("[radio]\neps_fs = 0\n", "eps_fs > 0"),
+    ])
+    def test_sub_model_boundary_violation_exit_code(self, tmp_path, capsys, section, boundary):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n" + section)
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        assert f"parameter boundary {boundary} violated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probability_section_is_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[flows.probabilities]\np_cap = 0.3\n")
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        assert "unknown section [flows.probabilities]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,16 +2,18 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
+from wsnec import config
 from wsnec.config import (
+    SWEEPABLE,
     ConfigError,
     ScenarioConfig,
     SweepConfig,
     load_config,
     sample_config,
-    sweepable_parameters,
     with_overrides,
 )
 from wsnec.energy_core import CoefficientVector, Constituent, ConstituentFlowVector
@@ -71,9 +73,9 @@ class TestScenarioConfig:
             with_overrides(cfg, r_sense=-1.0)
 
     def test_sweepable_parameter_listing(self):
-        names = sweepable_parameters()
-        assert "event_rate" in names and "r_sense" in names
-        assert "nodes" not in names
+        assert "event_rate" in SWEEPABLE and "r_sense" in SWEEPABLE
+        assert "nodes" not in SWEEPABLE
+        assert SWEEPABLE["maintenance_period"] and not SWEEPABLE["r_sense"]
 
 
 class TestLoadConfig:
@@ -86,12 +88,22 @@ class TestLoadConfig:
 
     def test_sample_config_round_trips(self, tmp_path):
         path = tmp_path / "sample.ini"
-        path.write_text(sample_config())
+        text = sample_config()
+        path.write_text(text)
         cfg = load_config(str(path))
         assert cfg == dataclasses.replace(
             ScenarioConfig(), sweep=cfg.sweep)   # sweep section is extra
         assert cfg.sweep is not None and cfg.sweep.runs == 50
         assert cfg.sweep.ranges["event_rate"] == (6.0, 30.0)
+        # One "key = value" line per schema key before [sweep], whose ranges
+        # reuse some [sim] names: benchmark inputs substitute the first
+        # "key = " line of a [sim] key by regex.
+        keys = [*config._SIM_SCHEMA, *config._ENERGY_SCHEMA, *config._RADIO_SCHEMA]
+        assert len(keys) == len(set(keys))
+        head = text[:text.index("[sweep]")]
+        for key in keys:
+            assert len(re.findall(rf"^{key} = ", head, flags=re.M)) == (key != "d0"), key
+        assert "[flows.probabilities]" not in text
 
     def test_missing_required_keys(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -135,11 +147,12 @@ class TestLoadConfig:
         assert cfg.profile.p_tx == ScenarioConfig().profile.p_tx
         assert cfg.mix.row(Constituent.INDIVIDUAL) == (2.0, 0.0, 0.0, 1.0, 1.0)
 
-    def test_probability_area_defaults_to_deployment_area(self, tmp_path):
-        path = tmp_path / "area.ini"
-        path.write_text("[sim]\nseed = 1\nnodes = 2\narea_width = 50\narea_height = 40\n")
-        cfg = load_config(str(path))
-        assert cfg.probabilities.area == 2000.0
+    def test_probability_section_rejected(self, tmp_path):
+        path = tmp_path / "prob.ini"
+        path.write_text("[sim]\nseed = 1\nnodes = 2\n\n[flows.probabilities]\np_cap = 0.3\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.violations == ["unknown section [flows.probabilities]"]
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):

@@ -11,6 +11,7 @@ import pytest
 
 from wsnec.energy_core import (
     CONSTITUENT_ORDER,
+    BoundaryError,
     CoefficientVector,
     Constituent,
     ConstituentFlowVector,
@@ -21,6 +22,9 @@ from wsnec.energy_core import (
     overall_energy,
     task_energy,
 )
+from wsnec.flow_models import environment_flow
+from wsnec.policy import BudgetProblem, TaskDescriptor
+from wsnec.radio import RadioModelParams, tx_energy_per_bit
 
 
 def dot_oracle(xs, ys):
@@ -195,3 +199,17 @@ class TestValidation:
         assert [c.value for c in CONSTITUENT_ORDER] == [
             "individual", "local", "global", "environment", "snk"]
         assert Constituent.SINK.value == "snk"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ResourcePowerProfile(p_cpu=-1, p_mem=0, p_rx=0, p_tx=0, p_sens=0),
+    lambda: ResourceUsageVector(b_cpu=1.5),
+    lambda: RadioModelParams(eps_fs=0),
+    lambda: tx_energy_per_bit(-1, RadioModelParams()),
+    lambda: TaskDescriptor(1, Constituent.LOCAL, 1, importance=0),
+    lambda: BudgetProblem((), CoefficientVector((1.0,) * 5), e_battery=-1),
+    lambda: environment_flow(b_ph=-1),
+], ids=["profile", "usage", "radio-params", "tx-distance", "task", "budget", "environment-flow"])
+def test_scalar_boundaries_raise_one_error_family(build):
+    with pytest.raises(BoundaryError, match="parameter boundary"):
+        build()

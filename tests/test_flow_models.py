@@ -12,13 +12,11 @@ import pytest
 from wsnec.flow_models import (
     LOCAL_CAP_LIMIT,
     BoundaryError,
-    EnvironmentParams,
     FlowSingularityError,
     GlobalParams,
     IndividualParams,
     LocalParams,
     ProbabilityModelConfig,
-    SinkParams,
     environment_flow,
     global_flow,
     individual_flow,
@@ -223,27 +221,25 @@ class TestGlobalFlow:
 
 class TestSimpleFlows:
     def test_environment(self):
-        assert environment_flow(EnvironmentParams()) == 0.0
-        assert environment_flow(EnvironmentParams(b_ph=4, b_sec=3)) == 7.0
+        assert environment_flow() == 0.0
+        assert environment_flow(b_ph=4, b_sec=3) == 7.0
 
     def test_sink(self):
-        assert sink_flow(SinkParams()) == 0.0
-        assert sink_flow(SinkParams(b_ohead=5, b_sec=2)) == 7.0
+        assert sink_flow() == 0.0
+        assert sink_flow(b_ohead=5, b_sec=2) == 7.0
 
     def test_random_sums(self):
         rng = random.Random(31)
         for _ in range(100):
             a, b = rng.uniform(0, 100), rng.uniform(0, 100)
-            assert environment_flow(EnvironmentParams(b_ph=a, b_sec=b)) == \
-                pytest.approx(a + b, rel=1e-12)
-            assert sink_flow(SinkParams(b_ohead=a, b_sec=b)) == \
-                pytest.approx(a + b, rel=1e-12)
+            assert environment_flow(b_ph=a, b_sec=b) == pytest.approx(a + b, rel=1e-12)
+            assert sink_flow(b_ohead=a, b_sec=b) == pytest.approx(a + b, rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(BoundaryError):
-            EnvironmentParams(b_ph=-1)
+            environment_flow(b_ph=-1)
         with pytest.raises(BoundaryError):
-            SinkParams(b_sec=-2)
+            sink_flow(b_sec=-2)
 
 
 def test_fixed_point_equivalence_randomized():
@@ -290,22 +286,14 @@ class TestTableBoundaries:
             IndividualParams(r_sense=0.0)
         with pytest.raises(BoundaryError):
             IndividualParams(r_sense=1.0, g_sense=-0.1)
-        IndividualParams(r_sense=1.0, b_store=3)  # carried, unused
 
     def test_local(self):
         with pytest.raises(BoundaryError, match="n >= 1"):
             LocalParams(n=0, net_dens=10)
-        with pytest.raises(BoundaryError, match="d_ij"):
-            LocalParams(n=1, net_dens=10, r_tx=5.0, d_ij=6.0)
-        LocalParams(n=1, net_dens=10, r_tx=5.0, d_ij=5.0, b_retx=2, idle_power=1e-6)
 
     def test_global(self):
         with pytest.raises(BoundaryError):
             GlobalParams(dist_to_sink=-1.0, net_dens=10)
-
-    def test_environment_harvest_carried(self):
-        params = EnvironmentParams(harvested_power=2.5, b_ph=1, b_sec=1)
-        assert environment_flow(params) == 2.0  # harvested watts enter no flow
 
     def test_probability_config(self):
         with pytest.raises(BoundaryError):
