@@ -18,14 +18,21 @@ DEFAULT_TRACE_SHA256 = "da9eb03e4782481f8720e7b427754c90195322cb509d1dce36ca7d7e
 SWEEP_8_SEED_1_SHA256 = "c9a3273be17bea068d37935f92342945f172ea709490d14c623310a99f803894"
 MIX_CHARGING_TRACE_SHA256 = "f3b7a1f1897b9ffc4fe38e1d2b6e9f4fc863a347bbc00d7f3e68d014233a7221"
 
-# Ledger rows of three runs: the default scenario, a depleted one (refused
-# charges) and mix charging (per-constituent prices): (entries, SHA-256).
+# Ledger rows of five runs: the default scenario, a depleted one (refused
+# charges), mix charging (per-constituent prices), 200 nodes at the sample
+# density (multi-hop routes, periodic repair floods over 200 nodes) and
+# 2-hop repairs on a drained battery (probe timeouts flood only the nodes
+# within two hops of a trigger): (entries, SHA-256).
 LEDGER_PINS = {
     "default": ({}, 13302, "42d89624903977e2d0a460d5615a915ddb72ac4cd10bb2881e6b889daca59459"),
     "depleted": ({"initial_battery": 0.004}, 1375,
                  "1ef5532d185812a0c8fbe1953bf3d49a1c19f0bbccff496ca7f7ab10ba5eef91"),
     "mix-charging": ({"mix_charging": True}, 13390,
                      "10971bae3c9bb10cc6a309339bad8118615a8f9decf23ac3e43199b5bdcd59af"),
+    "200-nodes": ({"nodes": 200, "area_width": 282.8, "area_height": 282.8}, 112905,
+                  "67c102ef63089ada492306b39907f93f5d527aac61be710d1f5081919b415d17"),
+    "repair-2-hops": ({"repair_radius_hops": 2, "initial_battery": 0.02}, 5561,
+                      "5618014568f2b68cb99be2a7bd0c82ca12d83655caadd9fa3eff61dc9654db2e"),
 }
 
 

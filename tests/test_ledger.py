@@ -16,7 +16,11 @@ from wsnec.config import ScenarioConfig
 from wsnec.simulator import ChargeEntry, PacketKind
 
 
-def test_charge_hook_returns_are_the_ledger(monkeypatch):
+@pytest.mark.parametrize("fields", [
+    {}, {"initial_battery": 0.004}, {"mix_charging": True},
+    {"repair_radius_hops": 2, "initial_battery": 0.02}],
+    ids=["default", "depleted", "mix-charging", "repair-2-hops"])
+def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
     returns = []
     original = simulator.charge
 
@@ -26,7 +30,7 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch):
         return entry
 
     monkeypatch.setattr(simulator, "charge", recording)
-    result = simulator.run(ScenarioConfig())
+    result = simulator.run(ScenarioConfig(**fields))
     booked = [entry for entry in returns if entry is not None]
     assert booked == list(result.ledger)
     assert len(booked) == len(result.ledger)
