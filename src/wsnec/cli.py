@@ -14,7 +14,7 @@ import numpy as np
 
 from . import estimation, policy, simulator, traceio
 from .config import SWEEPABLE, ConfigError, ScenarioConfig, load_config, with_overrides
-from .energy_core import CONSTITUENT_ORDER, Constituent, ConstituentFlowVector
+from .energy_core import CONSTITUENT_ORDER, Constituent, ConstituentFlowVector, bound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,6 +59,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    bound(np.isfinite(args.delta_t) and args.delta_t > 0, "delta_t > 0", args.delta_t)
+    bound(0 < args.fit_fraction <= 1, "0 < fit_fraction <= 1", args.fit_fraction)
     mask = _parse_mask(args.mask)
     records = traceio.read_trace(args.input, delta_t=args.delta_t)
     obs = traceio.observations_from_slices(records, mask)
@@ -66,7 +68,7 @@ def cmd_fit(args) -> int:
     if args.window is not None:
         rolling = estimation.rolling_fit(obs, args.window)
         by_start = {wf.start: wf for wf in rolling.fits}
-        predictions, observed, predicted = [], [], []
+        predictions = []
         for target in range(args.window, obs.n_obs):
             wf = by_start.get(target - args.window)
             if wf is None:
@@ -77,11 +79,16 @@ def cmd_fit(args) -> int:
             energy = float(obs.energy[target])
             idx = obs.slices[target] if obs.slices else target
             predictions.append((idx, energy, pred))
-            observed.append(energy)
-            predicted.append(pred)
-        errors = estimation.error_report(predicted, observed) if predicted else None
-        traceio.write_rolling_report(args.output, rolling, predictions, errors)
+        # A percentage error needs observed energy > 0; other rows read nan.
+        kept = [k for k, (_, energy, _) in enumerate(predictions) if energy > 0]
+        errors = estimation.error_report([predictions[k][2] for k in kept],
+                                         [predictions[k][1] for k in kept]) if kept else None
+        pct = dict(zip(kept, errors.pct_errors)) if errors else {}
+        traceio.write_rolling_report(args.output, rolling, [
+            (*row, pct.get(k, np.nan)) for k, row in enumerate(predictions)], errors)
         print(f"windows fitted: {len(rolling.fits)}  skipped: {len(rolling.skipped)}")
+        if len(kept) < len(predictions):
+            print(f"excluded from scoring: {len(predictions) - len(kept)}")
         if errors is not None:
             print(f"one-step MAPE: {errors.mape:.3f}%  max: {errors.max_abs_pct:.3f}%")
         print(f"report written to {args.output}")

@@ -12,7 +12,10 @@ periodic full neighbor refreshes), with maintenance slices interleaved
 whenever a next-hop death is detected by a probe timeout or the periodic
 repair interval elapses. Maintenance performs the collection work plus a
 network-wide (or hop-limited) topology probe and routing announcement
-flood, which is what makes those slices expensive.
+flood, which is what makes those slices expensive. Probes and floods are
+exchange stages: each (sender, neighbor) pair costs the sender a send and,
+if sent, the neighbor a receive, and one loop books a whole stage with its
+prices bound once and its energy and audit sums kept in locals.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
@@ -42,7 +45,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .config import ScenarioConfig
@@ -146,11 +149,6 @@ class NodeState:
     drops: int = 0
     slice_flows: list[int] = field(default_factory=lambda: [0] * 5)
     _neighbor_by_id: dict[int, Neighbor] = field(default_factory=dict, init=False, repr=False)
-
-    def reset_slice(self) -> None:
-        # In place: a new list per node and slice would survive into the
-        # collector's oldest generation and set off full collections.
-        self.slice_flows[:] = (0, 0, 0, 0, 0)
 
     def add_neighbor(self, nbr: Neighbor) -> None:
         self.neighbors.append(nbr)
@@ -280,6 +278,11 @@ def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
         node.alive = False
     node.slice_flows[kind.flow_slot] += 1
     return _tuple_new(ChargeEntry, (slice_index, node.node_id, kind, cost))
+
+
+def _links(senders: list[NodeState]):
+    """Lazy (sender, ``Neighbor``) pairs of each sender still alive at its turn."""
+    return ((node, nbr) for node in senders if node.alive for nbr in node.neighbors)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -488,33 +491,59 @@ class Simulation:
                 joules = node.neighbor_entry(hop).tx_j
             self._hop_tx_j[node.node_id] = joules
 
-    def _probe(self, prober: NodeState, nbr: Neighbor, kind: PacketKind) -> None:
-        """Request/response exchange with one neighbor; a silent neighbor is
+    def _exchanges(self, pairs, kind: PacketKind, probe: bool) -> None:
+        """Book one exchange stage over lazy (sender, ``Neighbor``) pairs. A
+        probe keeps the residual of a neighbor that answers; a silent one is
         marked not known-alive, and a silent next hop schedules a repair."""
-        sent = self._charge(prober, kind, self._send, nbr.tx_j)
-        if sent is None:
-            return
-        target = self.nodes[nbr.node_id]
-        answered = self._charge(target, kind, self._recv)
-        if answered is not None:
-            nbr.last_residual = target.battery
-            nbr.known_alive = True
-        else:
-            nbr.known_alive = False
-            if prober.next_hop == nbr.node_id:
-                self._repair_triggers.append(prober.node_id)
+        book, send, recv = charge, self._send, self._recv
+        send_cost, recv_cost = send.cost, recv.cost
+        if self._mix_cost is not None:
+            send_cost = recv_cost = self._mix_cost[kind.flow_slot]
+        send_usage, send_tx_j = send.usage, send.charged_tx_j
+        recv_usage, recv_model_j, recv_charged_j = recv.usage, recv.model_rx_j, recv.charged_rx_j
+        profile, si, code, nodes = self._profile, self.slice_index, kind.code, self.nodes
+        append, triggers, radio = self._ledger_rows.append, self._repair_triggers, self.radio
+        energy = self.slice_energy
+        model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
+        model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
+        answered = unsent = unanswered = 0
+        for node, nbr in pairs:
+            if book(node, kind, send_usage, profile, cost=send_cost, slice_index=si) is None:
+                unsent += 1
+                continue
+            append((si, node.node_id, code, send_cost))
+            energy += send_cost
+            model_tx += nbr.tx_j
+            charged_tx += send_tx_j
+            target = nodes[nbr.node_id]
+            if book(target, kind, recv_usage, profile, cost=recv_cost, slice_index=si) is None:
+                unanswered += 1
+                if probe:
+                    nbr.known_alive = False
+                    if node.next_hop == nbr.node_id:
+                        triggers.append(node.node_id)
+                continue
+            append((si, target.node_id, code, recv_cost))
+            energy += recv_cost
+            model_rx += recv_model_j
+            charged_rx += recv_charged_j
+            answered += 1
+            if probe:
+                nbr.last_residual = target.battery
+                nbr.known_alive = True
+        self.slice_energy = energy
+        radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
+        radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
+        radio.tx_events += (answered + unanswered) * send.tx_events
+        radio.rx_events += answered * recv.rx_events
+        self.dropped += unsent + unanswered
 
     def _monitoring(self, full_refresh: bool) -> None:
-        for node in self.nodes:
-            if not node.alive:
-                continue
-            if full_refresh:
-                for nbr in node.neighbors:
-                    self._probe(node, nbr, PacketKind.NEIGHBOR_INFO)
-            elif node.next_hop is not None and node.next_hop != SINK_ID:
-                entry = node.neighbor_entry(node.next_hop)
-                if entry is not None:
-                    self._probe(node, entry, PacketKind.NEIGHBOR_INFO)
+        # Every neighbor, or each next hop; the sink and no route have no entry.
+        pairs = _links(self.nodes) if full_refresh else (
+            (node, nbr) for node in self.nodes if node.alive
+            for nbr in (node.neighbor_entry(node.next_hop),) if nbr is not None)
+        self._exchanges(pairs, PacketKind.NEIGHBOR_INFO, probe=True)
 
     # -- sensing and relaying ------------------------------------------------
 
@@ -608,18 +637,9 @@ class Simulation:
     def _route_setup(self, participants: list[NodeState]) -> None:
         """Topology probes from every alive participant, their next hops
         recomputed, then a routing announcement to each of their neighbors."""
-        for node in participants:
-            if not node.alive:
-                continue
-            for nbr in node.neighbors:
-                self._probe(node, nbr, PacketKind.TOPOLOGY_INFO)
+        self._exchanges(_links(participants), PacketKind.TOPOLOGY_INFO, probe=True)
         self._route(participants)
-        for node in participants:
-            if not node.alive:
-                continue
-            for nbr in node.neighbors:
-                if self._charge(node, PacketKind.ROUTING_INFO, self._send, nbr.tx_j) is not None:
-                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, self._recv)
+        self._exchanges(_links(participants), PacketKind.ROUTING_INFO, probe=False)
 
     def _maintenance_work(self) -> None:
         self._route_setup(self._repair_participants())
@@ -650,13 +670,17 @@ class Simulation:
 
     def run(self) -> RunResult:
         cfg = self.cfg
+        alive, slots = attrgetter("alive"), [itemgetter(k) for k in range(5)]
+        # Reset in place: a new list per node and slice would survive into the
+        # collector's oldest generation and set off full collections.
+        slice_flows = [n.slice_flows for n in self.nodes]
         initial_total = math.fsum(n.battery for n in self.nodes)
         for epoch in range(cfg.epochs):
             self._slices_since_repair = 0
             self._maintenance_left = 0
             self._repair_triggers.clear()
             for slice_in_epoch in range(cfg.total_slices):
-                if not any(n.alive for n in self.nodes):
+                if not any(map(alive, self.nodes)):
                     break
                 in_init = slice_in_epoch < cfg.init_slices
                 if in_init:
@@ -666,8 +690,8 @@ class Simulation:
                 else:
                     phase = Phase.COLLECTION
 
-                for node in self.nodes:
-                    node.reset_slice()
+                for flows in slice_flows:
+                    flows[:] = (0, 0, 0, 0, 0)
                 self.slice_energy = 0.0
                 self._sensed_this_slice = {}
                 self._relayed_this_slice = {}
@@ -694,17 +718,16 @@ class Simulation:
                     if self._repair_triggers or periodic:
                         self._maintenance_left = cfg.maintenance_slices
 
-                flows = [0.0] * 5
-                for node in self.nodes:
-                    for k in range(5):
-                        flows[k] += node.slice_flows[k]
+                # Exact integer sums, so equal to running float sums. Not zip(*lists):
+                # its per-node iterators each slice set off full collections.
+                flows = [float(sum(map(slot, slice_flows))) for slot in slots]
                 self.records.append(SliceRecord(
                     index=self.slice_index,
                     delta_t=cfg.delta_t,
                     phase=phase,
                     flows=ConstituentFlowVector(*flows),
                     energy_j=self.slice_energy,
-                    alive_nodes=sum(1 for n in self.nodes if n.alive),
+                    alive_nodes=sum(map(alive, self.nodes)),
                 ))
                 self.slice_index += 1
         return RunResult(

@@ -156,17 +156,17 @@ def write_report(path: str, fit: FitResult,
 
 
 def write_rolling_report(path: str, rolling: RollingFit,
-                         predictions: Sequence[tuple[int, float, float]],
+                         predictions: Sequence[tuple[int, float, float, float]],
                          errors: ErrorReport | None) -> None:
-    """Rolling-fit report: per-window coefficients, one-step predictions."""
+    """Rolling-fit report: per-window coefficients, one-step predictions as
+    (slice, observed, predicted, percentage error) rows."""
     lines = ["window_start,window_stop,constituent,alpha"]
     for wf in rolling.fits:
         for c in wf.result.coefficients.active_constituents():
             lines.append(f"{wf.start},{wf.stop},{c.value},{_fmt(wf.result.coefficients.get(c))}")
     lines.append("")
     lines.append("slice,observed_j,predicted_j,pct_error")
-    pcts = errors.pct_errors if errors is not None else ()
-    for (idx, observed, predicted), pct in zip(predictions, pcts):
+    for idx, observed, predicted, pct in predictions:
         lines.append(f"{idx},{_fmt(observed)},{_fmt(predicted)},{_fmt(pct)}")
     lines.append("")
     lines.append("mape_pct,max_abs_pct_error,skipped_windows")

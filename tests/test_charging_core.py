@@ -1,8 +1,9 @@
 """Equivalence of the simulator's charging core with its plain references.
 
 The cell grid must find exactly the neighbors and covered nodes an O(n^2)
-scan finds, in the same order; the per-run cost table must hold exactly the
-``task_energy`` of each usage; and the radio audit must not move.
+scan finds, in the same order; the exchange stages must book exactly what
+per-pair probe and announcement loops book; the per-run cost table must hold
+exactly the ``task_energy`` of each usage; and the radio audit must not move.
 """
 
 import dataclasses
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from wsnec.config import ScenarioConfig
 from wsnec.energy_core import ResourcePowerProfile, ResourceUsageVector, task_energy
 from wsnec.simulator import (
+    SINK_ID,
     CellGrid,
     Neighbor,
     NodeState,
+    PacketKind,
     RadioAudit,
     Simulation,
     _poisson,
@@ -192,6 +195,88 @@ class TestCoveredSequence:
         assert a.ledger == b.ledger
         assert a.radio == b.radio
         assert (a.delivered, a.dropped) == (b.delivered, b.dropped)
+
+
+class _PerPair(Simulation):
+    """The per-pair exchange loops that ``_exchanges`` replaces, verbatim."""
+
+    def _probe(self, prober, nbr, kind):
+        """Request/response exchange with one neighbor; a silent neighbor is
+        marked not known-alive, and a silent next hop schedules a repair."""
+        sent = self._charge(prober, kind, self._send, nbr.tx_j)
+        if sent is None:
+            return
+        target = self.nodes[nbr.node_id]
+        answered = self._charge(target, kind, self._recv)
+        if answered is not None:
+            nbr.last_residual = target.battery
+            nbr.known_alive = True
+        else:
+            nbr.known_alive = False
+            if prober.next_hop == nbr.node_id:
+                self._repair_triggers.append(prober.node_id)
+
+    def _monitoring(self, full_refresh):
+        for node in self.nodes:
+            if not node.alive:
+                continue
+            if full_refresh:
+                for nbr in node.neighbors:
+                    self._probe(node, nbr, PacketKind.NEIGHBOR_INFO)
+            elif node.next_hop is not None and node.next_hop != SINK_ID:
+                entry = node.neighbor_entry(node.next_hop)
+                if entry is not None:
+                    self._probe(node, entry, PacketKind.NEIGHBOR_INFO)
+
+    def _route_setup(self, participants):
+        """Topology probes from every alive participant, their next hops
+        recomputed, then a routing announcement to each of their neighbors."""
+        for node in participants:
+            if not node.alive:
+                continue
+            for nbr in node.neighbors:
+                self._probe(node, nbr, PacketKind.TOPOLOGY_INFO)
+        self._route(participants)
+        for node in participants:
+            if not node.alive:
+                continue
+            for nbr in node.neighbors:
+                if self._charge(node, PacketKind.ROUTING_INFO, self._send, nbr.tx_j) is not None:
+                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, self._recv)
+
+
+def _node_state(result):
+    return [(n.battery, n.alive, n.drops, n.next_hop,
+             [(nbr.last_residual, nbr.known_alive) for nbr in n.neighbors])
+            for n in result.nodes]
+
+
+class TestExchangeStages:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), nodes=st.integers(1, 60),
+           battery=st.sampled_from([0.5, 0.004, 2 ** -6, 2 ** -8]), exact=st.booleans(),
+           mix=st.booleans(), hops=st.sampled_from([0, 1, 2]),
+           monitor_period=st.sampled_from([0, 1, 10]), side=st.sampled_from([30.0, 100.0]))
+    def test_stages_book_what_the_per_pair_loops_book(self, seed, nodes, battery, exact, mix,
+                                                      hops, monitor_period, side):
+        cfg = ScenarioConfig(seed=seed, nodes=nodes, initial_battery=battery,
+                             mix_charging=mix, repair_radius_hops=hops,
+                             monitor_period=monitor_period, area_width=side,
+                             area_height=side, sink_x=side / 20, sink_y=side / 20,
+                             total_slices=24)
+        if exact:
+            cfg = dataclasses.replace(cfg, profile=EXACT_PROFILE)
+        a, b = Simulation(cfg).run(), _PerPair(cfg).run()
+        assert a.ledger == b.ledger
+        assert a.radio == b.radio
+        assert a.records == b.records
+        assert (a.delivered, a.dropped) == (b.delivered, b.dropped)
+        assert _node_state(a) == _node_state(b)
+        # Each record's flows are its slice's ledger entries per constituent.
+        counts = [[0.0] * 5 for _ in a.records]
+        for entry in a.ledger:
+            counts[entry.slice_index][entry.kind.flow_slot] += 1
+        assert [list(r.flows.as_tuple()) for r in a.records] == counts
 
 
 class TestCostTable:

@@ -19,7 +19,8 @@ from wsnec.traceio import (
     read_trace,
     write_trace,
 )
-from wsnec.simulator import Phase, SliceRecord
+from wsnec.config import ScenarioConfig
+from wsnec.simulator import Phase, SliceRecord, run
 from wsnec.energy_core import ConstituentFlowVector
 
 MINIMAL = "[sim]\nseed = 5\nnodes = 2\ntotal_slices = 12\n"
@@ -134,6 +135,52 @@ class TestFit:
         trace = self._exact_trace(tmp_path)
         assert cli.main(["fit", "--input", trace, "--output",
                          str(tmp_path / "r.csv"), "--mask", "bogus"]) == 1
+
+    @pytest.mark.parametrize("flag, value, boundary", [
+        ("--delta-t", "-1", "delta_t > 0"),
+        ("--delta-t", "0", "delta_t > 0"),
+        ("--delta-t", "inf", "delta_t > 0"),
+        ("--delta-t", "nan", "delta_t > 0"),
+        ("--fit-fraction", "1.5", "0 < fit_fraction <= 1"),
+        ("--fit-fraction", "0", "0 < fit_fraction <= 1"),
+        ("--fit-fraction", "-1", "0 < fit_fraction <= 1"),
+        ("--fit-fraction", "nan", "0 < fit_fraction <= 1"),
+        ("--fit-fraction", "inf", "0 < fit_fraction <= 1"),
+    ])
+    def test_flag_boundary_violation_exit_code(self, tmp_path, capsys, flag, value, boundary):
+        trace = self._exact_trace(tmp_path)
+        report = tmp_path / "report.csv"
+        assert cli.main(["fit", "--input", trace, "--output", str(report), flag, value]) == 1
+        assert f"parameter boundary {boundary} violated" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_rolling_report_skips_zero_energy_targets(self, tmp_path, capsys):
+        # At 0.004 J the trace has slices that book 0 J; they have no
+        # percentage error, so they are reported but not scored.
+        records = run(ScenarioConfig(initial_battery=0.004)).records
+        trace, report = tmp_path / "trace.csv", tmp_path / "rolling.csv"
+        write_trace(str(trace), records)
+        assert cli.main(["fit", "--input", str(trace), "--output", str(report),
+                         "--window", "8"]) == 0
+        out = capsys.readouterr().out
+        blocks = report.read_text().split("\n\n")
+        rows = [line.split(",") for line in blocks[1].splitlines()[1:]]
+        zero = [r for r in rows if float(r[1]) == 0.0]
+        assert zero and all(r[3] == "nan" for r in zero)
+        scored = [float(r[3]) for r in rows if float(r[1]) > 0.0]
+        assert scored and all(np.isfinite(scored))
+        assert f"excluded from scoring: {len(zero)}\n" in out
+        mape, max_abs, _ = blocks[2].splitlines()[1].split(",")
+        assert float(mape) == pytest.approx(np.mean(np.abs(scored)), rel=1e-12)
+        assert float(max_abs) == max(abs(p) for p in scored)
+
+    def test_rolling_report_scores_every_target_of_the_default_trace(self, tmp_path, capsys):
+        trace, report = tmp_path / "trace.csv", tmp_path / "rolling.csv"
+        write_trace(str(trace), run(ScenarioConfig()).records)
+        assert cli.main(["fit", "--input", str(trace), "--output", str(report),
+                         "--window", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "excluded" not in out and "one-step MAPE" in out
 
 
 class TestSweep:

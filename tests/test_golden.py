@@ -56,9 +56,9 @@ FIT_REPORT_PINS = {
 
 # Every field of `rolling_fit(window=8)` on the `initial_battery=0.004` trace,
 # whose quiet stretches make 30 of the 73 windows rank-deficient: (fitted,
-# skipped, SHA-256 of the hex-encoded fits and the skip reasons). The `fit`
-# command itself exits 1 on that trace, because some observed slice energies
-# are 0 and have no percentage error, so no report file exists to pin.
+# skipped, SHA-256 of the hex-encoded fits and the skip reasons). Its slices
+# that book 0 J have no percentage error; `fit` reports them unscored
+# (tests/test_cli.py).
 DEPLETED_ROLLING_8 = (43, 30, "344d73a8999e24cf34bf4fb6695947d5537516b2dcdac619a8d1aa9b3ffe6fbe")
 
 
