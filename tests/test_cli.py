@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wsnec import cli
-from wsnec.config import sample_config
+from wsnec.config import ScenarioConfig, sample_config
 from wsnec.energy_core import Constituent
 from wsnec.traceio import (
     read_coefficients,
@@ -19,7 +19,6 @@ from wsnec.traceio import (
     read_trace,
     write_trace,
 )
-from wsnec.config import ScenarioConfig
 from wsnec.simulator import Phase, SliceRecord, run
 from wsnec.energy_core import ConstituentFlowVector
 
