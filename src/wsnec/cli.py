@@ -44,6 +44,21 @@ def _dominant(fit: estimation.FitResult, obs: estimation.ObservationSet) -> Cons
     return actives[int(np.argmax(shares))]
 
 
+def _score(predictions: list[tuple[int, float, float]]) -> estimation.ErrorReport:
+    """Percentage errors of (slice, observed, predicted) rows. A percentage
+    error needs observed energy > 0, so the other rows read nan and stay out
+    of the summary, which reads nan when no row is scored."""
+    kept = [k for k, (_, energy, _) in enumerate(predictions) if energy > 0]
+    if len(kept) < len(predictions):
+        print(f"excluded from scoring: {len(predictions) - len(kept)}")
+    errors = (estimation.error_report([predictions[k][2] for k in kept],
+                                      [predictions[k][1] for k in kept])
+              if kept else estimation.ErrorReport((), np.nan, np.nan))
+    pct = dict(zip(kept, errors.pct_errors))
+    return estimation.ErrorReport(tuple(pct.get(k, np.nan) for k in range(len(predictions))),
+                                  errors.mape, errors.max_abs_pct)
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, overrides=_seed_override(args))
     result = simulator.run(cfg)
@@ -79,17 +94,10 @@ def cmd_fit(args) -> int:
             energy = float(obs.energy[target])
             idx = obs.slices[target] if obs.slices else target
             predictions.append((idx, energy, pred))
-        # A percentage error needs observed energy > 0; other rows read nan.
-        kept = [k for k, (_, energy, _) in enumerate(predictions) if energy > 0]
-        errors = estimation.error_report([predictions[k][2] for k in kept],
-                                         [predictions[k][1] for k in kept]) if kept else None
-        pct = dict(zip(kept, errors.pct_errors)) if errors else {}
-        traceio.write_rolling_report(args.output, rolling, [
-            (*row, pct.get(k, np.nan)) for k, row in enumerate(predictions)], errors)
         print(f"windows fitted: {len(rolling.fits)}  skipped: {len(rolling.skipped)}")
-        if len(kept) < len(predictions):
-            print(f"excluded from scoring: {len(predictions) - len(kept)}")
-        if errors is not None:
+        errors = _score(predictions)
+        traceio.write_rolling_report(args.output, rolling, predictions, errors)
+        if not np.isnan(errors.mape):
             print(f"one-step MAPE: {errors.mape:.3f}%  max: {errors.max_abs_pct:.3f}%")
         print(f"report written to {args.output}")
         return EXIT_OK
@@ -98,13 +106,13 @@ def cmd_fit(args) -> int:
     fit = estimation.fit_ls(obs.rows(0, split))
     scored = obs if args.fit_fraction >= 1.0 else obs.rows(split, obs.n_obs)
     predicted = estimation.predict_rows(fit.coefficients, scored)
-    errors = estimation.error_report(predicted, scored.energy)
     indices = scored.slices if scored.slices else tuple(range(scored.n_obs))
     predictions = [(idx, float(o), float(p))
                    for idx, o, p in zip(indices, scored.energy, predicted)]
     dominant = _dominant(fit, obs)
-    traceio.write_report(args.output, fit, predictions, errors, dominant)
     print(f"fit on {split} slices, scored {scored.n_obs}")
+    errors = _score(predictions)
+    traceio.write_report(args.output, fit, predictions, errors, dominant)
     print(f"MAPE: {errors.mape:.3f}%  max: {errors.max_abs_pct:.3f}%  "
           f"dominant constituent: {dominant.value}")
     print(f"report written to {args.output}")

@@ -19,22 +19,23 @@ prices bound once and its energy and audit sums kept in locals.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
-totals per constituent plus the slice energy form the trace. The ledger
-stores each handling as an exact tuple of numbers (slice, node, kind code,
-energy) and hands it out as a ``ChargeEntry``: CPython's cyclic collector
-untracks an exact tuple of atoms the first time it survives a collection,
-but never a tuple subclass or a tuple that holds an enum member, so a
-ledger of entries would be traversed again by every full collection. Each
-run prices its handlings once, with ``task_energy``, into a table (queued
-relays by queue depth) that also holds the handling's radio-audit
-increments, so a charge does no arithmetic beyond the battery update and
-the audit sums. Neighbor lists and the nodes an event covers are found
-through a uniform cell grid, with cells as wide as the radio or sensing
-range, instead of scanning every node. Identical configurations (same
-seed) produce identical traces, byte for byte once serialized. Alongside
-the profile-based charges the run accumulates a per-bit radio-model audit
-of the same tx/rx events as an independent cross-check on radio energy
-accounting.
+totals per constituent plus the slice energy form the trace. ``charge``
+returns each handling as an exact tuple of numbers (slice, node, kind code,
+energy), the ledger keeps that very tuple as its row, and hands it out as a
+``ChargeEntry`` when read: CPython's cyclic collector untracks an exact
+tuple of atoms the first time it survives a collection, but never a tuple
+subclass or a tuple that holds an enum member, so a ledger of entries would
+be traversed again by every full collection. Each run prices its handlings
+once, with ``task_energy``, into a table (queued relays by queue depth)
+that also holds the handling's radio-audit increments, so a charge does no
+arithmetic beyond the battery update and the audit sums. Neighbor lists and
+the nodes an event covers are found through a uniform cell grid, with cells
+as wide as the radio or sensing range, instead of scanning every node; as
+nodes never move, the grid sorts the nodes around each cell once and keeps
+them. Identical configurations (same seed) produce identical traces, byte
+for byte once serialized. Alongside the profile-based charges the run
+accumulates a per-bit radio-model audit of the same tx/rx events as an
+independent cross-check on radio energy accounting.
 """
 
 from __future__ import annotations
@@ -256,8 +257,11 @@ class RunResult:
 
 
 def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
-           profile, *, cost: float | None = None, slice_index: int = 0) -> ChargeEntry | None:
-    """Charge one packet handling against the node's battery.
+           profile, *, cost: float | None = None,
+           slice_index: int = 0) -> tuple[int, int, int, float] | None:
+    """Charge one packet handling against the node's battery and return its
+    ledger row ``(slice_index, node_id, kind.code, cost)``, which the
+    simulator books as is (``_entry`` reads it as a ``ChargeEntry``).
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
     the task. Both cases count as a drop and return ``None``. A node whose
@@ -277,7 +281,7 @@ def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
         node.battery = 0.0
         node.alive = False
     node.slice_flows[kind.flow_slot] += 1
-    return _tuple_new(ChargeEntry, (slice_index, node.node_id, kind, cost))
+    return slice_index, node.node_id, kind.code, cost
 
 
 def _links(senders: list[NodeState]):
@@ -302,8 +306,10 @@ class CellGrid:
 
     Every node within ``radius`` of a point lies in the 3x3 block of cells
     around the point's cell, so ``near`` returns a superset of those nodes,
-    in ascending node id; callers apply the exact distance test. Node and
-    query coordinates lie in ``[0, extent]``.
+    in ascending node id; callers apply the exact distance test and their
+    own ``alive`` test. Nodes never move, so each cell's block is sorted on
+    its first query and the same tuple is returned for every later query in
+    that cell. Node and query coordinates lie in ``[0, extent]``.
     """
 
     def __init__(self, nodes: list[NodeState], radius: float, extent: float):
@@ -312,16 +318,22 @@ class CellGrid:
         # whose rounded distance is at most ``radius`` in adjacent cells.
         self.size = max(radius, extent * 2.0 ** -20) * (1.0 + 1e-9)
         self._cells: dict[tuple[int, int], list[NodeState]] = {}
+        self._blocks: dict[tuple[int, int], tuple[NodeState, ...]] = {}
         for node in nodes:
             self._cells.setdefault(self._key(node.x, node.y), []).append(node)
 
     def _key(self, x: float, y: float) -> tuple[int, int]:
         return math.floor(x / self.size), math.floor(y / self.size)
 
-    def near(self, x: float, y: float) -> list[NodeState]:
-        cx, cy = self._key(x, y)
-        return sorted((node for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
-                       for node in self._cells.get((i, j), ())), key=attrgetter("node_id"))
+    def near(self, x: float, y: float) -> tuple[NodeState, ...]:
+        key = self._key(x, y)
+        block = self._blocks.get(key)
+        if block is None:
+            cx, cy = key
+            block = self._blocks[key] = tuple(sorted(
+                (node for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                 for node in self._cells.get((i, j), ())), key=attrgetter("node_id")))
+        return block
 
 
 def connect_neighbors(nodes: list[NodeState], r_tx: float, extent: float) -> None:
@@ -450,19 +462,18 @@ class Simulation:
         return table[depth]
 
     def _charge(self, node: NodeState, kind: PacketKind, handling: Handling,
-                tx_j: float = 0.0) -> ChargeEntry | None:
+                tx_j: float = 0.0) -> tuple[int, int, int, float] | None:
         """Book one handling; ``tx_j`` is the radio model's joules for the
         packet it sends, if it sends one."""
         (usage, cost, tx_events, charged_tx_j,
          rx_events, model_rx_j, charged_rx_j) = handling
         if self._mix_cost is not None:
             cost = self._mix_cost[kind.flow_slot]
-        slice_index = self.slice_index
-        entry = charge(node, kind, usage, self._profile, cost=cost, slice_index=slice_index)
-        if entry is None:
+        row = charge(node, kind, usage, self._profile, cost=cost, slice_index=self.slice_index)
+        if row is None:
             self.dropped += 1
             return None
-        self._ledger_rows.append((slice_index, node.node_id, kind.code, cost))
+        self._ledger_rows.append(row)
         self.slice_energy += cost
         radio = self.radio
         if tx_events:
@@ -473,7 +484,7 @@ class Simulation:
             radio.model_rx_j += model_rx_j
             radio.charged_rx_j += charged_rx_j
             radio.rx_events += rx_events
-        return entry
+        return row
 
     # -- neighbor interaction ----------------------------------------------
 
@@ -501,29 +512,31 @@ class Simulation:
             send_cost = recv_cost = self._mix_cost[kind.flow_slot]
         send_usage, send_tx_j = send.usage, send.charged_tx_j
         recv_usage, recv_model_j, recv_charged_j = recv.usage, recv.model_rx_j, recv.charged_rx_j
-        profile, si, code, nodes = self._profile, self.slice_index, kind.code, self.nodes
+        profile, si, nodes = self._profile, self.slice_index, self.nodes
         append, triggers, radio = self._ledger_rows.append, self._repair_triggers, self.radio
         energy = self.slice_energy
         model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
         model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
         answered = unsent = unanswered = 0
         for node, nbr in pairs:
-            if book(node, kind, send_usage, profile, cost=send_cost, slice_index=si) is None:
+            row = book(node, kind, send_usage, profile, cost=send_cost, slice_index=si)
+            if row is None:
                 unsent += 1
                 continue
-            append((si, node.node_id, code, send_cost))
+            append(row)
             energy += send_cost
             model_tx += nbr.tx_j
             charged_tx += send_tx_j
             target = nodes[nbr.node_id]
-            if book(target, kind, recv_usage, profile, cost=recv_cost, slice_index=si) is None:
+            row = book(target, kind, recv_usage, profile, cost=recv_cost, slice_index=si)
+            if row is None:
                 unanswered += 1
                 if probe:
                     nbr.known_alive = False
                     if node.next_hop == nbr.node_id:
                         triggers.append(node.node_id)
                 continue
-            append((si, target.node_id, code, recv_cost))
+            append(row)
             energy += recv_cost
             model_rx += recv_model_j
             charged_rx += recv_charged_j

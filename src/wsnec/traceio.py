@@ -156,24 +156,21 @@ def write_report(path: str, fit: FitResult,
 
 
 def write_rolling_report(path: str, rolling: RollingFit,
-                         predictions: Sequence[tuple[int, float, float, float]],
-                         errors: ErrorReport | None) -> None:
+                         predictions: Sequence[tuple[int, float, float]],
+                         errors: ErrorReport) -> None:
     """Rolling-fit report: per-window coefficients, one-step predictions as
-    (slice, observed, predicted, percentage error) rows."""
+    (slice, observed, predicted, percentage error) rows, summary."""
     lines = ["window_start,window_stop,constituent,alpha"]
     for wf in rolling.fits:
         for c in wf.result.coefficients.active_constituents():
             lines.append(f"{wf.start},{wf.stop},{c.value},{_fmt(wf.result.coefficients.get(c))}")
     lines.append("")
     lines.append("slice,observed_j,predicted_j,pct_error")
-    for idx, observed, predicted, pct in predictions:
+    for (idx, observed, predicted), pct in zip(predictions, errors.pct_errors):
         lines.append(f"{idx},{_fmt(observed)},{_fmt(predicted)},{_fmt(pct)}")
     lines.append("")
     lines.append("mape_pct,max_abs_pct_error,skipped_windows")
-    if errors is not None:
-        lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{len(rolling.skipped)}")
-    else:
-        lines.append(f"nan,nan,{len(rolling.skipped)}")
+    lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{len(rolling.skipped)}")
     _write_lines(path, lines)
 
 

@@ -106,19 +106,24 @@ class TestCellGrid:
     @settings(max_examples=300, deadline=None)
     @given(layouts(), st.data())
     def test_covered_nodes_match_full_scan(self, layout, data):
+        # Two passes over the same queries, with the alive flags redrawn in
+        # between: a cached block must not carry the first pass's flags.
         points, r = layout
         nodes = make_nodes(points)
-        for node in nodes:
-            node.alive = data.draw(st.booleans()) or node.node_id % 2 == 0
         grid = CellGrid(nodes, r, EXTENT)
         queries = [(data.draw(coord), data.draw(coord)), (data.draw(border), data.draw(coord))]
         for x, y in points[:5]:
             queries += [(x, y), (min(x + r, EXTENT), y), (x, max(y - r, 0.0))]
-        for x, y in queries:
-            near = grid.near(x, y)
-            assert [n.node_id for n in near] == sorted(n.node_id for n in near)
-            got = [n.node_id for n in near if n.alive and math.hypot(n.x - x, n.y - y) <= r]
-            assert got == reference_covered(nodes, x, y, r)
+        first = {}
+        for _ in range(2):
+            for node in nodes:
+                node.alive = data.draw(st.booleans()) or node.node_id % 2 == 0
+            for x, y in queries:
+                near = grid.near(x, y)
+                assert type(near) is tuple and near is first.setdefault(grid._key(x, y), near)
+                assert [n.node_id for n in near] == sorted(n.node_id for n in near)
+                got = [n.node_id for n in near if n.alive and math.hypot(n.x - x, n.y - y) <= r]
+                assert got == reference_covered(nodes, x, y, r)
 
     def test_distance_rounded_down_to_the_range_across_two_cell_edges(self):
         # 1.0 - 0.49999999999999994 rounds to exactly 0.5, yet with cells

@@ -173,6 +173,33 @@ class TestFit:
         assert float(mape) == pytest.approx(np.mean(np.abs(scored)), rel=1e-12)
         assert float(max_abs) == max(abs(p) for p in scored)
 
+    @pytest.mark.parametrize("fraction", ["0.7", "0.8"])
+    def test_split_report_skips_zero_energy_targets(self, tmp_path, capsys, fraction):
+        # The depleted trace books 0 J from slice 64 on, so at 0.8 no
+        # scored slice has a percentage error and the summary reads nan.
+        records = run(ScenarioConfig(initial_battery=0.004)).records
+        trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+        write_trace(str(trace), records)
+        assert cli.main(["fit", "--input", str(trace), "--output", str(report),
+                         "--fit-fraction", fraction]) == 0
+        out = capsys.readouterr().out
+        blocks = report.read_text().split("\n\n")
+        rows = [line.split(",") for line in blocks[1].splitlines()[1:]]
+        assert len(rows) == len(records) - int(len(records) * float(fraction))
+        zero = [r for r in rows if float(r[1]) == 0.0]
+        assert zero and all(r[3] == "nan" for r in zero)
+        assert f"excluded from scoring: {len(zero)}\n" in out
+        scored = [float(r[3]) for r in rows if float(r[1]) > 0.0]
+        assert all(np.isfinite(scored))
+        mape, max_abs, dominant = blocks[2].splitlines()[1].split(",")
+        assert dominant in {c.value for c in Constituent}
+        assert bool(scored) == (fraction == "0.7")
+        if scored:
+            assert float(mape) == pytest.approx(np.mean(np.abs(scored)), rel=1e-12)
+            assert float(max_abs) == max(abs(p) for p in scored)
+        else:
+            assert (mape, max_abs) == ("nan", "nan")
+
     def test_rolling_report_scores_every_target_of_the_default_trace(self, tmp_path, capsys):
         trace, report = tmp_path / "trace.csv", tmp_path / "rolling.csv"
         write_trace(str(trace), run(ScenarioConfig()).records)

@@ -2,7 +2,7 @@
 
 Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
 every handling, and counts its non-``None`` returns as booked handlings, so
-those returns must be the ledger, entry for entry. The ledger keeps its
+those returns must be the ledger, row for row. The ledger keeps its
 rows out of the cyclic collector and out of reference cycles.
 """
 
@@ -31,9 +31,11 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
 
     monkeypatch.setattr(simulator, "charge", recording)
     result = simulator.run(ScenarioConfig(**fields))
-    booked = [entry for entry in returns if entry is not None]
-    assert booked == list(result.ledger)
-    assert len(booked) == len(result.ledger)
+    booked = [row for row in returns if row is not None]
+    rows = result.ledger._rows
+    assert len(booked) == len(rows) == len(result.ledger)
+    assert all(row is kept and type(row) is tuple for row, kept in zip(booked, rows))
+    assert [simulator._entry(row) for row in booked] == list(result.ledger)
     assert len(booked) == sum(sum(rec.flows.as_tuple()) for rec in result.records)
 
 

@@ -110,7 +110,7 @@ class TestCharge:
         cost = 2e-5 + 6e-5
         node = self._node(cost)
         entry = charge(node, PacketKind.SENSED, usage, PROFILE)
-        assert entry is not None and entry.energy == cost
+        assert entry == (0, 0, PacketKind.SENSED.code, cost)
         assert node.battery == 0.0 and not node.alive
 
     def test_dead_node_drops(self):
