@@ -139,9 +139,9 @@ def cmd_sweep(args) -> int:
         run_seed = master.getrandbits(32)
         run_cfg = with_overrides(cfg, seed=run_seed, sweep=None, **sampled)
         result = simulator.run(run_cfg)
-        total = ConstituentFlowVector()
-        for rec in result.records:
-            total = total + rec.flows
+        # Integer-valued flows, so the plain sums are exact.
+        total = ConstituentFlowVector(*map(sum, zip(*(rec.flows.as_tuple()
+                                                     for rec in result.records))))
         energy = sum(rec.energy_j for rec in result.records)
         rows.append((run_index, total, energy))
     traceio.write_observations(args.output, rows)

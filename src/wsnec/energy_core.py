@@ -151,9 +151,6 @@ class ConstituentFlowVector:
     def get(self, constituent: Constituent) -> float:
         return self.as_tuple()[CONSTITUENT_ORDER.index(constituent)]
 
-    def __add__(self, other: "ConstituentFlowVector") -> "ConstituentFlowVector":
-        return ConstituentFlowVector(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
-
 
 class CoefficientVector:
     """Per-constituent joules-per-packet coefficients plus an active mask.

@@ -14,8 +14,9 @@ repair interval elapses. Maintenance performs the collection work plus a
 network-wide (or hop-limited) topology probe and routing announcement
 flood, which is what makes those slices expensive. Probes and floods are
 exchange stages: each (sender, neighbor) pair costs the sender a send and,
-if sent, the neighbor a receive, and one loop books a whole stage with its
-prices bound once and its energy and audit sums kept in locals.
+if sent, the neighbor a receive. One loop books each exchange stage, and one
+a slice's events (sense, schedule and the relay walk), each with its prices
+bound once and its energy and audit sums kept in locals.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
@@ -419,7 +420,7 @@ class Simulation:
         self._slices_since_repair = 0
         self._sensed_this_slice: dict[int, int] = {}
         self._relayed_this_slice: dict[int, int] = {}
-        self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else None
+        self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
         self._profile = cfg.profile
         self._rx_per_bit = rx_energy_per_bit(cfg.radio)
         # Cost table: every handling priced once, with the same task_energy
@@ -461,30 +462,10 @@ class Simulation:
             table.append(self._price(ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1)))
         return table[depth]
 
-    def _charge(self, node: NodeState, kind: PacketKind, handling: Handling,
-                tx_j: float = 0.0) -> tuple[int, int, int, float] | None:
-        """Book one handling; ``tx_j`` is the radio model's joules for the
-        packet it sends, if it sends one."""
-        (usage, cost, tx_events, charged_tx_j,
-         rx_events, model_rx_j, charged_rx_j) = handling
-        if self._mix_cost is not None:
-            cost = self._mix_cost[kind.flow_slot]
-        row = charge(node, kind, usage, self._profile, cost=cost, slice_index=self.slice_index)
-        if row is None:
-            self.dropped += 1
-            return None
-        self._ledger_rows.append(row)
-        self.slice_energy += cost
-        radio = self.radio
-        if tx_events:
-            radio.model_tx_j += tx_j
-            radio.charged_tx_j += charged_tx_j
-            radio.tx_events += tx_events
-        if rx_events:
-            radio.model_rx_j += model_rx_j
-            radio.charged_rx_j += charged_rx_j
-            radio.rx_events += rx_events
-        return row
+    def _cost(self, kind: PacketKind, handling: Handling) -> float:
+        """One booking's price: the table's, or under mix charging the kind's."""
+        mix = self._mix_cost
+        return handling.cost if mix is None else mix[kind.flow_slot]
 
     # -- neighbor interaction ----------------------------------------------
 
@@ -507,9 +488,7 @@ class Simulation:
         probe keeps the residual of a neighbor that answers; a silent one is
         marked not known-alive, and a silent next hop schedules a repair."""
         book, send, recv = charge, self._send, self._recv
-        send_cost, recv_cost = send.cost, recv.cost
-        if self._mix_cost is not None:
-            send_cost = recv_cost = self._mix_cost[kind.flow_slot]
+        send_cost, recv_cost = self._cost(kind, send), self._cost(kind, recv)
         send_usage, send_tx_j = send.usage, send.charged_tx_j
         recv_usage, recv_model_j, recv_charged_j = recv.usage, recv.model_rx_j, recv.charged_rx_j
         profile, si, nodes = self._profile, self.slice_index, self.nodes
@@ -560,72 +539,124 @@ class Simulation:
 
     # -- sensing and relaying ------------------------------------------------
 
-    def _handle_event(self, node: NodeState) -> None:
-        seen = self._sensed_this_slice.get(node.node_id, 0)
-        if self._sense_cap is not None and seen >= self._sense_cap:
-            return
-        has_route = node.next_hop is not None
-        if has_route:
-            entry = self._charge(node, PacketKind.SENSED, self._sense_send,
-                                 self._hop_tx_j[node.node_id])
-        else:
-            entry = self._charge(node, PacketKind.SENSED, self._warmup)
-        if entry is None:
-            return
-        self._sensed_this_slice[node.node_id] = seen + 1
-        if not has_route:
-            self.dropped += 1
-            return
-        if self.cfg.scheduling:
-            self._charge(node, PacketKind.SCHEDULING, self._send,
-                         self._hop_tx_j[node.node_id])
-        self._relay(node)
-
-    def _relay(self, origin: NodeState) -> None:
-        current = origin
-        while True:
-            hop = current.next_hop
-            if hop is None:
-                self.dropped += 1
-                return
-            if hop == SINK_ID:
-                self.delivered += 1
-                return
-            target = self.nodes[hop]
-            if not target.alive:
-                self.dropped += 1
-                target.drops += 1
-                entry = current.neighbor_entry(hop)
-                if entry is not None:
-                    entry.known_alive = False
-                self._repair_triggers.append(current.node_id)
-                return
-            if target.next_hop is None:
-                # Stranded relay: receives and queues, cannot forward.
-                self._charge(target, PacketKind.RELAYED_DATA, self._recv_queue)
-                self.dropped += 1
-                return
-            depth = self._relayed_this_slice.get(target.node_id, 0)
-            entry = self._charge(target, PacketKind.RELAYED_DATA, self._relay_handling(depth),
-                                 self._hop_tx_j[hop])
-            if entry is None:
-                self.dropped += 1
-                return
-            self._relayed_this_slice[target.node_id] = depth + 1
-            current = target
+    def _events(self, count: int) -> None:
+        """Book ``count`` area events the way ``_exchanges`` books a stage: each
+        covered node under its sense cap senses, schedules and starts the relay
+        walk. A packet is dropped at an origin with no route (sensed, not sent),
+        a dead next hop (marked not known-alive; a repair is scheduled), a relay
+        with no route (it receives and queues) or a relay that cannot pay."""
+        cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
+        book, profile, si = charge, self._profile, self.slice_index
+        sensed, relayed, cap = self._sensed_this_slice, self._relayed_this_slice, self._sense_cap
+        hop_tx_j, table, relay_handling = self._hop_tx_j, self._relay_by_depth, self._relay_handling
+        append, triggers = self._ledger_rows.append, self._repair_triggers
+        sensed_kind, scheduling_kind, relayed_kind = (
+            PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
+        warmup, sense, send, queue = self._warmup, self._sense_send, self._send, self._recv_queue
+        warmup_cost, sense_cost = self._cost(sensed_kind, warmup), self._cost(sensed_kind, sense)
+        send_cost, queue_cost = self._cost(scheduling_kind, send), self._cost(relayed_kind, queue)
+        relay_mix = None if self._mix_cost is None else self._mix_cost[relayed_kind.flow_slot]
+        # Every sending usage charges one p_tx; every receiving one the same
+        # rx joules, so a relay's audit increments are a send's and a receive's.
+        tx_charged, rx_model, rx_charged = send.charged_tx_j, queue.model_rx_j, queue.charged_rx_j
+        energy, radio = self.slice_energy, self.radio
+        model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
+        model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
+        tx_events = rx_events = delivered = dropped = 0
+        for _ in range(count):
+            ex, ey = rng.uniform(0.0, cfg.area_width), rng.uniform(0.0, cfg.area_height)
+            # Tested only after the previous node was handled, so a node an
+            # earlier handling of the same event killed is skipped.
+            for node in near(ex, ey):
+                if not (node.alive and math.hypot(node.x - ex, node.y - ey) <= cfg.r_sense):
+                    continue
+                origin = node.node_id
+                seen = sensed.get(origin, 0)
+                if seen >= cap:
+                    continue
+                hop = node.next_hop
+                reading, cost = (warmup, warmup_cost) if hop is None else (sense, sense_cost)
+                row = book(node, sensed_kind, reading.usage, profile, cost=cost, slice_index=si)
+                if row is None:
+                    dropped += 1
+                    continue
+                append(row)
+                energy += cost
+                sensed[origin] = seen + 1
+                if hop is None:   # no route: sensed, not sent
+                    dropped += 1
+                    continue
+                model_tx += hop_tx_j[origin]
+                charged_tx += tx_charged
+                tx_events += 1
+                if cfg.scheduling:
+                    row = book(node, scheduling_kind, send.usage, profile, cost=send_cost,
+                               slice_index=si)
+                    if row is None:
+                        dropped += 1
+                    else:
+                        append(row)
+                        energy += send_cost
+                        model_tx += hop_tx_j[origin]
+                        charged_tx += tx_charged
+                        tx_events += 1
+                current = node
+                while hop != SINK_ID:
+                    target = nodes[hop]
+                    if not target.alive:
+                        dropped += 1
+                        target.drops += 1
+                        entry = current.neighbor_entry(hop)
+                        if entry is not None:
+                            entry.known_alive = False
+                        triggers.append(current.node_id)
+                        break
+                    if target.next_hop is None:
+                        # Stranded relay: receives and queues, cannot forward.
+                        row = book(target, relayed_kind, queue.usage, profile, cost=queue_cost,
+                                   slice_index=si)
+                        if row is None:
+                            dropped += 1
+                        else:
+                            append(row)
+                            energy += queue_cost
+                            model_rx += rx_model
+                            charged_rx += rx_charged
+                            rx_events += 1
+                        dropped += 1
+                        break
+                    depth = relayed.get(hop, 0)
+                    relay = table[depth] if depth < len(table) else relay_handling(depth)
+                    cost = relay.cost if relay_mix is None else relay_mix
+                    row = book(target, relayed_kind, relay.usage, profile, cost=cost,
+                               slice_index=si)
+                    if row is None:
+                        dropped += 2   # a refused charge and a drop
+                        break
+                    append(row)
+                    energy += cost
+                    model_tx += hop_tx_j[hop]
+                    charged_tx += tx_charged
+                    model_rx += rx_model
+                    charged_rx += rx_charged
+                    tx_events += 1
+                    rx_events += 1
+                    relayed[hop] = depth + 1
+                    current, hop = target, target.next_hop
+                else:   # the walk reached the sink
+                    delivered += 1
+        self.slice_energy = energy
+        radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
+        radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
+        radio.tx_events += tx_events
+        radio.rx_events += rx_events
+        self.delivered += delivered
+        self.dropped += dropped
 
     def _collection_work(self, full_refresh: bool) -> None:
         if self.cfg.monitoring:
             self._monitoring(full_refresh)
-        events = _poisson(self.rng, self.cfg.event_rate)
-        for _ in range(events):
-            ex = self.rng.uniform(0.0, self.cfg.area_width)
-            ey = self.rng.uniform(0.0, self.cfg.area_height)
-            # Tested only after the previous node was handled, so a node an
-            # earlier handling of the same event killed is skipped.
-            for node in self._sense_grid.near(ex, ey):
-                if node.alive and math.hypot(node.x - ex, node.y - ey) <= self.cfg.r_sense:
-                    self._handle_event(node)
+        self._events(_poisson(self.rng, self.cfg.event_rate))
 
     # -- maintenance ----------------------------------------------------------
 
@@ -666,14 +697,21 @@ class Simulation:
         Short initializations fold the stages together."""
         n = self.cfg.init_slices
         first, last = idx == 0, idx == n - 1
-        do_warmup = first
         do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
-        if do_warmup:
+        if first:
+            kind, warmup = PacketKind.SENSED, self._warmup
+            cost = self._cost(kind, warmup)
             for node in self.nodes:
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    self._charge(node, PacketKind.SENSED, self._warmup)
+                    row = charge(node, kind, warmup.usage, self._profile, cost=cost,
+                                 slice_index=self.slice_index)
+                    if row is None:
+                        self.dropped += 1
+                    else:
+                        self._ledger_rows.append(row)
+                        self.slice_energy += cost
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:

@@ -2,12 +2,15 @@
 
 The cell grid must find exactly the neighbors and covered nodes an O(n^2)
 scan finds, in the same order; the exchange stages must book exactly what
-per-pair probe and announcement loops book; the per-run cost table must hold
-exactly the ``task_energy`` of each usage; and the radio audit must not move.
+per-pair probe and announcement loops book, and the event loop exactly what
+the per-handling sense, schedule and relay path books; the per-run cost
+table must hold exactly the ``task_energy`` of each usage; and the radio
+audit must not move.
 """
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from wsnec.energy_core import ResourcePowerProfile, ResourceUsageVector, task_en
 from wsnec.simulator import (
     SINK_ID,
     CellGrid,
+    Handling,
     Neighbor,
     NodeState,
     PacketKind,
@@ -25,6 +29,7 @@ from wsnec.simulator import (
     Simulation,
     _poisson,
     build_topology,
+    charge,
     connect_neighbors,
 )
 
@@ -149,7 +154,124 @@ class TestCellGrid:
         assert got == reference_neighbors(nodes, r_tx)
 
 
-class _Logged(Simulation):
+class _PerHandling(Simulation):
+    """The per-handling path that ``_events`` replaces: one ``_charge`` call
+    per handling, an event loop, ``_handle_event`` and the relay walk, and
+    the warm-up loop that booked through ``_charge``, verbatim."""
+
+    def _charge(self, node: NodeState, kind: PacketKind, handling: Handling,
+                tx_j: float = 0.0) -> tuple[int, int, int, float] | None:
+        """Book one handling; ``tx_j`` is the radio model's joules for the
+        packet it sends, if it sends one."""
+        (usage, cost, tx_events, charged_tx_j,
+         rx_events, model_rx_j, charged_rx_j) = handling
+        if self._mix_cost is not None:
+            cost = self._mix_cost[kind.flow_slot]
+        row = charge(node, kind, usage, self._profile, cost=cost, slice_index=self.slice_index)
+        if row is None:
+            self.dropped += 1
+            return None
+        self._ledger_rows.append(row)
+        self.slice_energy += cost
+        radio = self.radio
+        if tx_events:
+            radio.model_tx_j += tx_j
+            radio.charged_tx_j += charged_tx_j
+            radio.tx_events += tx_events
+        if rx_events:
+            radio.model_rx_j += model_rx_j
+            radio.charged_rx_j += charged_rx_j
+            radio.rx_events += rx_events
+        return row
+
+    def _handle_event(self, node: NodeState) -> None:
+        seen = self._sensed_this_slice.get(node.node_id, 0)
+        if self._sense_cap is not None and seen >= self._sense_cap:
+            return
+        has_route = node.next_hop is not None
+        if has_route:
+            entry = self._charge(node, PacketKind.SENSED, self._sense_send,
+                                 self._hop_tx_j[node.node_id])
+        else:
+            entry = self._charge(node, PacketKind.SENSED, self._warmup)
+        if entry is None:
+            return
+        self._sensed_this_slice[node.node_id] = seen + 1
+        if not has_route:
+            self.dropped += 1
+            return
+        if self.cfg.scheduling:
+            self._charge(node, PacketKind.SCHEDULING, self._send,
+                         self._hop_tx_j[node.node_id])
+        self._relay(node)
+
+    def _relay(self, origin: NodeState) -> None:
+        current = origin
+        while True:
+            hop = current.next_hop
+            if hop is None:
+                self.dropped += 1
+                return
+            if hop == SINK_ID:
+                self.delivered += 1
+                return
+            target = self.nodes[hop]
+            if not target.alive:
+                self.dropped += 1
+                target.drops += 1
+                entry = current.neighbor_entry(hop)
+                if entry is not None:
+                    entry.known_alive = False
+                self._repair_triggers.append(current.node_id)
+                return
+            if target.next_hop is None:
+                # Stranded relay: receives and queues, cannot forward.
+                self._charge(target, PacketKind.RELAYED_DATA, self._recv_queue)
+                self.dropped += 1
+                return
+            depth = self._relayed_this_slice.get(target.node_id, 0)
+            entry = self._charge(target, PacketKind.RELAYED_DATA, self._relay_handling(depth),
+                                 self._hop_tx_j[hop])
+            if entry is None:
+                self.dropped += 1
+                return
+            self._relayed_this_slice[target.node_id] = depth + 1
+            current = target
+
+    def _collection_work(self, full_refresh: bool) -> None:
+        if self.cfg.monitoring:
+            self._monitoring(full_refresh)
+        events = _poisson(self.rng, self.cfg.event_rate)
+        for _ in range(events):
+            ex = self.rng.uniform(0.0, self.cfg.area_width)
+            ey = self.rng.uniform(0.0, self.cfg.area_height)
+            # Tested only after the previous node was handled, so a node an
+            # earlier handling of the same event killed is skipped.
+            for node in self._sense_grid.near(ex, ey):
+                if node.alive and math.hypot(node.x - ex, node.y - ey) <= self.cfg.r_sense:
+                    self._handle_event(node)
+
+    def _init_work(self, idx: int) -> None:
+        """Startup staging: warm-up readings first, neighbor handshakes in the
+        middle slices, topology probing and route setup in the last one.
+        Short initializations fold the stages together."""
+        n = self.cfg.init_slices
+        first, last = idx == 0, idx == n - 1
+        do_warmup = first
+        do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
+        if do_warmup:
+            for node in self.nodes:
+                if not node.alive:
+                    continue
+                for _ in range(self.cfg.warmup_packets):
+                    self._charge(node, PacketKind.SENSED, self._warmup)
+        if do_handshake:
+            self._monitoring(full_refresh=True)
+        if last:
+            self._route_setup(self.nodes)
+
+
+class _Logged(_PerHandling):
     """Records every node an event reaches, in order."""
 
     def __init__(self, cfg):
@@ -202,7 +324,7 @@ class TestCoveredSequence:
         assert (a.delivered, a.dropped) == (b.delivered, b.dropped)
 
 
-class _PerPair(Simulation):
+class _PerPair(_PerHandling):
     """The per-pair exchange loops that ``_exchanges`` replaces, verbatim."""
 
     def _probe(self, prober, nbr, kind):
@@ -256,6 +378,14 @@ def _node_state(result):
             for n in result.nodes]
 
 
+def _assert_same_run(a, b):
+    assert a.ledger == b.ledger
+    assert a.radio == b.radio
+    assert a.records == b.records
+    assert (a.delivered, a.dropped) == (b.delivered, b.dropped)
+    assert _node_state(a) == _node_state(b)
+
+
 class TestExchangeStages:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1), nodes=st.integers(1, 60),
@@ -272,16 +402,81 @@ class TestExchangeStages:
         if exact:
             cfg = dataclasses.replace(cfg, profile=EXACT_PROFILE)
         a, b = Simulation(cfg).run(), _PerPair(cfg).run()
-        assert a.ledger == b.ledger
-        assert a.radio == b.radio
-        assert a.records == b.records
-        assert (a.delivered, a.dropped) == (b.delivered, b.dropped)
-        assert _node_state(a) == _node_state(b)
+        _assert_same_run(a, b)
         # Each record's flows are its slice's ledger entries per constituent.
         counts = [[0.0] * 5 for _ in a.records]
         for entry in a.ledger:
             counts[entry.slice_index][entry.kind.flow_slot] += 1
         assert [list(r.flows.as_tuple()) for r in a.records] == counts
+
+
+class _Counted(_PerHandling):
+    """Counts the drop branches the reference event path takes."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.hits = Counter()
+        self._in_event = False
+
+    def _handle_event(self, node):
+        self._in_event = True
+        try:
+            super()._handle_event(node)
+        finally:
+            self._in_event = False
+
+    def _charge(self, node, kind, handling, tx_j=0.0):
+        row = super()._charge(node, kind, handling, tx_j)
+        if self._in_event and handling is self._warmup:
+            self.hits["no-route"] += 1
+        elif kind is PacketKind.RELAYED_DATA and handling is self._recv_queue:
+            self.hits["stranded"] += 1
+        elif kind is PacketKind.RELAYED_DATA and row is None:
+            self.hits["refused-relay"] += 1
+        return row
+
+    def _relay(self, origin):
+        triggers = len(self._repair_triggers)
+        super()._relay(origin)
+        if len(self._repair_triggers) > triggers:
+            self.hits["dead-next-hop"] += 1
+
+
+class TestEventLoop:
+    """``_events`` books what the per-handling path books. With monitoring
+    off, a dead next hop is found only by a relay; a sink in the far corner
+    makes long relay walks, and ``g_sense = 0.2`` makes the sense cap fire."""
+
+    @staticmethod
+    def config(seed, nodes, battery, exact, mix, scheduling, monitoring, g_sense, r_tx=30.0):
+        cfg = ScenarioConfig(seed=seed, nodes=nodes, initial_battery=battery, mix_charging=mix,
+                             scheduling=scheduling, monitoring=monitoring, g_sense=g_sense,
+                             r_tx=r_tx, sink_x=100.0, sink_y=100.0, total_slices=24)
+        return dataclasses.replace(cfg, profile=EXACT_PROFILE) if exact else cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), nodes=st.integers(1, 40),
+           battery=st.sampled_from([0.5, 0.004, 2 ** -6, 2 ** -8]), exact=st.booleans(),
+           mix=st.booleans(), scheduling=st.booleans(), monitoring=st.booleans(),
+           g_sense=st.sampled_from([0.0, 0.2]))
+    def test_events_book_what_the_per_handling_path_books(self, seed, nodes, battery, exact, mix,
+                                                          scheduling, monitoring, g_sense):
+        cfg = self.config(seed, nodes, battery, exact, mix, scheduling, monitoring, g_sense)
+        _assert_same_run(Simulation(cfg).run(), _PerHandling(cfg).run())
+
+    # Power-of-two prices, so nodes die and relays meet dead next hops.
+    @pytest.mark.parametrize("seed, battery, mix, scheduling, g_sense, r_tx", [
+        (1, 2 ** -6, False, True, 0.0, 20.0),
+        (3, 2 ** -4, True, True, 0.2, 20.0),
+        (2, 2 ** -4, False, False, 0.2, 24.0),
+        (1, 2 ** -4, True, False, 0.0, 30.0),
+    ])
+    def test_every_drop_branch_books_what_the_per_handling_path_books(
+            self, seed, battery, mix, scheduling, g_sense, r_tx):
+        cfg = self.config(seed, 40, battery, True, mix, scheduling, False, g_sense, r_tx)
+        reference = _Counted(cfg)
+        _assert_same_run(Simulation(cfg).run(), reference.run())
+        assert set(reference.hits) == {"no-route", "dead-next-hop", "stranded", "refused-relay"}
 
 
 class TestCostTable:
