@@ -16,20 +16,22 @@ flood, which is what makes those slices expensive. Probes and floods are
 exchange stages: each (sender, neighbor) pair costs the sender a send and,
 if sent, the neighbor a receive. One loop books each exchange stage, and one
 a slice's events (sense, schedule and the relay walk), each with its prices
-bound once and its energy and audit sums kept in locals.
+bound once and its energy, audit sums and flow counts kept in locals.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace. ``charge``
-returns each handling as an exact tuple of numbers (slice, node, kind code,
-energy), the ledger keeps that very tuple as its row, and hands it out as a
-``ChargeEntry`` when read: CPython's cyclic collector untracks an exact
-tuple of atoms the first time it survives a collection, but never a tuple
-subclass or a tuple that holds an enum member, so a ledger of entries would
-be traversed again by every full collection. Each run prices its handlings
-once, with ``task_energy``, into a table (queued relays by queue depth)
-that also holds the handling's radio-audit increments, so a charge does no
-arithmetic beyond the battery update and the audit sums. Neighbor lists and
+touches the battery only and returns each handling as an exact tuple of
+numbers (slice, node, kind code, energy); the ledger keeps that very tuple
+as its row, and hands it out as a ``ChargeEntry`` when read: CPython's
+cyclic collector untracks an exact tuple of atoms the first time it
+survives a collection, but never a tuple subclass or a tuple that holds an
+enum member, so a ledger of entries would be traversed again by every full
+collection. Each run prices its handlings once, with ``task_energy``, into
+a table of floats (queued relays by queue depth). No handling sends or
+receives more than one packet, so the radio audit adds the same run
+constants for every send and every receive, and the booking loops count
+each slice's flows per kind as they book. Neighbor lists and
 the nodes an event covers are found through a uniform cell grid, with cells
 as wide as the radio or sensing range, instead of scanning every node; as
 nodes never move, the grid sorts the nodes around each cell once and keeps
@@ -47,7 +49,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .config import ScenarioConfig
@@ -113,22 +115,6 @@ USAGE_RECV = ResourceUsageVector(b_cpu=1, b_rx=1)
 USAGE_RECV_QUEUE = ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1)
 
 
-class Handling(NamedTuple):
-    """A usage vector priced once per run, with what one booking of it adds
-    to the radio audit: its tx and rx events, the profile joules charged for
-    them and the radio model's rx joules. No usage sends more than one
-    packet, so the model's tx joules are those of the link it is sent over
-    (``Neighbor.tx_j``)."""
-
-    usage: ResourceUsageVector
-    cost: float
-    tx_events: int
-    charged_tx_j: float
-    rx_events: int
-    model_rx_j: float
-    charged_rx_j: float
-
-
 @dataclass
 class Neighbor:
     node_id: int
@@ -149,7 +135,6 @@ class NodeState:
     neighbors: list[Neighbor] = field(default_factory=list)   # sorted by node_id
     next_hop: int | None = None                               # SINK_ID = direct delivery
     drops: int = 0
-    slice_flows: list[int] = field(default_factory=lambda: [0] * 5)
     _neighbor_by_id: dict[int, Neighbor] = field(default_factory=dict, init=False, repr=False)
 
     def add_neighbor(self, nbr: Neighbor) -> None:
@@ -257,31 +242,24 @@ class RunResult:
         return math.fsum(e.energy for e in self.ledger)
 
 
-def charge(node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
-           profile, *, cost: float | None = None,
-           slice_index: int = 0) -> tuple[int, int, int, float] | None:
-    """Charge one packet handling against the node's battery and return its
-    ledger row ``(slice_index, node_id, kind.code, cost)``, which the
-    simulator books as is (``_entry`` reads it as a ``ChargeEntry``).
+def charge(node: NodeState, kind: PacketKind, cost: float,
+           slice_index: int) -> tuple[int, int, int, float] | None:
+    """Charge one packet handling of price ``cost`` against the node's
+    battery and return its ledger row ``(slice_index, node_id, kind.code,
+    cost)``, which the simulator books as is (``_entry`` reads it as a
+    ``ChargeEntry``). The caller counts the flow and the audit.
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
     the task. Both cases count as a drop and return ``None``. A node whose
-    battery lands exactly on zero dies with the charge. ``cost`` defaults
-    to ``task_energy(usage, profile)``.
+    battery lands exactly on zero dies with the charge.
     """
-    if not node.alive:
-        node.drops += 1
-        return None
-    if cost is None:
-        cost = task_energy(usage, profile)
-    if node.battery < cost:
+    if not node.alive or node.battery < cost:
         node.drops += 1
         return None
     battery = node.battery = node.battery - cost
     if battery <= 0.0:
         node.battery = 0.0
         node.alive = False
-    node.slice_flows[kind.flow_slot] += 1
     return slice_index, node.node_id, kind.code, cost
 
 
@@ -421,16 +399,19 @@ class Simulation:
         self._sensed_this_slice: dict[int, int] = {}
         self._relayed_this_slice: dict[int, int] = {}
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
-        self._profile = cfg.profile
-        self._rx_per_bit = rx_energy_per_bit(cfg.radio)
-        # Cost table: every handling priced once, with the same task_energy
-        # sum a charge without a given cost would compute.
-        self._warmup = self._price(USAGE_WARMUP)
-        self._sense_send = self._price(USAGE_SENSE_SEND)
-        self._send = self._price(USAGE_SEND)
-        self._recv = self._price(USAGE_RECV)
-        self._recv_queue = self._price(USAGE_RECV_QUEUE)
-        self._relay_by_depth: list[Handling] = []
+        self._flows = [0] * 5   # the slice's booked handlings per constituent
+        # Cost table: every handling priced once.
+        self._warmup = task_energy(USAGE_WARMUP, cfg.profile)
+        self._sense_send = task_energy(USAGE_SENSE_SEND, cfg.profile)
+        self._send = task_energy(USAGE_SEND, cfg.profile)
+        self._recv = task_energy(USAGE_RECV, cfg.profile)
+        self._recv_queue = task_energy(USAGE_RECV_QUEUE, cfg.profile)
+        self._relay_by_depth: list[float] = []
+        # What one send or one receive adds to the radio audit, beside the
+        # model's tx joules of the link a packet is sent over (``Neighbor.tx_j``).
+        self._charged_tx_j = cfg.profile.p_tx
+        self._model_rx_j = cfg.bits_per_packet * rx_energy_per_bit(cfg.radio)
+        self._charged_rx_j = cfg.profile.p_rx
         if cfg.mix_charging:
             self._mix_cost = [constituent_alpha(cfg.mix.row(c), cfg.profile)
                               for c in CONSTITUENT_ORDER]
@@ -439,13 +420,6 @@ class Simulation:
 
     # -- charging ----------------------------------------------------------
 
-    def _price(self, usage: ResourceUsageVector) -> Handling:
-        cfg = self.cfg
-        return Handling(usage, task_energy(usage, cfg.profile),
-                        usage.b_tx, usage.b_tx * cfg.profile.p_tx,
-                        usage.b_rx, usage.b_rx * cfg.bits_per_packet * self._rx_per_bit,
-                        usage.b_rx * cfg.profile.p_rx)
-
     def _tx_j(self, distance: float) -> float:
         joules = self._tx_j_by_distance.get(distance)
         if joules is None:
@@ -453,19 +427,20 @@ class Simulation:
                 self.cfg.bits_per_packet * tx_energy_per_bit(distance, self.cfg.radio)
         return joules
 
-    def _relay_handling(self, depth: int) -> Handling:
-        """A relay by queue depth: the first relay of a slice forwards straight
-        through; later ones queue, paying one mem unit per buffer slot they
-        sit behind."""
+    def _relay_handling(self, depth: int) -> float:
+        """The price of a relay by queue depth: the first relay of a slice
+        forwards straight through; later ones queue, paying one mem unit per
+        buffer slot they sit behind."""
         table = self._relay_by_depth
         while len(table) <= depth:
-            table.append(self._price(ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1)))
+            table.append(task_energy(ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1),
+                                     self.cfg.profile))
         return table[depth]
 
-    def _cost(self, kind: PacketKind, handling: Handling) -> float:
+    def _cost(self, kind: PacketKind, cost: float) -> float:
         """One booking's price: the table's, or under mix charging the kind's."""
         mix = self._mix_cost
-        return handling.cost if mix is None else mix[kind.flow_slot]
+        return cost if mix is None else mix[kind.flow_slot]
 
     # -- neighbor interaction ----------------------------------------------
 
@@ -487,27 +462,25 @@ class Simulation:
         """Book one exchange stage over lazy (sender, ``Neighbor``) pairs. A
         probe keeps the residual of a neighbor that answers; a silent one is
         marked not known-alive, and a silent next hop schedules a repair."""
-        book, send, recv = charge, self._send, self._recv
-        send_cost, recv_cost = self._cost(kind, send), self._cost(kind, recv)
-        send_usage, send_tx_j = send.usage, send.charged_tx_j
-        recv_usage, recv_model_j, recv_charged_j = recv.usage, recv.model_rx_j, recv.charged_rx_j
-        profile, si, nodes = self._profile, self.slice_index, self.nodes
+        book, si, nodes = charge, self.slice_index, self.nodes
+        send_cost, recv_cost = self._cost(kind, self._send), self._cost(kind, self._recv)
+        tx_charged, rx_model, rx_charged = self._charged_tx_j, self._model_rx_j, self._charged_rx_j
         append, triggers, radio = self._ledger_rows.append, self._repair_triggers, self.radio
         energy = self.slice_energy
         model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
         model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
         answered = unsent = unanswered = 0
         for node, nbr in pairs:
-            row = book(node, kind, send_usage, profile, cost=send_cost, slice_index=si)
+            row = book(node, kind, send_cost, si)
             if row is None:
                 unsent += 1
                 continue
             append(row)
             energy += send_cost
             model_tx += nbr.tx_j
-            charged_tx += send_tx_j
+            charged_tx += tx_charged
             target = nodes[nbr.node_id]
-            row = book(target, kind, recv_usage, profile, cost=recv_cost, slice_index=si)
+            row = book(target, kind, recv_cost, si)
             if row is None:
                 unanswered += 1
                 if probe:
@@ -517,8 +490,8 @@ class Simulation:
                 continue
             append(row)
             energy += recv_cost
-            model_rx += recv_model_j
-            charged_rx += recv_charged_j
+            model_rx += rx_model
+            charged_rx += rx_charged
             answered += 1
             if probe:
                 nbr.last_residual = target.battery
@@ -526,8 +499,9 @@ class Simulation:
         self.slice_energy = energy
         radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
         radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
-        radio.tx_events += (answered + unanswered) * send.tx_events
-        radio.rx_events += answered * recv.rx_events
+        radio.tx_events += answered + unanswered
+        radio.rx_events += answered
+        self._flows[kind.flow_slot] += 2 * answered + unanswered
         self.dropped += unsent + unanswered
 
     def _monitoring(self, full_refresh: bool) -> None:
@@ -546,23 +520,22 @@ class Simulation:
         a dead next hop (marked not known-alive; a repair is scheduled), a relay
         with no route (it receives and queues) or a relay that cannot pay."""
         cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
-        book, profile, si = charge, self._profile, self.slice_index
+        book, si = charge, self.slice_index
         sensed, relayed, cap = self._sensed_this_slice, self._relayed_this_slice, self._sense_cap
         hop_tx_j, table, relay_handling = self._hop_tx_j, self._relay_by_depth, self._relay_handling
         append, triggers = self._ledger_rows.append, self._repair_triggers
         sensed_kind, scheduling_kind, relayed_kind = (
             PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
-        warmup, sense, send, queue = self._warmup, self._sense_send, self._send, self._recv_queue
-        warmup_cost, sense_cost = self._cost(sensed_kind, warmup), self._cost(sensed_kind, sense)
-        send_cost, queue_cost = self._cost(scheduling_kind, send), self._cost(relayed_kind, queue)
+        warmup_cost = self._cost(sensed_kind, self._warmup)
+        sense_cost = self._cost(sensed_kind, self._sense_send)
+        send_cost = self._cost(scheduling_kind, self._send)
+        queue_cost = self._cost(relayed_kind, self._recv_queue)
         relay_mix = None if self._mix_cost is None else self._mix_cost[relayed_kind.flow_slot]
-        # Every sending usage charges one p_tx; every receiving one the same
-        # rx joules, so a relay's audit increments are a send's and a receive's.
-        tx_charged, rx_model, rx_charged = send.charged_tx_j, queue.model_rx_j, queue.charged_rx_j
+        tx_charged, rx_model, rx_charged = self._charged_tx_j, self._model_rx_j, self._charged_rx_j
         energy, radio = self.slice_energy, self.radio
         model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
         model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
-        tx_events = rx_events = delivered = dropped = 0
+        sensed_n = scheduled_n = tx_events = rx_events = delivered = dropped = 0
         for _ in range(count):
             ex, ey = rng.uniform(0.0, cfg.area_width), rng.uniform(0.0, cfg.area_height)
             # Tested only after the previous node was handled, so a node an
@@ -575,13 +548,14 @@ class Simulation:
                 if seen >= cap:
                     continue
                 hop = node.next_hop
-                reading, cost = (warmup, warmup_cost) if hop is None else (sense, sense_cost)
-                row = book(node, sensed_kind, reading.usage, profile, cost=cost, slice_index=si)
+                cost = warmup_cost if hop is None else sense_cost
+                row = book(node, sensed_kind, cost, si)
                 if row is None:
                     dropped += 1
                     continue
                 append(row)
                 energy += cost
+                sensed_n += 1
                 sensed[origin] = seen + 1
                 if hop is None:   # no route: sensed, not sent
                     dropped += 1
@@ -590,13 +564,13 @@ class Simulation:
                 charged_tx += tx_charged
                 tx_events += 1
                 if cfg.scheduling:
-                    row = book(node, scheduling_kind, send.usage, profile, cost=send_cost,
-                               slice_index=si)
+                    row = book(node, scheduling_kind, send_cost, si)
                     if row is None:
                         dropped += 1
                     else:
                         append(row)
                         energy += send_cost
+                        scheduled_n += 1
                         model_tx += hop_tx_j[origin]
                         charged_tx += tx_charged
                         tx_events += 1
@@ -613,8 +587,7 @@ class Simulation:
                         break
                     if target.next_hop is None:
                         # Stranded relay: receives and queues, cannot forward.
-                        row = book(target, relayed_kind, queue.usage, profile, cost=queue_cost,
-                                   slice_index=si)
+                        row = book(target, relayed_kind, queue_cost, si)
                         if row is None:
                             dropped += 1
                         else:
@@ -627,9 +600,8 @@ class Simulation:
                         break
                     depth = relayed.get(hop, 0)
                     relay = table[depth] if depth < len(table) else relay_handling(depth)
-                    cost = relay.cost if relay_mix is None else relay_mix
-                    row = book(target, relayed_kind, relay.usage, profile, cost=cost,
-                               slice_index=si)
+                    cost = relay if relay_mix is None else relay_mix
+                    row = book(target, relayed_kind, cost, si)
                     if row is None:
                         dropped += 2   # a refused charge and a drop
                         break
@@ -650,6 +622,10 @@ class Simulation:
         radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
         radio.tx_events += tx_events
         radio.rx_events += rx_events
+        flows = self._flows
+        flows[sensed_kind.flow_slot] += sensed_n
+        flows[scheduling_kind.flow_slot] += scheduled_n
+        flows[relayed_kind.flow_slot] += rx_events   # each relayed-data booking receives one packet
         self.delivered += delivered
         self.dropped += dropped
 
@@ -699,19 +675,21 @@ class Simulation:
         first, last = idx == 0, idx == n - 1
         do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
         if first:
-            kind, warmup = PacketKind.SENSED, self._warmup
-            cost = self._cost(kind, warmup)
+            kind = PacketKind.SENSED
+            cost = self._cost(kind, self._warmup)
+            booked = 0
             for node in self.nodes:
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    row = charge(node, kind, warmup.usage, self._profile, cost=cost,
-                                 slice_index=self.slice_index)
+                    row = charge(node, kind, cost, self.slice_index)
                     if row is None:
                         self.dropped += 1
                     else:
                         self._ledger_rows.append(row)
                         self.slice_energy += cost
+                        booked += 1
+            self._flows[kind.flow_slot] += booked
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:
@@ -721,10 +699,7 @@ class Simulation:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        alive, slots = attrgetter("alive"), [itemgetter(k) for k in range(5)]
-        # Reset in place: a new list per node and slice would survive into the
-        # collector's oldest generation and set off full collections.
-        slice_flows = [n.slice_flows for n in self.nodes]
+        alive = attrgetter("alive")
         initial_total = math.fsum(n.battery for n in self.nodes)
         for epoch in range(cfg.epochs):
             self._slices_since_repair = 0
@@ -741,8 +716,7 @@ class Simulation:
                 else:
                     phase = Phase.COLLECTION
 
-                for flows in slice_flows:
-                    flows[:] = (0, 0, 0, 0, 0)
+                self._flows = [0] * 5
                 self.slice_energy = 0.0
                 self._sensed_this_slice = {}
                 self._relayed_this_slice = {}
@@ -769,14 +743,11 @@ class Simulation:
                     if self._repair_triggers or periodic:
                         self._maintenance_left = cfg.maintenance_slices
 
-                # Exact integer sums, so equal to running float sums. Not zip(*lists):
-                # its per-node iterators each slice set off full collections.
-                flows = [float(sum(map(slot, slice_flows))) for slot in slots]
                 self.records.append(SliceRecord(
                     index=self.slice_index,
                     delta_t=cfg.delta_t,
                     phase=phase,
-                    flows=ConstituentFlowVector(*flows),
+                    flows=ConstituentFlowVector(*map(float, self._flows)),
                     energy_j=self.slice_energy,
                     alive_nodes=sum(map(alive, self.nodes)),
                 ))

@@ -132,6 +132,20 @@ def read_observations(path: str,
 # ---------------------------------------------------------------------------
 # Fit reports
 
+def _prediction_lines(predictions: Sequence[tuple[int, float, float]], errors: ErrorReport,
+                      last: str, value) -> list[str]:
+    """The blocks that close a fit report: one (slice, observed, predicted,
+    percentage error) row per prediction, then the error summary ending in
+    the ``last`` column."""
+    lines = ["", "slice,observed_j,predicted_j,pct_error"]
+    for (idx, observed, predicted), pct in zip(predictions, errors.pct_errors):
+        lines.append(f"{idx},{_fmt(observed)},{_fmt(predicted)},{_fmt(pct)}")
+    lines.append("")
+    lines.append(f"mape_pct,max_abs_pct_error,{last}")
+    lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{value}")
+    return lines
+
+
 def write_report(path: str, fit: FitResult,
                  predictions: Sequence[tuple[int, float, float]],
                  errors: ErrorReport, dominant: Constituent) -> None:
@@ -145,14 +159,8 @@ def write_report(path: str, fit: FitResult,
         se = stderr[i] if i < len(stderr) else math.nan
         lines.append(f"{c.value},{_fmt(fit.coefficients.get(c))},{_fmt(se)}")
         i += 1
-    lines.append("")
-    lines.append("slice,observed_j,predicted_j,pct_error")
-    for (idx, observed, predicted), pct in zip(predictions, errors.pct_errors):
-        lines.append(f"{idx},{_fmt(observed)},{_fmt(predicted)},{_fmt(pct)}")
-    lines.append("")
-    lines.append("mape_pct,max_abs_pct_error,dominant_constituent")
-    lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{dominant.value}")
-    _write_lines(path, lines)
+    _write_lines(path, lines + _prediction_lines(predictions, errors, "dominant_constituent",
+                                                 dominant.value))
 
 
 def write_rolling_report(path: str, rolling: RollingFit,
@@ -164,19 +172,14 @@ def write_rolling_report(path: str, rolling: RollingFit,
     for wf in rolling.fits:
         for c in wf.result.coefficients.active_constituents():
             lines.append(f"{wf.start},{wf.stop},{c.value},{_fmt(wf.result.coefficients.get(c))}")
-    lines.append("")
-    lines.append("slice,observed_j,predicted_j,pct_error")
-    for (idx, observed, predicted), pct in zip(predictions, errors.pct_errors):
-        lines.append(f"{idx},{_fmt(observed)},{_fmt(predicted)},{_fmt(pct)}")
-    lines.append("")
-    lines.append("mape_pct,max_abs_pct_error,skipped_windows")
-    lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{len(rolling.skipped)}")
-    _write_lines(path, lines)
+    _write_lines(path, lines + _prediction_lines(predictions, errors, "skipped_windows",
+                                                 len(rolling.skipped)))
 
 
 def read_coefficients(path: str) -> CoefficientVector:
     """Load a coefficient vector from a fit report (its first block) or from
-    a bare ``constituent,alpha`` CSV; constituents not listed are inactive."""
+    a bare ``constituent,alpha`` CSV; constituents not listed are inactive.
+    Each row has one field per header column and names a constituent once."""
     with open(path, encoding="utf-8") as fh:
         blocks = _split_blocks(fh.read())
     if not blocks:
@@ -189,10 +192,14 @@ def read_coefficients(path: str) -> CoefficientVector:
     active = [False] * 5
     for ln in blocks[0][1:]:
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"malformed model row: {ln!r}")
         constituent = _CONSTITUENTS.get(parts[0])
         if constituent is None:
             raise ValueError(f"unknown constituent {parts[0]!r}")
         k = CONSTITUENT_ORDER.index(constituent)
+        if active[k]:
+            raise ValueError(f"constituent {parts[0]!r} listed twice in model file")
         alpha[k] = float(parts[alpha_col])
         active[k] = True
     return CoefficientVector(alpha, active)

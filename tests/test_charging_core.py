@@ -18,10 +18,15 @@ from hypothesis import strategies as st
 
 from wsnec.config import ScenarioConfig
 from wsnec.energy_core import ResourcePowerProfile, ResourceUsageVector, task_energy
+from wsnec.radio import rx_energy_per_bit
 from wsnec.simulator import (
     SINK_ID,
+    USAGE_RECV,
+    USAGE_RECV_QUEUE,
+    USAGE_SEND,
+    USAGE_SENSE_SEND,
+    USAGE_WARMUP,
     CellGrid,
-    Handling,
     Neighbor,
     NodeState,
     PacketKind,
@@ -154,46 +159,51 @@ class TestCellGrid:
         assert got == reference_neighbors(nodes, r_tx)
 
 
+def _relay_usage(depth):
+    return ResourceUsageVector(b_cpu=1, b_mem=depth, b_rx=1, b_tx=1)
+
+
 class _PerHandling(Simulation):
     """The per-handling path that ``_events`` replaces: one ``_charge`` call
     per handling, an event loop, ``_handle_event`` and the relay walk, and
     the warm-up loop that booked through ``_charge``, verbatim."""
 
-    def _charge(self, node: NodeState, kind: PacketKind, handling: Handling,
-                tx_j: float = 0.0) -> tuple[int, int, int, float] | None:
-        """Book one handling; ``tx_j`` is the radio model's joules for the
-        packet it sends, if it sends one."""
-        (usage, cost, tx_events, charged_tx_j,
-         rx_events, model_rx_j, charged_rx_j) = handling
+    def _charge(self, node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
+                cost: float, tx_j: float = 0.0) -> tuple[int, int, int, float] | None:
+        """Book one handling of ``usage``, priced ``cost`` in the run's table;
+        ``tx_j`` is the radio model's joules for the packet it sends, if it
+        sends one."""
+        cfg = self.cfg
         if self._mix_cost is not None:
             cost = self._mix_cost[kind.flow_slot]
-        row = charge(node, kind, usage, self._profile, cost=cost, slice_index=self.slice_index)
+        row = charge(node, kind, cost, self.slice_index)
         if row is None:
             self.dropped += 1
             return None
         self._ledger_rows.append(row)
         self.slice_energy += cost
+        self._flows[kind.flow_slot] += 1
         radio = self.radio
-        if tx_events:
+        if usage.b_tx:
             radio.model_tx_j += tx_j
-            radio.charged_tx_j += charged_tx_j
-            radio.tx_events += tx_events
-        if rx_events:
-            radio.model_rx_j += model_rx_j
-            radio.charged_rx_j += charged_rx_j
-            radio.rx_events += rx_events
+            radio.charged_tx_j += usage.b_tx * cfg.profile.p_tx
+            radio.tx_events += usage.b_tx
+        if usage.b_rx:
+            radio.model_rx_j += usage.b_rx * cfg.bits_per_packet * rx_energy_per_bit(cfg.radio)
+            radio.charged_rx_j += usage.b_rx * cfg.profile.p_rx
+            radio.rx_events += usage.b_rx
         return row
 
     def _handle_event(self, node: NodeState) -> None:
         seen = self._sensed_this_slice.get(node.node_id, 0)
-        if self._sense_cap is not None and seen >= self._sense_cap:
+        if seen >= self._sense_cap:
             return
         has_route = node.next_hop is not None
         if has_route:
-            entry = self._charge(node, PacketKind.SENSED, self._sense_send,
+            entry = self._charge(node, PacketKind.SENSED, USAGE_SENSE_SEND, self._sense_send,
                                  self._hop_tx_j[node.node_id])
         else:
-            entry = self._charge(node, PacketKind.SENSED, self._warmup)
+            entry = self._charge(node, PacketKind.SENSED, USAGE_WARMUP, self._warmup)
         if entry is None:
             return
         self._sensed_this_slice[node.node_id] = seen + 1
@@ -201,7 +211,7 @@ class _PerHandling(Simulation):
             self.dropped += 1
             return
         if self.cfg.scheduling:
-            self._charge(node, PacketKind.SCHEDULING, self._send,
+            self._charge(node, PacketKind.SCHEDULING, USAGE_SEND, self._send,
                          self._hop_tx_j[node.node_id])
         self._relay(node)
 
@@ -226,12 +236,12 @@ class _PerHandling(Simulation):
                 return
             if target.next_hop is None:
                 # Stranded relay: receives and queues, cannot forward.
-                self._charge(target, PacketKind.RELAYED_DATA, self._recv_queue)
+                self._charge(target, PacketKind.RELAYED_DATA, USAGE_RECV_QUEUE, self._recv_queue)
                 self.dropped += 1
                 return
             depth = self._relayed_this_slice.get(target.node_id, 0)
-            entry = self._charge(target, PacketKind.RELAYED_DATA, self._relay_handling(depth),
-                                 self._hop_tx_j[hop])
+            entry = self._charge(target, PacketKind.RELAYED_DATA, _relay_usage(depth),
+                                 self._relay_handling(depth), self._hop_tx_j[hop])
             if entry is None:
                 self.dropped += 1
                 return
@@ -264,7 +274,7 @@ class _PerHandling(Simulation):
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    self._charge(node, PacketKind.SENSED, self._warmup)
+                    self._charge(node, PacketKind.SENSED, USAGE_WARMUP, self._warmup)
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:
@@ -330,11 +340,11 @@ class _PerPair(_PerHandling):
     def _probe(self, prober, nbr, kind):
         """Request/response exchange with one neighbor; a silent neighbor is
         marked not known-alive, and a silent next hop schedules a repair."""
-        sent = self._charge(prober, kind, self._send, nbr.tx_j)
+        sent = self._charge(prober, kind, USAGE_SEND, self._send, nbr.tx_j)
         if sent is None:
             return
         target = self.nodes[nbr.node_id]
-        answered = self._charge(target, kind, self._recv)
+        answered = self._charge(target, kind, USAGE_RECV, self._recv)
         if answered is not None:
             nbr.last_residual = target.battery
             nbr.known_alive = True
@@ -368,8 +378,10 @@ class _PerPair(_PerHandling):
             if not node.alive:
                 continue
             for nbr in node.neighbors:
-                if self._charge(node, PacketKind.ROUTING_INFO, self._send, nbr.tx_j) is not None:
-                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, self._recv)
+                if self._charge(node, PacketKind.ROUTING_INFO, USAGE_SEND, self._send,
+                                nbr.tx_j) is not None:
+                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, USAGE_RECV,
+                                 self._recv)
 
 
 def _node_state(result):
@@ -425,11 +437,11 @@ class _Counted(_PerHandling):
         finally:
             self._in_event = False
 
-    def _charge(self, node, kind, handling, tx_j=0.0):
-        row = super()._charge(node, kind, handling, tx_j)
-        if self._in_event and handling is self._warmup:
+    def _charge(self, node, kind, usage, cost, tx_j=0.0):
+        row = super()._charge(node, kind, usage, cost, tx_j)
+        if self._in_event and usage is USAGE_WARMUP:
             self.hits["no-route"] += 1
-        elif kind is PacketKind.RELAYED_DATA and handling is self._recv_queue:
+        elif kind is PacketKind.RELAYED_DATA and usage is USAGE_RECV_QUEUE:
             self.hits["stranded"] += 1
         elif kind is PacketKind.RELAYED_DATA and row is None:
             self.hits["refused-relay"] += 1
@@ -487,13 +499,14 @@ class TestCostTable:
     ])
     def test_every_cost_equals_task_energy(self, profile):
         sim = Simulation(dataclasses.replace(ScenarioConfig(), nodes=3, profile=profile))
-        table = [sim._warmup, sim._sense_send, sim._send, sim._recv, sim._recv_queue]
-        table += [sim._relay_handling(depth) for depth in range(33)]
-        for depth in range(33):
-            assert sim._relay_handling(depth).usage == \
-                ResourceUsageVector(b_cpu=1, b_mem=depth, b_rx=1, b_tx=1)
-        for handling in table:
-            assert handling.cost == task_energy(handling.usage, profile)
+        table = [(sim._warmup, ResourceUsageVector(b_cpu=1, b_sens=1)),
+                 (sim._sense_send, ResourceUsageVector(b_cpu=1, b_sens=1, b_tx=1)),
+                 (sim._send, ResourceUsageVector(b_cpu=1, b_tx=1)),
+                 (sim._recv, ResourceUsageVector(b_cpu=1, b_rx=1)),
+                 (sim._recv_queue, ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1))]
+        table += [(sim._relay_handling(depth), _relay_usage(depth)) for depth in range(33)]
+        for cost, usage in table:
+            assert type(cost) is float and cost == task_energy(usage, profile)
 
 
 def test_radio_audit_unchanged_on_depleted_scenario():

@@ -304,6 +304,18 @@ class TestBudget:
                          "--battery", "10.0", "--output", str(tmp_path / "s.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("model, message", [
+        ("constituent,alpha\nlocal\n", "malformed model row: 'local'"),
+        ("constituent,alpha\nlocal,1e-5\nlocal,2e-5\n", "'local' listed twice"),
+    ], ids=["short-row", "duplicate-constituent"])
+    def test_malformed_model_is_validation_error(self, tmp_path, capsys, model, message):
+        tasks, model_path, out = self._paths(tmp_path)
+        (tmp_path / "model.csv").write_text(model)
+        code = cli.main(["budget", "--tasks", tasks, "--model", model_path,
+                         "--battery", "10.0", "--output", out])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "wsnec.cli", "--help"],

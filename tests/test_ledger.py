@@ -36,7 +36,11 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
     assert len(booked) == len(rows) == len(result.ledger)
     assert all(row is kept and type(row) is tuple for row, kept in zip(booked, rows))
     assert [simulator._entry(row) for row in booked] == list(result.ledger)
-    assert len(booked) == sum(sum(rec.flows.as_tuple()) for rec in result.records)
+    # Each record's flows are its slice's rows per constituent.
+    flows = [[0.0] * 5 for _ in result.records]
+    for entry in result.ledger:
+        flows[entry.slice_index][entry.kind.flow_slot] += 1
+    assert [list(rec.flows.as_tuple()) for rec in result.records] == flows
 
 
 def test_ledger_reads_as_a_sequence_of_entries():

@@ -6,7 +6,13 @@ import math
 import pytest
 
 from wsnec.config import ScenarioConfig
-from wsnec.energy_core import CONSTITUENT_ORDER, Constituent, ResourcePowerProfile, ResourceUsageVector
+from wsnec.energy_core import (
+    CONSTITUENT_ORDER,
+    Constituent,
+    ResourcePowerProfile,
+    ResourceUsageVector,
+    task_energy,
+)
 from wsnec.radio import tx_energy_per_bit
 from wsnec.simulator import (
     SINK_ID,
@@ -109,7 +115,7 @@ class TestCharge:
         usage = ResourceUsageVector(b_cpu=1, b_tx=1)
         cost = 2e-5 + 6e-5
         node = self._node(cost)
-        entry = charge(node, PacketKind.SENSED, usage, PROFILE)
+        entry = charge(node, PacketKind.SENSED, task_energy(usage, PROFILE), 0)
         assert entry == (0, 0, PacketKind.SENSED.code, cost)
         assert node.battery == 0.0 and not node.alive
 
@@ -117,19 +123,15 @@ class TestCharge:
         node = self._node(1.0)
         node.alive = False
         before = node.battery
-        assert charge(node, PacketKind.SENSED, ResourceUsageVector(b_cpu=1), PROFILE) is None
+        cost = task_energy(ResourceUsageVector(b_cpu=1), PROFILE)
+        assert charge(node, PacketKind.SENSED, cost, 0) is None
         assert node.battery == before and node.drops == 1
 
     def test_unaffordable_task_ignored(self):
         node = self._node(1e-6)
-        assert charge(node, PacketKind.SENSED, ResourceUsageVector(b_cpu=1), PROFILE) is None
+        cost = task_energy(ResourceUsageVector(b_cpu=1), PROFILE)
+        assert charge(node, PacketKind.SENSED, cost, 0) is None
         assert node.battery == 1e-6 and node.alive and node.drops == 1
-
-    def test_flow_counter_incremented_for_constituent(self):
-        node = self._node(1.0)
-        charge(node, PacketKind.ROUTING_INFO, ResourceUsageVector(b_cpu=1, b_tx=1), PROFILE)
-        k = CONSTITUENT_ORDER.index(Constituent.GLOBAL)
-        assert node.slice_flows[k] == 1
 
 
 class TestRun:
