@@ -133,7 +133,7 @@ def read_observations(path: str,
 # Fit reports
 
 def _prediction_lines(predictions: Sequence[tuple[int, float, float]], errors: ErrorReport,
-                      last: str, value) -> list[str]:
+                      last: str, value: str | int) -> list[str]:
     """The blocks that close a fit report: one (slice, observed, predicted,
     percentage error) row per prediction, then the error summary ending in
     the ``last`` column."""
