@@ -21,30 +21,29 @@ bound once and its energy, audit sums and flow counts kept in locals.
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace. ``charge``
-touches the battery only and returns each handling as an exact tuple of
-numbers (slice, node, kind code, energy); the ledger keeps that very tuple
-as its row, and hands it out as a ``ChargeEntry`` when read: CPython's
-cyclic collector untracks an exact tuple of atoms the first time it
-survives a collection, but never a tuple subclass or a tuple that holds an
-enum member, so a ledger of entries would be traversed again by every full
-collection. Each run prices its handlings once, with ``task_energy``, into
-a table of floats (queued relays by queue depth). No handling sends or
-receives more than one packet, so the radio audit adds the same run
-constants for every send and every receive, and the booking loops count
-each slice's flows per kind as they book. Neighbor lists and
-the nodes an event covers are found through a uniform cell grid, with cells
-as wide as the radio or sensing range, instead of scanning every node; as
-nodes never move, the grid sorts the nodes around each cell once and keeps
-them. Identical configurations (same seed) produce identical traces, byte
-for byte once serialized. Alongside the profile-based charges the run
-accumulates a per-bit radio-model audit of the same tx/rx events as an
-independent cross-check on radio energy accounting.
+touches the battery only. The ledger keeps four typed columns (slice, node,
+kind code, energy) and hands each row out as a ``ChargeEntry`` when read;
+each booking loop gathers its node ids, kind codes and costs in local lists
+and appends them to the columns once per stage or slice. Each run prices
+its handlings once, with ``task_energy``, into a table of floats (queued
+relays by queue depth). No handling sends or receives more than one packet,
+so the radio audit adds the same run constants for every send and every
+receive, and the booking loops count each slice's flows per kind as they
+book. Neighbor lists and the nodes an event covers are found through a
+uniform cell grid, with cells as wide as the radio or sensing range,
+instead of scanning every node; as nodes never move, the grid sorts the
+nodes around each cell once and keeps them. Identical configurations (same
+seed) produce identical traces, byte for byte once serialized. Alongside
+the profile-based charges the run accumulates a per-bit radio-model audit
+of the same tx/rx events as an independent cross-check on radio energy
+accounting.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -158,41 +157,47 @@ class ChargeEntry(NamedTuple):
         return self.kind.constituent
 
 
-_tuple_new = tuple.__new__
-
-
-def _entry(row: tuple[int, int, int, float]) -> ChargeEntry:
-    return _tuple_new(ChargeEntry, (row[0], row[1], KIND_BY_CODE[row[2]], row[3]))
-
-
 class Ledger(Sequence):
     """A run's booked handlings, in booking order, read as ``ChargeEntry``.
 
-    Rows are exact tuples ``(slice_index, node_id, kind.code, energy)``, so
-    the cyclic collector stops tracking them once they survive a
-    collection; entries are built when read. Nothing the ledger holds
-    refers back to it, so reference counting alone frees it.
+    Four typed columns hold them: ``slices`` and ``nodes`` (``'i'``),
+    ``kinds`` (``'b'``, the ``PacketKind.code``) and ``energies`` (``'d'``),
+    about 17.5 B a row; entries are built when read. Nothing the ledger
+    holds refers back to it, so reference counting alone frees it.
     """
 
-    __slots__ = ("_rows", "__weakref__")
+    __slots__ = ("slices", "nodes", "kinds", "energies", "__weakref__")
 
-    def __init__(self, rows: list[tuple[int, int, int, float]]):
-        self._rows = rows
+    def __init__(self):
+        self.slices, self.nodes = array("i"), array("i")
+        self.kinds, self.energies = array("b"), array("d")
+
+    def book(self, slice_index: int, node_ids: list[int], kinds: bytes,
+             costs: list[float]) -> None:
+        """Append handlings booked in one slice, in booking order, in one step;
+        ``kinds`` holds their kind codes, one byte each."""
+        self.slices += array("i", (slice_index,)) * len(node_ids)
+        self.nodes.fromlist(node_ids)
+        self.kinds.frombytes(kinds)
+        self.energies.fromlist(costs)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.energies)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_entry(row) for row in self._rows[index]]
-        return _entry(self._rows[index])
+            return [self[i] for i in range(len(self))[index]]
+        return ChargeEntry(self.slices[index], self.nodes[index],
+                           KIND_BY_CODE[self.kinds[index]], self.energies[index])
 
     def __iter__(self):
-        return map(_entry, self._rows)
+        return map(ChargeEntry, self.slices, self.nodes,
+                   map(KIND_BY_CODE.__getitem__, self.kinds), self.energies)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Ledger):
-            return self._rows == other._rows
+            return (self.slices, self.nodes, self.kinds, self.energies) == \
+                (other.slices, other.nodes, other.kinds, other.energies)
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -239,15 +244,14 @@ class RunResult:
 
     @property
     def ledger_total(self) -> float:
-        return math.fsum(e.energy for e in self.ledger)
+        return math.fsum(self.ledger.energies)
 
 
 def charge(node: NodeState, kind: PacketKind, cost: float,
-           slice_index: int) -> tuple[int, int, int, float] | None:
+           slice_index: int) -> float | None:
     """Charge one packet handling of price ``cost`` against the node's
-    battery and return its ledger row ``(slice_index, node_id, kind.code,
-    cost)``, which the simulator books as is (``_entry`` reads it as a
-    ``ChargeEntry``). The caller counts the flow and the audit.
+    battery and return ``cost``. The caller books the handling in the
+    ledger and counts its flow and audit.
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
     the task. Both cases count as a drop and return ``None``. A node whose
@@ -260,7 +264,7 @@ def charge(node: NodeState, kind: PacketKind, cost: float,
     if battery <= 0.0:
         node.battery = 0.0
         node.alive = False
-    return slice_index, node.node_id, kind.code, cost
+    return cost
 
 
 def _links(senders: list[NodeState]):
@@ -305,7 +309,8 @@ class CellGrid:
         return math.floor(x / self.size), math.floor(y / self.size)
 
     def near(self, x: float, y: float) -> tuple[NodeState, ...]:
-        key = self._key(x, y)
+        size = self.size
+        key = math.floor(x / size), math.floor(y / size)
         block = self._blocks.get(key)
         if block is None:
             cx, cy = key
@@ -385,8 +390,7 @@ class Simulation:
         self._hop_tx_j = [0.0] * len(self.nodes)
         self._route(self.nodes)
         self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
-        self._ledger_rows: list[tuple[int, int, int, float]] = []
-        self.ledger = Ledger(self._ledger_rows)
+        self.ledger = Ledger()
         self.records: list[SliceRecord] = []
         self.radio = RadioAudit()
         self.delivered = 0
@@ -396,8 +400,9 @@ class Simulation:
         self._repair_triggers: list[int] = []
         self._maintenance_left = 0
         self._slices_since_repair = 0
-        self._sensed_this_slice: dict[int, int] = {}
-        self._relayed_this_slice: dict[int, int] = {}
+        # Packets each node sensed, and relayed, in the current slice.
+        self._sensed_this_slice = [0] * len(self.nodes)
+        self._relayed_this_slice = [0] * len(self.nodes)
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
         self._flows = [0] * 5   # the slice's booked handlings per constituent
         # Cost table: every handling priced once.
@@ -465,30 +470,32 @@ class Simulation:
         book, si, nodes = charge, self.slice_index, self.nodes
         send_cost, recv_cost = self._cost(kind, self._send), self._cost(kind, self._recv)
         tx_charged, rx_model, rx_charged = self._charged_tx_j, self._model_rx_j, self._charged_rx_j
-        append, triggers, radio = self._ledger_rows.append, self._repair_triggers, self.radio
+        ids, costs = [], []
+        add_id, add_cost = ids.append, costs.append
+        triggers, radio = self._repair_triggers, self.radio
         energy = self.slice_energy
         model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
         model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
         answered = unsent = unanswered = 0
         for node, nbr in pairs:
-            row = book(node, kind, send_cost, si)
-            if row is None:
+            if book(node, kind, send_cost, si) is None:
                 unsent += 1
                 continue
-            append(row)
+            add_id(node.node_id)
+            add_cost(send_cost)
             energy += send_cost
             model_tx += nbr.tx_j
             charged_tx += tx_charged
             target = nodes[nbr.node_id]
-            row = book(target, kind, recv_cost, si)
-            if row is None:
+            if book(target, kind, recv_cost, si) is None:
                 unanswered += 1
                 if probe:
                     nbr.known_alive = False
                     if node.next_hop == nbr.node_id:
                         triggers.append(node.node_id)
                 continue
-            append(row)
+            add_id(nbr.node_id)
+            add_cost(recv_cost)
             energy += recv_cost
             model_rx += rx_model
             charged_rx += rx_charged
@@ -496,12 +503,13 @@ class Simulation:
             if probe:
                 nbr.last_residual = target.battery
                 nbr.known_alive = True
+        self.ledger.book(si, ids, bytes((kind.code,)) * len(ids), costs)
         self.slice_energy = energy
         radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
         radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
         radio.tx_events += answered + unanswered
         radio.rx_events += answered
-        self._flows[kind.flow_slot] += 2 * answered + unanswered
+        self._flows[kind.flow_slot] += len(ids)
         self.dropped += unsent + unanswered
 
     def _monitoring(self, full_refresh: bool) -> None:
@@ -520,12 +528,15 @@ class Simulation:
         a dead next hop (marked not known-alive; a repair is scheduled), a relay
         with no route (it receives and queues) or a relay that cannot pay."""
         cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
-        book, si = charge, self.slice_index
+        book, si, triggers = charge, self.slice_index, self._repair_triggers
         sensed, relayed, cap = self._sensed_this_slice, self._relayed_this_slice, self._sense_cap
         hop_tx_j, table, relay_handling = self._hop_tx_j, self._relay_by_depth, self._relay_handling
-        append, triggers = self._ledger_rows.append, self._repair_triggers
+        ids, codes, costs = [], [], []
+        add_id, add_code, add_cost = ids.append, codes.append, costs.append
         sensed_kind, scheduling_kind, relayed_kind = (
             PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
+        sensed_code, scheduling_code, relayed_code = (
+            sensed_kind.code, scheduling_kind.code, relayed_kind.code)
         warmup_cost = self._cost(sensed_kind, self._warmup)
         sense_cost = self._cost(sensed_kind, self._sense_send)
         send_cost = self._cost(scheduling_kind, self._send)
@@ -544,16 +555,17 @@ class Simulation:
                 if not (node.alive and math.hypot(node.x - ex, node.y - ey) <= cfg.r_sense):
                     continue
                 origin = node.node_id
-                seen = sensed.get(origin, 0)
+                seen = sensed[origin]
                 if seen >= cap:
                     continue
                 hop = node.next_hop
                 cost = warmup_cost if hop is None else sense_cost
-                row = book(node, sensed_kind, cost, si)
-                if row is None:
+                if book(node, sensed_kind, cost, si) is None:
                     dropped += 1
                     continue
-                append(row)
+                add_id(origin)
+                add_code(sensed_code)
+                add_cost(cost)
                 energy += cost
                 sensed_n += 1
                 sensed[origin] = seen + 1
@@ -564,11 +576,12 @@ class Simulation:
                 charged_tx += tx_charged
                 tx_events += 1
                 if cfg.scheduling:
-                    row = book(node, scheduling_kind, send_cost, si)
-                    if row is None:
+                    if book(node, scheduling_kind, send_cost, si) is None:
                         dropped += 1
                     else:
-                        append(row)
+                        add_id(origin)
+                        add_code(scheduling_code)
+                        add_cost(send_cost)
                         energy += send_cost
                         scheduled_n += 1
                         model_tx += hop_tx_j[origin]
@@ -587,25 +600,27 @@ class Simulation:
                         break
                     if target.next_hop is None:
                         # Stranded relay: receives and queues, cannot forward.
-                        row = book(target, relayed_kind, queue_cost, si)
-                        if row is None:
+                        if book(target, relayed_kind, queue_cost, si) is None:
                             dropped += 1
                         else:
-                            append(row)
+                            add_id(hop)
+                            add_code(relayed_code)
+                            add_cost(queue_cost)
                             energy += queue_cost
                             model_rx += rx_model
                             charged_rx += rx_charged
                             rx_events += 1
                         dropped += 1
                         break
-                    depth = relayed.get(hop, 0)
+                    depth = relayed[hop]
                     relay = table[depth] if depth < len(table) else relay_handling(depth)
                     cost = relay if relay_mix is None else relay_mix
-                    row = book(target, relayed_kind, cost, si)
-                    if row is None:
+                    if book(target, relayed_kind, cost, si) is None:
                         dropped += 2   # a refused charge and a drop
                         break
-                    append(row)
+                    add_id(hop)
+                    add_code(relayed_code)
+                    add_cost(cost)
                     energy += cost
                     model_tx += hop_tx_j[hop]
                     charged_tx += tx_charged
@@ -617,6 +632,7 @@ class Simulation:
                     current, hop = target, target.next_hop
                 else:   # the walk reached the sink
                     delivered += 1
+        self.ledger.book(si, ids, bytes(codes), costs)
         self.slice_energy = energy
         radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
         radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
@@ -677,19 +693,18 @@ class Simulation:
         if first:
             kind = PacketKind.SENSED
             cost = self._cost(kind, self._warmup)
-            booked = 0
+            ids = []
             for node in self.nodes:
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    row = charge(node, kind, cost, self.slice_index)
-                    if row is None:
+                    if charge(node, kind, cost, self.slice_index) is None:
                         self.dropped += 1
                     else:
-                        self._ledger_rows.append(row)
+                        ids.append(node.node_id)
                         self.slice_energy += cost
-                        booked += 1
-            self._flows[kind.flow_slot] += booked
+            self.ledger.book(self.slice_index, ids, bytes((kind.code,)) * len(ids), [cost] * len(ids))
+            self._flows[kind.flow_slot] += len(ids)
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:
@@ -718,8 +733,8 @@ class Simulation:
 
                 self._flows = [0] * 5
                 self.slice_energy = 0.0
-                self._sensed_this_slice = {}
-                self._relayed_this_slice = {}
+                self._sensed_this_slice = [0] * len(self.nodes)
+                self._relayed_this_slice = [0] * len(self.nodes)
 
                 if phase is Phase.INITIALIZATION:
                     self._init_work(slice_in_epoch)

@@ -169,18 +169,18 @@ class _PerHandling(Simulation):
     the warm-up loop that booked through ``_charge``, verbatim."""
 
     def _charge(self, node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
-                cost: float, tx_j: float = 0.0) -> tuple[int, int, int, float] | None:
+                cost: float, tx_j: float = 0.0) -> float | None:
         """Book one handling of ``usage``, priced ``cost`` in the run's table;
         ``tx_j`` is the radio model's joules for the packet it sends, if it
         sends one."""
         cfg = self.cfg
         if self._mix_cost is not None:
             cost = self._mix_cost[kind.flow_slot]
-        row = charge(node, kind, cost, self.slice_index)
-        if row is None:
+        booked = charge(node, kind, cost, self.slice_index)
+        if booked is None:
             self.dropped += 1
             return None
-        self._ledger_rows.append(row)
+        self.ledger.book(self.slice_index, [node.node_id], bytes((kind.code,)), [cost])
         self.slice_energy += cost
         self._flows[kind.flow_slot] += 1
         radio = self.radio
@@ -192,10 +192,10 @@ class _PerHandling(Simulation):
             radio.model_rx_j += usage.b_rx * cfg.bits_per_packet * rx_energy_per_bit(cfg.radio)
             radio.charged_rx_j += usage.b_rx * cfg.profile.p_rx
             radio.rx_events += usage.b_rx
-        return row
+        return booked
 
     def _handle_event(self, node: NodeState) -> None:
-        seen = self._sensed_this_slice.get(node.node_id, 0)
+        seen = self._sensed_this_slice[node.node_id]
         if seen >= self._sense_cap:
             return
         has_route = node.next_hop is not None
@@ -239,7 +239,7 @@ class _PerHandling(Simulation):
                 self._charge(target, PacketKind.RELAYED_DATA, USAGE_RECV_QUEUE, self._recv_queue)
                 self.dropped += 1
                 return
-            depth = self._relayed_this_slice.get(target.node_id, 0)
+            depth = self._relayed_this_slice[target.node_id]
             entry = self._charge(target, PacketKind.RELAYED_DATA, _relay_usage(depth),
                                  self._relay_handling(depth), self._hop_tx_j[hop])
             if entry is None:

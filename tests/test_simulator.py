@@ -116,7 +116,7 @@ class TestCharge:
         cost = 2e-5 + 6e-5
         node = self._node(cost)
         entry = charge(node, PacketKind.SENSED, task_energy(usage, PROFILE), 0)
-        assert entry == (0, 0, PacketKind.SENSED.code, cost)
+        assert entry == cost
         assert node.battery == 0.0 and not node.alive
 
     def test_dead_node_drops(self):
