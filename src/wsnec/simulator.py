@@ -23,20 +23,20 @@ per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace. ``charge``
 touches the battery only. The ledger keeps four typed columns (slice, node,
 kind code, energy) and hands each row out as a ``ChargeEntry`` when read;
-each booking loop gathers its node ids, kind codes and costs in local lists
-and appends them to the columns once per stage or slice. Each run prices
-its handlings once, with ``task_energy``, into a table of floats (queued
-relays by queue depth). No handling sends or receives more than one packet,
-so the radio audit adds the same run constants for every send and every
-receive, and the booking loops count each slice's flows per kind as they
-book. Neighbor lists and the nodes an event covers are found through a
-uniform cell grid, with cells as wide as the radio or sensing range,
-instead of scanning every node; as nodes never move, the grid sorts the
-nodes around each cell once and keeps them. Identical configurations (same
-seed) produce identical traces, byte for byte once serialized. Alongside
-the profile-based charges the run accumulates a per-bit radio-model audit
-of the same tx/rx events as an independent cross-check on radio energy
-accounting.
+each booking loop gathers the node ids and costs it books (and their kind
+codes where kinds interleave) in local lists and appends them to the
+columns once per stage or slice. Each run prices its handlings once, with
+``task_energy``, into a table of floats (queued relays by queue depth). No
+handling sends or receives more than one packet, so the radio audit adds
+the same run constants for every send and every receive, and the booking
+loops count each slice's flows per kind as they book. Neighbor lists and
+the nodes an event covers are found through a uniform cell grid, with cells
+as wide as the radio or sensing range, instead of scanning every node; as
+nodes never move, the grid sorts the nodes around each cell once and keeps
+them. Identical configurations (same seed) produce identical traces, byte
+for byte once serialized. Alongside the profile-based charges the run
+accumulates a per-bit radio-model audit of the same tx/rx events as an
+independent cross-check on radio energy accounting.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class Ledger(Sequence):
 
     Four typed columns hold them: ``slices`` and ``nodes`` (``'i'``),
     ``kinds`` (``'b'``, the ``PacketKind.code``) and ``energies`` (``'d'``),
-    about 17.5 B a row; entries are built when read. Nothing the ledger
+    under 18 B a row; entries are built when read. Nothing the ledger
     holds refers back to it, so reference counting alone frees it.
     """
 
