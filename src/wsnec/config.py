@@ -67,7 +67,6 @@ class ScenarioConfig:
     r_tx: float = 30.0
     r_sense: float = 12.0
     g_sense: float = 0.05
-    g_tx: float = 0.01
     delta_t: float = 1.0
     init_slices: int = 3
     total_slices: int = 80
@@ -103,7 +102,6 @@ _BOUNDS: dict[str, tuple[str, Callable[[float], bool]]] = {
     "r_tx": ("r_tx >= 0", lambda v: v >= 0),
     "r_sense": ("r_sense > 0", lambda v: v > 0),
     "g_sense": ("g_sense >= 0", lambda v: v >= 0),
-    "g_tx": ("g_tx >= 0", lambda v: v >= 0),
     "delta_t": ("delta_t > 0", lambda v: v > 0),
     "init_slices": ("init_slices >= 0", lambda v: v >= 0),
     "total_slices": ("total_slices >= 1", lambda v: v >= 1),
@@ -172,7 +170,7 @@ _MIX_KEYS = ("individual", "local", "global", "environment", "snk")
 
 #: Parameters cmd_sweep may randomize, with their integer-ness.
 SWEEPABLE: dict[str, bool] = {
-    "event_rate": False, "r_sense": False, "g_sense": False, "g_tx": False,
+    "event_rate": False, "r_sense": False, "g_sense": False,
     "r_tx": False, "initial_battery": False,
     "maintenance_period": True, "monitor_period": True, "warmup_packets": True,
 }

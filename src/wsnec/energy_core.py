@@ -96,9 +96,6 @@ class ResourceUsageVector:
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.b_cpu, self.b_mem, self.b_rx, self.b_tx, self.b_sens)
 
-    def __add__(self, other: "ResourceUsageVector") -> "ResourceUsageVector":
-        return ResourceUsageVector(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
-
 
 class ConstituentResourceMix:
     """5x5 nonnegative weight matrix: row k holds the per-packet resource

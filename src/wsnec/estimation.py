@@ -120,10 +120,6 @@ class FitResult:
     n_obs: int
     stderr: tuple[float, ...] = ()   # per active constituent, classical OLS proxy
 
-    @property
-    def rss(self) -> float:
-        return float(self.residuals @ self.residuals)
-
 
 def fit_ls(obs: ObservationSet, *, warn_small: bool = True) -> FitResult:
     """Fit the coefficient vector minimizing ||E - b A||2 over the observations.

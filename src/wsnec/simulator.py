@@ -16,27 +16,30 @@ flood, which is what makes those slices expensive. Probes and floods are
 exchange stages: each (sender, neighbor) pair costs the sender a send and,
 if sent, the neighbor a receive. One loop books each exchange stage, and one
 a slice's events (sense, schedule and the relay walk), each with its prices
-bound once and its energy, audit sums and flow counts kept in locals.
+bound once; the loops only book.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
-totals per constituent plus the slice energy form the trace. ``charge``
-touches the battery only. The ledger keeps four typed columns (slice, node,
-kind code, energy) and hands each row out as a ``ChargeEntry`` when read;
-each booking loop gathers the node ids and costs it books (and their kind
-codes where kinds interleave) in local lists and appends them to the
-columns once per stage or slice. Each run prices its handlings once, with
-``task_energy``, into a table of floats (queued relays by queue depth). No
-handling sends or receives more than one packet, so the radio audit adds
-the same run constants for every send and every receive, and the booking
-loops count each slice's flows per kind as they book. Neighbor lists and
-the nodes an event covers are found through a uniform cell grid, with cells
-as wide as the radio or sensing range, instead of scanning every node; as
-nodes never move, the grid sorts the nodes around each cell once and keeps
-them. Identical configurations (same seed) produce identical traces, byte
-for byte once serialized. Alongside the profile-based charges the run
-accumulates a per-bit radio-model audit of the same tx/rx events as an
-independent cross-check on radio energy accounting.
+totals per constituent plus the slice energy form the trace, and both are
+read from the slice's ledger rows when the slice ends. ``charge`` touches
+the battery only. The ledger keeps four typed columns (slice, node, kind
+code, energy) and hands each row out as a ``ChargeEntry`` when read; each
+booking loop gathers the node ids and costs it books (and their kind codes
+where kinds interleave) in local lists and appends them to the columns once
+per stage or slice. Each run prices its handlings once, with
+``task_energy``, into a table of floats (queued relays by queue depth).
+Neighbor lists and the nodes an event covers are found through a uniform
+cell grid, with cells as wide as the radio or sensing range, instead of
+scanning every node; as nodes never move, the grid sorts the nodes around
+each cell once and keeps them. Identical configurations (same seed) produce
+identical traces, byte for byte once serialized. Alongside the
+profile-based charges the run keeps a per-bit radio-model audit of the same
+tx/rx events as an independent cross-check on radio energy accounting: the
+booking loops count sends and receives and sum the model's tx joules per
+link. No handling sends or receives more than one packet, and the
+first-order radio model prices every received packet alike, so the audit's
+other three sums are event counts times run constants, set when the run
+ends.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .config import ScenarioConfig
 from .energy_core import (
@@ -133,7 +138,6 @@ class NodeState:
     alive: bool = True
     neighbors: list[Neighbor] = field(default_factory=list)   # sorted by node_id
     next_hop: int | None = None                               # SINK_ID = direct delivery
-    drops: int = 0
     _neighbor_by_id: dict[int, Neighbor] = field(default_factory=dict, init=False, repr=False)
 
     def add_neighbor(self, nbr: Neighbor) -> None:
@@ -180,6 +184,19 @@ class Ledger(Sequence):
         self.nodes.fromlist(node_ids)
         self.kinds.frombytes(kinds)
         self.energies.fromlist(costs)
+
+    def totals(self, start: int) -> tuple[ConstituentFlowVector, float]:
+        """The rows from ``start`` on: their count per constituent, and their
+        joules added one row at a time in booking order (``math.fsum``,
+        ``np.sum`` and, on Python 3.12 and later, ``sum`` round otherwise)."""
+        kinds = self.kinds[start:].tobytes()
+        flows = [0.0] * len(CONSTITUENT_ORDER)
+        for kind in KIND_BY_CODE:
+            flows[kind.flow_slot] += kinds.count(kind.code)
+        # The view over the column dies with the call: an array exporting
+        # its buffer refuses to grow.
+        sums = np.frombuffer(self.energies, offset=8 * start).cumsum()
+        return ConstituentFlowVector(*flows), float(sums[-1]) if len(sums) else 0.0
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -251,14 +268,13 @@ def charge(node: NodeState, kind: PacketKind, cost: float,
            slice_index: int) -> float | None:
     """Charge one packet handling of price ``cost`` against the node's
     battery and return ``cost``. The caller books the handling in the
-    ledger and counts its flow and audit.
+    ledger and counts its radio events.
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
-    the task. Both cases count as a drop and return ``None``. A node whose
-    battery lands exactly on zero dies with the charge.
+    the task. Both cases return ``None``. A node whose battery lands
+    exactly on zero dies with the charge.
     """
     if not node.alive or node.battery < cost:
-        node.drops += 1
         return None
     battery = node.battery = node.battery - cost
     if battery <= 0.0:
@@ -396,7 +412,6 @@ class Simulation:
         self.delivered = 0
         self.dropped = 0
         self.slice_index = 0
-        self.slice_energy = 0.0
         self._repair_triggers: list[int] = []
         self._maintenance_left = 0
         self._slices_since_repair = 0
@@ -404,7 +419,6 @@ class Simulation:
         self._sensed_this_slice = [0] * len(self.nodes)
         self._relayed_this_slice = [0] * len(self.nodes)
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
-        self._flows = [0] * 5   # the slice's booked handlings per constituent
         # Cost table: every handling priced once.
         self._warmup = task_energy(USAGE_WARMUP, cfg.profile)
         self._sense_send = task_energy(USAGE_SENSE_SEND, cfg.profile)
@@ -412,11 +426,6 @@ class Simulation:
         self._recv = task_energy(USAGE_RECV, cfg.profile)
         self._recv_queue = task_energy(USAGE_RECV_QUEUE, cfg.profile)
         self._relay_by_depth: list[float] = []
-        # What one send or one receive adds to the radio audit, beside the
-        # model's tx joules of the link a packet is sent over (``Neighbor.tx_j``).
-        self._charged_tx_j = cfg.profile.p_tx
-        self._model_rx_j = cfg.bits_per_packet * rx_energy_per_bit(cfg.radio)
-        self._charged_rx_j = cfg.profile.p_rx
         if cfg.mix_charging:
             self._mix_cost = [constituent_alpha(cfg.mix.row(c), cfg.profile)
                               for c in CONSTITUENT_ORDER]
@@ -469,13 +478,10 @@ class Simulation:
         marked not known-alive, and a silent next hop schedules a repair."""
         book, si, nodes = charge, self.slice_index, self.nodes
         send_cost, recv_cost = self._cost(kind, self._send), self._cost(kind, self._recv)
-        tx_charged, rx_model, rx_charged = self._charged_tx_j, self._model_rx_j, self._charged_rx_j
         ids, costs = [], []
         add_id, add_cost = ids.append, costs.append
         triggers, radio = self._repair_triggers, self.radio
-        energy = self.slice_energy
-        model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
-        model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
+        model_tx = radio.model_tx_j
         answered = unsent = unanswered = 0
         for node, nbr in pairs:
             if book(node, kind, send_cost, si) is None:
@@ -483,9 +489,7 @@ class Simulation:
                 continue
             add_id(node.node_id)
             add_cost(send_cost)
-            energy += send_cost
             model_tx += nbr.tx_j
-            charged_tx += tx_charged
             target = nodes[nbr.node_id]
             if book(target, kind, recv_cost, si) is None:
                 unanswered += 1
@@ -496,20 +500,14 @@ class Simulation:
                 continue
             add_id(nbr.node_id)
             add_cost(recv_cost)
-            energy += recv_cost
-            model_rx += rx_model
-            charged_rx += rx_charged
             answered += 1
             if probe:
                 nbr.last_residual = target.battery
                 nbr.known_alive = True
         self.ledger.book(si, ids, bytes((kind.code,)) * len(ids), costs)
-        self.slice_energy = energy
-        radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
-        radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
+        radio.model_tx_j = model_tx
         radio.tx_events += answered + unanswered
         radio.rx_events += answered
-        self._flows[kind.flow_slot] += len(ids)
         self.dropped += unsent + unanswered
 
     def _monitoring(self, full_refresh: bool) -> None:
@@ -542,11 +540,9 @@ class Simulation:
         send_cost = self._cost(scheduling_kind, self._send)
         queue_cost = self._cost(relayed_kind, self._recv_queue)
         relay_mix = None if self._mix_cost is None else self._mix_cost[relayed_kind.flow_slot]
-        tx_charged, rx_model, rx_charged = self._charged_tx_j, self._model_rx_j, self._charged_rx_j
-        energy, radio = self.slice_energy, self.radio
-        model_tx, charged_tx = radio.model_tx_j, radio.charged_tx_j
-        model_rx, charged_rx = radio.model_rx_j, radio.charged_rx_j
-        sensed_n = scheduled_n = tx_events = rx_events = delivered = dropped = 0
+        radio = self.radio
+        model_tx = radio.model_tx_j
+        tx_events = rx_events = delivered = dropped = 0
         for _ in range(count):
             ex, ey = rng.uniform(0.0, cfg.area_width), rng.uniform(0.0, cfg.area_height)
             # Tested only after the previous node was handled, so a node an
@@ -566,14 +562,11 @@ class Simulation:
                 add_id(origin)
                 add_code(sensed_code)
                 add_cost(cost)
-                energy += cost
-                sensed_n += 1
                 sensed[origin] = seen + 1
                 if hop is None:   # no route: sensed, not sent
                     dropped += 1
                     continue
                 model_tx += hop_tx_j[origin]
-                charged_tx += tx_charged
                 tx_events += 1
                 if cfg.scheduling:
                     if book(node, scheduling_kind, send_cost, si) is None:
@@ -582,17 +575,13 @@ class Simulation:
                         add_id(origin)
                         add_code(scheduling_code)
                         add_cost(send_cost)
-                        energy += send_cost
-                        scheduled_n += 1
                         model_tx += hop_tx_j[origin]
-                        charged_tx += tx_charged
                         tx_events += 1
                 current = node
                 while hop != SINK_ID:
                     target = nodes[hop]
                     if not target.alive:
                         dropped += 1
-                        target.drops += 1
                         entry = current.neighbor_entry(hop)
                         if entry is not None:
                             entry.known_alive = False
@@ -606,9 +595,6 @@ class Simulation:
                             add_id(hop)
                             add_code(relayed_code)
                             add_cost(queue_cost)
-                            energy += queue_cost
-                            model_rx += rx_model
-                            charged_rx += rx_charged
                             rx_events += 1
                         dropped += 1
                         break
@@ -621,11 +607,7 @@ class Simulation:
                     add_id(hop)
                     add_code(relayed_code)
                     add_cost(cost)
-                    energy += cost
                     model_tx += hop_tx_j[hop]
-                    charged_tx += tx_charged
-                    model_rx += rx_model
-                    charged_rx += rx_charged
                     tx_events += 1
                     rx_events += 1
                     relayed[hop] = depth + 1
@@ -633,15 +615,9 @@ class Simulation:
                 else:   # the walk reached the sink
                     delivered += 1
         self.ledger.book(si, ids, bytes(codes), costs)
-        self.slice_energy = energy
-        radio.model_tx_j, radio.charged_tx_j = model_tx, charged_tx
-        radio.model_rx_j, radio.charged_rx_j = model_rx, charged_rx
+        radio.model_tx_j = model_tx
         radio.tx_events += tx_events
         radio.rx_events += rx_events
-        flows = self._flows
-        flows[sensed_kind.flow_slot] += sensed_n
-        flows[scheduling_kind.flow_slot] += scheduled_n
-        flows[relayed_kind.flow_slot] += rx_events   # each relayed-data booking receives one packet
         self.delivered += delivered
         self.dropped += dropped
 
@@ -702,9 +678,7 @@ class Simulation:
                         self.dropped += 1
                     else:
                         ids.append(node.node_id)
-                        self.slice_energy += cost
             self.ledger.book(self.slice_index, ids, bytes((kind.code,)) * len(ids), [cost] * len(ids))
-            self._flows[kind.flow_slot] += len(ids)
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:
@@ -731,8 +705,7 @@ class Simulation:
                 else:
                     phase = Phase.COLLECTION
 
-                self._flows = [0] * 5
-                self.slice_energy = 0.0
+                start = len(self.ledger)
                 self._sensed_this_slice = [0] * len(self.nodes)
                 self._relayed_this_slice = [0] * len(self.nodes)
 
@@ -758,15 +731,21 @@ class Simulation:
                     if self._repair_triggers or periodic:
                         self._maintenance_left = cfg.maintenance_slices
 
+                flows, energy = self.ledger.totals(start)
                 self.records.append(SliceRecord(
                     index=self.slice_index,
                     delta_t=cfg.delta_t,
                     phase=phase,
-                    flows=ConstituentFlowVector(*map(float, self._flows)),
-                    energy_j=self.slice_energy,
+                    flows=flows,
+                    energy_j=energy,
                     alive_nodes=sum(map(alive, self.nodes)),
                 ))
                 self.slice_index += 1
+        # One send and one receive each carry one packet, priced alike.
+        radio = self.radio
+        radio.charged_tx_j = radio.tx_events * cfg.profile.p_tx
+        radio.model_rx_j = radio.rx_events * (cfg.bits_per_packet * rx_energy_per_bit(cfg.radio))
+        radio.charged_rx_j = radio.rx_events * cfg.profile.p_rx
         return RunResult(
             config=cfg,
             records=self.records,

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from wsnec.config import ScenarioConfig
 from wsnec.energy_core import ResourcePowerProfile, ResourceUsageVector, task_energy
-from wsnec.radio import rx_energy_per_bit
 from wsnec.simulator import (
     SINK_ID,
     USAGE_RECV,
@@ -173,7 +172,6 @@ class _PerHandling(Simulation):
         """Book one handling of ``usage``, priced ``cost`` in the run's table;
         ``tx_j`` is the radio model's joules for the packet it sends, if it
         sends one."""
-        cfg = self.cfg
         if self._mix_cost is not None:
             cost = self._mix_cost[kind.flow_slot]
         booked = charge(node, kind, cost, self.slice_index)
@@ -181,16 +179,11 @@ class _PerHandling(Simulation):
             self.dropped += 1
             return None
         self.ledger.book(self.slice_index, [node.node_id], bytes((kind.code,)), [cost])
-        self.slice_energy += cost
-        self._flows[kind.flow_slot] += 1
         radio = self.radio
         if usage.b_tx:
             radio.model_tx_j += tx_j
-            radio.charged_tx_j += usage.b_tx * cfg.profile.p_tx
             radio.tx_events += usage.b_tx
         if usage.b_rx:
-            radio.model_rx_j += usage.b_rx * cfg.bits_per_packet * rx_energy_per_bit(cfg.radio)
-            radio.charged_rx_j += usage.b_rx * cfg.profile.p_rx
             radio.rx_events += usage.b_rx
         return booked
 
@@ -228,7 +221,6 @@ class _PerHandling(Simulation):
             target = self.nodes[hop]
             if not target.alive:
                 self.dropped += 1
-                target.drops += 1
                 entry = current.neighbor_entry(hop)
                 if entry is not None:
                     entry.known_alive = False
@@ -385,7 +377,7 @@ class _PerPair(_PerHandling):
 
 
 def _node_state(result):
-    return [(n.battery, n.alive, n.drops, n.next_hop,
+    return [(n.battery, n.alive, n.next_hop,
              [(nbr.last_residual, nbr.known_alive) for nbr in n.neighbors])
             for n in result.nodes]
 
@@ -512,7 +504,7 @@ class TestCostTable:
 def test_radio_audit_unchanged_on_depleted_scenario():
     result = Simulation(ScenarioConfig(initial_battery=0.004)).run()
     assert result.radio == RadioAudit(
-        model_tx_j=0.04126919242013264, model_rx_j=0.027699200000000243,
-        charged_tx_j=0.04475999999999964, charged_rx_j=0.02163999999999979,
+        model_tx_j=0.04126919242013264, model_rx_j=0.0276992,
+        charged_tx_j=0.04476, charged_rx_j=0.021640000000000003,
         tx_events=746, rx_events=541)
     assert (result.delivered, result.dropped, len(result.ledger)) == (20, 4720, 1375)

@@ -74,7 +74,7 @@ class TestScenarioConfig:
 
     def test_sweepable_parameter_listing(self):
         assert "event_rate" in SWEEPABLE and "r_sense" in SWEEPABLE
-        assert "nodes" not in SWEEPABLE
+        assert "nodes" not in SWEEPABLE and "g_tx" not in SWEEPABLE
         assert SWEEPABLE["maintenance_period"] and not SWEEPABLE["r_sense"]
 
 
@@ -119,10 +119,11 @@ class TestLoadConfig:
 
     def test_unknown_key_and_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[sim]\nseed = 1\nnodes = 2\nbogus = 3\n\n[nope]\nx = 1\n")
+        path.write_text("[sim]\nseed = 1\nnodes = 2\nbogus = 3\ng_tx = 0.01\n\n[nope]\nx = 1\n")
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert "bogus" in str(exc.value) and "[nope]" in str(exc.value)
+        assert "[sim] unknown key 'g_tx'" in exc.value.violations
 
     def test_boundary_violation_from_file(self, tmp_path):
         path = tmp_path / "bad.ini"

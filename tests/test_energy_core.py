@@ -59,7 +59,8 @@ class TestTaskEnergy:
         for _ in range(100):
             u1 = ResourceUsageVector(*(rng.randrange(0, 30) for _ in range(5)))
             u2 = ResourceUsageVector(*(rng.randrange(0, 30) for _ in range(5)))
-            assert task_energy(u1 + u2, profile) == pytest.approx(
+            both = ResourceUsageVector(*map(sum, zip(u1.as_tuple(), u2.as_tuple())))
+            assert task_energy(both, profile) == pytest.approx(
                 task_energy(u1, profile) + task_energy(u2, profile), rel=1e-12)
 
     def test_homogeneity_in_profile(self):
