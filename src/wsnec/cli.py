@@ -7,8 +7,10 @@ success, 1 on validation errors, 2 on infeasibility or rank errors.
 from __future__ import annotations
 
 import argparse
+import operator
 import random
 import sys
+from functools import reduce
 
 import numpy as np
 
@@ -142,7 +144,8 @@ def cmd_sweep(args) -> int:
         # Integer-valued flows, so the plain sums are exact.
         total = ConstituentFlowVector(*map(sum, zip(*(rec.flows.as_tuple()
                                                      for rec in result.records))))
-        energy = sum(rec.energy_j for rec in result.records)
+        # Added in booking order: ``sum`` compensates from Python 3.12 on.
+        energy = reduce(operator.add, (rec.energy_j for rec in result.records), 0.0)
         rows.append((run_index, total, energy))
     traceio.write_observations(args.output, rows)
     print(f"sweep: {runs} runs, master seed {cfg.seed}")

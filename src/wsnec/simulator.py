@@ -22,24 +22,24 @@ Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends. ``charge`` touches
-the battery only. The ledger keeps four typed columns (slice, node, kind
-code, energy) and hands each row out as a ``ChargeEntry`` when read; each
-booking loop gathers the node ids and costs it books (and their kind codes
-where kinds interleave) in local lists and appends them to the columns once
-per stage or slice. Each run prices its handlings once, with
-``task_energy``, into a table of floats (queued relays by queue depth).
-Neighbor lists and the nodes an event covers are found through a uniform
-cell grid, with cells as wide as the radio or sensing range, instead of
-scanning every node; as nodes never move, the grid sorts the nodes around
-each cell once and keeps them. Identical configurations (same seed) produce
-identical traces, byte for byte once serialized. Alongside the
-profile-based charges the run keeps a per-bit radio-model audit of the same
-tx/rx events as an independent cross-check on radio energy accounting: the
-booking loops count sends and receives and sum the model's tx joules per
-link. No handling sends or receives more than one packet, and the
-first-order radio model prices every received packet alike, so the audit's
-other three sums are event counts times run constants, set when the run
-ends.
+the battery only. The ledger keeps one row group per slice, three typed
+columns each (node, kind code, energy), and hands each row out as a
+``ChargeEntry`` when read; each booking loop gathers the node ids and costs
+it books (and their kind codes where kinds interleave) in local lists and
+appends them to its slice's group once per stage or slice. Each run prices
+its handlings once, with ``task_energy``, into a table of floats (queued
+relays by queue depth). Neighbor lists and the nodes an event covers are
+found through a uniform cell grid, with cells as wide as the radio or
+sensing range, instead of scanning every node; as nodes never move, the grid
+sorts the nodes around each cell once and keeps them. Identical
+configurations (same seed) produce identical traces, byte for byte once
+serialized. Alongside the profile-based charges the run keeps a per-bit
+radio-model audit of the same tx/rx events as an independent cross-check on
+radio energy accounting: the booking loops count sends and receives and sum
+the model's tx joules per link. No handling sends or receives more than one
+packet, and the first-order radio model prices every received packet alike,
+so the audit's other three sums are event counts times run constants, set
+when the run ends.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -164,59 +165,58 @@ class ChargeEntry(NamedTuple):
 class Ledger(Sequence):
     """A run's booked handlings, in booking order, read as ``ChargeEntry``.
 
-    Four typed columns hold them: ``slices`` and ``nodes`` (``'i'``),
-    ``kinds`` (``'b'``, the ``PacketKind.code``) and ``energies`` (``'d'``),
-    under 18 B a row; entries are built when read. Nothing the ledger
-    holds refers back to it, so reference counting alone frees it.
+    ``groups[i]`` holds slice ``i``'s rows as three typed columns, ``nodes``
+    (``'i'``), ``kinds`` (``'b'``, the ``PacketKind.code``) and ``energies``
+    (``'d'``), so no column outgrows one slice. Entries are built when read;
+    indexing builds them all. Nothing the ledger holds refers back to it, so
+    reference counting alone frees it.
     """
 
-    __slots__ = ("slices", "nodes", "kinds", "energies", "__weakref__")
+    __slots__ = ("groups", "__weakref__")
 
     def __init__(self):
-        self.slices, self.nodes = array("i"), array("i")
-        self.kinds, self.energies = array("b"), array("d")
+        self.groups: list[tuple[array, array, array]] = []
 
     def book(self, slice_index: int, node_ids: list[int], kinds: bytes,
              costs: list[float]) -> None:
         """Append handlings booked in one slice, in booking order, in one step;
         ``kinds`` holds their kind codes, one byte each."""
-        self.slices += array("i", (slice_index,)) * len(node_ids)
-        self.nodes.fromlist(node_ids)
-        self.kinds.frombytes(kinds)
-        self.energies.fromlist(costs)
+        while len(self.groups) <= slice_index:
+            self.groups.append((array("i"), array("b"), array("d")))
+        nodes, codes, energies = self.groups[slice_index]
+        nodes.fromlist(node_ids)
+        codes.frombytes(kinds)
+        energies.fromlist(costs)
 
-    def totals(self, start: int) -> tuple[ConstituentFlowVector, float]:
-        """The rows from ``start`` on: their count per constituent, and their
-        joules added one row at a time in booking order (``math.fsum``,
-        ``np.sum`` and, on Python 3.12 and later, ``sum`` round otherwise)."""
-        kinds = self.kinds[start:].tobytes()
+    def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float]:
+        """The slice's rows: their count per constituent, and their joules
+        added one row at a time in booking order (``math.fsum``, ``np.sum``
+        and, on Python 3.12 and later, ``sum`` round otherwise). A slice that
+        booked nothing gets an empty group, so groups line up with slices."""
+        self.book(slice_index, [], b"", [])
+        _, codes, energies = self.groups[slice_index]
+        kinds = codes.tobytes()
         flows = [0.0] * len(CONSTITUENT_ORDER)
         for kind in KIND_BY_CODE:
             flows[kind.flow_slot] += kinds.count(kind.code)
-        # The view over the column dies with the call: an array exporting
-        # its buffer refuses to grow.
-        sums = np.frombuffer(self.energies, offset=8 * start).cumsum()
+        sums = np.frombuffer(energies).cumsum()
         return ConstituentFlowVector(*flows), float(sums[-1]) if len(sums) else 0.0
 
     def __len__(self) -> int:
-        return len(self.energies)
+        return sum(len(energies) for _, _, energies in self.groups)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return ChargeEntry(self.slices[index], self.nodes[index],
-                           KIND_BY_CODE[self.kinds[index]], self.energies[index])
+        return list(self)[index]
 
     def __iter__(self):
-        return map(ChargeEntry, self.slices, self.nodes,
-                   map(KIND_BY_CODE.__getitem__, self.kinds), self.energies)
+        return chain.from_iterable(
+            map(ChargeEntry, repeat(index, len(nodes)), nodes,
+                map(KIND_BY_CODE.__getitem__, kinds), energies)
+            for index, (nodes, kinds, energies) in enumerate(self.groups))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Ledger):
-            return (self.slices, self.nodes, self.kinds, self.energies) == \
-                (other.slices, other.nodes, other.kinds, other.energies)
-        if isinstance(other, list):
-            return list(self) == other
+        if isinstance(other, (Ledger, list)):
+            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None
@@ -261,7 +261,7 @@ class RunResult:
 
     @property
     def ledger_total(self) -> float:
-        return math.fsum(self.ledger.energies)
+        return math.fsum(chain.from_iterable(e for _, _, e in self.ledger.groups))
 
 
 def charge(node: NodeState, kind: PacketKind, cost: float,
@@ -705,7 +705,6 @@ class Simulation:
                 else:
                     phase = Phase.COLLECTION
 
-                start = len(self.ledger)
                 self._sensed_this_slice = [0] * len(self.nodes)
                 self._relayed_this_slice = [0] * len(self.nodes)
 
@@ -731,7 +730,7 @@ class Simulation:
                     if self._repair_triggers or periodic:
                         self._maintenance_left = cfg.maintenance_slices
 
-                flows, energy = self.ledger.totals(start)
+                flows, energy = self.ledger.totals(self.slice_index)
                 self.records.append(SliceRecord(
                     index=self.slice_index,
                     delta_t=cfg.delta_t,

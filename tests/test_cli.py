@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line surface.
 
 Commands are invoked in-process through ``cli.main`` (it returns the exit
-code); one subprocess smoke test covers the installed entry point.
+code); subprocess tests cover ``python -m wsnec.cli`` and ``python -m wsnec``.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +324,16 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "budget" in proc.stdout
+
+
+def test_package_runs_as_a_module(tmp_path):
+    cfg = write_cfg(tmp_path, sample_config())
+    direct, module = tmp_path / "direct.csv", tmp_path / "module.csv"
+    assert cli.main(["simulate", "--config", cfg, "--output", str(direct)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "wsnec", "simulate", "--config", cfg,
+                           "--output", str(module)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert module.read_bytes() == direct.read_bytes()

@@ -7,6 +7,7 @@ on purpose updates the digests here and says why.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -97,6 +98,13 @@ def test_sample_config_sweep_observations_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(out) == SWEEP_8_SEED_1_SHA256
+
+
+def test_sweep_energies_do_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeypatch):
+    # From Python 3.12 on, ``sum`` compensates like ``math.fsum``; the pin
+    # holds only for energies added in booking order.
+    monkeypatch.setattr(cli, "sum", math.fsum, raising=False)
+    test_sample_config_sweep_observations_are_pinned(tmp_path, capsys)
 
 
 def _random_tasks(rng: random.Random) -> list[tuple]:

@@ -3,22 +3,20 @@
 Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
 every handling, and counts its non-``None`` returns as booked handlings, so
 those calls must be the ledger, row for row. The ledger keeps its rows in
-four typed columns, out of reference cycles.
+one group of three typed columns per slice, out of reference cycles.
 """
 
 import gc
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
 from wsnec import simulator
 from wsnec.config import ScenarioConfig
-from wsnec.simulator import ChargeEntry, PacketKind
-
-
-def _columns(ledger):
-    return ledger.slices, ledger.nodes, ledger.kinds, ledger.energies
+from wsnec.energy_core import ConstituentFlowVector
+from wsnec.simulator import ChargeEntry, Ledger, PacketKind
 
 
 @pytest.mark.parametrize("fields", [
@@ -39,7 +37,11 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
     monkeypatch.setattr(simulator, "charge", recording)
     result = simulator.run(ScenarioConfig(**fields))
     assert len(booked) == len(result.ledger) > 0
-    assert list(zip(*_columns(result.ledger))) == booked
+    assert [(e.slice_index, e.node_id, e.kind.code, e.energy) for e in result.ledger] == booked
+    # One row group per slice, as long as the rows booked in that slice.
+    groups, counts = result.ledger.groups, Counter(row[0] for row in booked)
+    assert len(groups) == len(result.records)
+    assert [len(energies) for _, _, energies in groups] == [counts[i] for i in range(len(groups))]
     # Each record's flows are its slice's rows per constituent.
     flows = [[0.0] * 5 for _ in result.records]
     for entry in result.ledger:
@@ -71,12 +73,46 @@ def test_ledger_reads_as_a_sequence_of_entries():
 
 
 @pytest.mark.parametrize("fields", [{}, {"nodes": 200}], ids=["default", "200-nodes"])
-def test_ledger_costs_at_most_20_bytes_a_row(fields):
+def test_ledger_costs_at_most_16_bytes_a_row(fields):
     ledger = simulator.run(ScenarioConfig(**fields)).ledger
-    columns = _columns(ledger)
-    assert [c.typecode for c in columns] == ["i", "i", "b", "d"]
-    assert all(len(c) == len(ledger) for c in columns) and len(ledger) > 10_000
-    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 20
+    columns = [column for group in ledger.groups for column in group]
+    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {("i", "b", "d")}
+    assert all(len(nodes) == len(kinds) == len(energies) for nodes, kinds, energies in ledger.groups)
+    assert len(ledger) > 10_000
+    # The columns hold the rows; each group's 3-tuple adds 64 B a slice (0.4 B
+    # a row on the default run's 80 slices), which this bound leaves out.
+    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 16
+
+
+def test_rows_compare_equal_however_they_were_booked():
+    code = PacketKind.RELAYED_DATA.code
+    stages = {1: [([3, 4], [0.5, 0.25])], 2: [([], [])], 4: [([7], [2.0]), ([8, 9], [1.0, 3.0])]}
+    per_stage, per_row = Ledger(), Ledger()
+    for slice_index, booked in stages.items():
+        for ids, costs in booked:
+            per_stage.book(slice_index, ids, bytes((code,)) * len(ids), costs)
+            for node_id, cost in zip(ids, costs):
+                per_row.book(slice_index, [node_id], bytes((code,)), [cost])
+    per_row.book(6, [], b"", [])   # empty trailing slices
+    assert (len(per_stage.groups), len(per_row.groups)) == (5, 7)
+    rows = [ChargeEntry(1, 3, PacketKind.RELAYED_DATA, 0.5),
+            ChargeEntry(1, 4, PacketKind.RELAYED_DATA, 0.25),
+            ChargeEntry(4, 7, PacketKind.RELAYED_DATA, 2.0),
+            ChargeEntry(4, 8, PacketKind.RELAYED_DATA, 1.0),
+            ChargeEntry(4, 9, PacketKind.RELAYED_DATA, 3.0)]
+    assert per_stage == per_row == rows and len(per_row) == 5
+    assert per_row[2:4] == rows[2:4] and per_row[-1] == rows[-1]
+    per_row.book(6, [1], bytes((code,)), [3.0])
+    assert per_stage != per_row
+
+
+def test_totals_of_a_slice_without_rows():
+    ledger = Ledger()
+    ledger.book(2, [5, 6], bytes((PacketKind.SENSED.code, PacketKind.SCHEDULING.code)), [1.5, 0.25])
+    for slice_index in (0, 1, 3):
+        assert ledger.totals(slice_index) == (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0)
+    assert ledger.totals(2) == (ConstituentFlowVector(1, 1, 0, 0, 0), 1.75)
+    assert len(ledger.groups) == 4 and len(ledger) == 2
 
 
 def test_reference_counting_alone_frees_the_ledger():
