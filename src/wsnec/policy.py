@@ -8,10 +8,11 @@ solver is a Pareto-frontier dynamic program (non-dominated cost/importance
 states per item prefix, Nemhauser & Ullmann 1969) rather than an
 integer-capacity table. The frontier is held as three numpy arrays (cost,
 importance, chosen subset as a uint64 bitmask) and each item extends, merges
-and prunes it in bulk. The frontier can double with every item (it does when
-importance is proportional to cost), so its size is capped: past 64 optional
-tasks, or once one item's candidate states would exceed ``STATE_LIMIT``,
-selection falls back to a density greedy and says so in the report.
+and prunes it in bulk; the last item only picks the winner. The frontier can
+double with every item (it does when importance is proportional to cost), so
+its size is capped: past 64 optional tasks, or once one item's candidate
+states would exceed ``STATE_LIMIT``, selection falls back to a density greedy
+and says so in the report.
 
 The budget inequality is strict: a schedule consuming exactly the battery
 is not feasible.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -97,7 +98,10 @@ def check_constraints(selection: Iterable[TaskDescriptor],
     The budget constraint sums individual + local + global + sink energy
     (environment energy is excluded from it) and is strict.
     """
-    per = per_constituent_energy(selection, coefficients)
+    return _constraints(per_constituent_energy(selection, coefficients), e_battery)
+
+
+def _constraints(per: dict[Constituent, float], e_battery: float) -> dict[str, bool]:
     budget_sum = math.fsum(per[c] for c in (Constituent.INDIVIDUAL, Constituent.LOCAL,
                                             Constituent.GLOBAL, Constituent.SINK))
     return {
@@ -109,9 +113,13 @@ def check_constraints(selection: Iterable[TaskDescriptor],
 
 def per_constituent_energy(selection: Iterable[TaskDescriptor],
                            coefficients: CoefficientVector) -> dict[Constituent, float]:
+    return _per_constituent((t, task_cost(t, coefficients)) for t in selection)
+
+
+def _per_constituent(priced: Iterable[tuple[TaskDescriptor, float]]) -> dict[Constituent, float]:
     per = {c: 0.0 for c in CONSTITUENT_ORDER}
-    for t in selection:
-        per[t.constituent] += task_cost(t, coefficients)
+    for t, cost in priced:
+        per[t.constituent] += cost
     return per
 
 
@@ -133,15 +141,6 @@ class ScheduleResult:
         return tuple(t.task_id for t in self.scheduled)
 
 
-def _density_order(tasks: Sequence[TaskDescriptor],
-                   coefficients: CoefficientVector) -> list[TaskDescriptor]:
-    def key(t: TaskDescriptor):
-        cost = task_cost(t, coefficients)
-        density = math.inf if cost <= 0 else t.importance / cost
-        return (-density, t.task_id)
-    return sorted(tasks, key=key)
-
-
 def _knapsack_exact(costs: list[float], values: list[float], capacity: float) -> int | None:
     """Max-importance subset with total cost strictly below capacity.
 
@@ -152,8 +151,9 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
     values strictly increase and the last one wins (ties: cheapest, then
     lowest ids). Because the old costs increase, the extended costs never
     decrease: the states that still fit are a prefix, and a stable sort on
-    cost merges the two sorted runs. Only an item that makes two costs equal
-    (equal-cost tasks, or sums that round together) needs the full key.
+    cost merges the two sorted runs. Of a run of equal costs only the top
+    value, with the lowest mask holding it, can survive; ``reduceat`` finds
+    it without a second sort. The last item builds no frontier.
     Returns the winning bitmask, or None if one item's candidate states
     would exceed ``STATE_LIMIT``.
     """
@@ -165,17 +165,32 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
         fits = int(nc.searchsorted(capacity))
         if len(fc) + fits > STATE_LIMIT:
             return None
+        if not fits:
+            continue
+        nv = fv[:fits] + value
+        nm = fm[:fits] | np.uint64(1 << i)
+        if i == len(costs) - 1:
+            # nv and nc never decrease, so the cheapest extensions of the top
+            # value start at k. On a full tie the old best's lower mask wins.
+            k = int(nv.searchsorted(nv[-1]))
+            if (-nv[-1], nc[k]) >= (-fv[-1], fc[-1]):
+                return int(fm[-1])
+            return int(nm[k:fits][nc[k:fits] == nc[k]].min())
         c = np.concatenate((fc, nc[:fits]))
-        v = np.concatenate((fv, fv[:fits] + value))
-        m = np.concatenate((fm, fm[:fits] | np.uint64(1 << i)))
         order = c.argsort(kind="stable")
-        sc = c[order]
-        if (sc[1:] == sc[:-1]).any():
-            order = np.lexsort((m, -v, c))
-            sc = c[order]
-        c, v, m = sc, v[order], m[order]
+        c = c[order]
+        v = np.concatenate((fv, nv))[order]
+        m = np.concatenate((fm, nm))[order]
+        del fc, fv, fm, nc, nv, nm  # lowers the peak of a capped solve
+        first = np.concatenate(([True], c[1:] != c[:-1]))
+        if not first.all():
+            starts = first.nonzero()[0]
+            top = np.maximum.reduceat(v, starts)
+            at_top = v == top[first.cumsum() - 1]
+            m = np.minimum.reduceat(np.where(at_top, m, ~np.uint64(0)), starts)
+            c, v = c[starts], top
         keep = v > np.maximum.accumulate(np.concatenate(([-np.inf], v[:-1])))
-        fc, fv, fm = c[keep], v[keep], m[keep]
+        fc, fv, fm = (c, v, m) if keep.all() else (c[keep], v[keep], m[keep])
     return int(fm[-1])
 
 
@@ -198,23 +213,25 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
     importance subject to the strict budget. The schedule is ordered by
     descending importance per joule (ties: lower task id).
     """
-    coeffs, battery = problem.coefficients, problem.e_battery
+    battery = problem.e_battery
+    cost = {t.task_id: task_cost(t, problem.coefficients) for t in problem.tasks}
     mandatory = [t for t in problem.tasks if t.mandatory]
     optional = [t for t in problem.tasks if not t.mandatory]
-    mandatory_cost = math.fsum(task_cost(t, coeffs) for t in mandatory)
+    mandatory_cost = math.fsum(cost[t.task_id] for t in mandatory)
+
+    def density_order(t: TaskDescriptor) -> tuple[float, int]:
+        c = cost[t.task_id]
+        return (-(math.inf if c <= 0 else t.importance / c), t.task_id)
 
     def build(selection: list[TaskDescriptor], feasible: bool, method: str) -> ScheduleResult:
-        per = per_constituent_energy(selection, coeffs)
-        constraints = check_constraints(selection, coeffs, battery)
-        if not problem.enforce_positivity:
-            active = {CONSTRAINT_BUDGET: constraints[CONSTRAINT_BUDGET]}
-        else:
-            active = constraints
-        failed = tuple(name for name, ok in active.items() if not ok)
-        total = math.fsum(task_cost(t, coeffs) for t in selection)
+        per = _per_constituent((t, cost[t.task_id]) for t in selection)
+        constraints = _constraints(per, battery)
+        failed = tuple(name for name, ok in constraints.items()
+                       if not ok and (problem.enforce_positivity or name == CONSTRAINT_BUDGET))
+        total = math.fsum(cost[t.task_id] for t in selection)
         return ScheduleResult(
             feasible=feasible and not failed and total < battery,
-            scheduled=tuple(_density_order(selection, coeffs)),
+            scheduled=tuple(sorted(selection, key=density_order)),
             total_cost=total,
             total_importance=math.fsum(t.importance for t in selection),
             per_constituent=per,
@@ -230,7 +247,7 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
         return build(mandatory, feasible=False, method="exact-dp")
 
     capacity = battery - mandatory_cost
-    costs = [task_cost(t, coeffs) for t in optional]
+    costs = [cost[t.task_id] for t in optional]
     values = [t.importance for t in optional]
     mask = _knapsack_exact(costs, values, capacity) if len(optional) <= EXACT_LIMIT else None
     method = "exact-dp"

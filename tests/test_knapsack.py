@@ -10,7 +10,8 @@ import math
 import random
 import time
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from wsnec.energy_core import CoefficientVector, Constituent
@@ -128,6 +129,118 @@ class TestEquivalence:
         costs, values = [0.25, 0.5, 0.25], [1.0, 3.0, 0.5]
         assert assert_same(costs, values, 0.75) == 0b010
         assert assert_same(costs, values, 1.0) == 0b011
+
+
+def branches(costs, values, capacity) -> set[str]:
+    """The solver branches a list takes, read off the reference DP's frontiers.
+
+    "equal costs": a task before the last merges states of equal cost;
+    "fits nowhere": a task extends no state under capacity; the rest name
+    how the last task's winner is decided against the best old state.
+    """
+    taken = set()
+    frontier = [(0.0, 0.0, 0)]
+    for i, (cost, value) in enumerate(zip(costs, values)):
+        extended = [(c + cost, v + value, mask | (1 << i)) for c, v, mask in frontier
+                    if c + cost < capacity]
+        if not extended:
+            taken.add("fits nowhere")
+        merged = sorted(frontier + extended, key=lambda s: (s[0], -s[1], s[2]))
+        if i < len(costs) - 1 and any(a[0] == b[0] for a, b in zip(merged, merged[1:])):
+            taken.add("equal costs")
+        if i == len(costs) - 1 and extended:
+            old = frontier[-1]
+            top = max(v for _, v, _ in extended)
+            cheapest = min(c for c, v, _ in extended if v == top)
+            if old[1] != top:
+                taken.add("old wins" if old[1] > top else "extension wins")
+            else:
+                taken.add("cheaper wins" if old[0] != cheapest else "lower mask wins")
+        pruned, best_value = [], -math.inf
+        for c, v, mask in merged:
+            if v > best_value:
+                pruned.append((c, v, mask))
+                best_value = v
+        frontier = pruned
+    return taken
+
+
+@st.composite
+def fit_budget_lists(draw):
+    """Lists shaped like the benchmark's budget lists: a few per-packet
+    coefficients times integer packet-flow sizes, importances that often
+    repeat, and a capacity that is a fraction of the total cost."""
+    alphas = draw(st.lists(st.one_of(st.sampled_from([7.0877e-05, 1e-4, 2.5e-4]),
+                                     st.floats(1e-5, 1e-3)), min_size=1, max_size=3))
+    items = draw(st.lists(st.tuples(st.sampled_from(alphas), st.integers(1, 40),
+                                    st.one_of(st.sampled_from([1.0, 2.0, 5.0]),
+                                              st.floats(0.5, 10.0).map(lambda x: round(x, 6)))),
+                          max_size=20))
+    fraction = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    costs = [alpha * pf for alpha, pf, _ in items]
+    return costs, [importance for _, _, importance in items], fraction * sum(costs)
+
+
+class TestMergeAndLastTask:
+    """Equal-cost runs and the last task, each checked against the reference."""
+
+    def test_last_task_old_best_wins(self):
+        assert assert_same([1.0, 1.0], [5.0, 1.0], 1.5) == 0b01
+
+    def test_last_task_extension_wins(self):
+        assert assert_same([1.0, 1.0], [1.0, 5.0], 1.5) == 0b10
+
+    def test_last_task_equal_importance_cheaper_wins(self):
+        assert assert_same([2.0, 1.5], [3.0, 3.0], 2.5) == 0b10
+        assert assert_same([1.5, 2.0], [3.0, 3.0], 2.5) == 0b01
+
+    def test_last_task_equal_importance_and_cost_lower_mask_wins(self):
+        assert assert_same([1.0, 1.0], [2.0, 2.0], 1.5) == 0b01
+
+    def test_last_task_extensions_tied_after_rounding(self):
+        # {2} (0.3, 2.9999999999999996) and {0, 1} (0.30000000000000004, 3.0)
+        # are both on the frontier, in that cost order; with the last task
+        # both round to (1.3, 8.0), and {0, 1, 3} wins as the lower mask.
+        costs, values = [0.1, 0.2, 0.3, 1.0], [1.0, 2.0, 2.9999999999999996, 5.0]
+        assert branches(costs, values, 1.35) == {"extension wins"}
+        assert assert_same(costs, values, 1.35) == 0b1011
+        # {0} (0.1, 1.0) and {0, 1} (0.2, 1.0000000000000002) extend to the
+        # same importance as {2} alone: the cheapest extension, {2}, wins.
+        costs, values = [0.1, 0.1, 1.0], [1.0, 2.220446049250313e-16, 1e17]
+        assert assert_same(costs, values, 2.0) == 0b100
+        # {1} (0.1, 1e5) and {0} (0.2, 100000.00000000001) extend to the same
+        # importance; the cheaper {1, 2} wins over the lower mask {0, 2}.
+        costs, values = [0.2, 0.1, 1.0], [100000.00000000001, 1e5, 1e17]
+        assert assert_same(costs, values, 1.25) == 0b110
+
+    def test_last_task_fits_nowhere(self):
+        assert assert_same([1.0, 5.0], [1.0, 9.0], 2.0) == 0b01
+        assert assert_same([3.0], [1.0], 2.0) == 0
+
+    def test_task_that_fits_nowhere_keeps_the_frontier(self):
+        assert assert_same([1.0, 5.0, 0.5], [1.0, 9.0, 2.0], 2.0) == 0b101
+
+    def test_equal_cost_run_of_three_keeps_the_lowest_mask(self):
+        # At task 3 the extensions of {2}, {0, 2} and {0, 1} all round to
+        # cost 1.0 and importance 1e17. In cost order their masks are 0b1100,
+        # 0b1101 and 0b1011, so the lowest is the last of the run.
+        costs = [1e-17, 3e-17, 0.0, 1.0, 1e-17]
+        values = [1.0, 1.0, 2.220446049250313e-16, 1e17, 1.0]
+        assert "equal costs" in branches(costs, values, 10.0)
+        assert assert_same(costs, values, 10.0) == 0b1011
+
+    @settings(max_examples=300, deadline=None)
+    @given(fit_budget_lists())
+    def test_matches_reference_on_fit_budget_lists(self, case):
+        assert_same(*case)
+
+    @pytest.mark.parametrize("branch", ["equal costs", "fits nowhere", "old wins",
+                                        "extension wins", "cheaper wins", "lower mask wins"])
+    def test_every_branch_fires_on_fit_budget_lists(self, branch):
+        case = find(fit_budget_lists(), lambda case: branch in branches(*case),
+                    settings=settings(max_examples=2000, database=None, derandomize=True,
+                                      phases=[Phase.generate]))
+        assert_same(*case)
 
 
 class TestStateLimit:
