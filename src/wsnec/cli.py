@@ -1,7 +1,7 @@
 """Command-line surface: simulate, fit, sweep, budget.
 
 Every command is deterministic given its inputs and seed; exit code 0 on
-success, 1 on validation errors, 2 on infeasibility or rank errors.
+success, 1 on validation and usage errors, 2 on infeasibility or rank errors.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ def _parse_mask(text: str) -> tuple[bool, ...]:
             raise ValueError(f"unknown constituent {name!r} in mask "
                              f"(choose from {', '.join(_MASK_NAMES)})")
         mask[_MASK_NAMES[name]] = True
-    if not any(mask):
-        raise ValueError("mask selects no constituents")
     return tuple(mask)
 
 
@@ -76,10 +74,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    bound(np.isfinite(args.delta_t) and args.delta_t > 0, "delta_t > 0", args.delta_t)
     bound(0 < args.fit_fraction <= 1, "0 < fit_fraction <= 1", args.fit_fraction)
+    bound(args.window is None or args.fit_fraction == 1, "fit_fraction = 1 with --window", args.fit_fraction)
     mask = _parse_mask(args.mask)
-    records = traceio.read_trace(args.input, delta_t=args.delta_t)
+    records = traceio.read_trace(args.input)
     obs = traceio.observations_from_slices(records, mask)
 
     if args.window is not None:
@@ -93,9 +91,7 @@ def cmd_fit(args) -> int:
             coeffs = wf.result.coefficients
             alpha_active = np.array([a for a, act in zip(coeffs.alpha, coeffs.active) if act])
             pred = float((obs.flows[target:target + 1] @ alpha_active)[0])
-            energy = float(obs.energy[target])
-            idx = obs.slices[target] if obs.slices else target
-            predictions.append((idx, energy, pred))
+            predictions.append((obs.slices[target], float(obs.energy[target]), pred))
         print(f"windows fitted: {len(rolling.fits)}  skipped: {len(rolling.skipped)}")
         errors = _score(predictions)
         traceio.write_rolling_report(args.output, rolling, predictions, errors)
@@ -108,9 +104,8 @@ def cmd_fit(args) -> int:
     fit = estimation.fit_ls(obs.rows(0, split))
     scored = obs if args.fit_fraction >= 1.0 else obs.rows(split, obs.n_obs)
     predicted = estimation.predict_rows(fit.coefficients, scored)
-    indices = scored.slices if scored.slices else tuple(range(scored.n_obs))
     predictions = [(idx, float(o), float(p))
-                   for idx, o, p in zip(indices, scored.energy, predicted)]
+                   for idx, o, p in zip(scored.slices, scored.energy, predicted)]
     dominant = _dominant(fit, obs)
     print(f"fit on {split} slices, scored {scored.n_obs}")
     errors = _score(predictions)
@@ -173,8 +168,16 @@ def _seed_override(args) -> dict | None:
     return {"seed": args.seed} if args.seed is not None else None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on usage errors, as on other validation errors; subcommands share it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wsnec",
         description="Constituent-based energy accounting for sensor networks: "
                     "simulate traces, fit the linear energy model, sweep scenarios, "
@@ -194,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="active constituents, comma-separated")
     p.add_argument("--window", type=int, help="rolling-refit window length (slices)")
     p.add_argument("--fit-fraction", type=float, default=1.0,
-                   help="fit on this leading fraction of slices, score the rest")
-    p.add_argument("--delta-t", type=float, default=1.0, help="slice duration of the trace")
+                   help="without --window: fit on this leading fraction, score the rest")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sweep", help="run seeded scenario batches over parameter ranges")

@@ -147,6 +147,9 @@ def sweep_violations(sweep: SweepConfig) -> list[str]:
             out.append(f"sweep range for {name} must be low:high with low <= high "
                        f"(got {low!r}:{high!r})")
             continue
+        if SWEEPABLE[name] and not (float(low).is_integer() and float(high).is_integer()):
+            out.append(f"sweep range {low!r}:{high!r} for integer {name} needs whole-number ends")
+            continue
         boundary, ok = _BOUNDS[name]
         if not (ok(low) and ok(high)):
             out.append(f"sweep range {low!r}:{high!r} for {name} violates "

@@ -56,13 +56,12 @@ def _mask_tuple(active) -> tuple[bool, bool, bool, bool, bool]:
 
 @dataclass
 class ObservationSet:
-    """M observations of active-constituent flows and slice energies."""
+    """M observations of active-constituent flows and energies, optionally slice- or run-labelled."""
 
     flows: np.ndarray                 # (M, N) packet counts, N = active constituents
     energy: np.ndarray                # (M,) joules
     active: tuple[bool, ...] = (True,) * 5
     slices: tuple[int, ...] | None = None
-    phases: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.flows = np.asarray(self.flows, dtype=float)
@@ -79,10 +78,8 @@ class ObservationSet:
             raise ValueError("observations must be finite")
         if np.any(self.flows < 0):
             raise ValueError("packet flows must be nonnegative")
-        for name in ("slices", "phases"):
-            val = getattr(self, name)
-            if val is not None and len(val) != self.flows.shape[0]:
-                raise ValueError(f"{name} annotation length must match observation count")
+        if self.slices is not None and len(self.slices) != self.flows.shape[0]:
+            raise ValueError("slices annotation length must match observation count")
 
     @property
     def n_obs(self) -> int:
@@ -95,21 +92,19 @@ class ObservationSet:
     @classmethod
     def from_flow_vectors(cls, flow_vectors: Sequence[ConstituentFlowVector],
                           energies: Sequence[float], active=(True,) * 5,
-                          slices=None, phases=None) -> "ObservationSet":
+                          slices=None) -> "ObservationSet":
         active = _mask_tuple(active)
         cols = [i for i, a in enumerate(active) if a]
         flows = np.array([[fv.as_tuple()[i] for i in cols] for fv in flow_vectors], dtype=float)
         if flows.size == 0:
             flows = flows.reshape(0, len(cols))
         return cls(flows, np.asarray(list(energies), dtype=float), active,
-                   None if slices is None else tuple(slices),
-                   None if phases is None else tuple(phases))
+                   None if slices is None else tuple(slices))
 
     def rows(self, start: int, stop: int) -> "ObservationSet":
         return ObservationSet(
             self.flows[start:stop], self.energy[start:stop], self.active,
-            None if self.slices is None else self.slices[start:stop],
-            None if self.phases is None else self.phases[start:stop])
+            None if self.slices is None else self.slices[start:stop])
 
 
 @dataclass
@@ -118,7 +113,7 @@ class FitResult:
     residuals: np.ndarray
     condition: float
     n_obs: int
-    stderr: tuple[float, ...] = ()   # per active constituent, classical OLS proxy
+    stderr: tuple[float, ...]   # per active constituent, classical OLS proxy
 
 
 def fit_ls(obs: ObservationSet, *, warn_small: bool = True) -> FitResult:
@@ -218,7 +213,6 @@ class WindowFit:
 
 @dataclass
 class RollingFit:
-    window: int
     fits: list[WindowFit] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)   # (start, reason)
 
@@ -237,7 +231,7 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
         raise ValueError(f"window must exceed the number of constituents ({n})")
     if window > obs.n_obs:
         raise ValueError(f"window {window} larger than observation count {obs.n_obs}")
-    out = RollingFit(window)
+    out = RollingFit()
     flows = sliding_window_view(obs.flows, window, axis=0).transpose(0, 2, 1)
     energy = sliding_window_view(obs.energy, window)
     block = max(1, WINDOW_BLOCK_VALUES // (window * n))

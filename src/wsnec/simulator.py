@@ -225,7 +225,6 @@ class Ledger(Sequence):
 @dataclass(frozen=True)
 class SliceRecord:
     index: int
-    delta_t: float
     phase: Phase
     flows: ConstituentFlowVector
     energy_j: float
@@ -246,7 +245,6 @@ class RadioAudit:
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
     records: list[SliceRecord]
     nodes: list[NodeState]
     ledger: Ledger
@@ -733,7 +731,6 @@ class Simulation:
                 flows, energy = self.ledger.totals(self.slice_index)
                 self.records.append(SliceRecord(
                     index=self.slice_index,
-                    delta_t=cfg.delta_t,
                     phase=phase,
                     flows=flows,
                     energy_j=energy,
@@ -746,7 +743,6 @@ class Simulation:
         radio.model_rx_j = radio.rx_events * (cfg.bits_per_packet * rx_energy_per_bit(cfg.radio))
         radio.charged_rx_j = radio.rx_events * cfg.profile.p_rx
         return RunResult(
-            config=cfg,
             records=self.records,
             nodes=self.nodes,
             ledger=self.ledger,

@@ -10,7 +10,6 @@ its own header row.
 from __future__ import annotations
 
 import configparser
-import math
 from typing import Sequence
 
 from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector
@@ -73,12 +72,8 @@ def write_trace(path: str, records: Sequence[SliceRecord]) -> None:
     _write_lines(path, lines)
 
 
-def read_trace(path: str, delta_t: float = 1.0) -> list[SliceRecord]:
-    """Read a trace file back into slice records.
-
-    The slice duration is scenario configuration, not trace data, so the
-    caller supplies it (it defaults to the default scenario's 1 s).
-    """
+def read_trace(path: str) -> list[SliceRecord]:
+    """Read a trace file back into slice records."""
     records = []
     previous = None
     for ln in _read_lines(path, TRACE_HEADER, "trace"):
@@ -93,7 +88,7 @@ def read_trace(path: str, delta_t: float = 1.0) -> list[SliceRecord]:
         if phase is None:
             raise ValueError(f"unknown phase {parts[1]!r}")
         records.append(SliceRecord(
-            index=index, delta_t=delta_t, phase=phase,
+            index=index, phase=phase,
             flows=ConstituentFlowVector(*(float(p) for p in parts[2:7])),
             energy_j=float(parts[7]), alive_nodes=int(parts[8])))
     return records
@@ -103,7 +98,7 @@ def observations_from_slices(records: Sequence[SliceRecord],
                              active=(True, True, True, False, False)) -> ObservationSet:
     return ObservationSet.from_flow_vectors(
         [r.flows for r in records], [r.energy_j for r in records], active,
-        slices=[r.index for r in records], phases=[r.phase.value for r in records])
+        slices=[r.index for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +146,8 @@ def write_report(path: str, fit: FitResult,
                  errors: ErrorReport, dominant: Constituent) -> None:
     """Single-fit report: coefficients, per-slice predictions, summary."""
     lines = ["constituent,alpha,stderr_proxy"]
-    stderr = list(fit.stderr)
-    i = 0
-    for c, is_active in zip(CONSTITUENT_ORDER, fit.coefficients.active):
-        if not is_active:
-            continue
-        se = stderr[i] if i < len(stderr) else math.nan
+    for c, se in zip(fit.coefficients.active_constituents(), fit.stderr):
         lines.append(f"{c.value},{_fmt(fit.coefficients.get(c))},{_fmt(se)}")
-        i += 1
     _write_lines(path, lines + _prediction_lines(predictions, errors, "dominant_constituent",
                                                  dominant.value))
 

@@ -5,6 +5,7 @@ code); subprocess tests cover ``python -m wsnec.cli`` and ``python -m wsnec``.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,7 +90,7 @@ class TestFit:
         for i in range(40):
             flows = ConstituentFlowVector(*rng.uniform(1, 50, size=3), 0.0, 0.0)
             energy = float(np.dot(alpha, flows.as_tuple()[:3]))
-            records.append(SliceRecord(i, 1.0, Phase.COLLECTION, flows, energy, 5))
+            records.append(SliceRecord(i, Phase.COLLECTION, flows, energy, 5))
         path = tmp_path / "exact.csv"
         write_trace(str(path), records)
         return str(path)
@@ -138,10 +139,6 @@ class TestFit:
                          str(tmp_path / "r.csv"), "--mask", "bogus"]) == 1
 
     @pytest.mark.parametrize("flag, value, boundary", [
-        ("--delta-t", "-1", "delta_t > 0"),
-        ("--delta-t", "0", "delta_t > 0"),
-        ("--delta-t", "inf", "delta_t > 0"),
-        ("--delta-t", "nan", "delta_t > 0"),
         ("--fit-fraction", "1.5", "0 < fit_fraction <= 1"),
         ("--fit-fraction", "0", "0 < fit_fraction <= 1"),
         ("--fit-fraction", "-1", "0 < fit_fraction <= 1"),
@@ -153,6 +150,14 @@ class TestFit:
         report = tmp_path / "report.csv"
         assert cli.main(["fit", "--input", trace, "--output", str(report), flag, value]) == 1
         assert f"parameter boundary {boundary} violated" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_fit_fraction_with_window_rejected(self, tmp_path, capsys):
+        trace = self._exact_trace(tmp_path)
+        report = tmp_path / "report.csv"
+        assert cli.main(["fit", "--input", trace, "--output", str(report),
+                         "--window", "20", "--fit-fraction", "0.3"]) == 1
+        assert "parameter boundary fit_fraction = 1 with --window violated" in capsys.readouterr().err
         assert not report.exists()
 
     def test_rolling_report_skips_zero_energy_targets(self, tmp_path, capsys):
@@ -236,6 +241,13 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--output", str(b), "--runs", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fractional_integer_range_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\nruns = 3\nmonitor_period = 2.5:2.7\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", cfg, "--output", str(out)]) == 1
+        assert "integer monitor_period needs whole-number ends" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_range_violating_boundary_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\nruns = 2\nr_sense = 0.0:5.0\n")
         assert cli.main(["sweep", "--config", cfg, "--output",
@@ -317,6 +329,41 @@ class TestBudget:
                          "--battery", "10.0", "--output", out])
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "t.csv", "--output", "r.csv", "--window", "abc"],
+    ["fit", "--input", "t.csv", "--output", "r.csv", "--bogus", "1"],
+    ["fit", "--input", "t.csv", "--output", "r.csv", "--delta-t", "1"],
+    ["simulate", "--output", "t.csv"],
+], ids=["bad-int", "unknown-flag", "removed-delta-t", "missing-config"])
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_flags_exist(capsys):
+    # Every --flag in README's CLI block is a flag of the command it documents;
+    # a comment line documents the command below it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    flags = {}
+    for command in ("simulate", "fit", "sweep", "budget"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        flags[command] = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    documented, command = [], None
+    for line in reversed(block.splitlines()):
+        if line.startswith("wsnec "):
+            command = line.split()[1]
+        documented += [(command, flag) for flag in re.findall(r"--[a-z][a-z-]*", line)]
+    assert documented
+    assert [(c, f) for c, f in documented if f not in flags.get(c, ())] == []
 
 
 def test_console_entry_point_runs():

@@ -66,6 +66,13 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="low <= high"):
             ScenarioConfig(sweep=SweepConfig(ranges={"r_sense": (5.0, 1.0)}))
         ScenarioConfig(sweep=SweepConfig(ranges={"r_sense": (1.0, 5.0)}))
+        # Integer parameters are drawn with randint(int(low), int(high)), which
+        # would put every run outside a range with a fractional end.
+        for name, ends in (("warmup_packets", (0.5, 0.9)), ("monitor_period", (2.5, 2.7)),
+                           ("maintenance_period", (4.0, 16.5))):
+            with pytest.raises(ConfigError, match=f"integer {name} needs whole-number ends"):
+                ScenarioConfig(sweep=SweepConfig(ranges={name: ends}))
+        ScenarioConfig(sweep=SweepConfig(ranges={"maintenance_period": (4.0, 16.0)}))
 
     def test_with_overrides_revalidates(self):
         cfg = ScenarioConfig()
@@ -155,6 +162,12 @@ class TestLoadConfig:
             load_config(str(path))
         assert exc.value.violations == ["unknown section [flows.probabilities]"]
 
+    def test_fractional_integer_sweep_range_from_file(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[sim]\nseed = 1\nnodes = 2\n\n[sweep]\nwarmup_packets = 0.5:0.9\n")
+        with pytest.raises(ConfigError, match="integer warmup_packets needs whole-number ends"):
+            load_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/thing.ini")
@@ -165,7 +178,7 @@ class TestTraceRoundTrip:
         result = run(dataclasses.replace(ScenarioConfig(), total_slices=12))
         path = tmp_path / "trace.csv"
         write_trace(str(path), result.records)
-        loaded = read_trace(str(path), delta_t=1.0)
+        loaded = read_trace(str(path))
         assert loaded == result.records
 
     def test_header_enforced(self, tmp_path):
@@ -265,10 +278,9 @@ class TestTasksAndSchedule:
 
 def test_observations_from_slices_masks_and_annotates():
     records = [
-        SliceRecord(0, 1.0, Phase.COLLECTION, ConstituentFlowVector(1, 2, 3, 0, 0), 0.5, 9),
-        SliceRecord(1, 1.0, Phase.MAINTENANCE, ConstituentFlowVector(4, 5, 6, 0, 0), 0.7, 9),
+        SliceRecord(0, Phase.COLLECTION, ConstituentFlowVector(1, 2, 3, 0, 0), 0.5, 9),
+        SliceRecord(1, Phase.MAINTENANCE, ConstituentFlowVector(4, 5, 6, 0, 0), 0.7, 9),
     ]
     obs = observations_from_slices(records)
     assert obs.flows.shape == (2, 3)
-    assert obs.phases == ("collection", "maintenance")
     assert obs.slices == (0, 1)
