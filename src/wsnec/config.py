@@ -124,6 +124,8 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
         value = getattr(cfg, name)
         if not (math.isfinite(float(value)) and ok(value)):
             out.append(f"parameter boundary {boundary} violated (got {value!r})")
+    if not cfg.seed >= 0:   # random.Random seeds with |seed|
+        out.append(f"parameter boundary seed >= 0 violated (got {cfg.seed!r})")
     if not (0 <= cfg.sink_x <= cfg.area_width and 0 <= cfg.sink_y <= cfg.area_height):
         out.append(f"sink ({cfg.sink_x!r}, {cfg.sink_y!r}) outside area "
                    f"[0, {cfg.area_width!r}] x [0, {cfg.area_height!r}]")

@@ -13,10 +13,10 @@ whenever a next-hop death is detected by a probe timeout or the periodic
 repair interval elapses. Maintenance performs the collection work plus a
 network-wide (or hop-limited) topology probe and routing announcement
 flood, which is what makes those slices expensive. Probes and floods are
-exchange stages: each (sender, neighbor) pair costs the sender a send and,
-if sent, the neighbor a receive. One loop books each exchange stage, and one
-a slice's events (sense, schedule and the relay walk), each with its prices
-bound once; the loops only book.
+exchange stages: each sender, read with its neighbor entries, costs itself a
+send per entry and, if sent, that neighbor a receive. One loop books each
+exchange stage, and one a slice's events (sense, schedule and the relay
+walk), each with its prices bound once; the loops only book.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
@@ -24,22 +24,22 @@ totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends. ``charge`` touches
 the battery only. The ledger keeps one row group per slice, three typed
 columns each (node, kind code, energy), and hands each row out as a
-``ChargeEntry`` when read; each booking loop gathers the node ids and costs
-it books (and their kind codes where kinds interleave) in local lists and
-appends them to its slice's group once per stage or slice. Each run prices
-its handlings once, with ``task_energy``, into a table of floats (queued
-relays by queue depth). Neighbor lists and the nodes an event covers are
-found through a uniform cell grid, with cells as wide as the radio or
-sensing range, instead of scanning every node; as nodes never move, the grid
-sorts the nodes around each cell once and keeps them. Identical
-configurations (same seed) produce identical traces, byte for byte once
-serialized. Alongside the profile-based charges the run keeps a per-bit
-radio-model audit of the same tx/rx events as an independent cross-check on
-radio energy accounting: the booking loops count sends and receives and sum
-the model's tx joules per link. No handling sends or receives more than one
-packet, and the first-order radio model prices every received packet alike,
-so the audit's other three sums are event counts times run constants, set
-when the run ends.
+``ChargeEntry`` when read; each booking loop gathers the node ids it books
+(the event loop also their kind codes and costs) in local lists and appends
+them to its slice's group once per stage or slice. A stage's prices follow
+from its row count and refused receives. Each run prices its handlings once,
+with ``task_energy``, into a table of floats (queued relays by queue depth).
+Neighbor lists and the nodes an event covers are found through a uniform
+cell grid, with cells as wide as the radio or sensing range, instead of
+scanning every node; as nodes never move, the grid sorts the nodes around
+each cell once and keeps them. Identical configurations (same seed) produce
+identical traces, byte for byte once serialized. Alongside the profile-based
+charges the run keeps a per-bit radio-model audit of the same tx/rx events
+as an independent cross-check on radio energy accounting: the booking loops
+count sends and receives and sum the model's tx joules per link. No handling
+sends or receives more than one packet, and the first-order radio model
+prices every received packet alike, so the audit's other three sums are
+event counts times run constants, set when the run ends.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ USAGE_RECV = ResourceUsageVector(b_cpu=1, b_rx=1)
 USAGE_RECV_QUEUE = ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Neighbor:
     node_id: int
     distance: float
@@ -129,7 +129,7 @@ class Neighbor:
     tx_j: float = 0.0   # radio-model joules to send one packet over this link
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     node_id: int
     x: float
@@ -282,13 +282,15 @@ def charge(node: NodeState, kind: PacketKind, cost: float,
 
 
 def _links(senders: list[NodeState]):
-    """Lazy (sender, ``Neighbor``) pairs of each sender still alive at its turn."""
-    return ((node, nbr) for node in senders if node.alive for nbr in node.neighbors)
+    """Each sender with all of its ``Neighbor`` entries, lazily."""
+    return ((node, node.neighbors) for node in senders)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
         return 0
+    if lam > 500:   # exp(-lam) underflows near 745; the halves' counts add
+        return _poisson(rng, lam / 2) + _poisson(rng, lam / 2)
     limit = math.exp(-lam)
     k, p = 0, 1.0
     while True:
@@ -470,50 +472,56 @@ class Simulation:
                 joules = node.neighbor_entry(hop).tx_j
             self._hop_tx_j[node.node_id] = joules
 
-    def _exchanges(self, pairs, kind: PacketKind, probe: bool) -> None:
-        """Book one exchange stage over lazy (sender, ``Neighbor``) pairs. A
-        probe keeps the residual of a neighbor that answers; a silent one is
-        marked not known-alive, and a silent next hop schedules a repair."""
+    def _exchanges(self, stage, kind: PacketKind, probe: bool) -> None:
+        """Book one exchange stage over lazy (sender, ``Neighbor`` entries)
+        items, skipping a sender dead at its turn. A probe keeps the residual
+        of a neighbor that answers; a silent one is marked not known-alive, and
+        a silent next hop schedules a repair. Refused receives are priced out."""
         book, si, nodes = charge, self.slice_index, self.nodes
         send_cost, recv_cost = self._cost(kind, self._send), self._cost(kind, self._recv)
-        ids, costs = [], []
-        add_id, add_cost = ids.append, costs.append
+        ids, refused = [], []
+        add_id = ids.append
         triggers, radio = self._repair_triggers, self.radio
         model_tx = radio.model_tx_j
-        answered = unsent = unanswered = 0
-        for node, nbr in pairs:
-            if book(node, kind, send_cost, si) is None:
-                unsent += 1
+        unsent = 0
+        for node, entries in stage:
+            if not node.alive:
                 continue
-            add_id(node.node_id)
-            add_cost(send_cost)
-            model_tx += nbr.tx_j
-            target = nodes[nbr.node_id]
-            if book(target, kind, recv_cost, si) is None:
-                unanswered += 1
+            for nbr in entries:
+                if book(node, kind, send_cost, si) is None:
+                    unsent += 1
+                    continue
+                add_id(node.node_id)
+                model_tx += nbr.tx_j
+                target = nodes[nbr.node_id]
+                if book(target, kind, recv_cost, si) is None:
+                    refused.append(len(ids) + len(refused))   # its slot had none been refused
+                    if probe:
+                        nbr.known_alive = False
+                        if node.next_hop == nbr.node_id:
+                            triggers.append(node.node_id)
+                    continue
+                add_id(nbr.node_id)
                 if probe:
-                    nbr.known_alive = False
-                    if node.next_hop == nbr.node_id:
-                        triggers.append(node.node_id)
-                continue
-            add_id(nbr.node_id)
-            add_cost(recv_cost)
-            answered += 1
-            if probe:
-                nbr.last_residual = target.battery
-                nbr.known_alive = True
+                    nbr.last_residual = target.battery
+                    nbr.known_alive = True
+        sent = (len(ids) + len(refused)) // 2
+        costs = [send_cost, recv_cost] * sent
+        if refused:
+            cuts = [-1, *refused, len(costs)]
+            costs = [cost for a, b in zip(cuts, cuts[1:]) for cost in costs[a + 1:b]]
         self.ledger.book(si, ids, bytes((kind.code,)) * len(ids), costs)
         radio.model_tx_j = model_tx
-        radio.tx_events += answered + unanswered
-        radio.rx_events += answered
-        self.dropped += unsent + unanswered
+        radio.tx_events += sent
+        radio.rx_events += sent - len(refused)
+        self.dropped += unsent + len(refused)
 
     def _monitoring(self, full_refresh: bool) -> None:
         # Every neighbor, or each next hop; the sink and no route have no entry.
-        pairs = _links(self.nodes) if full_refresh else (
-            (node, nbr) for node in self.nodes if node.alive
+        stage = _links(self.nodes) if full_refresh else (
+            (node, (nbr,)) for node in self.nodes
             for nbr in (node.neighbor_entry(node.next_hop),) if nbr is not None)
-        self._exchanges(pairs, PacketKind.NEIGHBOR_INFO, probe=True)
+        self._exchanges(stage, PacketKind.NEIGHBOR_INFO, probe=True)
 
     # -- sensing and relaying ------------------------------------------------
 

@@ -15,7 +15,7 @@ import pytest
 
 from wsnec import cli
 from wsnec.config import ScenarioConfig, sample_config
-from wsnec.energy_core import Constituent
+from wsnec.energy_core import Constituent, constituent_alpha
 from wsnec.traceio import (
     read_coefficients,
     read_observations,
@@ -75,6 +75,13 @@ class TestSimulate:
         assert "unknown section [flows.probabilities]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out), "--seed", "-5"]) == 1
+        assert "parameter boundary seed >= 0 violated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -114,6 +121,20 @@ class TestFit:
                          "--fit-fraction", "0.7"]) == 0
         assert "dominant constituent: global" in capsys.readouterr().out
         assert "global" in report.read_text().rstrip().splitlines()[-1]
+
+    def test_mix_charging_fit_recovers_the_mix_prices(self, tmp_path):
+        # Under mix charging every handling costs its constituent's price,
+        # so each slice's energy is exactly linear in its flows.
+        cfg = write_cfg(tmp_path, sample_config().replace("mix_charging = false",
+                                                          "mix_charging = true"))
+        trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(trace)]) == 0
+        assert cli.main(["fit", "--input", str(trace), "--output", str(report)]) == 0
+        scenario, coeffs = ScenarioConfig(), read_coefficients(str(report))
+        assert len(coeffs.active_constituents()) == 3
+        for c in coeffs.active_constituents():
+            price = constituent_alpha(scenario.mix.row(c), scenario.profile)
+            assert coeffs.get(c) == pytest.approx(price, rel=1e-12, abs=0)
 
     def test_rank_error_names_columns_exit_2(self, tmp_path, capsys):
         trace = self._exact_trace(tmp_path)

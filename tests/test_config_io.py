@@ -118,6 +118,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="seed"):
             load_config(str(path))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # random.Random seeds with |seed|, so -5 would replay seed 5.
+        path = tmp_path / "seed.ini"
+        path.write_text("[sim]\nseed = -5\nnodes = 4\n")
+        with pytest.raises(ConfigError, match=r"seed >= 0 violated \(got -5\)"):
+            load_config(str(path))
+        path.write_text(f"[sim]\nseed = {10 ** 400}\nnodes = 4\n")
+        assert load_config(str(path)).seed == 10 ** 400   # never made a float
+
     def test_seed_override_satisfies_requirement(self, tmp_path):
         path = tmp_path / "noseed.ini"
         path.write_text("[sim]\nnodes = 4\n")

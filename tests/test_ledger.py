@@ -116,13 +116,21 @@ def test_totals_of_a_slice_without_rows():
 
 
 def test_reference_counting_alone_frees_the_ledger():
-    enabled = gc.isenabled()
+    enabled, debug = gc.isenabled(), gc.get_debug()
     gc.disable()
     try:
+        gc.collect()   # garbage left by earlier tests would be saved below
         result = simulator.run(ScenarioConfig(total_slices=10))
         ref = weakref.ref(result.ledger)
         del result
         assert ref() is None
+        # Nor does the node graph form a cycle: the collector finds none of it.
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert sum(isinstance(obj, (simulator.NodeState, simulator.Neighbor))
+                   for obj in gc.garbage) == 0
     finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
         if enabled:
             gc.enable()

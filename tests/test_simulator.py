@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+import statistics
 
 import pytest
 
@@ -19,6 +21,7 @@ from wsnec.simulator import (
     NodeState,
     PacketKind,
     Phase,
+    _poisson,
     build_topology,
     charge,
     run,
@@ -288,6 +291,14 @@ class TestRun:
                  for c in CONSTITUENT_ORDER}
         for entry in result.ledger:
             assert entry.energy == pytest.approx(costs[entry.constituent], rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1000.0, 3000.0])
+def test_poisson_mean_holds_past_the_underflow_of_exp(lam):
+    # exp(-lam) underflows near lam = 745, where single draws saturated.
+    rng = random.Random(17)
+    draws = [_poisson(rng, lam) for _ in range(2000)]
+    assert abs(statistics.fmean(draws) - lam) < 4 * math.sqrt(lam / 2000)
 
 
 class TestRadioAudit:
