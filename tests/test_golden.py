@@ -1,5 +1,5 @@
-"""Golden outputs: byte-for-byte pins of traces, ledgers, a sample sweep, fit
-reports, a rolling fit and schedules.
+"""Golden outputs: byte-for-byte pins of traces, ledgers, phase sequences, a
+sample sweep, fit reports, a rolling fit and schedules.
 
 A change to the simulator that is meant to keep behaviour (a refactor or a
 speed-up) must leave both digests as they are. A change that alters traces
@@ -62,6 +62,28 @@ FIT_REPORT_PINS = {
 # (tests/test_cli.py).
 DEPLETED_ROLLING_8 = (43, 30, "344d73a8999e24cf34bf4fb6695947d5537516b2dcdac619a8d1aa9b3ffe6fbe")
 
+# SHA-256 of each run's per-slice phase string (I, C or M per slice) where
+# the pins above do not reach the run loop: short initializations, a repair
+# after every collection slice, repairs triggered only by probe timeouts,
+# 2-hop repairs and a 3-slice repair period on another seed.
+PHASE_PINS = {
+    "init-0": ({"init_slices": 0},
+               "a55620ef7dfb1ef5863abca68d11fd8eec83e323143ef10f33325f849d7ef441"),
+    "init-1": ({"init_slices": 1},
+               "ed1185fd7530ec67e5b845fb73968a2056a20303cdece132fad1a0f259763979"),
+    "init-2": ({"init_slices": 2},
+               "5eb2a1c54d5aa67c34436277afd2544df939cd360f3356f144fa3b180a636a15"),
+    "period-1": ({"maintenance_period": 1},
+                 "da8d959c2a591a1e04878b8738a9f007743773ff7c6c5919db5e4b25218ebaed"),
+    "probe-timeouts-only": ({"maintenance_period": 0, "monitor_period": 1,
+                             "initial_battery": 0.004},
+                            "dce6b8bf1fc858abe68af43a3fbdeb8a49e04de09d471d524e5453e0c03f81d3"),
+    "repair-2-hops": ({"repair_radius_hops": 2, "initial_battery": 0.02},
+                      "4dab528e097373fad4c022710763fd2a21986dfdf65d6508c40e9c274aa87b53"),
+    "seed-7-period-3": ({"seed": 7, "maintenance_period": 3, "total_slices": 40},
+                        "a91c2df611082aeda99dad0d5f2f32a16dc6fa33937dfcf929d29b1216b52d59"),
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -87,6 +109,14 @@ def test_ledger_rows_are_pinned(name):
     for e in ledger:
         rows.update(f"{e.slice_index},{e.node_id},{e.kind.value},{e.energy.hex()}\n".encode())
     assert (len(ledger), rows.hexdigest()) == (entries, digest)
+
+
+@pytest.mark.parametrize("name", PHASE_PINS)
+def test_phase_sequences_are_pinned(name):
+    fields, digest = PHASE_PINS[name]
+    records = simulator.run(config.ScenarioConfig(**fields)).records
+    phases = "".join(r.phase.value[0].upper() for r in records)
+    assert hashlib.sha256(phases.encode()).hexdigest() == digest
 
 
 def test_sample_config_sweep_observations_are_pinned(tmp_path, capsys):
