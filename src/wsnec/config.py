@@ -70,12 +70,10 @@ class ScenarioConfig:
     delta_t: float = 1.0
     init_slices: int = 3
     total_slices: int = 80
-    epochs: int = 1
     event_rate: float = 18.0         # area events per slice
     initial_battery: float = 0.5     # joules per node
     bits_per_packet: int = 1024
     maintenance_period: int = 8      # slices between periodic repairs; 0 = never
-    maintenance_slices: int = 1      # consecutive repair slices per trigger
     repair_radius_hops: int = 0      # 0 = whole network participates
     monitor_period: int = 10         # full neighbor-table refresh interval; 0 = off
     monitoring: bool = True
@@ -105,12 +103,10 @@ _BOUNDS: dict[str, tuple[str, Callable[[float], bool]]] = {
     "delta_t": ("delta_t > 0", lambda v: v > 0),
     "init_slices": ("init_slices >= 0", lambda v: v >= 0),
     "total_slices": ("total_slices >= 1", lambda v: v >= 1),
-    "epochs": ("epochs >= 1", lambda v: v >= 1),
     "event_rate": ("event_rate >= 0", lambda v: v >= 0),
     "initial_battery": ("initial_battery > 0", lambda v: v > 0),
     "bits_per_packet": ("bits_per_packet >= 1", lambda v: v >= 1),
     "maintenance_period": ("maintenance_period >= 0", lambda v: v >= 0),
-    "maintenance_slices": ("maintenance_slices >= 1", lambda v: v >= 1),
     "repair_radius_hops": ("repair_radius_hops >= 0", lambda v: v >= 0),
     "monitor_period": ("monitor_period >= 0", lambda v: v >= 0),
     "warmup_packets": ("warmup_packets >= 0", lambda v: v >= 0),

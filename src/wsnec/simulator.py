@@ -1,22 +1,25 @@
 """Deterministic, seeded, slice-stepped sensor-network simulator.
 
 Nodes are placed uniformly in the area, connect to every node in
-transmission range, and route sensed data toward the sink through the
-in-range neighbor with the most last-known residual energy among those
-strictly closer to the sink (so relay chains always make progress).
+transmission range, and route sensed data toward the sink, directly if it is
+in range, else through the in-range neighbor with the most last-known
+residual energy among those strictly closer to the sink (so relay chains
+always make progress). Each node keeps that neighbor's entry as its link,
+set whenever its route is recomputed, for next-hop probes and for marking a
+dead next hop.
 
-The run advances through phases: an initialization phase (boot warm-up
-readings, neighbor handshakes, route setup), then collection slices
-(area events sensed and relayed hop by hop, next-hop monitoring probes,
-periodic full neighbor refreshes), with maintenance slices interleaved
-whenever a next-hop death is detected by a probe timeout or the periodic
-repair interval elapses. Maintenance performs the collection work plus a
-network-wide (or hop-limited) topology probe and routing announcement
-flood, which is what makes those slices expensive. Probes and floods are
-exchange stages: each sender, read with its neighbor entries, costs itself a
-send per entry and, if sent, that neighbor a receive. One loop books each
-exchange stage, and one a slice's events (sense, schedule and the relay
-walk), each with its prices bound once; the loops only book.
+The run is one loop over the slices: an initialization phase (boot warm-up
+readings, neighbor handshakes, route setup), then collection slices (area
+events sensed and relayed hop by hop, next-hop monitoring probes, periodic
+full neighbor refreshes). Exactly one maintenance slice follows a collection
+slice once a next-hop death was detected (a probe timeout or a relay toward
+a dead node) or the periodic repair interval elapsed. It does the collection
+work plus a network-wide (or hop-limited) topology probe and routing
+announcement flood, which is what makes those slices expensive. Probes and
+floods are exchange stages: each sender, read with its neighbor entries,
+costs itself a send per entry and, if sent, that neighbor a receive. One
+loop books each exchange stage, and one a slice's events (sense, schedule
+and the relay walk), each with its prices bound once; the loops only book.
 
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
@@ -139,14 +142,7 @@ class NodeState:
     alive: bool = True
     neighbors: list[Neighbor] = field(default_factory=list)   # sorted by node_id
     next_hop: int | None = None                               # SINK_ID = direct delivery
-    _neighbor_by_id: dict[int, Neighbor] = field(default_factory=dict, init=False, repr=False)
-
-    def add_neighbor(self, nbr: Neighbor) -> None:
-        self.neighbors.append(nbr)
-        self._neighbor_by_id[nbr.node_id] = nbr
-
-    def neighbor_entry(self, node_id: int) -> Neighbor | None:
-        return self._neighbor_by_id.get(node_id)
+    link: Neighbor | None = None   # the next hop's entry; None for SINK_ID and no route
 
 
 class ChargeEntry(NamedTuple):
@@ -349,8 +345,8 @@ def connect_neighbors(nodes: list[NodeState], r_tx: float, extent: float) -> Non
                 continue
             d = math.hypot(a.x - b.x, a.y - b.y)
             if 0.0 < d <= r_tx:
-                a.add_neighbor(Neighbor(b.node_id, d, b.battery))
-                b.add_neighbor(Neighbor(a.node_id, d, a.battery))
+                a.neighbors.append(Neighbor(b.node_id, d, b.battery))
+                b.neighbors.append(Neighbor(a.node_id, d, a.battery))
 
 
 def _place_nodes(cfg: ScenarioConfig, rng: random.Random) -> list[NodeState]:
@@ -364,12 +360,10 @@ def _place_nodes(cfg: ScenarioConfig, rng: random.Random) -> list[NodeState]:
     return nodes
 
 
-def select_next_hop(node: NodeState, nodes: list[NodeState], r_tx: float) -> int | None:
-    """Next hop toward the sink: direct if in range, else the known-alive
-    neighbor with maximum last-known residual energy among those strictly
-    closer to the sink (ties: lowest node id)."""
-    if node.dist_to_sink <= r_tx:
-        return SINK_ID
+def select_next_hop(node: NodeState, nodes: list[NodeState]) -> Neighbor | None:
+    """The entry of the relay toward the sink: the known-alive neighbor with
+    maximum last-known residual energy among those strictly closer to the
+    sink (ties: lowest node id)."""
     best: Neighbor | None = None
     for nbr in node.neighbors:   # ordered by id, so ties keep the lowest id
         if not nbr.known_alive:
@@ -378,7 +372,7 @@ def select_next_hop(node: NodeState, nodes: list[NodeState], r_tx: float) -> int
             continue
         if best is None or nbr.last_residual > best.last_residual:
             best = nbr
-    return best.node_id if best is not None else None
+    return best
 
 
 def build_topology(cfg: ScenarioConfig) -> list[NodeState]:
@@ -413,8 +407,6 @@ class Simulation:
         self.dropped = 0
         self.slice_index = 0
         self._repair_triggers: list[int] = []
-        self._maintenance_left = 0
-        self._slices_since_repair = 0
         # Packets each node sensed, and relayed, in the current slice.
         self._sensed_this_slice = [0] * len(self.nodes)
         self._relayed_this_slice = [0] * len(self.nodes)
@@ -459,17 +451,18 @@ class Simulation:
     # -- neighbor interaction ----------------------------------------------
 
     def _route(self, participants: list[NodeState]) -> None:
-        """Recompute the participants' next hops and the model joules to
-        send one packet to each."""
+        """Recompute the participants' next hops, direct if the sink is in
+        range, their links and the model joules to send one packet on each."""
         r_tx = self.cfg.r_tx
         for node in participants:
-            hop = node.next_hop = select_next_hop(node, self.nodes, r_tx) if node.alive else None
-            if hop == SINK_ID:
-                joules = self._tx_j(node.dist_to_sink)
-            elif hop is None:
-                joules = 0.0   # no route, so nothing is sent
+            link = None
+            if node.alive and node.dist_to_sink <= r_tx:
+                hop, joules = SINK_ID, self._tx_j(node.dist_to_sink)
+            elif node.alive and (link := select_next_hop(node, self.nodes)) is not None:
+                hop, joules = link.node_id, link.tx_j
             else:
-                joules = node.neighbor_entry(hop).tx_j
+                hop, joules = None, 0.0   # dead or no route, so nothing is sent
+            node.next_hop, node.link = hop, link
             self._hop_tx_j[node.node_id] = joules
 
     def _exchanges(self, stage, kind: PacketKind, probe: bool) -> None:
@@ -517,10 +510,9 @@ class Simulation:
         self.dropped += unsent + len(refused)
 
     def _monitoring(self, full_refresh: bool) -> None:
-        # Every neighbor, or each next hop; the sink and no route have no entry.
+        # Every neighbor, or each next hop; the sink and no route have no link.
         stage = _links(self.nodes) if full_refresh else (
-            (node, (nbr,)) for node in self.nodes
-            for nbr in (node.neighbor_entry(node.next_hop),) if nbr is not None)
+            (node, (node.link,)) for node in self.nodes if node.link is not None)
         self._exchanges(stage, PacketKind.NEIGHBOR_INFO, probe=True)
 
     # -- sensing and relaying ------------------------------------------------
@@ -588,9 +580,7 @@ class Simulation:
                     target = nodes[hop]
                     if not target.alive:
                         dropped += 1
-                        entry = current.neighbor_entry(hop)
-                        if entry is not None:
-                            entry.known_alive = False
+                        current.link.known_alive = False
                         triggers.append(current.node_id)
                         break
                     if target.next_hop is None:
@@ -696,55 +686,37 @@ class Simulation:
         cfg = self.cfg
         alive = attrgetter("alive")
         initial_total = math.fsum(n.battery for n in self.nodes)
-        for epoch in range(cfg.epochs):
-            self._slices_since_repair = 0
-            self._maintenance_left = 0
-            self._repair_triggers.clear()
-            for slice_in_epoch in range(cfg.total_slices):
-                if not any(map(alive, self.nodes)):
-                    break
-                in_init = slice_in_epoch < cfg.init_slices
-                if in_init:
-                    phase = Phase.INITIALIZATION
-                elif self._maintenance_left > 0:
-                    phase = Phase.MAINTENANCE
+        repair_next, since_repair = False, 0
+        for index in range(cfg.total_slices):
+            if not any(map(alive, self.nodes)):
+                break
+            self.slice_index = index
+            self._sensed_this_slice = [0] * len(self.nodes)
+            self._relayed_this_slice = [0] * len(self.nodes)
+            if index < cfg.init_slices:
+                phase = Phase.INITIALIZATION
+                self._init_work(index)
+            else:
+                phase = Phase.MAINTENANCE if repair_next else Phase.COLLECTION
+                period = cfg.monitor_period
+                self._collection_work(period > 0 and (index - cfg.init_slices) % period == 0)
+                if repair_next:
+                    self._maintenance_work()
+                    since_repair = 0
                 else:
-                    phase = Phase.COLLECTION
-
-                self._sensed_this_slice = [0] * len(self.nodes)
-                self._relayed_this_slice = [0] * len(self.nodes)
-
-                if phase is Phase.INITIALIZATION:
-                    self._init_work(slice_in_epoch)
-                else:
-                    collection_slices = slice_in_epoch - cfg.init_slices
-                    full_refresh = (cfg.monitor_period > 0
-                                    and collection_slices % cfg.monitor_period == 0)
-                    self._collection_work(full_refresh)
-                    if phase is Phase.MAINTENANCE:
-                        self._maintenance_work()
-                        self._maintenance_left -= 1
-                        self._slices_since_repair = 0
-                    else:
-                        self._slices_since_repair += 1
-
-                # Schedule maintenance for the next slice: a detected next-hop
-                # failure, or the periodic repair interval elapsing.
-                if not in_init and self._maintenance_left == 0:
-                    periodic = (cfg.maintenance_period > 0
-                                and self._slices_since_repair >= cfg.maintenance_period)
-                    if self._repair_triggers or periodic:
-                        self._maintenance_left = cfg.maintenance_slices
-
-                flows, energy = self.ledger.totals(self.slice_index)
-                self.records.append(SliceRecord(
-                    index=self.slice_index,
-                    phase=phase,
-                    flows=flows,
-                    energy_j=energy,
-                    alive_nodes=sum(map(alive, self.nodes)),
-                ))
-                self.slice_index += 1
+                    since_repair += 1
+                # One maintenance slice follows a detected next-hop failure or
+                # the periodic repair interval elapsing.
+                repair_next = bool(self._repair_triggers) or (
+                    cfg.maintenance_period > 0 and since_repair >= cfg.maintenance_period)
+            flows, energy = self.ledger.totals(index)
+            self.records.append(SliceRecord(
+                index=index,
+                phase=phase,
+                flows=flows,
+                energy_j=energy,
+                alive_nodes=sum(map(alive, self.nodes)),
+            ))
         # One send and one receive each carry one packet, priced alike.
         radio = self.radio
         radio.charged_tx_j = radio.tx_events * cfg.profile.p_tx

@@ -108,9 +108,6 @@ class TestCellGrid:
         got = {n.node_id: [(b.node_id, b.distance, b.last_residual) for b in n.neighbors]
                for n in nodes}
         assert got == reference_neighbors(nodes, r_tx)
-        for node in nodes:
-            for nbr in node.neighbors:
-                assert node.neighbor_entry(nbr.node_id) is nbr
 
     @settings(max_examples=300, deadline=None)
     @given(layouts(), st.data())
@@ -221,9 +218,9 @@ class _PerHandling(Simulation):
             target = self.nodes[hop]
             if not target.alive:
                 self.dropped += 1
-                entry = current.neighbor_entry(hop)
-                if entry is not None:
-                    entry.known_alive = False
+                for entry in current.neighbors:
+                    if entry.node_id == hop:
+                        entry.known_alive = False
                 self._repair_triggers.append(current.node_id)
                 return
             if target.next_hop is None:
@@ -353,9 +350,9 @@ class _PerPair(_PerHandling):
                 for nbr in node.neighbors:
                     self._probe(node, nbr, PacketKind.NEIGHBOR_INFO)
             elif node.next_hop is not None and node.next_hop != SINK_ID:
-                entry = node.neighbor_entry(node.next_hop)
-                if entry is not None:
-                    self._probe(node, entry, PacketKind.NEIGHBOR_INFO)
+                for entry in node.neighbors:
+                    if entry.node_id == node.next_hop:
+                        self._probe(node, entry, PacketKind.NEIGHBOR_INFO)
 
     def _route_setup(self, participants):
         """Topology probes from every alive participant, their next hops
@@ -412,6 +409,19 @@ class TestExchangeStages:
         for entry in a.ledger:
             counts[entry.slice_index][entry.kind.flow_slot] += 1
         assert [list(r.flows.as_tuple()) for r in a.records] == counts
+
+
+@pytest.mark.parametrize("fields", [{}, {"initial_battery": 0.004},
+                                    {"repair_radius_hops": 2, "initial_battery": 0.02},
+                                    {"r_tx": 0.0}])
+def test_link_is_the_next_hops_entry(fields):
+    # Checked after the run, when repairs and deaths have rerouted nodes.
+    for node in Simulation(ScenarioConfig(**fields)).run().nodes:
+        if node.next_hop is None or node.next_hop == SINK_ID:
+            assert node.link is None
+        else:
+            assert node.link.node_id == node.next_hop
+            assert any(nbr is node.link for nbr in node.neighbors)
 
 
 class _Counted(_PerHandling):

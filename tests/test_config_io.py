@@ -135,11 +135,17 @@ class TestLoadConfig:
 
     def test_unknown_key_and_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[sim]\nseed = 1\nnodes = 2\nbogus = 3\ng_tx = 0.01\n\n[nope]\nx = 1\n")
+        path.write_text("[sim]\nseed = 1\nnodes = 2\nbogus = 3\ng_tx = 0.01\n"
+                        "epochs = 2\nmaintenance_slices = 2\n\n[nope]\nx = 1\n")
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert "bogus" in str(exc.value) and "[nope]" in str(exc.value)
-        assert "[sim] unknown key 'g_tx'" in exc.value.violations
+        for key in ("g_tx", "epochs", "maintenance_slices"):
+            assert f"[sim] unknown key {key!r}" in exc.value.violations
+        with pytest.raises(TypeError):
+            ScenarioConfig(epochs=2)
+        sample_keys = {line.split(" = ")[0] for line in sample_config().splitlines()}
+        assert not sample_keys & {"epochs", "maintenance_slices"}
 
     def test_boundary_violation_from_file(self, tmp_path):
         path = tmp_path / "bad.ini"

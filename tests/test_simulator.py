@@ -216,13 +216,6 @@ class TestRun:
             if p is Phase.MAINTENANCE:
                 assert phases[i - 1] in (Phase.COLLECTION, Phase.MAINTENANCE)
 
-    def test_epochs_repeat_initialization(self):
-        result = run(cfg_with(seed=3, total_slices=10, epochs=2))
-        phases = [r.phase for r in result.records]
-        assert len(phases) == 20
-        assert phases[0] is Phase.INITIALIZATION and phases[10] is Phase.INITIALIZATION
-        assert [r.index for r in result.records] == list(range(20))
-
     def test_alive_count_non_increasing(self):
         result = run(cfg_with(seed=1, initial_battery=0.004, total_slices=40))
         alive = [r.alive_nodes for r in result.records]
