@@ -9,6 +9,7 @@ on purpose updates the digests here and says why.
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,17 @@ PHASE_PINS = {
 }
 
 
+# Traces of three runs as written while energies were float joules, with the
+# runs' delivered and dropped counts. Counting whole nanojoules must change
+# only the rounding of these runs' slice energies.
+FLOAT_JOULE_RUNS = {
+    "default": ({}, 779, 559),
+    "mix-charging": ({"mix_charging": True}, 783, 555),
+    "200-nodes": ({"nodes": 200, "area_width": 282.8, "area_height": 282.8}, 33, 1550),
+}
+FLOAT_JOULE_TRACES = Path(__file__).parent / "data" / "float_joules"
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -99,6 +111,18 @@ def test_mix_charging_trace_is_pinned(tmp_path):
     out = tmp_path / "trace.csv"
     traceio.write_trace(str(out), simulator.run(config.ScenarioConfig(mix_charging=True)).records)
     assert _sha256(out) == MIX_CHARGING_TRACE_SHA256
+
+
+@pytest.mark.parametrize("name", FLOAT_JOULE_RUNS)
+def test_float_joule_traces_differ_only_by_rounding(name):
+    fields, delivered, dropped = FLOAT_JOULE_RUNS[name]
+    old = traceio.read_trace(str(FLOAT_JOULE_TRACES / f"{name}.csv"))
+    result = simulator.run(config.ScenarioConfig(**fields))
+    assert (result.delivered, result.dropped) == (delivered, dropped)
+    assert ([(r.index, r.phase, r.flows, r.alive_nodes) for r in result.records]
+            == [(r.index, r.phase, r.flows, r.alive_nodes) for r in old])
+    for new, before in zip(result.records, old):
+        assert new.energy_j == pytest.approx(before.energy_j, rel=1e-12, abs=0.0), new.index
 
 
 @pytest.mark.parametrize("name", LEDGER_PINS)
