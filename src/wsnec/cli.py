@@ -7,10 +7,8 @@ success, 1 on validation and usage errors, 2 on infeasibility or rank errors.
 from __future__ import annotations
 
 import argparse
-import operator
 import random
 import sys
-from functools import reduce
 
 import numpy as np
 
@@ -139,9 +137,7 @@ def cmd_sweep(args) -> int:
         # Integer-valued flows, so the plain sums are exact.
         total = ConstituentFlowVector(*map(sum, zip(*(rec.flows.as_tuple()
                                                      for rec in result.records))))
-        # Added in booking order: ``sum`` compensates from Python 3.12 on.
-        energy = reduce(operator.add, (rec.energy_j for rec in result.records), 0.0)
-        rows.append((run_index, total, energy))
+        rows.append((run_index, total, result.ledger_total))
     traceio.write_observations(args.output, rows)
     print(f"sweep: {runs} runs, master seed {cfg.seed}")
     print(f"observations written to {args.output}")

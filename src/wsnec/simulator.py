@@ -30,8 +30,13 @@ columns each (node, kind code, energy), and hands each row out as a
 ``ChargeEntry`` when read; each booking loop gathers the node ids it books
 (the event loop also their kind codes and costs) in local lists and appends
 them to its slice's group once per stage or slice. A stage's prices follow
-from its row count and refused receives. Each run prices its handlings once,
-with ``task_energy``, into a table of floats (queued relays by queue depth).
+from its row count and refused receives. Each run prices its handlings once
+(queued relays by queue depth). Every energy inside a run (batteries,
+residuals, prices, ledger rows) is a whole number of nanojoules in a float,
+exact below 2^53, so sums are exact in any order and a battery that lands on
+zero kills its node; a run rejects a battery or nonzero price that rounds to
+0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ / 1e9, appear only
+in slice energies, ledger entries and the run's totals.
 Neighbor lists and the nodes an event covers are found through a uniform
 cell grid, with cells as wide as the radio or sensing range, instead of
 scanning every node; as nodes never move, the grid sorts the nodes around
@@ -60,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .energy_core import (
     CONSTITUENT_ORDER,
     Constituent,
@@ -127,7 +132,7 @@ USAGE_RECV_QUEUE = ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1)
 class Neighbor:
     node_id: int
     distance: float
-    last_residual: float
+    last_residual: float   # nJ
     known_alive: bool = True
     tx_j: float = 0.0   # radio-model joules to send one packet over this link
 
@@ -137,7 +142,7 @@ class NodeState:
     node_id: int
     x: float
     y: float
-    battery: float
+    battery: float   # nJ, a whole number
     dist_to_sink: float
     alive: bool = True
     neighbors: list[Neighbor] = field(default_factory=list)   # sorted by node_id
@@ -151,7 +156,7 @@ class ChargeEntry(NamedTuple):
     slice_index: int
     node_id: int
     kind: PacketKind
-    energy: float
+    energy: float   # joules
 
     @property
     def constituent(self) -> Constituent:
@@ -163,9 +168,9 @@ class Ledger(Sequence):
 
     ``groups[i]`` holds slice ``i``'s rows as three typed columns, ``nodes``
     (``'i'``), ``kinds`` (``'b'``, the ``PacketKind.code``) and ``energies``
-    (``'d'``), so no column outgrows one slice. Entries are built when read;
-    indexing builds them all. Nothing the ledger holds refers back to it, so
-    reference counting alone frees it.
+    (``'d'``, whole nJ), so no column outgrows one slice. Entries, in joules,
+    are built when read; indexing builds them all. Nothing the ledger holds
+    refers back to it, so reference counting alone frees it.
     """
 
     __slots__ = ("groups", "__weakref__")
@@ -185,18 +190,16 @@ class Ledger(Sequence):
         energies.fromlist(costs)
 
     def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float]:
-        """The slice's rows: their count per constituent, and their joules
-        added one row at a time in booking order (``math.fsum``, ``np.sum``
-        and, on Python 3.12 and later, ``sum`` round otherwise). A slice that
-        booked nothing gets an empty group, so groups line up with slices."""
+        """The slice's rows: their count per constituent, and their nJ. A
+        slice that booked nothing gets an empty group, so groups line up with
+        slices."""
         self.book(slice_index, [], b"", [])
         _, codes, energies = self.groups[slice_index]
         kinds = codes.tobytes()
         flows = [0.0] * len(CONSTITUENT_ORDER)
         for kind in KIND_BY_CODE:
             flows[kind.flow_slot] += kinds.count(kind.code)
-        sums = np.frombuffer(energies).cumsum()
-        return ConstituentFlowVector(*flows), float(sums[-1]) if len(sums) else 0.0
+        return ConstituentFlowVector(*flows), float(np.frombuffer(energies).sum())
 
     def __len__(self) -> int:
         return sum(len(energies) for _, _, energies in self.groups)
@@ -207,7 +210,7 @@ class Ledger(Sequence):
     def __iter__(self):
         return chain.from_iterable(
             map(ChargeEntry, repeat(index, len(nodes)), nodes,
-                map(KIND_BY_CODE.__getitem__, kinds), energies)
+                map(KIND_BY_CODE.__getitem__, kinds), map((1e9).__rtruediv__, energies))
             for index, (nodes, kinds, energies) in enumerate(self.groups))
 
     def __eq__(self, other) -> bool:
@@ -251,28 +254,27 @@ class RunResult:
 
     @property
     def final_battery_total(self) -> float:
-        return math.fsum(n.battery for n in self.nodes)
+        return sum(n.battery for n in self.nodes) / 1e9
 
     @property
     def ledger_total(self) -> float:
-        return math.fsum(chain.from_iterable(e for _, _, e in self.ledger.groups))
+        return float(np.frombuffer(b"".join(e.tobytes() for _, _, e in self.ledger.groups)).sum()) / 1e9
 
 
 def charge(node: NodeState, kind: PacketKind, cost: float,
            slice_index: int) -> float | None:
-    """Charge one packet handling of price ``cost`` against the node's
-    battery and return ``cost``. The caller books the handling in the
+    """Charge one packet handling of price ``cost`` (whole nJ) against the
+    node's battery and return ``cost``. The caller books the handling in the
     ledger and counts its radio events.
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
-    the task. Both cases return ``None``. A node whose battery lands
-    exactly on zero dies with the charge.
+    the task. Both cases return ``None``. A node whose battery lands on
+    zero dies with the charge.
     """
     if not node.alive or node.battery < cost:
         return None
     battery = node.battery = node.battery - cost
-    if battery <= 0.0:
-        node.battery = 0.0
+    if battery == 0.0:
         node.alive = False
     return cost
 
@@ -350,12 +352,16 @@ def connect_neighbors(nodes: list[NodeState], r_tx: float, extent: float) -> Non
 
 
 def _place_nodes(cfg: ScenarioConfig, rng: random.Random) -> list[NodeState]:
-    nodes = []
+    nodes, battery = [], round(cfg.initial_battery * 1e9, 0)
+    if not battery:
+        raise ConfigError([f"initial_battery {cfg.initial_battery!r} J rounds to 0 nJ"])
+    if cfg.nodes * battery > 2 ** 53:   # floats hold every whole nJ below 2^53
+        raise ConfigError([f"nodes x initial_battery = {cfg.nodes * battery:.6g} nJ exceeds 2^53"])
     for node_id in range(cfg.nodes):
         x = rng.uniform(0.0, cfg.area_width)
         y = rng.uniform(0.0, cfg.area_height)
         dist_sink = math.hypot(x - cfg.sink_x, y - cfg.sink_y)
-        nodes.append(NodeState(node_id, x, y, cfg.initial_battery, dist_sink))
+        nodes.append(NodeState(node_id, x, y, battery, dist_sink))
     connect_neighbors(nodes, cfg.r_tx, max(cfg.area_width, cfg.area_height))
     return nodes
 
@@ -411,18 +417,15 @@ class Simulation:
         self._sensed_this_slice = [0] * len(self.nodes)
         self._relayed_this_slice = [0] * len(self.nodes)
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
-        # Cost table: every handling priced once.
-        self._warmup = task_energy(USAGE_WARMUP, cfg.profile)
-        self._sense_send = task_energy(USAGE_SENSE_SEND, cfg.profile)
-        self._send = task_energy(USAGE_SEND, cfg.profile)
-        self._recv = task_energy(USAGE_RECV, cfg.profile)
-        self._recv_queue = task_energy(USAGE_RECV_QUEUE, cfg.profile)
+        # Cost table: every handling priced once, sends and receives per kind.
+        price, sensed, relayed = self._price, PacketKind.SENSED, PacketKind.RELAYED_DATA
+        self._warmup = price(sensed, USAGE_WARMUP)
+        self._sense_send = price(sensed, USAGE_SENSE_SEND)
+        self._send = {kind: price(kind, USAGE_SEND) for kind in PacketKind}
+        self._recv = {kind: price(kind, USAGE_RECV) for kind in PacketKind}
+        self._recv_queue = price(relayed, USAGE_RECV_QUEUE)
         self._relay_by_depth: list[float] = []
-        if cfg.mix_charging:
-            self._mix_cost = [constituent_alpha(cfg.mix.row(c), cfg.profile)
-                              for c in CONSTITUENT_ORDER]
-        else:
-            self._mix_cost = None
+        self._relay_handling(0)   # so that a relay price that rounds to 0 nJ fails here
 
     # -- charging ----------------------------------------------------------
 
@@ -433,20 +436,27 @@ class Simulation:
                 self.cfg.bits_per_packet * tx_energy_per_bit(distance, self.cfg.radio)
         return joules
 
+    def _price(self, kind: PacketKind, usage: ResourceUsageVector) -> float:
+        """The whole-nJ price of one handling of ``usage``, or under mix
+        charging of one ``kind`` packet. A nonzero price that rounds to 0 nJ
+        is rejected."""
+        cfg = self.cfg
+        joules = (constituent_alpha(cfg.mix.row(kind.constituent), cfg.profile)
+                  if cfg.mix_charging else task_energy(usage, cfg.profile))
+        nanojoules = round(joules * 1e9, 0)
+        if joules and not nanojoules:
+            raise ConfigError([f"{kind.value} handling price {joules!r} J rounds to 0 nJ"])
+        return nanojoules
+
     def _relay_handling(self, depth: int) -> float:
         """The price of a relay by queue depth: the first relay of a slice
         forwards straight through; later ones queue, paying one mem unit per
         buffer slot they sit behind."""
         table = self._relay_by_depth
         while len(table) <= depth:
-            table.append(task_energy(ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1),
-                                     self.cfg.profile))
+            usage = ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1)
+            table.append(self._price(PacketKind.RELAYED_DATA, usage))
         return table[depth]
-
-    def _cost(self, kind: PacketKind, cost: float) -> float:
-        """One booking's price: the table's, or under mix charging the kind's."""
-        mix = self._mix_cost
-        return cost if mix is None else mix[kind.flow_slot]
 
     # -- neighbor interaction ----------------------------------------------
 
@@ -471,7 +481,7 @@ class Simulation:
         of a neighbor that answers; a silent one is marked not known-alive, and
         a silent next hop schedules a repair. Refused receives are priced out."""
         book, si, nodes = charge, self.slice_index, self.nodes
-        send_cost, recv_cost = self._cost(kind, self._send), self._cost(kind, self._recv)
+        send_cost, recv_cost = self._send[kind], self._recv[kind]
         ids, refused = [], []
         add_id = ids.append
         triggers, radio = self._repair_triggers, self.radio
@@ -533,11 +543,8 @@ class Simulation:
             PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
         sensed_code, scheduling_code, relayed_code = (
             sensed_kind.code, scheduling_kind.code, relayed_kind.code)
-        warmup_cost = self._cost(sensed_kind, self._warmup)
-        sense_cost = self._cost(sensed_kind, self._sense_send)
-        send_cost = self._cost(scheduling_kind, self._send)
-        queue_cost = self._cost(relayed_kind, self._recv_queue)
-        relay_mix = None if self._mix_cost is None else self._mix_cost[relayed_kind.flow_slot]
+        warmup_cost, sense_cost, queue_cost = self._warmup, self._sense_send, self._recv_queue
+        send_cost = self._send[scheduling_kind]
         radio = self.radio
         model_tx = radio.model_tx_j
         tx_events = rx_events = delivered = dropped = 0
@@ -595,8 +602,7 @@ class Simulation:
                         dropped += 1
                         break
                     depth = relayed[hop]
-                    relay = table[depth] if depth < len(table) else relay_handling(depth)
-                    cost = relay if relay_mix is None else relay_mix
+                    cost = table[depth] if depth < len(table) else relay_handling(depth)
                     if book(target, relayed_kind, cost, si) is None:
                         dropped += 2   # a refused charge and a drop
                         break
@@ -663,9 +669,7 @@ class Simulation:
         first, last = idx == 0, idx == n - 1
         do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
         if first:
-            kind = PacketKind.SENSED
-            cost = self._cost(kind, self._warmup)
-            ids = []
+            kind, cost, ids = PacketKind.SENSED, self._warmup, []
             for node in self.nodes:
                 if not node.alive:
                     continue
@@ -685,7 +689,7 @@ class Simulation:
     def run(self) -> RunResult:
         cfg = self.cfg
         alive = attrgetter("alive")
-        initial_total = math.fsum(n.battery for n in self.nodes)
+        initial_total = sum(n.battery for n in self.nodes) / 1e9
         repair_next, since_repair = False, 0
         for index in range(cfg.total_slices):
             if not any(map(alive, self.nodes)):
@@ -714,7 +718,7 @@ class Simulation:
                 index=index,
                 phase=phase,
                 flows=flows,
-                energy_j=energy,
+                energy_j=energy / 1e9,
                 alive_nodes=sum(map(alive, self.nodes)),
             ))
         # One send and one receive each carry one packet, priced alike.

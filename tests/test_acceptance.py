@@ -195,17 +195,18 @@ def test_criterion_5_relay_threshold():
 def test_criterion_6_conservation_and_determinism(tmp_path):
     cfg = dataclasses.replace(ScenarioConfig(), seed=1302)
     first = run(cfg)
-    drained = first.initial_battery_total - first.final_battery_total
-    conservation_rel = abs(first.ledger_total - drained) / max(drained, 1e-300)
+    # Whole nanojoules, compared exactly.
+    drained = cfg.nodes * round(cfg.initial_battery * 1e9) - sum(n.battery for n in first.nodes)
+    booked = sum(sum(energies) for _, _, energies in first.ledger.groups)
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace(str(p1), first.records)
     write_trace(str(p2), run(cfg).records)
     identical = p1.read_bytes() == p2.read_bytes()
 
-    ok = conservation_rel <= 1e-9 and identical
+    ok = booked == drained > 0 and identical
     report(6, "conservation and determinism",
-           ok, f"ledger vs battery rel diff {conservation_rel:.2e}, "
+           ok, f"ledger {booked:.0f} nJ vs battery drop {drained:.0f} nJ, "
                f"byte-identical reruns: {identical}")
 
 

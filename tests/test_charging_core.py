@@ -4,8 +4,8 @@ The cell grid must find exactly the neighbors and covered nodes an O(n^2)
 scan finds, in the same order; the exchange stages must book exactly what
 per-pair probe and announcement loops book, and the event loop exactly what
 the per-handling sense, schedule and relay path books; the per-run cost
-table must hold exactly the ``task_energy`` of each usage; and the radio
-audit must not move.
+table must hold exactly the ``task_energy`` of each usage in whole
+nanojoules; and the radio audit must not move.
 """
 
 import dataclasses
@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnec.config import ScenarioConfig
-from wsnec.energy_core import ResourcePowerProfile, ResourceUsageVector, task_energy
+from wsnec.energy_core import (
+    ResourcePowerProfile,
+    ResourceUsageVector,
+    constituent_alpha,
+    task_energy,
+)
 from wsnec.simulator import (
     SINK_ID,
     USAGE_RECV,
@@ -162,15 +167,18 @@ def _relay_usage(depth):
 class _PerHandling(Simulation):
     """The per-handling path that ``_events`` replaces: one ``_charge`` call
     per handling, an event loop, ``_handle_event`` and the relay walk, and
-    the warm-up loop that booked through ``_charge``, verbatim."""
+    the warm-up loop that booked through ``_charge``, verbatim, except that
+    each handling is priced on its own, not from the run's cost table."""
 
     def _charge(self, node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
-                cost: float, tx_j: float = 0.0) -> float | None:
-        """Book one handling of ``usage``, priced ``cost`` in the run's table;
-        ``tx_j`` is the radio model's joules for the packet it sends, if it
-        sends one."""
-        if self._mix_cost is not None:
-            cost = self._mix_cost[kind.flow_slot]
+                tx_j: float = 0.0) -> float | None:
+        """Book one handling of ``usage``, priced in whole nJ by its usage or
+        under mix charging by its kind; ``tx_j`` is the radio model's joules
+        for the packet it sends, if it sends one."""
+        cfg = self.cfg
+        joules = (constituent_alpha(cfg.mix.row(kind.constituent), cfg.profile)
+                  if cfg.mix_charging else task_energy(usage, cfg.profile))
+        cost = float(round(joules * 1e9))
         booked = charge(node, kind, cost, self.slice_index)
         if booked is None:
             self.dropped += 1
@@ -190,10 +198,10 @@ class _PerHandling(Simulation):
             return
         has_route = node.next_hop is not None
         if has_route:
-            entry = self._charge(node, PacketKind.SENSED, USAGE_SENSE_SEND, self._sense_send,
+            entry = self._charge(node, PacketKind.SENSED, USAGE_SENSE_SEND,
                                  self._hop_tx_j[node.node_id])
         else:
-            entry = self._charge(node, PacketKind.SENSED, USAGE_WARMUP, self._warmup)
+            entry = self._charge(node, PacketKind.SENSED, USAGE_WARMUP)
         if entry is None:
             return
         self._sensed_this_slice[node.node_id] = seen + 1
@@ -201,8 +209,7 @@ class _PerHandling(Simulation):
             self.dropped += 1
             return
         if self.cfg.scheduling:
-            self._charge(node, PacketKind.SCHEDULING, USAGE_SEND, self._send,
-                         self._hop_tx_j[node.node_id])
+            self._charge(node, PacketKind.SCHEDULING, USAGE_SEND, self._hop_tx_j[node.node_id])
         self._relay(node)
 
     def _relay(self, origin: NodeState) -> None:
@@ -225,12 +232,12 @@ class _PerHandling(Simulation):
                 return
             if target.next_hop is None:
                 # Stranded relay: receives and queues, cannot forward.
-                self._charge(target, PacketKind.RELAYED_DATA, USAGE_RECV_QUEUE, self._recv_queue)
+                self._charge(target, PacketKind.RELAYED_DATA, USAGE_RECV_QUEUE)
                 self.dropped += 1
                 return
             depth = self._relayed_this_slice[target.node_id]
             entry = self._charge(target, PacketKind.RELAYED_DATA, _relay_usage(depth),
-                                 self._relay_handling(depth), self._hop_tx_j[hop])
+                                 self._hop_tx_j[hop])
             if entry is None:
                 self.dropped += 1
                 return
@@ -263,7 +270,7 @@ class _PerHandling(Simulation):
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    self._charge(node, PacketKind.SENSED, USAGE_WARMUP, self._warmup)
+                    self._charge(node, PacketKind.SENSED, USAGE_WARMUP)
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:
@@ -297,9 +304,10 @@ class _FullScan(_Logged):
                     self._handle_event(node)
 
 
-# Power-of-two prices and batteries make batteries land exactly on zero, so
-# nodes die in the middle of an event's handlings.
-EXACT_PROFILE = ResourcePowerProfile(2 ** -12, 2 ** -13, 2 ** -12, 2 ** -11, 2 ** -12)
+# Prices of 2, 1, 2, 4 and 2 times 78,125 nJ divide the power-of-two
+# batteries below (2^-8 J is 50 times 78,125 nJ), so batteries land exactly
+# on zero and nodes die in the middle of an event's handlings.
+EXACT_PROFILE = ResourcePowerProfile(*(k * 78_125 / 1e9 for k in (2, 1, 2, 4, 2)))
 
 
 class TestCoveredSequence:
@@ -329,11 +337,11 @@ class _PerPair(_PerHandling):
     def _probe(self, prober, nbr, kind):
         """Request/response exchange with one neighbor; a silent neighbor is
         marked not known-alive, and a silent next hop schedules a repair."""
-        sent = self._charge(prober, kind, USAGE_SEND, self._send, nbr.tx_j)
+        sent = self._charge(prober, kind, USAGE_SEND, nbr.tx_j)
         if sent is None:
             return
         target = self.nodes[nbr.node_id]
-        answered = self._charge(target, kind, USAGE_RECV, self._recv)
+        answered = self._charge(target, kind, USAGE_RECV)
         if answered is not None:
             nbr.last_residual = target.battery
             nbr.known_alive = True
@@ -367,10 +375,8 @@ class _PerPair(_PerHandling):
             if not node.alive:
                 continue
             for nbr in node.neighbors:
-                if self._charge(node, PacketKind.ROUTING_INFO, USAGE_SEND, self._send,
-                                nbr.tx_j) is not None:
-                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, USAGE_RECV,
-                                 self._recv)
+                if self._charge(node, PacketKind.ROUTING_INFO, USAGE_SEND, nbr.tx_j) is not None:
+                    self._charge(self.nodes[nbr.node_id], PacketKind.ROUTING_INFO, USAGE_RECV)
 
 
 def _node_state(result):
@@ -439,8 +445,8 @@ class _Counted(_PerHandling):
         finally:
             self._in_event = False
 
-    def _charge(self, node, kind, usage, cost, tx_j=0.0):
-        row = super()._charge(node, kind, usage, cost, tx_j)
+    def _charge(self, node, kind, usage, tx_j=0.0):
+        row = super()._charge(node, kind, usage, tx_j)
         if self._in_event and usage is USAGE_WARMUP:
             self.hits["no-route"] += 1
         elif kind is PacketKind.RELAYED_DATA and usage is USAGE_RECV_QUEUE:
@@ -478,7 +484,7 @@ class TestEventLoop:
         cfg = self.config(seed, nodes, battery, exact, mix, scheduling, monitoring, g_sense)
         _assert_same_run(Simulation(cfg).run(), _PerHandling(cfg).run())
 
-    # Power-of-two prices, so nodes die and relays meet dead next hops.
+    # Prices that divide the batteries, so nodes die and relays meet dead next hops.
     @pytest.mark.parametrize("seed, battery, mix, scheduling, g_sense, r_tx", [
         (1, 2 ** -6, False, True, 0.0, 20.0),
         (3, 2 ** -4, True, True, 0.2, 20.0),
@@ -503,18 +509,19 @@ class TestCostTable:
         sim = Simulation(dataclasses.replace(ScenarioConfig(), nodes=3, profile=profile))
         table = [(sim._warmup, ResourceUsageVector(b_cpu=1, b_sens=1)),
                  (sim._sense_send, ResourceUsageVector(b_cpu=1, b_sens=1, b_tx=1)),
-                 (sim._send, ResourceUsageVector(b_cpu=1, b_tx=1)),
-                 (sim._recv, ResourceUsageVector(b_cpu=1, b_rx=1)),
                  (sim._recv_queue, ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1))]
+        for kind in PacketKind:
+            table += [(sim._send[kind], ResourceUsageVector(b_cpu=1, b_tx=1)),
+                      (sim._recv[kind], ResourceUsageVector(b_cpu=1, b_rx=1))]
         table += [(sim._relay_handling(depth), _relay_usage(depth)) for depth in range(33)]
         for cost, usage in table:
-            assert type(cost) is float and cost == task_energy(usage, profile)
+            assert type(cost) is float and cost == round(task_energy(usage, profile) * 1e9)
 
 
 def test_radio_audit_unchanged_on_depleted_scenario():
     result = Simulation(ScenarioConfig(initial_battery=0.004)).run()
     assert result.radio == RadioAudit(
-        model_tx_j=0.04126919242013264, model_rx_j=0.0276992,
-        charged_tx_j=0.04476, charged_rx_j=0.021640000000000003,
-        tx_events=746, rx_events=541)
-    assert (result.delivered, result.dropped, len(result.ledger)) == (20, 4720, 1375)
+        model_tx_j=0.04132228508430548, model_rx_j=0.0276992,
+        charged_tx_j=0.04482, charged_rx_j=0.021640000000000003,
+        tx_events=747, rx_events=541)
+    assert (result.delivered, result.dropped, len(result.ledger)) == (20, 4659, 1375)

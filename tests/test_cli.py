@@ -26,6 +26,9 @@ from wsnec.simulator import Phase, SliceRecord, run
 from wsnec.energy_core import ConstituentFlowVector
 
 MINIMAL = "[sim]\nseed = 5\nnodes = 2\ntotal_slices = 12\n"
+# Every handling would cost a fraction of a nanojoule, which rounds to 0 nJ.
+SUB_NJ_PRICES = "[energy]\n" + "".join(
+    f"{name} = 1e-10\n" for name in ("p_cpu", "p_mem", "p_rx", "p_tx", "p_sens"))
 
 
 def write_cfg(tmp_path, text, name="scenario.ini"):
@@ -73,6 +76,20 @@ class TestSimulate:
         out = tmp_path / "trace.csv"
         assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
         assert "unknown section [flows.probabilities]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL + SUB_NJ_PRICES, "sensed handling price 2e-10 J rounds to 0 nJ"),
+        (MINIMAL + "initial_battery = 1e-10\n", "initial_battery 1e-10 J rounds to 0 nJ"),
+        (MINIMAL + "initial_battery = 5e6\n", "initial_battery = 1e+16 nJ exceeds 2^53"),
+        (MINIMAL + "initial_battery = 1e300\n", "initial_battery = inf nJ exceeds 2^53"),
+    ], ids=["prices", "battery", "network-battery", "past-float-range"])
+    def test_energy_outside_whole_nanojoule_range_rejected(self, tmp_path, capsys, text,
+                                                            message):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -267,6 +284,13 @@ class TestSweep:
         out = tmp_path / "o.csv"
         assert cli.main(["sweep", "--config", cfg, "--output", str(out)]) == 1
         assert "integer monitor_period needs whole-number ends" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sub_nanojoule_prices_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + SUB_NJ_PRICES + "[sweep]\nruns = 2\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", cfg, "--output", str(out)]) == 1
+        assert "rounds to 0 nJ" in capsys.readouterr().err
         assert not out.exists()
 
     def test_range_violating_boundary_rejected(self, tmp_path, capsys):

@@ -16,9 +16,9 @@ import pytest
 from wsnec import cli, config, estimation, simulator, traceio
 from wsnec.energy_core import Constituent
 
-DEFAULT_TRACE_SHA256 = "da9eb03e4782481f8720e7b427754c90195322cb509d1dce36ca7d7e622c7e83"
-SWEEP_8_SEED_1_SHA256 = "c9a3273be17bea068d37935f92342945f172ea709490d14c623310a99f803894"
-MIX_CHARGING_TRACE_SHA256 = "f3b7a1f1897b9ffc4fe38e1d2b6e9f4fc863a347bbc00d7f3e68d014233a7221"
+DEFAULT_TRACE_SHA256 = "aa036f2773db06ef8825e8939ccc5044a3a167ac256a275a91d068dbcec60775"
+SWEEP_8_SEED_1_SHA256 = "f5369594aa930a6e9bd5e1155cc7936f76e36cd0c774a6037a2c60f4d7b72218"
+MIX_CHARGING_TRACE_SHA256 = "99074c8aa725773d0977fbcc0319c02814b6ea5ac0d7c38b130e0660062efc9d"
 
 # Ledger rows of five runs: the default scenario, a depleted one (refused
 # charges), mix charging (per-constituent prices), 200 nodes at the sample
@@ -26,15 +26,15 @@ MIX_CHARGING_TRACE_SHA256 = "f3b7a1f1897b9ffc4fe38e1d2b6e9f4fc863a347bbc00d7f3e6
 # 2-hop repairs on a drained battery (probe timeouts flood only the nodes
 # within two hops of a trigger): (entries, SHA-256).
 LEDGER_PINS = {
-    "default": ({}, 13302, "42d89624903977e2d0a460d5615a915ddb72ac4cd10bb2881e6b889daca59459"),
+    "default": ({}, 13302, "213887980a56f0e6a3724f0a079149eefeadff6a2b77597f66f8f76f2e42f1e1"),
     "depleted": ({"initial_battery": 0.004}, 1375,
-                 "1ef5532d185812a0c8fbe1953bf3d49a1c19f0bbccff496ca7f7ab10ba5eef91"),
+                 "a270368b677d8cf7c17b31b5b92af629fbabf00a87f2a597cf2897f68d51e990"),
     "mix-charging": ({"mix_charging": True}, 13390,
-                     "10971bae3c9bb10cc6a309339bad8118615a8f9decf23ac3e43199b5bdcd59af"),
+                     "2ed58b30d8f2ae033e3a2103ad9c0105aa1fb30ef24a63a918f7673a9721b493"),
     "200-nodes": ({"nodes": 200, "area_width": 282.8, "area_height": 282.8}, 112905,
-                  "67c102ef63089ada492306b39907f93f5d527aac61be710d1f5081919b415d17"),
-    "repair-2-hops": ({"repair_radius_hops": 2, "initial_battery": 0.02}, 5561,
-                      "5618014568f2b68cb99be2a7bd0c82ca12d83655caadd9fa3eff61dc9654db2e"),
+                  "54bc8f877019e9e03bd2af1cdaf5e5c06acb2724720fed617ad4f8dcb545be41"),
+    "repair-2-hops": ({"repair_radius_hops": 2, "initial_battery": 0.02}, 5559,
+                      "6819b57deb11b9aab990b5031de9af545386dea7975272d3a8967af9addd28f4"),
 }
 
 
@@ -43,17 +43,17 @@ LEDGER_PINS = {
 # (importance = pf size, distinct subset sums) that keep every subset on the
 # exact solver's frontier.
 SCHEDULE_PINS = {
-    "random-64": "8e1afe8c51a01f364030768c9f1e369e3e3ef7fe3cf7ee597c61c8bcc01e10e4",
-    "equal-density-16": "18ae245b12aaa274ca500341dc00f1dea9254be252861640ee55a96fe47ba3c9",
+    "random-64": "77a5603ac634112953aca20d439e210d3f56ab56b7c94c52b9d76ecc58920101",
+    "equal-density-16": "65ce4f8d2137705682fd769612a92338981466fdd2a297ebcc8aa9beca1c23f9",
 }
 
 
 # `fit` reports on the default trace: a 70/30 split fit and a 20-slice rolling fit.
 FIT_REPORT_PINS = {
     "split-0.7": (["--fit-fraction", "0.7"],
-                  "a67dada1024b3dbb900bf290f3d4a119d42ec0aac63c9406dba3bfc6ed5d5c95"),
+                  "b8e5e2003ad8224d750338bf680b4cb6ff21933e2061f1b4da05d190e5c6e3aa"),
     "window-20": (["--window", "20"],
-                  "4cdf5d509ad9c6d5943a93944b4b44b0d66e7201d9b2bb30d13e1877cbb50f46"),
+                  "bee7a59bc9f544e9bf777e9d30b0212a69934b76ca624af4fe0fb211e4350171"),
 }
 
 # Every field of `rolling_fit(window=8)` on the `initial_battery=0.004` trace,
@@ -61,7 +61,7 @@ FIT_REPORT_PINS = {
 # skipped, SHA-256 of the hex-encoded fits and the skip reasons). Its slices
 # that book 0 J have no percentage error; `fit` reports them unscored
 # (tests/test_cli.py).
-DEPLETED_ROLLING_8 = (43, 30, "344d73a8999e24cf34bf4fb6695947d5537516b2dcdac619a8d1aa9b3ffe6fbe")
+DEPLETED_ROLLING_8 = (43, 30, "418cd002cd6e2406ccd3dc7b8eb369db3e05f43e3c01ba113d00c05dcf991749")
 
 # SHA-256 of each run's per-slice phase string (I, C or M per slice) where
 # the pins above do not reach the run loop: short initializations, a repair
@@ -80,7 +80,7 @@ PHASE_PINS = {
                              "initial_battery": 0.004},
                             "dce6b8bf1fc858abe68af43a3fbdeb8a49e04de09d471d524e5453e0c03f81d3"),
     "repair-2-hops": ({"repair_radius_hops": 2, "initial_battery": 0.02},
-                      "4dab528e097373fad4c022710763fd2a21986dfdf65d6508c40e9c274aa87b53"),
+                      "a020cb5bb5569d856aebc4ded4af06fa380bde39903bbedb356ca0ee72648fa0"),
     "seed-7-period-3": ({"seed": 7, "maintenance_period": 3, "total_slices": 40},
                         "a91c2df611082aeda99dad0d5f2f32a16dc6fa33937dfcf929d29b1216b52d59"),
 }

@@ -3,7 +3,9 @@
 Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
 every handling, and counts its non-``None`` returns as booked handlings, so
 those calls must be the ledger, row for row. The ledger keeps its rows in
-one group of three typed columns per slice, out of reference cycles.
+one group of three typed columns per slice, energies in whole nanojoules,
+out of reference cycles, and a node's battery drop is exactly the sum of its
+rows.
 """
 
 import gc
@@ -37,7 +39,11 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
     monkeypatch.setattr(simulator, "charge", recording)
     result = simulator.run(ScenarioConfig(**fields))
     assert len(booked) == len(result.ledger) > 0
-    assert [(e.slice_index, e.node_id, e.kind.code, e.energy) for e in result.ledger] == booked
+    assert [(i, node_id, code, nanojoules)
+            for i, (nodes, codes, energies) in enumerate(result.ledger.groups)
+            for node_id, code, nanojoules in zip(nodes, codes, energies)] == booked
+    assert [(e.slice_index, e.node_id, e.kind.code, e.energy) for e in result.ledger] == [
+        (i, node_id, code, nanojoules / 1e9) for i, node_id, code, nanojoules in booked]
     # One row group per slice, as long as the rows booked in that slice.
     groups, counts = result.ledger.groups, Counter(row[0] for row in booked)
     assert len(groups) == len(result.records)
@@ -72,6 +78,22 @@ def test_ledger_reads_as_a_sequence_of_entries():
         ledger[0] = entries[0]
 
 
+@pytest.mark.parametrize("fields", [
+    {}, {"initial_battery": 0.004}, {"repair_radius_hops": 2, "initial_battery": 0.02},
+    {"mix_charging": True}, {"r_tx": 0.0}],
+    ids=["default", "depleted", "repair-2-hops", "mix-charging", "no-links"])
+def test_each_nodes_battery_drop_is_the_sum_of_its_rows(fields):
+    cfg = ScenarioConfig(**fields)
+    result = simulator.run(cfg)
+    booked = [0.0] * cfg.nodes
+    for nodes, _, energies in result.ledger.groups:
+        for node_id, nanojoules in zip(nodes, energies):
+            booked[node_id] += nanojoules
+    initial = round(cfg.initial_battery * 1e9)
+    assert [initial - node.battery for node in result.nodes] == booked
+    assert all(booked)
+
+
 @pytest.mark.parametrize("fields", [{}, {"nodes": 200}], ids=["default", "200-nodes"])
 def test_ledger_costs_at_most_16_bytes_a_row(fields):
     ledger = simulator.run(ScenarioConfig(**fields)).ledger
@@ -86,7 +108,8 @@ def test_ledger_costs_at_most_16_bytes_a_row(fields):
 
 def test_rows_compare_equal_however_they_were_booked():
     code = PacketKind.RELAYED_DATA.code
-    stages = {1: [([3, 4], [0.5, 0.25])], 2: [([], [])], 4: [([7], [2.0]), ([8, 9], [1.0, 3.0])]}
+    stages = {1: [([3, 4], [500.0, 250.0])], 2: [([], [])],
+              4: [([7], [2000.0]), ([8, 9], [1000.0, 3000.0])]}
     per_stage, per_row = Ledger(), Ledger()
     for slice_index, booked in stages.items():
         for ids, costs in booked:
@@ -95,23 +118,24 @@ def test_rows_compare_equal_however_they_were_booked():
                 per_row.book(slice_index, [node_id], bytes((code,)), [cost])
     per_row.book(6, [], b"", [])   # empty trailing slices
     assert (len(per_stage.groups), len(per_row.groups)) == (5, 7)
-    rows = [ChargeEntry(1, 3, PacketKind.RELAYED_DATA, 0.5),
-            ChargeEntry(1, 4, PacketKind.RELAYED_DATA, 0.25),
-            ChargeEntry(4, 7, PacketKind.RELAYED_DATA, 2.0),
-            ChargeEntry(4, 8, PacketKind.RELAYED_DATA, 1.0),
-            ChargeEntry(4, 9, PacketKind.RELAYED_DATA, 3.0)]
+    rows = [ChargeEntry(1, 3, PacketKind.RELAYED_DATA, 5e-7),
+            ChargeEntry(1, 4, PacketKind.RELAYED_DATA, 2.5e-7),
+            ChargeEntry(4, 7, PacketKind.RELAYED_DATA, 2e-6),
+            ChargeEntry(4, 8, PacketKind.RELAYED_DATA, 1e-6),
+            ChargeEntry(4, 9, PacketKind.RELAYED_DATA, 3e-6)]
     assert per_stage == per_row == rows and len(per_row) == 5
     assert per_row[2:4] == rows[2:4] and per_row[-1] == rows[-1]
-    per_row.book(6, [1], bytes((code,)), [3.0])
+    per_row.book(6, [1], bytes((code,)), [3000.0])
     assert per_stage != per_row
 
 
 def test_totals_of_a_slice_without_rows():
     ledger = Ledger()
-    ledger.book(2, [5, 6], bytes((PacketKind.SENSED.code, PacketKind.SCHEDULING.code)), [1.5, 0.25])
+    ledger.book(2, [5, 6], bytes((PacketKind.SENSED.code, PacketKind.SCHEDULING.code)),
+                [1500.0, 250.0])
     for slice_index in (0, 1, 3):
         assert ledger.totals(slice_index) == (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0)
-    assert ledger.totals(2) == (ConstituentFlowVector(1, 1, 0, 0, 0), 1.75)
+    assert ledger.totals(2) == (ConstituentFlowVector(1, 1, 0, 0, 0), 1750.0)
     assert len(ledger.groups) == 4 and len(ledger) == 2
 
 

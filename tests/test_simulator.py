@@ -7,7 +7,7 @@ import statistics
 
 import pytest
 
-from wsnec.config import ScenarioConfig
+from wsnec.config import ConfigError, ScenarioConfig
 from wsnec.energy_core import (
     CONSTITUENT_ORDER,
     Constituent,
@@ -110,31 +110,56 @@ class TestBuildTopology:
             assert node.next_hop == min(closer)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"initial_battery": 4e-10}, "initial_battery 4e-10 J rounds to 0 nJ"),
+    ({"nodes": 10, "initial_battery": 1e6}, r"= 1e\+16 nJ exceeds 2\^53"),
+    ({"profile": ResourcePowerProfile(4e-10, 0.0, 0.0, 1.0, 0.0)},
+     "sensed handling price 4e-10 J rounds to 0 nJ"),
+    ({"mix_charging": True, "profile": ResourcePowerProfile(4e-10, 0.0, 0.0, 0.0, 0.0)},
+     "handling price 4e-10 J rounds to 0 nJ"),
+])
+def test_energies_outside_whole_nanojoules_rejected(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        build_topology(cfg_with(**fields))
+
+
+def test_whole_nanojoule_limits_accepted():
+    # A 1 nJ battery, 9e15 nJ of batteries in all, and prices of 1 nJ and 0.
+    build_topology(cfg_with(nodes=2, initial_battery=6e-10))
+    build_topology(cfg_with(nodes=9, initial_battery=1e6))
+    build_topology(cfg_with(nodes=2, profile=ResourcePowerProfile(6e-10, 0.0, 0.0, 0.0, 0.0)))
+
+
 class TestCharge:
+    """Batteries and prices in whole nanojoules, as a run holds them."""
+
     def _node(self, battery: float) -> NodeState:
         return NodeState(0, 0.0, 0.0, battery, 10.0)
 
+    @staticmethod
+    def _price(usage: ResourceUsageVector) -> float:
+        return float(round(task_energy(usage, PROFILE) * 1e9))
+
     def test_battery_equal_to_cost_dies_at_zero(self):
-        usage = ResourceUsageVector(b_cpu=1, b_tx=1)
-        cost = 2e-5 + 6e-5
-        node = self._node(cost)
-        entry = charge(node, PacketKind.SENSED, task_energy(usage, PROFILE), 0)
-        assert entry == cost
+        cost = self._price(ResourceUsageVector(b_cpu=1, b_tx=1))
+        node = self._node(80_000.0)   # 2e-5 J + 6e-5 J
+        entry = charge(node, PacketKind.SENSED, cost, 0)
+        assert entry == cost == 80_000.0
         assert node.battery == 0.0 and not node.alive
 
     def test_dead_node_drops(self):
-        node = self._node(1.0)
+        node = self._node(1e9)
         node.alive = False
         before = node.battery
-        cost = task_energy(ResourceUsageVector(b_cpu=1), PROFILE)
+        cost = self._price(ResourceUsageVector(b_cpu=1))
         assert charge(node, PacketKind.SENSED, cost, 0) is None
         assert node.battery == before
 
     def test_unaffordable_task_ignored(self):
-        node = self._node(1e-6)
-        cost = task_energy(ResourceUsageVector(b_cpu=1), PROFILE)
+        node = self._node(1_000.0)
+        cost = self._price(ResourceUsageVector(b_cpu=1))
         assert charge(node, PacketKind.SENSED, cost, 0) is None
-        assert node.battery == 1e-6 and node.alive
+        assert node.battery == 1_000.0 and node.alive
 
 
 class TestRun:
@@ -168,21 +193,30 @@ class TestRun:
         assert a.delivered == b.delivered and a.dropped == b.dropped
 
     def test_conservation_ledger_vs_battery(self):
-        result = run(cfg_with(seed=11))
-        drained = result.initial_battery_total - result.final_battery_total
-        assert result.ledger_total == pytest.approx(drained, rel=1e-9)
+        # In whole nJ, exactly; the run's joule totals are those over 1e9.
+        cfg = cfg_with(seed=11)
+        result = run(cfg)
+        initial = cfg.nodes * round(cfg.initial_battery * 1e9)
+        drained = initial - sum(node.battery for node in result.nodes)
+        booked = sum(sum(energies) for _, _, energies in result.ledger.groups)
+        assert drained == booked > 0
+        assert result.initial_battery_total == initial / 1e9
+        assert result.final_battery_total == (initial - drained) / 1e9
+        assert result.ledger_total == booked / 1e9
 
     def test_slice_energy_equals_ledger_per_slice(self):
-        # Exactly the slice's rows added one at a time in booking order, the
-        # sum every trace digest is pinned to: default, depleted, mix-charging
-        # and repair-2-hops scenarios.
+        # The slice's whole-nJ rows, added in any order (here the reverse of
+        # booking order), over 1e9: default, depleted, mix-charging and
+        # repair-2-hops scenarios.
         for fields in ({}, {"initial_battery": 0.004}, {"mix_charging": True},
                        {"repair_radius_hops": 2, "initial_battery": 0.02}):
             result = run(ScenarioConfig(**fields))
             expected = [0.0] * len(result.records)
-            for entry in result.ledger:
-                expected[entry.slice_index] += entry.energy
-            assert [rec.energy_j for rec in result.records] == expected, fields
+            for index, (_, _, energies) in enumerate(result.ledger.groups):
+                for nanojoules in reversed(energies):
+                    assert nanojoules == round(nanojoules) > 0
+                    expected[index] += nanojoules
+            assert [rec.energy_j for rec in result.records] == [e / 1e9 for e in expected], fields
 
     def test_flow_totals_count_every_charge_once(self):
         result = run(cfg_with(seed=17, total_slices=20))
@@ -264,17 +298,23 @@ class TestRun:
             assert rec.flows.b_snk == 0.0
 
     def test_all_dead_truncates_trace(self):
-        # power-of-two costs make the battery hit exactly zero: two warm-up
-        # readings at 2^-15 J apiece drain a 2^-14 J battery in slice 0
-        profile = ResourcePowerProfile(p_cpu=2 ** -16, p_mem=0.0, p_rx=0.0,
-                                       p_tx=0.0, p_sens=2 ** -16)
-        cfg = cfg_with(seed=5, nodes=1, initial_battery=2 ** -14, total_slices=10,
+        # two warm-up readings at 5 µJ apiece drain a 10 µJ battery in slice 0
+        profile = ResourcePowerProfile(p_cpu=2.5e-6, p_mem=0.0, p_rx=0.0,
+                                       p_tx=0.0, p_sens=2.5e-6)
+        cfg = cfg_with(seed=5, nodes=1, initial_battery=1e-5, total_slices=10,
                        warmup_packets=2, monitoring=False, scheduling=False,
                        event_rate=0.0, maintenance_period=0, profile=profile)
         result = run(cfg)
         assert len(result.records) == 1
         assert result.records[0].alive_nodes == 0
         assert result.nodes[0].battery == 0.0 and not result.nodes[0].alive
+
+    @pytest.mark.parametrize("battery", [0.001, 0.004, 0.02, 0.05])
+    def test_depleted_runs_reach_node_death(self, battery):
+        # A battery that lands on zero kills its node; a live node holds more.
+        nodes = run(cfg_with(initial_battery=battery)).nodes
+        assert any(not node.alive for node in nodes)
+        assert all((node.battery == 0.0) is not node.alive for node in nodes)
 
     def test_mix_charging_prices_by_constituent(self):
         cfg = cfg_with(seed=9, total_slices=10, mix_charging=True)
