@@ -2,11 +2,15 @@
 
 Every command is deterministic given its inputs and seed; exit code 0 on
 success, 1 on validation and usage errors, 2 on infeasibility or rank errors.
+The parser is built once per process, on the first ``main`` call, and reused:
+no argument has a mutable default or accumulates, so one parse leaves nothing
+for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -172,6 +176,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wsnec",

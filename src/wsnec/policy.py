@@ -211,7 +211,8 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
 
     Every mandatory task is included; optional tasks maximize total
     importance subject to the strict budget. The schedule is ordered by
-    descending importance per joule (ties: lower task id).
+    descending importance per joule, compared exactly (ties: lower task
+    id); tasks that cost nothing or less come first.
     """
     battery = problem.e_battery
     cost = {t.task_id: task_cost(t, problem.coefficients) for t in problem.tasks}
@@ -219,9 +220,22 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
     optional = [t for t in problem.tasks if not t.mandatory]
     mandatory_cost = math.fsum(cost[t.task_id] for t in mandatory)
 
-    def density_order(t: TaskDescriptor) -> tuple[float, int]:
-        c = cost[t.task_id]
-        return (-(math.inf if c <= 0 else t.importance / c), t.task_id)
+    # Importance per joule as an exact ratio p / q of integers, so equal
+    # densities tie on the id, not on float noise. Two different ratios differ
+    # by at least 1 / (q1 q2) >= 2^-shift, so p * 2^shift // q orders them
+    # exactly in one integer, far cheaper to compare than a Fraction.
+    ratios = {}
+    for t in problem.tasks:
+        n, d = t.importance.as_integer_ratio()
+        a, b = problem.coefficients.get(t.constituent).as_integer_ratio()
+        ratios[t.task_id] = (n * b, d * a * t.pf_size)
+    shift = 2 * max((abs(q).bit_length() for _, q in ratios.values()), default=0)
+
+    def density_order(t: TaskDescriptor) -> tuple[bool, int, int]:
+        if cost[t.task_id] <= 0:
+            return (False, 0, t.task_id)
+        p, q = ratios[t.task_id]
+        return (True, -((p << shift) // q), t.task_id)
 
     def build(selection: list[TaskDescriptor], feasible: bool, method: str) -> ScheduleResult:
         per = _per_constituent((t, cost[t.task_id]) for t in selection)

@@ -4,6 +4,8 @@ Commands are invoked in-process through ``cli.main`` (it returns the exit
 code); subprocess tests cover ``python -m wsnec.cli`` and ``python -m wsnec``.
 """
 
+import argparse
+import hashlib
 import os
 import re
 import subprocess
@@ -24,6 +26,7 @@ from wsnec.traceio import (
 )
 from wsnec.simulator import Phase, SliceRecord, run
 from wsnec.energy_core import ConstituentFlowVector
+from test_golden import DEFAULT_TRACE_SHA256, FIT_REPORT_PINS
 
 MINIMAL = "[sim]\nseed = 5\nnodes = 2\ntotal_slices = 12\n"
 # Every handling would cost a fraction of a nanojoule, which rounds to 0 nJ.
@@ -374,6 +377,64 @@ class TestBudget:
                          "--battery", "10.0", "--output", out])
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One parser serves every command of a process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_holds_no_mutable_state(self):
+        # What makes reuse safe: no list, dict or set default, no accumulating
+        # action, and each subcommand dispatches to its module-level cmd_*.
+        parser = cli.build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, p in sub.choices.items():
+            defaults = [a.default for a in p._actions] + list(p._defaults.values())
+            assert not [d for d in defaults if isinstance(d, (list, dict, set))]
+            assert not [a for a in p._actions if isinstance(a, argparse._AppendAction)]
+            assert p.get_default("func") is getattr(cli, f"cmd_{name}")
+
+    def test_window_does_not_leak_into_the_next_fit(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        rolling, split = tmp_path / "rolling.csv", tmp_path / "split.csv"
+        write_trace(str(trace), run(ScenarioConfig()).records)
+        assert cli.main(["fit", "--input", str(trace), "--output", str(rolling),
+                         "--window", "20"]) == 0
+        assert cli.main(["fit", "--input", str(trace), "--output", str(split),
+                         "--fit-fraction", "0.7"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(split.read_bytes()).hexdigest() == FIT_REPORT_PINS["split-0.7"][1]
+
+    def test_seed_does_not_leak_into_the_next_simulate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, sample_config())
+        seeded, configured = tmp_path / "seeded.csv", tmp_path / "configured.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(seeded),
+                         "--seed", "5"]) == 0
+        assert cli.main(["simulate", "--config", cfg, "--output", str(configured)]) == 0
+        out = capsys.readouterr().out
+        assert out.index("seed: 5\n") < out.index("seed: 1\n")
+        assert hashlib.sha256(configured.read_bytes()).hexdigest() == DEFAULT_TRACE_SHA256
+        assert seeded.read_bytes() != configured.read_bytes()
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--input", "t.csv", "--output", "r.csv", "--window", "abc"])
+        assert exc.value.code == 1
+        cfg, out = write_cfg(tmp_path, MINIMAL), tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        assert len(read_trace(str(out))) == 12
+
+    def test_help_twice_is_identical(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "simulate" in texts[0] and "budget" in texts[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -44,7 +44,7 @@ LEDGER_PINS = {
 # exact solver's frontier.
 SCHEDULE_PINS = {
     "random-64": "77a5603ac634112953aca20d439e210d3f56ab56b7c94c52b9d76ecc58920101",
-    "equal-density-16": "65ce4f8d2137705682fd769612a92338981466fdd2a297ebcc8aa9beca1c23f9",
+    "equal-density-16": "0c2b60fe77bc917990f435fa1fab1fc50569038e0321b1abadbb578777ff6b61",
 }
 
 

@@ -1,8 +1,8 @@
-"""Every function the benchmark's tracer hooks must still exist.
+"""Every function the benchmark's tracer hooks must still exist, and stay hooked.
 
 The tracer reports a hook whose target is gone as absent and reads its
 metrics as zero, so a renamed or removed function would pass the benchmark
-silently; this test fails instead.
+silently; these tests fail instead.
 """
 
 import importlib
@@ -10,13 +10,41 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+from wsnec.config import sample_config
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_hook_target_resolves():
+def _tracer_and_modules():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     modules = SimpleNamespace(**{module: importlib.import_module(f"wsnec.{module}")
                                  for _, module, _, _ in tracer.HOOKS})
+    return tracer, modules
+
+
+def test_every_hook_target_resolves():
+    tracer, modules = _tracer_and_modules()
     assert tracer.Tracer(modules).absent == []
+
+
+def test_cached_parser_hides_no_hooked_call(tmp_path, capsys):
+    # The CLI parser is built once per process, here before the hooks go in;
+    # the commands must still reach load_config through the hooked name.
+    tracer, modules = _tracer_and_modules()
+    cli = modules.cli
+    cli.build_parser()
+    config, trace, report = tmp_path / "scenario.ini", tmp_path / "trace.csv", tmp_path / "fit.csv"
+    config.write_text(sample_config(), encoding="utf-8")
+    hooks = tracer.Tracer(modules)
+    hooks.install()
+    try:
+        assert cli.main(["simulate", "--config", str(config), "--output", str(trace)]) == 0
+        assert cli.main(["fit", "--input", str(trace), "--output", str(report)]) == 0
+    finally:
+        hooks.uninstall()
+    capsys.readouterr()
+    metrics = hooks.metrics(1, 0.0)
+    assert metrics["cli.main.calls"][0] == 2
+    assert metrics["config.load_config.calls"][0] == 1

@@ -7,6 +7,7 @@ solver must match it on every instance.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,56 @@ class TestSelectTasks:
             ids.append(t.task_id)
         assert densities == sorted(densities, reverse=True)
         assert ids.index(1) < ids.index(3)   # equal density, lower id first
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_equal_densities_tie_on_id_despite_float_noise(self, ulps):
+        # importance = pf size: one exact density, but importance / (alpha * pf)
+        # rounds to more than one float, with alpha moved by its last bit too.
+        alpha = 7.087735405557836e-05
+        for _ in range(abs(ulps)):
+            alpha = math.nextafter(alpha, math.copysign(math.inf, ulps))
+        coefficients = CoefficientVector((0.0, 0.0, alpha, 0.0, 0.0),
+                                         (False, False, True, False, False))
+        sizes = [4194311, 1, 262146, 1036, 8195, 131073, 16395, 266, 2097154, 7, 513]
+        assert len({float(pf) / (alpha * pf) for pf in sizes}) > 1
+        tasks = tuple(TaskDescriptor(i, Constituent.GLOBAL, pf, float(pf))
+                      for i, pf in enumerate(sizes))
+        result = select_tasks(BudgetProblem(tasks, coefficients, 1e9, enforce_positivity=False))
+        assert result.selected_ids == tuple(range(len(sizes)))
+
+    def test_schedule_order_matches_exact_fractions(self):
+        # Reference: importance / (alpha * pf) as Fractions, highest first, then id.
+        rng = random.Random(19)
+        for _ in range(60):
+            base = [10.0 ** rng.uniform(-12, 3) for _ in range(3)]
+            alpha = [math.nextafter(a, rng.choice((0.0, math.inf))) if rng.random() < 0.5 else a
+                     for a in base]
+            coefficients = CoefficientVector((*alpha, 0.0, 0.0), (True, True, True, False, False))
+            tasks = []
+            for i in range(12):
+                c = rng.choice((Constituent.INDIVIDUAL, Constituent.LOCAL, Constituent.GLOBAL))
+                pf = rng.randrange(1, 5000)
+                importance = (float(pf) * rng.choice((1, 2, 3)) if rng.random() < 0.7
+                              else rng.uniform(0.5, 10.0))
+                tasks.append(TaskDescriptor(i, c, pf, importance))
+            battery = 2 * sum(task_cost(t, coefficients) for t in tasks) + 1.0
+            result = select_tasks(BudgetProblem(tuple(tasks), coefficients, battery,
+                                                enforce_positivity=False))
+            assert len(result.scheduled) == len(tasks)
+            expected = sorted(tasks, key=lambda t: (
+                -Fraction(t.importance) / (Fraction(coefficients.get(t.constituent)) * t.pf_size),
+                t.task_id))
+            assert result.selected_ids == tuple(t.task_id for t in expected)
+
+    def test_nonpositive_costs_come_first_by_id(self):
+        coefficients = CoefficientVector((-1.0, 0.0, 2.0, 0.0, 0.0),
+                                         (True, True, True, False, False))
+        tasks = (TaskDescriptor(1, Constituent.GLOBAL, 1, 9.0),
+                 TaskDescriptor(2, Constituent.LOCAL, 1, 1.0),
+                 TaskDescriptor(3, Constituent.INDIVIDUAL, 2, 1.0),
+                 TaskDescriptor(4, Constituent.INDIVIDUAL, 1, 5.0))
+        result = select_tasks(BudgetProblem(tasks, coefficients, 100.0, enforce_positivity=False))
+        assert result.selected_ids == (2, 3, 4, 1)
 
     def test_mandatory_positivity_validation(self):
         tasks = (TaskDescriptor(1, Constituent.LOCAL, 1, 1.0, mandatory=True),)
