@@ -302,6 +302,16 @@ class TestSweep:
                          str(tmp_path / "o.csv")]) == 1
         assert "r_sense > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["", "\n[sweep]\nruns = 2\n"])
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_rejected(self, tmp_path, capsys, section, runs):
+        cfg = write_cfg(tmp_path, MINIMAL + section)
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", cfg, "--output", str(out), "--runs", runs]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: invalid configuration:\n  sweep runs must be >= 1 (got {runs})\n")
+        assert not out.exists()
+
 
 class TestBudget:
     TASKS = ("id,constituent,pf_size,importance,mandatory\n"

@@ -10,7 +10,9 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
-from wsnec.config import sample_config
+import pytest
+
+from wsnec.config import ScenarioConfig, sample_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,3 +50,24 @@ def test_cached_parser_hides_no_hooked_call(tmp_path, capsys):
     metrics = hooks.metrics(1, 0.0)
     assert metrics["cli.main.calls"][0] == 2
     assert metrics["config.load_config.calls"][0] == 1
+
+
+@pytest.mark.parametrize("fields, hops, tx_prices", [
+    ({}, 200, 54),
+    ({"initial_battery": 0.004}, 234, 54),
+    ({"repair_radius_hops": 2, "initial_battery": 0.02}, 212, 54),
+    ({"nodes": 1000, "area_width": 632.5, "area_height": 632.5, "seed": 1}, 9950, 3295),
+])
+def test_route_and_radio_calls_per_run(fields, hops, tx_prices):
+    # Next-hop selections and radio-model tx prices (one per distinct hop
+    # distance) of one run, as the tracer counts them.
+    tracer, modules = _tracer_and_modules()
+    hooks = tracer.Tracer(modules)
+    hooks.install()
+    try:
+        modules.simulator.run(ScenarioConfig(**fields))
+    finally:
+        hooks.uninstall()
+    metrics = hooks.metrics(1, 0.0)
+    assert metrics["simulator.select_next_hop.calls"][0] == hops
+    assert metrics["radio.tx_energy_per_bit.calls"][0] == tx_prices
