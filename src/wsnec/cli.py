@@ -13,11 +13,13 @@ import argparse
 import functools
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import estimation, policy, simulator, traceio
-from .config import SWEEPABLE, ConfigError, ScenarioConfig, load_config, with_overrides
+from .config import (SWEEPABLE, ConfigError, ScenarioConfig, SweepConfig, load_config,
+                     sweep_violations, with_overrides)
 from .energy_core import CONSTITUENT_ORDER, Constituent, ConstituentFlowVector, bound
 
 EXIT_OK = 0
@@ -120,17 +122,16 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=_seed_override(args))
-    sweep = cfg.sweep
-    runs = args.runs if args.runs is not None else (sweep.runs if sweep else 50)
-    if runs < 1:
-        raise ConfigError([f"sweep runs must be >= 1 (got {runs})"])
-    ranges = dict(sweep.ranges) if sweep else {}
+    sweep = cfg.sweep or SweepConfig()
+    if args.runs is not None:
+        sweep = replace(sweep, runs=args.runs)
+        if violations := sweep_violations(sweep):
+            raise ConfigError(violations)
     master = random.Random(cfg.seed)
     rows = []
-    for run_index in range(runs):
+    for run_index in range(sweep.runs):
         sampled = {}
-        for name in sorted(ranges):
-            low, high = ranges[name]
+        for name, (low, high) in sorted(sweep.ranges.items()):
             if SWEEPABLE[name]:
                 sampled[name] = master.randint(int(low), int(high))
             else:
@@ -143,7 +144,7 @@ def cmd_sweep(args) -> int:
                                                      for rec in result.records))))
         rows.append((run_index, total, result.ledger_total))
     traceio.write_observations(args.output, rows)
-    print(f"sweep: {runs} runs, master seed {cfg.seed}")
+    print(f"sweep: {sweep.runs} runs, master seed {cfg.seed}")
     print(f"observations written to {args.output}")
     return EXIT_OK
 

@@ -253,7 +253,7 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
     sweep = None
     if parser.has_section("sweep"):
-        runs = 50
+        runs = SweepConfig.runs
         ranges = {}
         for key, raw in parser.items("sweep"):
             if key == "runs":
@@ -325,7 +325,7 @@ def sample_config() -> str:
 # d0 defaults to sqrt(eps_fs / eps_mp)
 
 [sweep]
-runs = 50
+runs = {SweepConfig.runs}
 # uniform ranges as low:high over: {", ".join(sorted(SWEEPABLE))}
 event_rate = 6.0:30.0
 r_sense = 8.0:18.0

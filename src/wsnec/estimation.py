@@ -116,7 +116,7 @@ class FitResult:
     stderr: tuple[float, ...]   # per active constituent, classical OLS proxy
 
 
-def fit_ls(obs: ObservationSet, *, warn_small: bool = True) -> FitResult:
+def fit_ls(obs: ObservationSet) -> FitResult:
     """Fit the coefficient vector minimizing ||E - b A||2 over the observations.
 
     Raises :class:`RankDeficientError` naming the dependent columns when the
@@ -127,7 +127,7 @@ def fit_ls(obs: ObservationSet, *, warn_small: bool = True) -> FitResult:
     m, n = obs.flows.shape
     if m <= n:
         raise ValueError(f"need more observations than constituents (M={m}, N={n})")
-    if warn_small and m < 10 * n:
+    if m < 10 * n:
         warnings.warn(f"only {m} observations for {n} constituents; recommend at least {10 * n}",
                       stacklevel=2)
 

@@ -194,10 +194,8 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
     return int(fm[-1])
 
 
-def _knapsack_greedy(costs: list[float], values: list[float], capacity: float,
-                     ids: list[int]) -> int:
-    order = sorted(range(len(costs)),
-                   key=lambda i: (-(math.inf if costs[i] <= 0 else values[i] / costs[i]), ids[i]))
+def _knapsack_greedy(costs: list[float], capacity: float, order: list[int]) -> int:
+    """First fit: the items tried in ``order``, each kept if it still fits."""
     mask, total = 0, 0.0
     for i in order:
         if total + costs[i] < capacity:
@@ -266,7 +264,8 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
     mask = _knapsack_exact(costs, values, capacity) if len(optional) <= EXACT_LIMIT else None
     method = "exact-dp"
     if mask is None:
-        mask = _knapsack_greedy(costs, values, capacity, [t.task_id for t in optional])
+        order = sorted(range(len(optional)), key=lambda i: density_order(optional[i]))
+        mask = _knapsack_greedy(costs, capacity, order)
         method = "greedy"
     chosen = mandatory + [t for i, t in enumerate(optional) if mask & (1 << i)]
     return build(chosen, feasible=True, method=method)

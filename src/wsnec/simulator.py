@@ -4,9 +4,11 @@ Nodes are placed uniformly in the area, connect to every node in
 transmission range, and route sensed data toward the sink, directly if it is
 in range, else through the in-range neighbor with the most last-known
 residual energy among those strictly closer to the sink (so relay chains
-always make progress). Each node keeps that neighbor's entry as its link,
-set whenever its route is recomputed, for next-hop probes and for marking a
-dead next hop.
+always make progress). A node's route is its link, set whenever the route is
+recomputed: that neighbor's entry, or an entry for the sink, built once per
+node in range of it; no link is no route. Each link carries the radio
+model's joules to send one packet over it; next-hop probes and the marking
+of a dead next hop use the link itself.
 
 The run is one loop over the slices: an initialization phase (boot warm-up
 readings, neighbor handshakes, route setup), then collection slices (area
@@ -52,6 +54,7 @@ event counts times run constants, set when the run ends.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -146,8 +149,12 @@ class NodeState:
     dist_to_sink: float
     alive: bool = True
     neighbors: list[Neighbor] = field(default_factory=list)   # sorted by node_id
-    next_hop: int | None = None                               # SINK_ID = direct delivery
-    link: Neighbor | None = None   # the next hop's entry; None for SINK_ID and no route
+    link: Neighbor | None = None   # the route: the next hop's or the sink's entry; None: no route
+
+    @property
+    def next_hop(self) -> int | None:
+        """The link's node id (``SINK_ID`` for direct delivery), or ``None``."""
+        return None if self.link is None else self.link.node_id
 
 
 class ChargeEntry(NamedTuple):
@@ -397,13 +404,16 @@ class Simulation:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.nodes = _place_nodes(cfg, self.rng)
-        # Radio-model joules to send one packet: per hop distance, per link,
-        # and per node to its current next hop.
-        self._tx_j_by_distance: dict[float, float] = {}
+        # Radio-model joules to send one packet over each link, priced once
+        # per distance; a node in range of the sink has a link to it.
+        tx_j = functools.cache(
+            lambda distance: cfg.bits_per_packet * tx_energy_per_bit(distance, cfg.radio))
         for node in self.nodes:
             for nbr in node.neighbors:
-                nbr.tx_j = self._tx_j(nbr.distance)
-        self._hop_tx_j = [0.0] * len(self.nodes)
+                nbr.tx_j = tx_j(nbr.distance)
+        self._sink_links = [
+            Neighbor(SINK_ID, node.dist_to_sink, math.inf, tx_j=tx_j(node.dist_to_sink))
+            if node.dist_to_sink <= cfg.r_tx else None for node in self.nodes]
         self._route(self.nodes)
         self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
         self.ledger = Ledger()
@@ -428,13 +438,6 @@ class Simulation:
         self._relay_handling(0)   # so that a relay price that rounds to 0 nJ fails here
 
     # -- charging ----------------------------------------------------------
-
-    def _tx_j(self, distance: float) -> float:
-        joules = self._tx_j_by_distance.get(distance)
-        if joules is None:
-            joules = self._tx_j_by_distance[distance] = \
-                self.cfg.bits_per_packet * tx_energy_per_bit(distance, self.cfg.radio)
-        return joules
 
     def _price(self, kind: PacketKind, usage: ResourceUsageVector) -> float:
         """The whole-nJ price of one handling of ``usage``, or under mix
@@ -461,19 +464,12 @@ class Simulation:
     # -- neighbor interaction ----------------------------------------------
 
     def _route(self, participants: list[NodeState]) -> None:
-        """Recompute the participants' next hops, direct if the sink is in
-        range, their links and the model joules to send one packet on each."""
-        r_tx = self.cfg.r_tx
+        """Recompute the participants' links: none for a dead node, else the
+        sink's entry if the sink is in range, else the chosen neighbor's."""
+        nodes, sink_links = self.nodes, self._sink_links
         for node in participants:
-            link = None
-            if node.alive and node.dist_to_sink <= r_tx:
-                hop, joules = SINK_ID, self._tx_j(node.dist_to_sink)
-            elif node.alive and (link := select_next_hop(node, self.nodes)) is not None:
-                hop, joules = link.node_id, link.tx_j
-            else:
-                hop, joules = None, 0.0   # dead or no route, so nothing is sent
-            node.next_hop, node.link = hop, link
-            self._hop_tx_j[node.node_id] = joules
+            node.link = None if not node.alive else (
+                sink_links[node.node_id] or select_next_hop(node, nodes))
 
     def _exchanges(self, stage, kind: PacketKind, probe: bool) -> None:
         """Book one exchange stage over lazy (sender, ``Neighbor`` entries)
@@ -501,7 +497,7 @@ class Simulation:
                     refused.append(len(ids) + len(refused))   # its slot had none been refused
                     if probe:
                         nbr.known_alive = False
-                        if node.next_hop == nbr.node_id:
+                        if node.link is nbr:
                             triggers.append(node.node_id)
                     continue
                 add_id(nbr.node_id)
@@ -520,9 +516,10 @@ class Simulation:
         self.dropped += unsent + len(refused)
 
     def _monitoring(self, full_refresh: bool) -> None:
-        # Every neighbor, or each next hop; the sink and no route have no link.
+        # Every neighbor, or each next hop; a sink link and no route are skipped.
         stage = _links(self.nodes) if full_refresh else (
-            (node, (node.link,)) for node in self.nodes if node.link is not None)
+            (node, (link,)) for node in self.nodes
+            if (link := node.link) is not None and link.node_id != SINK_ID)
         self._exchanges(stage, PacketKind.NEIGHBOR_INFO, probe=True)
 
     # -- sensing and relaying ------------------------------------------------
@@ -536,7 +533,7 @@ class Simulation:
         cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
         book, si, triggers = charge, self.slice_index, self._repair_triggers
         sensed, relayed, cap = self._sensed_this_slice, self._relayed_this_slice, self._sense_cap
-        hop_tx_j, table, relay_handling = self._hop_tx_j, self._relay_by_depth, self._relay_handling
+        table, relay_handling = self._relay_by_depth, self._relay_handling
         ids, codes, costs = [], [], []
         add_id, add_code, add_cost = ids.append, codes.append, costs.append
         sensed_kind, scheduling_kind, relayed_kind = (
@@ -559,8 +556,8 @@ class Simulation:
                 seen = sensed[origin]
                 if seen >= cap:
                     continue
-                hop = node.next_hop
-                cost = warmup_cost if hop is None else sense_cost
+                link = node.link
+                cost = warmup_cost if link is None else sense_cost
                 if book(node, sensed_kind, cost, si) is None:
                     dropped += 1
                     continue
@@ -568,10 +565,10 @@ class Simulation:
                 add_code(sensed_code)
                 add_cost(cost)
                 sensed[origin] = seen + 1
-                if hop is None:   # no route: sensed, not sent
+                if link is None:   # no route: sensed, not sent
                     dropped += 1
                     continue
-                model_tx += hop_tx_j[origin]
+                model_tx += link.tx_j
                 tx_events += 1
                 if cfg.scheduling:
                     if book(node, scheduling_kind, send_cost, si) is None:
@@ -580,17 +577,17 @@ class Simulation:
                         add_id(origin)
                         add_code(scheduling_code)
                         add_cost(send_cost)
-                        model_tx += hop_tx_j[origin]
+                        model_tx += link.tx_j
                         tx_events += 1
                 current = node
-                while hop != SINK_ID:
+                while (hop := link.node_id) != SINK_ID:
                     target = nodes[hop]
                     if not target.alive:
                         dropped += 1
-                        current.link.known_alive = False
+                        link.known_alive = False
                         triggers.append(current.node_id)
                         break
-                    if target.next_hop is None:
+                    if target.link is None:
                         # Stranded relay: receives and queues, cannot forward.
                         if book(target, relayed_kind, queue_cost, si) is None:
                             dropped += 1
@@ -609,11 +606,11 @@ class Simulation:
                     add_id(hop)
                     add_code(relayed_code)
                     add_cost(cost)
-                    model_tx += hop_tx_j[hop]
+                    current, link = target, target.link
+                    model_tx += link.tx_j
                     tx_events += 1
                     rx_events += 1
                     relayed[hop] = depth + 1
-                    current, hop = target, target.next_hop
                 else:   # the walk reached the sink
                     delivered += 1
         self.ledger.book(si, ids, bytes(codes), costs)

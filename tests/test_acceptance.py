@@ -55,7 +55,7 @@ def test_criterion_1_exact_coefficient_recovery():
     flows = rng.uniform(1.0, 200.0, size=(50, 3))
     energies = flows @ alpha_true
     obs = ObservationSet(flows, energies, (True, True, True, False, False))
-    fit = fit_ls(obs, warn_small=False)
+    fit = fit_ls(obs)
     rel_errors = [abs(got - want) / want
                   for got, want in zip(fit.coefficients.alpha[:3], alpha_true)]
     elapsed = time.perf_counter() - started
@@ -71,7 +71,7 @@ def test_criterion_2_headline_error_band():
     phases = {r.phase for r in result.records}
     obs = observations_from_slices(result.records)
     split = int(obs.n_obs * 0.7)
-    fit = fit_ls(obs.rows(0, split), warn_small=False)
+    fit = fit_ls(obs.rows(0, split))
     scored = obs.rows(split, obs.n_obs)
     errors = error_report(predict_rows(fit.coefficients, scored), scored.energy)
     elapsed = time.perf_counter() - started
@@ -88,7 +88,7 @@ def test_criterion_3_global_dominance(default_run):
     result = default_run
     obs = observations_from_slices(result.records)
     split = int(obs.n_obs * 0.7)
-    fit = fit_ls(obs.rows(0, split), warn_small=False)
+    fit = fit_ls(obs.rows(0, split))
 
     maint = [r for r in result.records if r.phase is Phase.MAINTENANCE]
     coll = [r for r in result.records if r.phase is Phase.COLLECTION]
@@ -278,7 +278,8 @@ def test_criterion_8_error_spike_visibility(tmp_path):
     assert code == 0
     obs = read_observations(str(obs_path))
     assert obs.n_obs == 50
-    fit = fit_ls(obs, warn_small=False)
+    with pytest.warns(UserWarning, match="negative entries"):
+        fit = fit_ls(obs)
     predicted = predict_rows(fit.coefficients, obs)
     abs_error = np.abs(predicted - obs.energy)
     global_flows = obs.flows[:, 2]

@@ -23,6 +23,7 @@ from wsnec.energy_core import (
     constituent_alpha,
     task_energy,
 )
+from wsnec.radio import tx_energy_per_bit
 from wsnec.simulator import (
     SINK_ID,
     USAGE_RECV,
@@ -40,6 +41,7 @@ from wsnec.simulator import (
     build_topology,
     charge,
     connect_neighbors,
+    select_next_hop,
 )
 
 EXTENT = 100.0
@@ -168,7 +170,16 @@ class _PerHandling(Simulation):
     """The per-handling path that ``_events`` replaces: one ``_charge`` call
     per handling, an event loop, ``_handle_event`` and the relay walk, and
     the warm-up loop that booked through ``_charge``, verbatim, except that
-    each handling is priced on its own, not from the run's cost table."""
+    each handling is priced on its own, not from the run's cost table, and
+    each hop's model joules from geometry, not from the node's link."""
+
+    def _hop_tx_j(self, node: NodeState) -> float:
+        """The radio model's joules for ``node`` to send one packet to its
+        next hop: over its distance to the sink, or to that neighbor."""
+        hop = node.next_hop
+        distance = node.dist_to_sink if hop == SINK_ID else next(
+            entry.distance for entry in node.neighbors if entry.node_id == hop)
+        return self.cfg.bits_per_packet * tx_energy_per_bit(distance, self.cfg.radio)
 
     def _charge(self, node: NodeState, kind: PacketKind, usage: ResourceUsageVector,
                 tx_j: float = 0.0) -> float | None:
@@ -199,7 +210,7 @@ class _PerHandling(Simulation):
         has_route = node.next_hop is not None
         if has_route:
             entry = self._charge(node, PacketKind.SENSED, USAGE_SENSE_SEND,
-                                 self._hop_tx_j[node.node_id])
+                                 self._hop_tx_j(node))
         else:
             entry = self._charge(node, PacketKind.SENSED, USAGE_WARMUP)
         if entry is None:
@@ -209,7 +220,7 @@ class _PerHandling(Simulation):
             self.dropped += 1
             return
         if self.cfg.scheduling:
-            self._charge(node, PacketKind.SCHEDULING, USAGE_SEND, self._hop_tx_j[node.node_id])
+            self._charge(node, PacketKind.SCHEDULING, USAGE_SEND, self._hop_tx_j(node))
         self._relay(node)
 
     def _relay(self, origin: NodeState) -> None:
@@ -237,7 +248,7 @@ class _PerHandling(Simulation):
                 return
             depth = self._relayed_this_slice[target.node_id]
             entry = self._charge(target, PacketKind.RELAYED_DATA, _relay_usage(depth),
-                                 self._hop_tx_j[hop])
+                                 self._hop_tx_j(target))
             if entry is None:
                 self.dropped += 1
                 return
@@ -417,17 +428,40 @@ class TestExchangeStages:
         assert [list(r.flows.as_tuple()) for r in a.records] == counts
 
 
+class _RouteChecked(Simulation):
+    """Checks every node's link each time the participants' routes are set."""
+
+    def _route(self, participants):
+        super()._route(participants)
+        for node in participants:
+            if not node.alive:
+                assert node.link is None
+            elif node.dist_to_sink <= self.cfg.r_tx:
+                assert node.link.node_id == SINK_ID
+            else:
+                assert node.link is select_next_hop(node, self.nodes)
+
+
 @pytest.mark.parametrize("fields", [{}, {"initial_battery": 0.004},
                                     {"repair_radius_hops": 2, "initial_battery": 0.02},
-                                    {"r_tx": 0.0}])
-def test_link_is_the_next_hops_entry(fields):
-    # Checked after the run, when repairs and deaths have rerouted nodes.
-    for node in Simulation(ScenarioConfig(**fields)).run().nodes:
-        if node.next_hop is None or node.next_hop == SINK_ID:
-            assert node.link is None
+                                    {"r_tx": 0.0},
+                                    {"initial_battery": 0.001}])   # deaths before routing
+def test_a_route_is_a_link(fields):
+    cfg = ScenarioConfig(**fields)
+    # Checked after the run too, when repairs and deaths have rerouted nodes.
+    for node in _RouteChecked(cfg).run().nodes:
+        link, in_range = node.link, node.dist_to_sink <= cfg.r_tx
+        assert node.next_hop == (None if link is None else link.node_id)
+        if node.alive and in_range:
+            assert link.node_id == SINK_ID
+        if link is None:
+            continue
+        if link.node_id == SINK_ID:
+            assert in_range and link.distance == node.dist_to_sink
+            assert link.tx_j == cfg.bits_per_packet * tx_energy_per_bit(node.dist_to_sink,
+                                                                         cfg.radio)
         else:
-            assert node.link.node_id == node.next_hop
-            assert any(nbr is node.link for nbr in node.neighbors)
+            assert any(nbr is link for nbr in node.neighbors)
 
 
 class _Counted(_PerHandling):

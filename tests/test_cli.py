@@ -159,8 +159,9 @@ class TestFit:
     def test_rank_error_names_columns_exit_2(self, tmp_path, capsys):
         trace = self._exact_trace(tmp_path)
         report = tmp_path / "report.csv"
-        code = cli.main(["fit", "--input", trace, "--output", str(report),
-                         "--mask", "individual,local,global,environment,snk"])
+        with pytest.warns(UserWarning, match="only 40 observations for 5 constituents"):
+            code = cli.main(["fit", "--input", trace, "--output", str(report),
+                             "--mask", "individual,local,global,environment,snk"])
         assert code == 2
         err = capsys.readouterr().err
         assert "b_environment" in err and "b_snk" in err
@@ -333,7 +334,7 @@ class TestBudget:
         code = cli.main(["budget", "--tasks", tasks, "--model", model,
                          "--battery", "10.0", "--output", out])
         assert code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert "true,exact-dp" in text
 
     def test_infeasible_exit_code_2_with_report(self, tmp_path, capsys):
@@ -342,7 +343,7 @@ class TestBudget:
                          "--battery", "1.5", "--output", out])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
-        assert "false,exact-dp" in open(out).read()
+        assert "false,exact-dp" in Path(out).read_text()
 
     def test_worked_example_through_files(self, tmp_path):
         # optional costs 3,4,5,6 with importances 3,4,5,7 under a strict

@@ -238,8 +238,7 @@ class TestReportAndModel:
         b = rng.uniform(1, 50, size=(40, 3))
         e = b @ np.array([1e-4, 2e-4, 3e-4])
         from wsnec.estimation import ObservationSet
-        return fit_ls(ObservationSet(b, e, (True, True, True, False, False)),
-                      warn_small=False)
+        return fit_ls(ObservationSet(b, e, (True, True, True, False, False)))
 
     def test_report_coefficients_round_trip(self, tmp_path):
         fit = self._fit()

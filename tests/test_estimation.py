@@ -221,7 +221,7 @@ class TestRollingFit:
         obs = self._stationary_obs(30)
         rolling = rolling_fit(obs, 30)
         assert len(rolling.fits) == 1
-        single = fit_ls(obs, warn_small=False)
+        single = fit_ls(obs)
         assert rolling.fits[0].result.coefficients.alpha == \
             pytest.approx(single.coefficients.alpha, rel=1e-12)
 
@@ -248,7 +248,7 @@ def reference_rolling_fit(obs: ObservationSet, window: int):
     fits, skipped = [], []
     for start in range(obs.n_obs - window + 1):
         try:
-            fits.append((start, fit_ls(obs.rows(start, start + window), warn_small=False)))
+            fits.append((start, fit_ls(obs.rows(start, start + window))))
         except RankDeficientError as exc:
             skipped.append((start, str(exc)))
     return fits, skipped
@@ -256,7 +256,7 @@ def reference_rolling_fit(obs: ObservationSet, window: int):
 
 def assert_rolling_matches_reference(obs, window):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # negative least-squares coefficients
+        warnings.simplefilter("ignore")   # small windows, negative least-squares coefficients
         rolling = rolling_fit(obs, window)
         fits, skipped = reference_rolling_fit(obs, window)
     assert rolling.skipped == skipped

@@ -9,6 +9,7 @@ merely of equal value.
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -21,6 +22,7 @@ from wsnec.policy import (
     TaskDescriptor,
     _knapsack_exact,
     select_tasks,
+    task_cost,
 )
 
 
@@ -243,28 +245,62 @@ class TestMergeAndLastTask:
         assert_same(*case)
 
 
+def equal_density_problem(a: float) -> BudgetProblem:
+    """24 equal-density items with distinct subset sums, two mandatory tasks,
+    coefficient ``a`` for both constituents and room for about 3/4 of them."""
+    rng = random.Random(24)
+    sizes = [256 * 2 ** k + rng.randrange(10) for k in range(24)]
+    rng.shuffle(sizes)
+    alpha = CoefficientVector((0.0, a, a, 0.0, 0.0), (False, True, True, False, False))
+    tasks = [TaskDescriptor(0, Constituent.LOCAL, 1, 1.0, mandatory=True),
+             TaskDescriptor(1, Constituent.GLOBAL, 1, 1.0, mandatory=True)]
+    tasks += [TaskDescriptor(k + 2, Constituent.GLOBAL, pf, float(pf))
+              for k, pf in enumerate(sizes)]
+    return BudgetProblem(tuple(tasks), alpha, a * (2 + int(0.75 * sum(sizes)) + 0.5))
+
+
+def first_fit_by_exact_density(problem: BudgetProblem) -> tuple[int, ...]:
+    """Mandatory tasks, then each optional task that still fits, tried by
+    descending ``Fraction`` importance per joule (ties: lower id)."""
+    alpha = problem.coefficients
+    cost = {t.task_id: task_cost(t, alpha) for t in problem.tasks}
+    chosen = [t.task_id for t in problem.tasks if t.mandatory]
+    capacity = problem.e_battery - math.fsum(cost[i] for i in chosen)
+    optional = sorted((t for t in problem.tasks if not t.mandatory), key=lambda t: (
+        -Fraction(t.importance) / (Fraction(alpha.get(t.constituent)) * t.pf_size), t.task_id))
+    total = 0.0
+    for t in optional:
+        if total + cost[t.task_id] < capacity:
+            chosen.append(t.task_id)
+            total += cost[t.task_id]
+    return tuple(sorted(chosen))
+
+
 class TestStateLimit:
     def test_equal_density_items_fall_back_to_greedy_in_bounded_time(self):
-        # 24 equal-density items with distinct subset sums: every subset is on
-        # the frontier, so it would reach 2^24 states; the cap stops it at
-        # STATE_LIMIT = 2^20 candidates, after about 20 items.
-        rng = random.Random(24)
-        sizes = [256 * 2 ** k + rng.randrange(10) for k in range(24)]
-        rng.shuffle(sizes)
-        alpha = CoefficientVector((0.0, 1e-4, 1e-4, 0.0, 0.0),
-                                  (False, True, True, False, False))
-        tasks = [TaskDescriptor(0, Constituent.LOCAL, 1, 1.0, mandatory=True),
-                 TaskDescriptor(1, Constituent.GLOBAL, 1, 1.0, mandatory=True)]
-        tasks += [TaskDescriptor(k + 2, Constituent.GLOBAL, pf, float(pf))
-                  for k, pf in enumerate(sizes)]
-        battery = 1e-4 * (2 + int(0.75 * sum(sizes)) + 0.5)
+        # Every subset is on the frontier, so it would reach 2^24 states; the
+        # cap stops it at STATE_LIMIT = 2^20 candidates, after about 20 items.
+        problem = equal_density_problem(1e-4)
         start = time.perf_counter()
-        result = select_tasks(BudgetProblem(tuple(tasks), alpha, battery))
+        result = select_tasks(problem)
         elapsed = time.perf_counter() - start
         assert result.method == "greedy"
         assert result.feasible
-        assert result.total_cost < battery
+        assert result.total_cost < problem.e_battery
         assert elapsed < 10.0, f"select_tasks took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_greedy_is_a_first_fit_in_exact_density_order(self, ulps):
+        # At this coefficient the equal densities round to two floats, so a
+        # float density order would try the tasks out of id order.
+        a = 7.087735405557836e-05
+        a = math.nextafter(a, ulps * math.inf) if ulps else a
+        problem = equal_density_problem(a)
+        result = select_tasks(problem)
+        assert result.method == "greedy"
+        assert tuple(sorted(result.selected_ids)) == first_fit_by_exact_density(problem)
+        if not ulps:
+            assert result.total_importance == 2_147_483_483
 
     def test_cap_is_a_candidate_count(self):
         # Costs and values 2^k keep every subset on the frontier, so item k
