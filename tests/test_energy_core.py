@@ -7,6 +7,7 @@ loops, independent of the implementation under test.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from wsnec.energy_core import (
@@ -183,6 +184,26 @@ class TestValidation:
             ConstituentFlowVector(b_global=-0.1)
         with pytest.raises(ValueError):
             ConstituentFlowVector(b_local=math.inf)
+
+    @pytest.mark.parametrize("value, stored", [
+        (3, 3.0), (0, 0.0), (True, 1.0), (False, 0.0), (np.float64(2.5), 2.5),
+        (np.int64(4), 4.0), (-0.0, -0.0), (0.25, 0.25), ("1.5", 1.5),
+    ], ids=["int", "zero", "true", "false", "float64", "int64", "minus-zero", "float", "str"])
+    def test_flows_are_stored_as_plain_floats(self, value, stored):
+        for name in ("b_individual", "b_local", "b_global", "b_environment", "b_snk"):
+            got = getattr(ConstituentFlowVector(**{name: value}), name)
+            assert type(got) is float
+            assert got == stored and math.copysign(1.0, got) == math.copysign(1.0, stored)
+
+    @pytest.mark.parametrize("value, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1, "-1.0"),
+        (-0.5, "-0.5"), (np.float64(-2.0), "-2.0"), (np.float64(math.nan), "nan"),
+    ], ids=["nan", "inf", "-inf", "negative-int", "negative", "negative-float64", "nan-float64"])
+    def test_flow_errors_name_the_field_and_value(self, value, shown):
+        for name in ("b_individual", "b_local", "b_global", "b_environment", "b_snk"):
+            with pytest.raises(BoundaryError) as exc:
+                ConstituentFlowVector(**{name: value})
+            assert str(exc.value) == f"parameter boundary {name} >= 0 violated (got {shown})"
 
     def test_mix_shape_checked(self):
         with pytest.raises(ValueError):

@@ -17,9 +17,15 @@ from hypothesis import strategies as st
 
 from wsnec import estimation
 
-from wsnec.energy_core import CoefficientVector, ConstituentFlowVector, overall_energy
+from wsnec.energy_core import (
+    CONSTITUENT_ORDER,
+    CoefficientVector,
+    ConstituentFlowVector,
+    overall_energy,
+)
 from wsnec.estimation import (
     ErrorReport,
+    FitResult,
     ObservationSet,
     RankDeficientError,
     error_report,
@@ -243,32 +249,93 @@ class TestRollingFit:
         assert rolling.fits  # healthy windows still fitted
 
 
+def reference_fit_ls(obs: ObservationSet) -> FitResult:
+    """The one-window fit that the stacked ``_solve`` replaces, verbatim: one
+    2-D SVD and one solve per call, sharing no code with ``estimation``'s."""
+    m, n = obs.flows.shape
+    if m <= n:
+        raise ValueError(f"need more observations than constituents (M={m}, N={n})")
+    if m < 10 * n:
+        warnings.warn(f"only {m} observations for {n} constituents; recommend at least {10 * n}",
+                      stacklevel=2)
+
+    u, s, vt = np.linalg.svd(obs.flows, full_matrices=False)
+    return _reference_solve(obs.flows, obs.energy, obs.active, u, s, vt)
+
+
+def _reference_solve(flows, energy, active, u, s, vt) -> FitResult:
+    if s[0] == 0.0 or s[-1] / s[0] < estimation.RANK_RTOL:
+        raise RankDeficientError(_reference_dependent_columns(s, vt, active))
+
+    alpha_active = vt.T @ ((u.T @ energy) / s)
+    residuals = energy - flows @ alpha_active
+
+    # Classical per-coefficient standard-error proxy: sqrt(sigma^2 * (b^T b)^-1_kk).
+    m, n = flows.shape
+    dof = m - n
+    sigma2 = float(residuals @ residuals) / dof if dof > 0 else float("nan")
+    inv_diag = np.sum((vt.T / s) ** 2, axis=1)
+    stderr = tuple(float(x) for x in np.sqrt(sigma2 * inv_diag))
+
+    alpha = np.zeros(5)
+    alpha[[i for i, a in enumerate(active) if a]] = alpha_active
+    coeffs = CoefficientVector(alpha, active)
+    if any(a < 0 for a in alpha_active):
+        warnings.warn("fitted coefficients contain negative entries (least-squares artifact)",
+                      stacklevel=3)
+    return FitResult(coeffs, residuals, float(s[0] / s[-1]), m, stderr)
+
+
+def _reference_dependent_columns(s, vt, active) -> list[str]:
+    names = [f"b_{c.value}" for c, a in zip(CONSTITUENT_ORDER, active) if a]
+    if s[0] == 0.0:
+        return names
+    rank = int(np.sum(s / s[0] >= estimation.RANK_RTOL))
+    involved: set[int] = set()
+    for null_vec in vt[rank:]:
+        peak = np.max(np.abs(null_vec))
+        involved.update(int(i) for i in np.nonzero(np.abs(null_vec) >= 1e-6 * peak)[0])
+    return [names[i] for i in sorted(involved)]
+
+
 def reference_rolling_fit(obs: ObservationSet, window: int):
-    """One ``fit_ls`` per window on a fresh ``ObservationSet``: the loop rolling_fit replaced."""
+    """One reference fit per window on a fresh ``ObservationSet``."""
     fits, skipped = [], []
     for start in range(obs.n_obs - window + 1):
         try:
-            fits.append((start, fit_ls(obs.rows(start, start + window))))
+            fits.append((start, reference_fit_ls(obs.rows(start, start + window))))
         except RankDeficientError as exc:
             skipped.append((start, str(exc)))
     return fits, skipped
 
 
+def assert_same_fit(got: FitResult, ref: FitResult):
+    assert got.coefficients == ref.coefficients
+    assert got.residuals.shape == ref.residuals.shape
+    assert (got.residuals == ref.residuals).all()
+    assert got.stderr == ref.stderr
+    assert got.condition == ref.condition
+    assert got.n_obs == ref.n_obs
+
+
+def _negative_warnings(caught) -> list[tuple[str, str]]:
+    return [(str(w.message), w.filename) for w in caught if "negative" in str(w.message)]
+
+
 def assert_rolling_matches_reference(obs, window):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # small windows, negative least-squares coefficients
+    # Small windows warn; negative least-squares coefficients warn once per
+    # window, pointing at the caller.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rolling = rolling_fit(obs, window)
+    with warnings.catch_warnings(record=True) as ref_caught:
+        warnings.simplefilter("always")
         fits, skipped = reference_rolling_fit(obs, window)
+    assert _negative_warnings(caught) == _negative_warnings(ref_caught)
     assert rolling.skipped == skipped
     assert [(wf.start, wf.stop) for wf in rolling.fits] == [(s, s + window) for s, _ in fits]
     for wf, (_, ref) in zip(rolling.fits, fits):
-        got = wf.result
-        assert got.coefficients == ref.coefficients
-        assert got.residuals.shape == ref.residuals.shape
-        assert (got.residuals == ref.residuals).all()
-        assert got.stderr == ref.stderr
-        assert got.condition == ref.condition
-        assert got.n_obs == ref.n_obs
+        assert_same_fit(wf.result, ref)
     return rolling
 
 
@@ -291,8 +358,32 @@ def rolling_cases(draw):
     return ObservationSet(flows, energy, tuple(active)), window
 
 
+def _outcome(fit, obs):
+    """A fit's result, or its rank error's message, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fit(obs)
+        except RankDeficientError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
 class TestRollingEquivalence:
-    """rolling_fit must give every window exactly what fit_ls gives it."""
+    """fit_ls and every rolling_fit window must equal the reference fit bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rolling_cases())
+    def test_fit_ls_matches_reference(self, case):
+        obs, window = case
+        for part in (obs, obs.rows(0, window)):
+            (got, got_warned), (ref, ref_warned) = _outcome(fit_ls, part), \
+                _outcome(reference_fit_ls, part)
+            assert got_warned == ref_warned
+            if isinstance(ref, str):
+                assert got == ref
+            else:
+                assert_same_fit(got, ref)
 
     @settings(max_examples=200, deadline=None)
     @given(rolling_cases())

@@ -63,6 +63,14 @@ FIT_REPORT_PINS = {
 # (tests/test_cli.py).
 DEPLETED_ROLLING_8 = (43, 30, "418cd002cd6e2406ccd3dc7b8eb369db3e05f43e3c01ba113d00c05dcf991749")
 
+# `fit --window 8` on that trace: the one report whose one-step predictions
+# skip the targets of rank-deficient windows. (SHA-256 of the report, the
+# stdout lines that count and score its windows.)
+DEPLETED_ROLLING_REPORT_8 = (
+    "22e232fbf0ae00e3a366c2fc37a3ec1353580bad1085e796a34c32c740ed3d33",
+    ["windows fitted: 43  skipped: 30", "excluded from scoring: 16",
+     "one-step MAPE: 12.408%  max: 43.673%"])
+
 # SHA-256 of each run's per-slice phase string (I, C or M per slice) where
 # the pins above do not reach the run loop: short initializations, a repair
 # after every collection slice, repairs triggered only by probe timeouts,
@@ -223,3 +231,15 @@ def test_depleted_rolling_fit_is_pinned():
     for start, reason in rolling.skipped:
         rows.update(f"skip,{start},{reason}\n".encode())
     assert (len(rolling.fits), len(rolling.skipped), rows.hexdigest()) == DEPLETED_ROLLING_8
+
+
+def test_depleted_rolling_report_is_pinned(tmp_path, capsys):
+    trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+    records = simulator.run(config.ScenarioConfig(initial_battery=0.004)).records
+    traceio.write_trace(str(trace), records)
+    code = cli.main(["fit", "--input", str(trace), "--output", str(report), "--window", "8"])
+    lines = capsys.readouterr().out.splitlines()
+    digest, counted = DEPLETED_ROLLING_REPORT_8
+    assert code == 0
+    assert _sha256(report) == digest
+    assert lines[:3] == counted

@@ -52,6 +52,31 @@ def test_cached_parser_hides_no_hooked_call(tmp_path, capsys):
     assert metrics["config.load_config.calls"][0] == 1
 
 
+def test_fit_layers_per_command(tmp_path, capsys):
+    # A rolling and a split fit of the default trace, as the tracer sees
+    # them: one fit call each, and an observation set per view of the
+    # trace (the whole trace twice, the split's two parts), none per window.
+    tracer, modules = _tracer_and_modules()
+    trace, report = tmp_path / "trace.csv", tmp_path / "fit.csv"
+    modules.traceio.write_trace(str(trace), modules.simulator.run(ScenarioConfig()).records)
+    hooks = tracer.Tracer(modules)
+    hooks.install()
+    try:
+        for extra in (["--window", "20"], ["--fit-fraction", "0.7"]):
+            assert modules.cli.main(["fit", "--input", str(trace), "--output", str(report)]
+                                    + extra) == 0
+    finally:
+        hooks.uninstall()
+    capsys.readouterr()
+    metrics = hooks.metrics(1, 0.0)
+    assert hooks.absent == []
+    assert metrics["estimation.fit_ls.calls"][0] == 1
+    assert metrics["estimation.rolling_fit.calls"][0] == 1
+    assert metrics["estimation.obs_set.builds"][0] == 4
+    assert metrics["cli.main.calls"][0] == 2
+    assert metrics["trace.hooks_absent"][0] == 0
+
+
 @pytest.mark.parametrize("fields, hops, tx_prices", [
     ({}, 200, 54),
     ({"initial_battery": 0.004}, 234, 54),
