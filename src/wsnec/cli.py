@@ -86,16 +86,15 @@ def cmd_fit(args) -> int:
 
     if args.window is not None:
         rolling = estimation.rolling_fit(obs, args.window)
-        by_start = {wf.start: wf for wf in rolling.fits}
-        predictions = []
-        for target in range(args.window, obs.n_obs):
-            wf = by_start.get(target - args.window)
-            if wf is None:
-                continue    # window was rank-deficient; no one-step prediction
-            coeffs = wf.result.coefficients
-            alpha_active = np.array([a for a, act in zip(coeffs.alpha, coeffs.active) if act])
-            pred = float((obs.flows[target:target + 1] @ alpha_active)[0])
-            predictions.append((obs.slices[target], float(obs.energy[target]), pred))
+        # Each fitted window predicts the slice after it, when there is one;
+        # a rank-deficient window predicts nothing.
+        fitted = [wf for wf in rolling.fits if wf.stop < obs.n_obs]
+        targets = [wf.stop for wf in fitted]
+        alphas = np.array([wf.result.coefficients.alpha for wf in fitted]).reshape(-1, 5)
+        alphas = alphas[:, np.flatnonzero(obs.active)]
+        predicted = np.matmul(obs.flows[targets, None, :], alphas[..., None])[:, 0, 0]
+        predictions = [(obs.slices[t], float(obs.energy[t]), p)
+                       for t, p in zip(targets, predicted.tolist())]
         print(f"windows fitted: {len(rolling.fits)}  skipped: {len(rolling.skipped)}")
         errors = _score(predictions)
         traceio.write_rolling_report(args.output, rolling, predictions, errors)

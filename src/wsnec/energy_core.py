@@ -50,7 +50,8 @@ def bound(condition: bool, boundary: str, value) -> None:
 def nonneg(name: str, value: float) -> float:
     """``value`` as a float, which must be finite and >= 0."""
     value = float(value)
-    bound(math.isfinite(value) and value >= 0, f"{name} >= 0", value)
+    if not 0 <= value < math.inf:
+        bound(False, f"{name} >= 0", value)
     return value
 
 
@@ -139,8 +140,11 @@ class ConstituentFlowVector:
     b_snk: float = 0.0
 
     def __post_init__(self):
+        # A finite float >= 0 is kept as it is; anything else goes through nonneg.
         for name in ("b_individual", "b_local", "b_global", "b_environment", "b_snk"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not float or not 0 <= value < math.inf:
+                object.__setattr__(self, name, nonneg(name, value))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.b_individual, self.b_local, self.b_global, self.b_environment, self.b_snk)

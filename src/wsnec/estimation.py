@@ -6,9 +6,11 @@ least-squares solution. The solve goes through an SVD rather than the
 textbook normal-equation inverse: the inverse is numerically fragile
 exactly when flow columns are nearly collinear, which is common in quiet
 phases. Rank deficiency is surfaced as an error naming the dependent
-columns instead of returning garbage coefficients. A rolling refit solves
-every window with the same code as a single fit, from one stacked SVD per
-block of windows, so each window's fit is bit-identical to ``fit_ls`` on it.
+columns instead of returning garbage coefficients. Every solve is stacked,
+one SVD and one stacked product per step for a (K, m, n) stack of windows:
+``fit_ls`` is the K = 1 case, and each rolling window's fit is bit-identical
+to ``fit_ls`` on it. Only sigma^2 is summed per window, as ``r @ r``; a stacked
+``einsum`` rounds it differently in the last bit in about half of windows.
 
 No intercept term anywhere: zero flows must predict zero energy.
 """
@@ -131,33 +133,44 @@ def fit_ls(obs: ObservationSet) -> FitResult:
         warnings.warn(f"only {m} observations for {n} constituents; recommend at least {10 * n}",
                       stacklevel=2)
 
-    u, s, vt = np.linalg.svd(obs.flows, full_matrices=False)
-    return _solve(obs.flows, obs.energy, obs.active, u, s, vt)
+    [fit] = _solve(obs.flows[None], obs.energy[None], obs.active)
+    if isinstance(fit, RankDeficientError):
+        raise fit
+    return fit
 
 
-def _solve(flows: np.ndarray, energy: np.ndarray, active: tuple[bool, ...],
-           u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> FitResult:
-    """The least-squares fit of ``energy`` on ``flows`` from their thin SVD ``u, s, vt``."""
-    if s[0] == 0.0 or s[-1] / s[0] < RANK_RTOL:
-        raise RankDeficientError(_dependent_columns(s, vt, active))
-
-    alpha_active = vt.T @ ((u.T @ energy) / s)
-    residuals = energy - flows @ alpha_active
-
-    # Classical per-coefficient standard-error proxy: sqrt(sigma^2 * (b^T b)^-1_kk).
-    m, n = flows.shape
-    dof = m - n
-    sigma2 = float(residuals @ residuals) / dof if dof > 0 else float("nan")
-    inv_diag = np.sum((vt.T / s) ** 2, axis=1)
-    stderr = tuple(float(x) for x in np.sqrt(sigma2 * inv_diag))
-
-    alpha = np.zeros(5)
-    alpha[[i for i, a in enumerate(active) if a]] = alpha_active
-    coeffs = CoefficientVector(alpha, active)
-    if any(a < 0 for a in alpha_active):
-        warnings.warn("fitted coefficients contain negative entries (least-squares artifact)",
-                      stacklevel=3)
-    return FitResult(coeffs, residuals, float(s[0] / s[-1]), m, stderr)
+def _solve(flows: np.ndarray, energy: np.ndarray,
+           active: tuple[bool, ...]) -> list[FitResult | RankDeficientError]:
+    """The least-squares fit of ``energy[k]`` on ``flows[k]`` for each window of a
+    (K, m, n) stack, m > n: a ``FitResult`` or the window's ``RankDeficientError``.
+    Stacked ``matmul`` runs a 2-D product's kernel per window, so each fit is the
+    one-window fit bit for bit; deficient windows' quotients are dropped."""
+    u, s, vt = np.linalg.svd(flows, full_matrices=False)
+    m, n = flows.shape[1:]
+    v = vt.transpose(0, 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        full_rank = (s[:, 0] != 0.0) & ~(s[:, -1] / s[:, 0] < RANK_RTOL)
+        alpha_active = np.matmul(v, np.matmul(u.transpose(0, 2, 1), energy[..., None])
+                                 / s[..., None])[..., 0]
+        residuals = energy - np.matmul(flows, alpha_active[..., None])[..., 0]
+        # Classical per-coefficient standard-error proxy: sqrt(sigma^2 * (b^T b)^-1_kk).
+        sigma2 = np.array([r @ r for r in residuals]) / (m - n)
+        stderr = np.sqrt(sigma2[:, None] * np.sum((v / s[:, None, :]) ** 2, axis=2))
+        condition = s[:, 0] / s[:, -1]
+        negative = (alpha_active < 0).any(axis=1)
+    alpha = np.zeros((len(s), 5))
+    alpha[:, np.flatnonzero(active)] = alpha_active
+    out: list[FitResult | RankDeficientError] = []
+    for k in range(len(s)):
+        if not full_rank[k]:
+            out.append(RankDeficientError(_dependent_columns(s[k], vt[k], active)))
+            continue
+        if negative[k]:
+            warnings.warn("fitted coefficients contain negative entries (least-squares artifact)",
+                          stacklevel=3)
+        out.append(FitResult(CoefficientVector(alpha[k], active), residuals[k],
+                             float(condition[k]), m, tuple(stderr[k].tolist())))
+    return out
 
 
 def _dependent_columns(s: np.ndarray, vt: np.ndarray, active: tuple[bool, ...]) -> list[str]:
@@ -223,8 +236,8 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
     Rank-deficient windows are recorded in ``skipped`` and do not abort the
     sweep; the window must exceed the constituent count and fit in the data.
     Every window gets the fit ``fit_ls`` would give it, bit for bit: the
-    windows are strided views of the observations, and one stacked SVD per
-    block of windows (sized by ``WINDOW_BLOCK_VALUES``) feeds the same solve.
+    windows are strided views of the observations, and each block of windows
+    (sized by ``WINDOW_BLOCK_VALUES``) is one call of the stacked solve.
     """
     n = obs.n_constituents
     if window <= n:
@@ -236,12 +249,10 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
     energy = sliding_window_view(obs.energy, window)
     block = max(1, WINDOW_BLOCK_VALUES // (window * n))
     for first in range(0, len(flows), block):
-        u, s, vt = np.linalg.svd(flows[first:first + block], full_matrices=False)
-        for k, start in enumerate(range(first, first + len(s))):
-            try:
-                fit = _solve(flows[start], energy[start], obs.active, u[k], s[k], vt[k])
-            except RankDeficientError as exc:
-                out.skipped.append((start, str(exc)))
+        fits = _solve(flows[first:first + block], energy[first:first + block], obs.active)
+        for start, fit in enumerate(fits, first):
+            if isinstance(fit, RankDeficientError):
+                out.skipped.append((start, str(fit)))
             else:
                 out.fits.append(WindowFit(start, start + window, fit))
     return out

@@ -89,7 +89,7 @@ def read_trace(path: str) -> list[SliceRecord]:
             raise ValueError(f"unknown phase {parts[1]!r}")
         records.append(SliceRecord(
             index=index, phase=phase,
-            flows=ConstituentFlowVector(*(float(p) for p in parts[2:7])),
+            flows=ConstituentFlowVector(*map(float, parts[2:7])),
             energy_j=float(parts[7]), alive_nodes=int(parts[8])))
     return records
 
@@ -119,7 +119,7 @@ def read_observations(path: str,
         if len(parts) != 7:
             raise ValueError(f"malformed observation row: {ln!r}")
         runs.append(int(parts[0]))
-        flows.append(ConstituentFlowVector(*(float(p) for p in parts[1:6])))
+        flows.append(ConstituentFlowVector(*map(float, parts[1:6])))
         energies.append(float(parts[6]))
     return ObservationSet.from_flow_vectors(flows, energies, active, slices=runs)
 
@@ -159,8 +159,9 @@ def write_rolling_report(path: str, rolling: RollingFit,
     (slice, observed, predicted, percentage error) rows, summary."""
     lines = ["window_start,window_stop,constituent,alpha"]
     for wf in rolling.fits:
-        for c in wf.result.coefficients.active_constituents():
-            lines.append(f"{wf.start},{wf.stop},{c.value},{_fmt(wf.result.coefficients.get(c))}")
+        coeffs = wf.result.coefficients
+        lines += [f"{wf.start},{wf.stop},{c.value},{_fmt(a)}"
+                  for c, a, on in zip(CONSTITUENT_ORDER, coeffs.alpha, coeffs.active) if on]
     _write_lines(path, lines + _prediction_lines(predictions, errors, "skipped_windows",
                                                  len(rolling.skipped)))
 
