@@ -251,7 +251,7 @@ class TestRollingFit:
 
 def reference_fit_ls(obs: ObservationSet) -> FitResult:
     """The one-window fit that the stacked ``_solve`` replaces, verbatim: one
-    2-D SVD and one solve per call, sharing no code with ``estimation``'s."""
+    2-D SVD and one 2-D solve per call, sharing no solver code with ``estimation``."""
     m, n = obs.flows.shape
     if m <= n:
         raise ValueError(f"need more observations than constituents (M={m}, N={n})")
@@ -377,8 +377,8 @@ class TestRollingEquivalence:
     def test_fit_ls_matches_reference(self, case):
         obs, window = case
         for part in (obs, obs.rows(0, window)):
-            (got, got_warned), (ref, ref_warned) = _outcome(fit_ls, part), \
-                _outcome(reference_fit_ls, part)
+            got, got_warned = _outcome(fit_ls, part)
+            ref, ref_warned = _outcome(reference_fit_ls, part)
             assert got_warned == ref_warned
             if isinstance(ref, str):
                 assert got == ref
