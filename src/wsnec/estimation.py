@@ -97,7 +97,7 @@ class ObservationSet:
                           slices=None) -> "ObservationSet":
         active = _mask_tuple(active)
         cols = [i for i, a in enumerate(active) if a]
-        flows = np.array([[fv.as_tuple()[i] for i in cols] for fv in flow_vectors], dtype=float)
+        flows = np.array([[row[i] for i in cols] for row in (fv.as_tuple() for fv in flow_vectors)], float)
         if flows.size == 0:
             flows = flows.reshape(0, len(cols))
         return cls(flows, np.asarray(list(energies), dtype=float), active,

@@ -27,18 +27,18 @@ Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends. ``charge`` touches
-the battery only. The ledger keeps one row group per slice, three typed
-columns each (node, kind code, energy), and hands each row out as a
-``ChargeEntry`` when read; each booking loop gathers the node ids it books
-(the event loop also their kind codes and costs) in local lists and appends
-them to its slice's group once per stage or slice. A stage's prices follow
-from its row count and refused receives. Each run prices its handlings once
-(queued relays by queue depth). Every energy inside a run (batteries,
-residuals, prices, ledger rows) is a whole number of nanojoules in a float,
-exact below 2^53, so sums are exact in any order and a battery that lands on
-zero kills its node; a run rejects a battery or nonzero price that rounds to
-0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ / 1e9, appear only
-in slice energies, ledger entries and the run's totals.
+the battery only. Each run prices its handlings once (queued relays by queue
+depth), each a code into the ledger's table of (kind, price) pairs. The
+ledger keeps one row group per slice, two typed columns each (node, code),
+and hands each row out as a ``ChargeEntry`` when read; each booking loop
+gathers the node ids it books (the event loop also their codes) in local
+lists and appends them to its slice's group once per stage or slice. A
+stage's codes follow from its send count and refused receives. Every energy
+inside a run (batteries, residuals, prices) is a whole number of nanojoules
+in a float, exact below 2^53, so sums are exact in any order and a battery
+that lands on zero kills its node; a run rejects a battery or nonzero price
+that rounds to 0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ /
+1e9, appear only in slice energies, ledger entries and the run's totals.
 Neighbor lists and the nodes an event covers are found through a uniform
 cell grid, with cells as wide as the radio or sensing range, instead of
 scanning every node; as nodes never move, the grid sorts the nodes around
@@ -62,7 +62,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -97,15 +97,12 @@ class PacketKind(Enum):
     ROUTING_INFO = "routing_info"
     RELAYED_DATA = "relayed_data"
 
-    # Set below for every member: its constituent, that constituent's index
-    # in CONSTITUENT_ORDER, read on every charge without a lookup, and the
-    # member's position, which stands for it in ledger rows.
+    # Set below for every member: its constituent, and that constituent's
+    # index in CONSTITUENT_ORDER, read when a slice's rows are counted.
     constituent: Constituent
     flow_slot: int
-    code: int
 
 
-KIND_BY_CODE = tuple(PacketKind)
 for _kind, _constituent in {
         PacketKind.SENSED: Constituent.INDIVIDUAL,
         PacketKind.NEIGHBOR_INFO: Constituent.LOCAL,
@@ -115,7 +112,6 @@ for _kind, _constituent in {
         PacketKind.RELAYED_DATA: Constituent.GLOBAL}.items():
     _kind.constituent = _constituent
     _kind.flow_slot = CONSTITUENT_ORDER.index(_constituent)
-    _kind.code = KIND_BY_CODE.index(_kind)
 del _kind, _constituent
 
 
@@ -173,52 +169,76 @@ class ChargeEntry(NamedTuple):
 class Ledger(Sequence):
     """A run's booked handlings, in booking order, read as ``ChargeEntry``.
 
-    ``groups[i]`` holds slice ``i``'s rows as three typed columns, ``nodes``
-    (``'i'``), ``kinds`` (``'b'``, the ``PacketKind.code``) and ``energies``
-    (``'d'``, whole nJ), so no column outgrows one slice. Entries, in joules,
-    are built when read; indexing builds them all. Nothing the ledger holds
+    ``handlings`` is the run's table of ``(PacketKind, whole-nJ price)``
+    pairs; a row names one by its index there, its code. ``groups[i]`` holds
+    slice ``i``'s rows as two typed columns, ``nodes`` (``'i'``) and ``codes``
+    (``'I'``: relay prices grow with queue depth, past 2^16 codes in a dense
+    enough run), so no column outgrows one slice. Entries, in joules, are
+    built when read; indexing builds them all. Nothing the ledger holds
     refers back to it, so reference counting alone frees it.
     """
 
-    __slots__ = ("groups", "__weakref__")
+    __slots__ = ("groups", "handlings", "_codes", "_weights", "__weakref__")
 
     def __init__(self):
-        self.groups: list[tuple[array, array, array]] = []
+        self.groups: list[tuple[array, array]] = []
+        self.handlings: list[tuple[PacketKind, float]] = []
+        self._codes: dict[tuple[PacketKind, float], int] = {}
+        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 1))   # see ``tally``
 
-    def book(self, slice_index: int, node_ids: list[int], kinds: bytes,
-             costs: list[float]) -> None:
-        """Append handlings booked in one slice, in booking order, in one step;
-        ``kinds`` holds their kind codes, one byte each."""
+    def code(self, kind: PacketKind, nanojoules: float) -> int:
+        """The code of the handling ``(kind, nanojoules)``, interned on first use."""
+        code = self._codes.setdefault((kind, nanojoules), len(self.handlings))
+        if code == len(self.handlings):
+            self.handlings.append((kind, nanojoules))
+        return code
+
+    def book(self, slice_index: int, node_ids: list[int], codes: array) -> None:
+        """Append handlings booked in one slice, in booking order, in one step:
+        their node ids and their codes, an ``array('I')``."""
         while len(self.groups) <= slice_index:
-            self.groups.append((array("i"), array("b"), array("d")))
-        nodes, codes, energies = self.groups[slice_index]
+            self.groups.append((array("i"), array("I")))
+        nodes, column = self.groups[slice_index]
         nodes.fromlist(node_ids)
-        codes.frombytes(kinds)
-        energies.fromlist(costs)
+        column.extend(codes)
 
     def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float]:
-        """The slice's rows: their count per constituent, and their nJ. A
-        slice that booked nothing gets an empty group, so groups line up with
-        slices."""
-        self.book(slice_index, [], b"", [])
-        _, codes, energies = self.groups[slice_index]
-        kinds = codes.tobytes()
-        flows = [0.0] * len(CONSTITUENT_ORDER)
-        for kind in KIND_BY_CODE:
-            flows[kind.flow_slot] += kinds.count(kind.code)
-        return ConstituentFlowVector(*flows), float(np.frombuffer(energies).sum())
+        """The slice's rows: their count per constituent, and their nJ, the sum
+        of count x price over the handling table. A slice that booked nothing
+        gets an empty group, so groups line up with slices; the group's
+        columns are trimmed to its rows."""
+        self.book(slice_index, [], array("I"))
+        nodes, codes = self.groups[slice_index]
+        self.groups[slice_index] = nodes[:], codes[:]
+        *flows, energy = self.tally(self.counts(codes))
+        return ConstituentFlowVector(*flows), energy
+
+    def counts(self, codes: array) -> np.ndarray:
+        """How many of ``codes`` name each handling of the table."""
+        return np.bincount(np.frombuffer(codes, np.uintc), minlength=len(self.handlings))
+
+    def tally(self, counts: np.ndarray) -> list[float]:
+        """Rows counted per handling: their count per constituent and, last,
+        their nJ, each count times its handling's one-hot flow slot and
+        price; exact below 2^53. The weights are rebuilt once the table has
+        grown; it only grows."""
+        if len(self._weights) != len(self.handlings):
+            self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
+                                      + [nanojoules] for kind, nanojoules in self.handlings])
+        return (counts @ self._weights).tolist()
 
     def __len__(self) -> int:
-        return sum(len(energies) for _, _, energies in self.groups)
+        return sum(len(codes) for _, codes in self.groups)
 
     def __getitem__(self, index):
         return list(self)[index]
 
     def __iter__(self):
-        return chain.from_iterable(
-            map(ChargeEntry, repeat(index, len(nodes)), nodes,
-                map(KIND_BY_CODE.__getitem__, kinds), map((1e9).__rtruediv__, energies))
-            for index, (nodes, kinds, energies) in enumerate(self.groups))
+        kinds = [kind for kind, _ in self.handlings]
+        joules = [nanojoules / 1e9 for _, nanojoules in self.handlings]
+        for index, (nodes, codes) in enumerate(self.groups):
+            yield from map(ChargeEntry, repeat(index, len(nodes)), nodes,
+                           map(kinds.__getitem__, codes), map(joules.__getitem__, codes))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Ledger, list)):
@@ -265,7 +285,9 @@ class RunResult:
 
     @property
     def ledger_total(self) -> float:
-        return float(np.frombuffer(b"".join(e.tobytes() for _, _, e in self.ledger.groups)).sum()) / 1e9
+        ledger = self.ledger
+        counts = sum((ledger.counts(codes) for _, codes in ledger.groups), ledger.counts(array("I")))
+        return ledger.tally(counts)[-1] / 1e9
 
 
 def charge(node: NodeState, kind: PacketKind, cost: float,
@@ -427,38 +449,39 @@ class Simulation:
         self._sensed_this_slice = [0] * len(self.nodes)
         self._relayed_this_slice = [0] * len(self.nodes)
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
-        # Cost table: every handling priced once, sends and receives per kind.
-        price, sensed, relayed = self._price, PacketKind.SENSED, PacketKind.RELAYED_DATA
-        self._warmup = price(sensed, USAGE_WARMUP)
-        self._sense_send = price(sensed, USAGE_SENSE_SEND)
-        self._send = {kind: price(kind, USAGE_SEND) for kind in PacketKind}
-        self._recv = {kind: price(kind, USAGE_RECV) for kind in PacketKind}
-        self._recv_queue = price(relayed, USAGE_RECV_QUEUE)
-        self._relay_by_depth: list[float] = []
+        # Cost table: every handling priced and interned once, as a (price,
+        # code) pair, sends and receives per kind.
+        handling, sensed, relayed = self._handling, PacketKind.SENSED, PacketKind.RELAYED_DATA
+        self._warmup = handling(sensed, USAGE_WARMUP)
+        self._sense_send = handling(sensed, USAGE_SENSE_SEND)
+        self._send = {kind: handling(kind, USAGE_SEND) for kind in PacketKind}
+        self._recv = {kind: handling(kind, USAGE_RECV) for kind in PacketKind}
+        self._recv_queue = handling(relayed, USAGE_RECV_QUEUE)
+        self._relay_by_depth: list[tuple[float, int]] = []
         self._relay_handling(0)   # so that a relay price that rounds to 0 nJ fails here
 
     # -- charging ----------------------------------------------------------
 
-    def _price(self, kind: PacketKind, usage: ResourceUsageVector) -> float:
+    def _handling(self, kind: PacketKind, usage: ResourceUsageVector) -> tuple[float, int]:
         """The whole-nJ price of one handling of ``usage``, or under mix
-        charging of one ``kind`` packet. A nonzero price that rounds to 0 nJ
-        is rejected."""
+        charging of one ``kind`` packet, and its code in the ledger. A
+        nonzero price that rounds to 0 nJ is rejected."""
         cfg = self.cfg
         joules = (constituent_alpha(cfg.mix.row(kind.constituent), cfg.profile)
                   if cfg.mix_charging else task_energy(usage, cfg.profile))
         nanojoules = round(joules * 1e9, 0)
         if joules and not nanojoules:
             raise ConfigError([f"{kind.value} handling price {joules!r} J rounds to 0 nJ"])
-        return nanojoules
+        return nanojoules, self.ledger.code(kind, nanojoules)
 
-    def _relay_handling(self, depth: int) -> float:
-        """The price of a relay by queue depth: the first relay of a slice
-        forwards straight through; later ones queue, paying one mem unit per
-        buffer slot they sit behind."""
+    def _relay_handling(self, depth: int) -> tuple[float, int]:
+        """The (price, code) of a relay by queue depth: the first relay of a
+        slice forwards straight through; later ones queue, paying one mem
+        unit per buffer slot they sit behind."""
         table = self._relay_by_depth
         while len(table) <= depth:
             usage = ResourceUsageVector(b_cpu=1, b_mem=len(table), b_rx=1, b_tx=1)
-            table.append(self._price(PacketKind.RELAYED_DATA, usage))
+            table.append(self._handling(PacketKind.RELAYED_DATA, usage))
         return table[depth]
 
     # -- neighbor interaction ----------------------------------------------
@@ -475,9 +498,9 @@ class Simulation:
         """Book one exchange stage over lazy (sender, ``Neighbor`` entries)
         items, skipping a sender dead at its turn. A probe keeps the residual
         of a neighbor that answers; a silent one is marked not known-alive, and
-        a silent next hop schedules a repair. Refused receives are priced out."""
+        a silent next hop schedules a repair. Refused receives are cut out."""
         book, si, nodes = charge, self.slice_index, self.nodes
-        send_cost, recv_cost = self._send[kind], self._recv[kind]
+        (send_cost, send_code), (recv_cost, recv_code) = self._send[kind], self._recv[kind]
         ids, refused = [], []
         add_id = ids.append
         triggers, radio = self._repair_triggers, self.radio
@@ -505,11 +528,12 @@ class Simulation:
                     nbr.last_residual = target.battery
                     nbr.known_alive = True
         sent = (len(ids) + len(refused)) // 2
-        costs = [send_cost, recv_cost] * sent
-        if refused:
-            cuts = [-1, *refused, len(costs)]
-            costs = [cost for a, b in zip(cuts, cuts[1:]) for cost in costs[a + 1:b]]
-        self.ledger.book(si, ids, bytes((kind.code,)) * len(ids), costs)
+        codes = array("I", (send_code, recv_code)) * sent
+        if refused:   # keep the slots between refused receives
+            slots, codes = codes, array("I")
+            for a, b in zip([-1, *refused], [*refused, len(slots)]):
+                codes += slots[a + 1:b]
+        self.ledger.book(si, ids, codes)
         radio.model_tx_j = model_tx
         radio.tx_events += sent
         radio.rx_events += sent - len(refused)
@@ -534,14 +558,12 @@ class Simulation:
         book, si, triggers = charge, self.slice_index, self._repair_triggers
         sensed, relayed, cap = self._sensed_this_slice, self._relayed_this_slice, self._sense_cap
         table, relay_handling = self._relay_by_depth, self._relay_handling
-        ids, codes, costs = [], [], []
-        add_id, add_code, add_cost = ids.append, codes.append, costs.append
+        ids, codes = [], []
+        add_id, add_code = ids.append, codes.append
         sensed_kind, scheduling_kind, relayed_kind = (
             PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
-        sensed_code, scheduling_code, relayed_code = (
-            sensed_kind.code, scheduling_kind.code, relayed_kind.code)
-        warmup_cost, sense_cost, queue_cost = self._warmup, self._sense_send, self._recv_queue
-        send_cost = self._send[scheduling_kind]
+        warmup, sense, (queue_cost, queue_code) = self._warmup, self._sense_send, self._recv_queue
+        send_cost, send_code = self._send[scheduling_kind]
         radio = self.radio
         model_tx = radio.model_tx_j
         tx_events = rx_events = delivered = dropped = 0
@@ -557,13 +579,12 @@ class Simulation:
                 if seen >= cap:
                     continue
                 link = node.link
-                cost = warmup_cost if link is None else sense_cost
+                cost, code = warmup if link is None else sense
                 if book(node, sensed_kind, cost, si) is None:
                     dropped += 1
                     continue
                 add_id(origin)
-                add_code(sensed_code)
-                add_cost(cost)
+                add_code(code)
                 sensed[origin] = seen + 1
                 if link is None:   # no route: sensed, not sent
                     dropped += 1
@@ -575,8 +596,7 @@ class Simulation:
                         dropped += 1
                     else:
                         add_id(origin)
-                        add_code(scheduling_code)
-                        add_cost(send_cost)
+                        add_code(send_code)
                         model_tx += link.tx_j
                         tx_events += 1
                 current = node
@@ -593,19 +613,17 @@ class Simulation:
                             dropped += 1
                         else:
                             add_id(hop)
-                            add_code(relayed_code)
-                            add_cost(queue_cost)
+                            add_code(queue_code)
                             rx_events += 1
                         dropped += 1
                         break
                     depth = relayed[hop]
-                    cost = table[depth] if depth < len(table) else relay_handling(depth)
+                    cost, code = table[depth] if depth < len(table) else relay_handling(depth)
                     if book(target, relayed_kind, cost, si) is None:
                         dropped += 2   # a refused charge and a drop
                         break
                     add_id(hop)
-                    add_code(relayed_code)
-                    add_cost(cost)
+                    add_code(code)
                     current, link = target, target.link
                     model_tx += link.tx_j
                     tx_events += 1
@@ -613,7 +631,7 @@ class Simulation:
                     relayed[hop] = depth + 1
                 else:   # the walk reached the sink
                     delivered += 1
-        self.ledger.book(si, ids, bytes(codes), costs)
+        self.ledger.book(si, ids, array("I", codes))
         radio.model_tx_j = model_tx
         radio.tx_events += tx_events
         radio.rx_events += rx_events
@@ -666,7 +684,7 @@ class Simulation:
         first, last = idx == 0, idx == n - 1
         do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
         if first:
-            kind, cost, ids = PacketKind.SENSED, self._warmup, []
+            kind, (cost, code), ids = PacketKind.SENSED, self._warmup, []
             for node in self.nodes:
                 if not node.alive:
                     continue
@@ -675,7 +693,7 @@ class Simulation:
                         self.dropped += 1
                     else:
                         ids.append(node.node_id)
-            self.ledger.book(self.slice_index, ids, bytes((kind.code,)) * len(ids), [cost] * len(ids))
+            self.ledger.book(self.slice_index, ids, array("I", (code,)) * len(ids))
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:

@@ -197,7 +197,8 @@ def test_criterion_6_conservation_and_determinism(tmp_path):
     first = run(cfg)
     # Whole nanojoules, compared exactly.
     drained = cfg.nodes * round(cfg.initial_battery * 1e9) - sum(n.battery for n in first.nodes)
-    booked = sum(sum(energies) for _, _, energies in first.ledger.groups)
+    handlings = first.ledger.handlings
+    booked = sum(handlings[code][1] for _, codes in first.ledger.groups for code in codes)
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace(str(p1), first.records)

@@ -10,6 +10,7 @@ nanojoules; and the radio audit must not move.
 
 import dataclasses
 import math
+from array import array
 from collections import Counter
 
 import pytest
@@ -194,7 +195,7 @@ class _PerHandling(Simulation):
         if booked is None:
             self.dropped += 1
             return None
-        self.ledger.book(self.slice_index, [node.node_id], bytes((kind.code,)), [cost])
+        self.ledger.book(self.slice_index, [node.node_id], array("I", (self.ledger.code(kind, cost),)))
         radio = self.radio
         if usage.b_tx:
             radio.model_tx_j += tx_j
@@ -541,15 +542,19 @@ class TestCostTable:
     ])
     def test_every_cost_equals_task_energy(self, profile):
         sim = Simulation(dataclasses.replace(ScenarioConfig(), nodes=3, profile=profile))
-        table = [(sim._warmup, ResourceUsageVector(b_cpu=1, b_sens=1)),
-                 (sim._sense_send, ResourceUsageVector(b_cpu=1, b_sens=1, b_tx=1)),
-                 (sim._recv_queue, ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1))]
+        sensed, relayed = PacketKind.SENSED, PacketKind.RELAYED_DATA
+        table = [(sim._warmup, sensed, ResourceUsageVector(b_cpu=1, b_sens=1)),
+                 (sim._sense_send, sensed, ResourceUsageVector(b_cpu=1, b_sens=1, b_tx=1)),
+                 (sim._recv_queue, relayed, ResourceUsageVector(b_cpu=1, b_mem=1, b_rx=1))]
         for kind in PacketKind:
-            table += [(sim._send[kind], ResourceUsageVector(b_cpu=1, b_tx=1)),
-                      (sim._recv[kind], ResourceUsageVector(b_cpu=1, b_rx=1))]
-        table += [(sim._relay_handling(depth), _relay_usage(depth)) for depth in range(33)]
-        for cost, usage in table:
+            table += [(sim._send[kind], kind, ResourceUsageVector(b_cpu=1, b_tx=1)),
+                      (sim._recv[kind], kind, ResourceUsageVector(b_cpu=1, b_rx=1))]
+        table += [(sim._relay_handling(depth), relayed, _relay_usage(depth)) for depth in range(33)]
+        for (cost, code), kind, usage in table:
             assert type(cost) is float and cost == round(task_energy(usage, profile) * 1e9)
+            # Each handling is interned in the ledger's table under its code.
+            assert sim.ledger.handlings[code] == (kind, cost) and sim.ledger.code(kind, cost) == code
+        assert len(set(sim.ledger.handlings)) == len(sim.ledger.handlings)
 
 
 def test_radio_audit_unchanged_on_depleted_scenario():

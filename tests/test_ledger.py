@@ -3,17 +3,21 @@
 Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
 every handling, and counts its non-``None`` returns as booked handlings, so
 those calls must be the ledger, row for row. The ledger keeps its rows in
-one group of three typed columns per slice, energies in whole nanojoules,
-out of reference cycles, and a node's battery drop is exactly the sum of its
-rows.
+one group of two typed columns per slice, node ids and handling codes, each
+code naming a (kind, whole-nanojoule price) pair in the run's handling
+table; it stays out of reference cycles, and a node's battery drop is
+exactly the sum of its rows.
 """
 
 import gc
 import sys
 import weakref
+from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnec import simulator
 from wsnec.config import ScenarioConfig
@@ -33,21 +37,22 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
         returned = original(node, kind, cost, slice_index)
         if returned is not None:
             assert returned == cost
-            booked.append((slice_index, node.node_id, kind.code, cost))
+            booked.append((slice_index, node.node_id, kind, cost))
         return returned
 
     monkeypatch.setattr(simulator, "charge", recording)
     result = simulator.run(ScenarioConfig(**fields))
+    handlings = result.ledger.handlings
     assert len(booked) == len(result.ledger) > 0
-    assert [(i, node_id, code, nanojoules)
-            for i, (nodes, codes, energies) in enumerate(result.ledger.groups)
-            for node_id, code, nanojoules in zip(nodes, codes, energies)] == booked
-    assert [(e.slice_index, e.node_id, e.kind.code, e.energy) for e in result.ledger] == [
-        (i, node_id, code, nanojoules / 1e9) for i, node_id, code, nanojoules in booked]
+    assert [(i, node_id, *handlings[code])
+            for i, (nodes, codes) in enumerate(result.ledger.groups)
+            for node_id, code in zip(nodes, codes)] == booked
+    assert [(e.slice_index, e.node_id, e.kind, e.energy) for e in result.ledger] == [
+        (i, node_id, kind, nanojoules / 1e9) for i, node_id, kind, nanojoules in booked]
     # One row group per slice, as long as the rows booked in that slice.
     groups, counts = result.ledger.groups, Counter(row[0] for row in booked)
     assert len(groups) == len(result.records)
-    assert [len(energies) for _, _, energies in groups] == [counts[i] for i in range(len(groups))]
+    assert [len(codes) for _, codes in groups] == [counts[i] for i in range(len(groups))]
     # Each record's flows are its slice's rows per constituent.
     flows = [[0.0] * 5 for _ in result.records]
     for entry in result.ledger:
@@ -85,38 +90,41 @@ def test_ledger_reads_as_a_sequence_of_entries():
 def test_each_nodes_battery_drop_is_the_sum_of_its_rows(fields):
     cfg = ScenarioConfig(**fields)
     result = simulator.run(cfg)
-    booked = [0.0] * cfg.nodes
-    for nodes, _, energies in result.ledger.groups:
-        for node_id, nanojoules in zip(nodes, energies):
-            booked[node_id] += nanojoules
+    booked, handlings = [0.0] * cfg.nodes, result.ledger.handlings
+    for nodes, codes in result.ledger.groups:
+        for node_id, code in zip(nodes, codes):
+            booked[node_id] += handlings[code][1]
     initial = round(cfg.initial_battery * 1e9)
     assert [initial - node.battery for node in result.nodes] == booked
     assert all(booked)
 
 
 @pytest.mark.parametrize("fields", [{}, {"nodes": 200}], ids=["default", "200-nodes"])
-def test_ledger_costs_at_most_16_bytes_a_row(fields):
+def test_ledger_costs_at_most_9_bytes_a_row(fields):
     ledger = simulator.run(ScenarioConfig(**fields)).ledger
     columns = [column for group in ledger.groups for column in group]
-    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {("i", "b", "d")}
-    assert all(len(nodes) == len(kinds) == len(energies) for nodes, kinds, energies in ledger.groups)
+    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {("i", "I")}
+    assert all(len(nodes) == len(codes) for nodes, codes in ledger.groups)
     assert len(ledger) > 10_000
-    # The columns hold the rows; each group's 3-tuple adds 64 B a slice (0.4 B
-    # a row on the default run's 80 slices), which this bound leaves out.
-    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 16
+    # 8 B a row, plus each column's header (128 B a slice, 0.8 B a row on the
+    # default run's 80 slices) and any spare capacity. Each group's 2-tuple
+    # adds 56 B a slice (0.3 B a row), which this bound leaves out.
+    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 9
 
 
 def test_rows_compare_equal_however_they_were_booked():
-    code = PacketKind.RELAYED_DATA.code
+    relayed = PacketKind.RELAYED_DATA
     stages = {1: [([3, 4], [500.0, 250.0])], 2: [([], [])],
               4: [([7], [2000.0]), ([8, 9], [1000.0, 3000.0])]}
     per_stage, per_row = Ledger(), Ledger()
+    per_row.code(PacketKind.SENSED, 1.0)   # so that the two ledgers' codes differ
     for slice_index, booked in stages.items():
         for ids, costs in booked:
-            per_stage.book(slice_index, ids, bytes((code,)) * len(ids), costs)
+            per_stage.book(slice_index, ids, array("I", [per_stage.code(relayed, c) for c in costs]))
             for node_id, cost in zip(ids, costs):
-                per_row.book(slice_index, [node_id], bytes((code,)), [cost])
-    per_row.book(6, [], b"", [])   # empty trailing slices
+                per_row.book(slice_index, [node_id], array("I", (per_row.code(relayed, cost),)))
+    per_row.book(6, [], array("I"))   # empty trailing slices
+    assert per_stage.groups[4][1] != per_row.groups[4][1]
     assert (len(per_stage.groups), len(per_row.groups)) == (5, 7)
     rows = [ChargeEntry(1, 3, PacketKind.RELAYED_DATA, 5e-7),
             ChargeEntry(1, 4, PacketKind.RELAYED_DATA, 2.5e-7),
@@ -125,14 +133,15 @@ def test_rows_compare_equal_however_they_were_booked():
             ChargeEntry(4, 9, PacketKind.RELAYED_DATA, 3e-6)]
     assert per_stage == per_row == rows and len(per_row) == 5
     assert per_row[2:4] == rows[2:4] and per_row[-1] == rows[-1]
-    per_row.book(6, [1], bytes((code,)), [3000.0])
+    per_row.book(6, [1], array("I", (per_row.code(relayed, 3000.0),)))
     assert per_stage != per_row
 
 
 def test_totals_of_a_slice_without_rows():
     ledger = Ledger()
-    ledger.book(2, [5, 6], bytes((PacketKind.SENSED.code, PacketKind.SCHEDULING.code)),
-                [1500.0, 250.0])
+    ledger.code(PacketKind.ROUTING_INFO, 4000.0)   # in the table, booked nowhere
+    ledger.book(2, [5, 6], array("I", (ledger.code(PacketKind.SENSED, 1500.0),
+                                       ledger.code(PacketKind.SCHEDULING, 250.0))))
     for slice_index in (0, 1, 3):
         assert ledger.totals(slice_index) == (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0)
     assert ledger.totals(2) == (ConstituentFlowVector(1, 1, 0, 0, 0), 1750.0)
@@ -158,3 +167,41 @@ def test_reference_counting_alone_frees_the_ledger():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+# Tiny, dense, event-free, link-free, mix-charging and depleted scenarios.
+scenarios = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 31 - 1),
+    "nodes": st.integers(1, 3) | st.integers(20, 60),
+    "area_width": st.sampled_from([20.0, 100.0]),   # 20 m a side: dense
+    "event_rate": st.sampled_from([0.0, 18.0]),
+    "r_tx": st.sampled_from([0.0, 30.0]),
+    "mix_charging": st.booleans(),
+    "initial_battery": st.floats(0.001, 0.05) | st.just(0.5),
+    "total_slices": st.integers(3, 30),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios)
+def test_decoded_rows_add_up_to_every_battery_drop_and_slice_energy(fields):
+    fields["area_height"] = fields["area_width"]
+    cfg = ScenarioConfig(**fields)
+    result = simulator.run(cfg)
+    ledger = result.ledger
+    handlings, pairs = ledger.handlings, list(ledger.handlings)
+    # One code per distinct (kind, nJ) pair, and each code gives its pair back.
+    assert len(set(pairs)) == len(pairs)
+    assert [ledger.code(*pair) for pair in pairs] == list(range(len(pairs)))
+    assert [handlings[ledger.code(*pair)] for pair in pairs] == pairs
+    assert handlings == pairs   # looking a pair up interned nothing new
+    drops, energies = [0.0] * cfg.nodes, [0.0] * len(result.records)
+    for index, (nodes, codes) in enumerate(ledger.groups):
+        for node_id, code in zip(nodes, codes):
+            _, nanojoules = handlings[code]
+            drops[node_id] += nanojoules
+            energies[index] += nanojoules
+    initial = round(cfg.initial_battery * 1e9)
+    assert [initial - node.battery for node in result.nodes] == drops
+    assert [rec.energy_j for rec in result.records] == [e / 1e9 for e in energies]
+    assert result.ledger_total == sum(energies) / 1e9

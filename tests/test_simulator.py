@@ -198,7 +198,8 @@ class TestRun:
         result = run(cfg)
         initial = cfg.nodes * round(cfg.initial_battery * 1e9)
         drained = initial - sum(node.battery for node in result.nodes)
-        booked = sum(sum(energies) for _, _, energies in result.ledger.groups)
+        handlings = result.ledger.handlings
+        booked = sum(handlings[code][1] for _, codes in result.ledger.groups for code in codes)
         assert drained == booked > 0
         assert result.initial_battery_total == initial / 1e9
         assert result.final_battery_total == (initial - drained) / 1e9
@@ -211,9 +212,9 @@ class TestRun:
         for fields in ({}, {"initial_battery": 0.004}, {"mix_charging": True},
                        {"repair_radius_hops": 2, "initial_battery": 0.02}):
             result = run(ScenarioConfig(**fields))
-            expected = [0.0] * len(result.records)
-            for index, (_, _, energies) in enumerate(result.ledger.groups):
-                for nanojoules in reversed(energies):
+            expected, handlings = [0.0] * len(result.records), result.ledger.handlings
+            for index, (_, codes) in enumerate(result.ledger.groups):
+                for _, nanojoules in map(handlings.__getitem__, reversed(codes)):
                     assert nanojoules == round(nanojoules) > 0
                     expected[index] += nanojoules
             assert [rec.energy_j for rec in result.records] == [e / 1e9 for e in expected], fields
