@@ -41,14 +41,13 @@ from .flow_models import (
     local_flow,
     sink_flow,
 )
-from .policy import BudgetProblem, ScheduleResult, TaskDescriptor, check_constraints, select_tasks, task_cost
+from .policy import BudgetProblem, ScheduleResult, TaskDescriptor, select_tasks, task_cost
 from .radio import RadioModelParams, relay_threshold, rx_energy_per_bit, tx_energy_per_bit
 from .simulator import (
     PacketKind,
     Phase,
     RunResult,
     SliceRecord,
-    build_topology,
     run,
 )
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -90,18 +89,10 @@ class BudgetProblem:
                     "and one mandatory global task")
 
 
-def check_constraints(selection: Iterable[TaskDescriptor],
-                      coefficients: CoefficientVector,
-                      e_battery: float) -> dict[str, bool]:
-    """Evaluate the three feasibility constraints for a selection.
-
-    The budget constraint sums individual + local + global + sink energy
-    (environment energy is excluded from it) and is strict.
-    """
-    return _constraints(per_constituent_energy(selection, coefficients), e_battery)
-
-
 def _constraints(per: dict[Constituent, float], e_battery: float) -> dict[str, bool]:
+    """The three feasibility constraints, from a selection's energy per
+    constituent. The budget constraint sums individual + local + global +
+    sink energy (environment energy is excluded from it) and is strict."""
     budget_sum = math.fsum(per[c] for c in (Constituent.INDIVIDUAL, Constituent.LOCAL,
                                             Constituent.GLOBAL, Constituent.SINK))
     return {
@@ -109,18 +100,6 @@ def _constraints(per: dict[Constituent, float], e_battery: float) -> dict[str, b
         CONSTRAINT_GLOBAL: per[Constituent.GLOBAL] > 0,
         CONSTRAINT_BUDGET: budget_sum < e_battery,
     }
-
-
-def per_constituent_energy(selection: Iterable[TaskDescriptor],
-                           coefficients: CoefficientVector) -> dict[Constituent, float]:
-    return _per_constituent((t, task_cost(t, coefficients)) for t in selection)
-
-
-def _per_constituent(priced: Iterable[tuple[TaskDescriptor, float]]) -> dict[Constituent, float]:
-    per = {c: 0.0 for c in CONSTITUENT_ORDER}
-    for t, cost in priced:
-        per[t.constituent] += cost
-    return per
 
 
 @dataclass
@@ -135,10 +114,6 @@ class ScheduleResult:
     failed_constraints: tuple[str, ...]
     method: str                                  # "exact-dp" or "greedy"
     e_battery: float
-
-    @property
-    def selected_ids(self) -> tuple[int, ...]:
-        return tuple(t.task_id for t in self.scheduled)
 
 
 def _knapsack_exact(costs: list[float], values: list[float], capacity: float) -> int | None:
@@ -236,7 +211,9 @@ def select_tasks(problem: BudgetProblem) -> ScheduleResult:
         return (True, -((p << shift) // q), t.task_id)
 
     def build(selection: list[TaskDescriptor], feasible: bool, method: str) -> ScheduleResult:
-        per = _per_constituent((t, cost[t.task_id]) for t in selection)
+        per = {c: 0.0 for c in CONSTITUENT_ORDER}
+        for t in selection:
+            per[t.constituent] += cost[t.task_id]
         constraints = _constraints(per, battery)
         failed = tuple(name for name, ok in constraints.items()
                        if not ok and (problem.enforce_positivity or name == CONSTRAINT_BUDGET))

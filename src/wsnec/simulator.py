@@ -26,11 +26,12 @@ and the relay walk), each with its prices bound once; the loops only book.
 Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace, and both are
-read from the slice's ledger rows when the slice ends. ``charge`` touches
-the battery only. Each run prices its handlings once (queued relays by queue
-depth), each a code into the ledger's table of (kind, price) pairs. The
-ledger keeps one row group per slice, two typed columns each (node, code),
-and hands each row out as a ``ChargeEntry`` when read; each booking loop
+read from the slice's ledger rows when the slice ends; the run's ledger
+total is those slice energies added up. ``charge`` touches the battery
+only. Each run prices its handlings once (queued relays by queue depth),
+each a code into the ledger's table of (kind, price) pairs. The ledger
+keeps one row group per slice, two typed columns each (node, code), and
+hands each row out as a ``ChargeEntry`` when iterated; each booking loop
 gathers the node ids it books (the event loop also their codes) in local
 lists and appends them to its slice's group once per stage or slice. A
 stage's codes follow from its send count and refused receives. Every energy
@@ -59,7 +60,6 @@ import math
 import random
 from array import array
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -154,28 +154,25 @@ class NodeState:
 
 
 class ChargeEntry(NamedTuple):
-    """One booked handling; its constituent follows from the packet kind."""
+    """One booked handling; its constituent is ``kind.constituent``."""
 
     slice_index: int
     node_id: int
     kind: PacketKind
     energy: float   # joules
 
-    @property
-    def constituent(self) -> Constituent:
-        return self.kind.constituent
 
-
-class Ledger(Sequence):
-    """A run's booked handlings, in booking order, read as ``ChargeEntry``.
+class Ledger:
+    """A run's booked handlings, in booking order: iterating gives each as a
+    ``ChargeEntry``, and ``len`` counts them.
 
     ``handlings`` is the run's table of ``(PacketKind, whole-nJ price)``
     pairs; a row names one by its index there, its code. ``groups[i]`` holds
     slice ``i``'s rows as two typed columns, ``nodes`` (``'i'``) and ``codes``
     (``'I'``: relay prices grow with queue depth, past 2^16 codes in a dense
     enough run), so no column outgrows one slice. Entries, in joules, are
-    built when read; indexing builds them all. Nothing the ledger holds
-    refers back to it, so reference counting alone frees it.
+    built when read. Nothing the ledger holds refers back to it, so
+    reference counting alone frees it.
     """
 
     __slots__ = ("groups", "handlings", "_codes", "_weights", "__weakref__")
@@ -184,7 +181,7 @@ class Ledger(Sequence):
         self.groups: list[tuple[array, array]] = []
         self.handlings: list[tuple[PacketKind, float]] = []
         self._codes: dict[tuple[PacketKind, float], int] = {}
-        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 1))   # see ``tally``
+        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 1))   # see ``totals``
 
     def code(self, kind: PacketKind, nanojoules: float) -> int:
         """The code of the handling ``(kind, nanojoules)``, interned on first use."""
@@ -203,35 +200,23 @@ class Ledger(Sequence):
         column.extend(codes)
 
     def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float]:
-        """The slice's rows: their count per constituent, and their nJ, the sum
-        of count x price over the handling table. A slice that booked nothing
-        gets an empty group, so groups line up with slices; the group's
-        columns are trimmed to its rows."""
+        """The slice's rows: their count per constituent and their nJ, each
+        handling's row count times its one-hot flow slot and its price, exact
+        below 2^53. A slice that booked nothing gets an empty group, so groups
+        line up with slices; the group's columns are trimmed to its rows. The
+        weights are rebuilt once the handling table has grown; it only grows."""
         self.book(slice_index, [], array("I"))
         nodes, codes = self.groups[slice_index]
         self.groups[slice_index] = nodes[:], codes[:]
-        *flows, energy = self.tally(self.counts(codes))
-        return ConstituentFlowVector(*flows), energy
-
-    def counts(self, codes: array) -> np.ndarray:
-        """How many of ``codes`` name each handling of the table."""
-        return np.bincount(np.frombuffer(codes, np.uintc), minlength=len(self.handlings))
-
-    def tally(self, counts: np.ndarray) -> list[float]:
-        """Rows counted per handling: their count per constituent and, last,
-        their nJ, each count times its handling's one-hot flow slot and
-        price; exact below 2^53. The weights are rebuilt once the table has
-        grown; it only grows."""
         if len(self._weights) != len(self.handlings):
             self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
                                       + [nanojoules] for kind, nanojoules in self.handlings])
-        return (counts @ self._weights).tolist()
+        counts = np.bincount(np.frombuffer(codes, np.uintc), minlength=len(self.handlings))
+        *flows, energy = (counts @ self._weights).tolist()
+        return ConstituentFlowVector(*flows), energy
 
     def __len__(self) -> int:
         return sum(len(codes) for _, codes in self.groups)
-
-    def __getitem__(self, index):
-        return list(self)[index]
 
     def __iter__(self):
         kinds = [kind for kind, _ in self.handlings]
@@ -239,13 +224,6 @@ class Ledger(Sequence):
         for index, (nodes, codes) in enumerate(self.groups):
             yield from map(ChargeEntry, repeat(index, len(nodes)), nodes,
                            map(kinds.__getitem__, codes), map(joules.__getitem__, codes))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Ledger, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -277,17 +255,12 @@ class RunResult:
     delivered: int
     dropped: int
     initial_battery_total: float
+    ledger_total: float   # joules: the slices' energies added up
     radio: RadioAudit
 
     @property
     def final_battery_total(self) -> float:
         return sum(n.battery for n in self.nodes) / 1e9
-
-    @property
-    def ledger_total(self) -> float:
-        ledger = self.ledger
-        counts = sum((ledger.counts(codes) for _, codes in ledger.groups), ledger.counts(array("I")))
-        return ledger.tally(counts)[-1] / 1e9
 
 
 def charge(node: NodeState, kind: PacketKind, cost: float,
@@ -410,15 +383,6 @@ def select_next_hop(node: NodeState, nodes: list[NodeState]) -> Neighbor | None:
     return best
 
 
-def build_topology(cfg: ScenarioConfig) -> list[NodeState]:
-    """Seeded node placement, range-based adjacency and initial next hops.
-
-    Invalid node counts or an out-of-area sink are rejected when the
-    configuration itself is constructed.
-    """
-    return Simulation(cfg).nodes
-
-
 class Simulation:
     """One deterministic run over a scenario; single-threaded by contract."""
 
@@ -445,9 +409,6 @@ class Simulation:
         self.dropped = 0
         self.slice_index = 0
         self._repair_triggers: list[int] = []
-        # Packets each node sensed, and relayed, in the current slice.
-        self._sensed_this_slice = [0] * len(self.nodes)
-        self._relayed_this_slice = [0] * len(self.nodes)
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
         # Cost table: every handling priced and interned once, as a (price,
         # code) pair, sends and receives per kind.
@@ -705,11 +666,13 @@ class Simulation:
         cfg = self.cfg
         alive = attrgetter("alive")
         initial_total = sum(n.battery for n in self.nodes) / 1e9
+        booked = 0.0   # nJ, whole, so the sum is exact
         repair_next, since_repair = False, 0
         for index in range(cfg.total_slices):
             if not any(map(alive, self.nodes)):
                 break
             self.slice_index = index
+            # Packets each node sensed, and relayed, in this slice.
             self._sensed_this_slice = [0] * len(self.nodes)
             self._relayed_this_slice = [0] * len(self.nodes)
             if index < cfg.init_slices:
@@ -729,6 +692,7 @@ class Simulation:
                 repair_next = bool(self._repair_triggers) or (
                     cfg.maintenance_period > 0 and since_repair >= cfg.maintenance_period)
             flows, energy = self.ledger.totals(index)
+            booked += energy
             self.records.append(SliceRecord(
                 index=index,
                 phase=phase,
@@ -748,6 +712,7 @@ class Simulation:
             delivered=self.delivered,
             dropped=self.dropped,
             initial_battery_total=initial_total,
+            ledger_total=booked / 1e9,
             radio=self.radio,
         )
 

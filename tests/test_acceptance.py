@@ -259,8 +259,9 @@ def test_criterion_7_knapsack_optimality():
     boundary = select_tasks(BudgetProblem(boundary_tasks, alpha_unit, 6.0))
     # battery 6: mandatory cost 2; the 100-importance task costs exactly the
     # remaining 4 and is excluded by strictness; the cost-3 task fits
-    strict_ok = (boundary.feasible and boundary.selected_ids.count(1) == 0
-                 and 2 in boundary.selected_ids and boundary.total_cost < 6.0)
+    chosen = [t.task_id for t in boundary.scheduled]
+    strict_ok = (boundary.feasible and 1 not in chosen and 2 in chosen
+                 and boundary.total_cost < 6.0)
     exact_mandatory = select_tasks(BudgetProblem(boundary_tasks[:2], alpha_unit, 2.0))
     strict_ok = strict_ok and not exact_mandatory.feasible
 

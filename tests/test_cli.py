@@ -483,6 +483,15 @@ def test_readme_cli_flags_exist(capsys):
     assert [(c, f) for c, f in documented if f not in flags.get(c, ())] == []
 
 
+def test_readme_library_example_runs(capsys):
+    # README's library example runs as written, so it names no removed entry point.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert capsys.readouterr().out == f"{names['fit'].coefficients.alpha}\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "wsnec.cli", "--help"],
                           capture_output=True, text=True)

@@ -298,7 +298,7 @@ class TestStateLimit:
         problem = equal_density_problem(a)
         result = select_tasks(problem)
         assert result.method == "greedy"
-        assert tuple(sorted(result.selected_ids)) == first_fit_by_exact_density(problem)
+        assert tuple(sorted(t.task_id for t in result.scheduled)) == first_fit_by_exact_density(problem)
         if not ulps:
             assert result.total_importance == 2_147_483_483
 

@@ -21,8 +21,8 @@ from wsnec.simulator import (
     NodeState,
     PacketKind,
     Phase,
+    Simulation,
     _poisson,
-    build_topology,
     charge,
     run,
 )
@@ -64,7 +64,7 @@ class TestBuildTopology:
     def test_single_node_in_sink_range_routes_direct(self):
         cfg = cfg_with(nodes=1, area_width=10.0, area_height=10.0,
                        sink_x=5.0, sink_y=5.0, r_tx=30.0)
-        nodes = build_topology(cfg)
+        nodes = Simulation(cfg).nodes
         assert nodes[0].next_hop == SINK_ID
 
     def test_out_of_range_pair_not_connected(self):
@@ -73,7 +73,7 @@ class TestBuildTopology:
         for seed in range(10):
             cfg = cfg_with(seed=seed, nodes=2, area_width=300.0, area_height=1.0,
                            sink_x=0.0, sink_y=0.5, r_tx=5.0)
-            nodes = build_topology(cfg)
+            nodes = Simulation(cfg).nodes
             d = math.hypot(nodes[0].x - nodes[1].x, nodes[0].y - nodes[1].y)
             if d > cfg.r_tx:
                 assert not nodes[0].neighbors and not nodes[1].neighbors
@@ -82,8 +82,8 @@ class TestBuildTopology:
 
     def test_fixed_seed_reproduces_adjacency(self):
         cfg = cfg_with(seed=99)
-        first = build_topology(cfg)
-        second = build_topology(cfg)
+        first = Simulation(cfg).nodes
+        second = Simulation(cfg).nodes
         for a, b in zip(first, second):
             assert (a.x, a.y) == (b.x, b.y)
             assert [(n.node_id, n.distance) for n in a.neighbors] == \
@@ -91,13 +91,13 @@ class TestBuildTopology:
             assert a.next_hop == b.next_hop
 
     def test_neighbors_within_range_and_positive_distance(self):
-        nodes = build_topology(cfg_with(seed=3))
+        nodes = Simulation(cfg_with(seed=3)).nodes
         for node in nodes:
             for nbr in node.neighbors:
                 assert 0.0 < nbr.distance <= 30.0
 
     def test_next_hop_strictly_closer_and_highest_residual(self):
-        nodes = build_topology(cfg_with(seed=5))
+        nodes = Simulation(cfg_with(seed=5)).nodes
         for node in nodes:
             if node.next_hop in (None, SINK_ID):
                 continue
@@ -120,14 +120,14 @@ class TestBuildTopology:
 ])
 def test_energies_outside_whole_nanojoules_rejected(fields, message):
     with pytest.raises(ConfigError, match=message):
-        build_topology(cfg_with(**fields))
+        Simulation(cfg_with(**fields))
 
 
 def test_whole_nanojoule_limits_accepted():
     # A 1 nJ battery, 9e15 nJ of batteries in all, and prices of 1 nJ and 0.
-    build_topology(cfg_with(nodes=2, initial_battery=6e-10))
-    build_topology(cfg_with(nodes=9, initial_battery=1e6))
-    build_topology(cfg_with(nodes=2, profile=ResourcePowerProfile(6e-10, 0.0, 0.0, 0.0, 0.0)))
+    Simulation(cfg_with(nodes=2, initial_battery=6e-10))
+    Simulation(cfg_with(nodes=9, initial_battery=1e6))
+    Simulation(cfg_with(nodes=2, profile=ResourcePowerProfile(6e-10, 0.0, 0.0, 0.0, 0.0)))
 
 
 class TestCharge:
@@ -223,7 +223,7 @@ class TestRun:
         result = run(cfg_with(seed=17, total_slices=20))
         counts = {}
         for entry in result.ledger:
-            k = CONSTITUENT_ORDER.index(entry.constituent)
+            k = CONSTITUENT_ORDER.index(entry.kind.constituent)
             key = (entry.slice_index, k)
             counts[key] = counts.get(key, 0) + 1
         for rec in result.records:
@@ -324,7 +324,7 @@ class TestRun:
         costs = {c: constituent_alpha(cfg.mix.row(c), cfg.profile)
                  for c in CONSTITUENT_ORDER}
         for entry in result.ledger:
-            assert entry.energy == pytest.approx(costs[entry.constituent], rel=1e-12)
+            assert entry.energy == pytest.approx(costs[entry.kind.constituent], rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1000.0, 3000.0])
@@ -343,7 +343,7 @@ class TestRadioAudit:
                              sink_x=5.0, sink_y=5.0, init_slices=0, total_slices=5,
                              monitoring=False, scheduling=False,
                              maintenance_period=0, event_rate=3.0)
-        d = build_topology(probe_cfg)[0].dist_to_sink
+        d = Simulation(probe_cfg).nodes[0].dist_to_sink
         per_packet = probe_cfg.bits_per_packet * tx_energy_per_bit(d, probe_cfg.radio)
         profile = ResourcePowerProfile(p_cpu=2e-5, p_mem=1e-5, p_rx=4e-5,
                                        p_tx=per_packet, p_sens=3e-5)
