@@ -563,3 +563,15 @@ def test_radio_audit_unchanged_on_depleted_scenario():
         charged_tx_j=0.04482, charged_rx_j=0.021640000000000003,
         tx_events=747, rx_events=541)
     assert (result.delivered, result.dropped, len(result.ledger)) == (20, 4659, 1375)
+
+
+def test_radio_audit_unchanged_under_mix_charging():
+    # Mix charging prices a handling by its kind alone, so handlings that send
+    # and ones that do not share a kind and a price: a warm-up and a
+    # sense-and-send, a queued receive and a plain relay receive.
+    result = Simulation(ScenarioConfig(mix_charging=True)).run()
+    assert result.radio == RadioAudit(
+        model_tx_j=float.fromhex("0x1.fb58007a036cdp-2"), model_rx_j=0.353792,
+        charged_tx_j=0.53382, charged_rx_j=0.27640000000000003,
+        tx_events=8897, rx_events=6910)
+    assert (result.delivered, result.dropped, len(result.ledger)) == (783, 555, 13390)
