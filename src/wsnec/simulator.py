@@ -29,28 +29,29 @@ totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends; the run's ledger
 total is those slice energies added up. ``charge`` touches the battery
 only. Each run prices its handlings once (queued relays by queue depth),
-each a code into the ledger's table of (kind, price) pairs. The ledger
-keeps one row group per slice, two typed columns each (node, code), and
-hands each row out as a ``ChargeEntry`` when iterated; each booking loop
-gathers the node ids it books (the event loop also their codes) in local
-lists and appends them to its slice's group once per stage or slice. A
-stage's codes follow from its send count and refused receives. Every energy
-inside a run (batteries, residuals, prices) is a whole number of nanojoules
-in a float, exact below 2^53, so sums are exact in any order and a battery
-that lands on zero kills its node; a run rejects a battery or nonzero price
-that rounds to 0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ /
-1e9, appear only in slice energies, ledger entries and the run's totals.
-Neighbor lists and the nodes an event covers are found through a uniform
-cell grid, with cells as wide as the radio or sensing range, instead of
-scanning every node; as nodes never move, the grid sorts the nodes around
-each cell once and keeps them. Identical configurations (same seed) produce
-identical traces, byte for byte once serialized. Alongside the profile-based
-charges the run keeps a per-bit radio-model audit of the same tx/rx events
-as an independent cross-check on radio energy accounting: the booking loops
-count sends and receives and sum the model's tx joules per link. No handling
-sends or receives more than one packet, and the first-order radio model
-prices every received packet alike, so the audit's other three sums are
-event counts times run constants, set when the run ends.
+each a code into the ledger's table of (kind, price, sends, receives)
+handlings. The ledger keeps one row group per slice, two typed columns each
+(node, code), and hands each row out as a ``ChargeEntry`` when iterated;
+each booking loop gathers the node ids it books (the event loop also their
+codes) in local lists and appends them to its slice's group once per stage
+or slice. A stage's codes follow from its send count and refused receives.
+Every energy inside a run (batteries, residuals, prices) is a whole number
+of nanojoules in a float, exact below 2^53, so sums are exact in any order
+and a battery that lands on zero kills its node; a run rejects a battery or
+nonzero price that rounds to 0 nJ, and batteries that add up past 2^53 nJ.
+Joules, nJ / 1e9, appear only in slice energies, ledger entries and the
+run's totals. Neighbor lists and the nodes an event covers are found through
+a uniform cell grid, with cells as wide as the radio or sensing range,
+instead of scanning every node; as nodes never move, the grid sorts the
+nodes around each cell once and keeps them. Identical configurations (same
+seed) produce identical traces, byte for byte once serialized. Alongside the
+profile-based charges the run keeps a per-bit radio-model audit of the same
+tx/rx events as an independent cross-check on radio energy accounting: the
+booking loops sum the model's tx joules per link, and the slice totals count
+the handlings' sends and receives. No handling sends or receives more than
+one packet, and the first-order radio model prices every received packet
+alike, so the other three sums are event counts times run constants, all set
+when the run ends.
 """
 
 from __future__ import annotations
@@ -166,28 +167,29 @@ class Ledger:
     """A run's booked handlings, in booking order: iterating gives each as a
     ``ChargeEntry``, and ``len`` counts them.
 
-    ``handlings`` is the run's table of ``(PacketKind, whole-nJ price)``
-    pairs; a row names one by its index there, its code. ``groups[i]`` holds
-    slice ``i``'s rows as two typed columns, ``nodes`` (``'i'``) and ``codes``
-    (``'I'``: relay prices grow with queue depth, past 2^16 codes in a dense
-    enough run), so no column outgrows one slice. Entries, in joules, are
-    built when read. Nothing the ledger holds refers back to it, so
-    reference counting alone frees it.
+    ``handlings`` is the run's table of ``(PacketKind, whole-nJ price,
+    sends, receives)`` handlings; a row names one by its index there, its
+    code. ``groups[i]`` holds slice ``i``'s rows as two typed columns,
+    ``nodes`` (``'i'``) and ``codes`` (``'I'``: relay prices grow with queue
+    depth, past 2^16 codes in a dense enough run), so no column outgrows one
+    slice. Entries, in joules, are built when read. Nothing the ledger holds
+    refers back to it, so reference counting alone frees it.
     """
 
     __slots__ = ("groups", "handlings", "_codes", "_weights", "__weakref__")
 
     def __init__(self):
         self.groups: list[tuple[array, array]] = []
-        self.handlings: list[tuple[PacketKind, float]] = []
-        self._codes: dict[tuple[PacketKind, float], int] = {}
-        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 1))   # see ``totals``
+        self.handlings: list[tuple[PacketKind, float, int, int]] = []
+        self._codes: dict[tuple[PacketKind, float, int, int], int] = {}
+        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 3))   # see ``totals``
 
-    def code(self, kind: PacketKind, nanojoules: float) -> int:
-        """The code of the handling ``(kind, nanojoules)``, interned on first use."""
-        code = self._codes.setdefault((kind, nanojoules), len(self.handlings))
+    def code(self, kind: PacketKind, nanojoules: float, sends: int, receives: int) -> int:
+        """The code of ``(kind, nanojoules, sends, receives)``, interned on first use."""
+        handling = kind, nanojoules, sends, receives
+        code = self._codes.setdefault(handling, len(self.handlings))
         if code == len(self.handlings):
-            self.handlings.append((kind, nanojoules))
+            self.handlings.append(handling)
         return code
 
     def book(self, slice_index: int, node_ids: list[int], codes: array) -> None:
@@ -199,28 +201,29 @@ class Ledger:
         nodes.fromlist(node_ids)
         column.extend(codes)
 
-    def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float]:
-        """The slice's rows: their count per constituent and their nJ, each
-        handling's row count times its one-hot flow slot and its price, exact
-        below 2^53. A slice that booked nothing gets an empty group, so groups
-        line up with slices; the group's columns are trimmed to its rows. The
-        weights are rebuilt once the handling table has grown; it only grows."""
+    def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float, float, float]:
+        """The slice's rows: their count per constituent, their nJ, their sends
+        and their receives, each handling's row count times its one-hot flow
+        slot, its price and its legs, exact below 2^53. A slice that booked
+        nothing gets an empty group, so groups line up with slices; the
+        group's columns are trimmed to its rows. The weights are rebuilt once
+        the handling table has grown; it only grows."""
         self.book(slice_index, [], array("I"))
         nodes, codes = self.groups[slice_index]
         self.groups[slice_index] = nodes[:], codes[:]
         if len(self._weights) != len(self.handlings):
             self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
-                                      + [nanojoules] for kind, nanojoules in self.handlings])
+                                      + tally for kind, *tally in self.handlings])
         counts = np.bincount(np.frombuffer(codes, np.uintc), minlength=len(self.handlings))
-        *flows, energy = (counts @ self._weights).tolist()
-        return ConstituentFlowVector(*flows), energy
+        *flows, energy, sends, receives = (counts @ self._weights).tolist()
+        return ConstituentFlowVector(*flows), energy, sends, receives
 
     def __len__(self) -> int:
         return sum(len(codes) for _, codes in self.groups)
 
     def __iter__(self):
-        kinds = [kind for kind, _ in self.handlings]
-        joules = [nanojoules / 1e9 for _, nanojoules in self.handlings]
+        kinds = [kind for kind, *_ in self.handlings]
+        joules = [nanojoules / 1e9 for _, nanojoules, *_ in self.handlings]
         for index, (nodes, codes) in enumerate(self.groups):
             yield from map(ChargeEntry, repeat(index, len(nodes)), nodes,
                            map(kinds.__getitem__, codes), map(joules.__getitem__, codes))
@@ -235,16 +238,16 @@ class SliceRecord:
     alive_nodes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadioAudit:
     """Independent per-bit radio-model accounting of the run's tx/rx events."""
 
-    model_tx_j: float = 0.0
-    model_rx_j: float = 0.0
-    charged_tx_j: float = 0.0
-    charged_rx_j: float = 0.0
-    tx_events: int = 0
-    rx_events: int = 0
+    model_tx_j: float
+    model_rx_j: float
+    charged_tx_j: float
+    charged_rx_j: float
+    tx_events: int
+    rx_events: int
 
 
 @dataclass
@@ -267,7 +270,7 @@ def charge(node: NodeState, kind: PacketKind, cost: float,
            slice_index: int) -> float | None:
     """Charge one packet handling of price ``cost`` (whole nJ) against the
     node's battery and return ``cost``. The caller books the handling in the
-    ledger and counts its radio events.
+    ledger, under a code that carries its radio legs.
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
     the task. Both cases return ``None``. A node whose battery lands on
@@ -404,7 +407,7 @@ class Simulation:
         self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
         self.ledger = Ledger()
         self.records: list[SliceRecord] = []
-        self.radio = RadioAudit()
+        self.model_tx_j = 0.0   # the radio model's send joules, summed in booking order
         self.delivered = 0
         self.dropped = 0
         self.slice_index = 0
@@ -425,15 +428,16 @@ class Simulation:
 
     def _handling(self, kind: PacketKind, usage: ResourceUsageVector) -> tuple[float, int]:
         """The whole-nJ price of one handling of ``usage``, or under mix
-        charging of one ``kind`` packet, and its code in the ledger. A
-        nonzero price that rounds to 0 nJ is rejected."""
+        charging of one ``kind`` packet, and its code in the ledger, which
+        keeps the usage's sends and receives. A nonzero price that rounds to
+        0 nJ is rejected."""
         cfg = self.cfg
         joules = (constituent_alpha(cfg.mix.row(kind.constituent), cfg.profile)
                   if cfg.mix_charging else task_energy(usage, cfg.profile))
         nanojoules = round(joules * 1e9, 0)
         if joules and not nanojoules:
             raise ConfigError([f"{kind.value} handling price {joules!r} J rounds to 0 nJ"])
-        return nanojoules, self.ledger.code(kind, nanojoules)
+        return nanojoules, self.ledger.code(kind, nanojoules, usage.b_tx, usage.b_rx)
 
     def _relay_handling(self, depth: int) -> tuple[float, int]:
         """The (price, code) of a relay by queue depth: the first relay of a
@@ -464,8 +468,7 @@ class Simulation:
         (send_cost, send_code), (recv_cost, recv_code) = self._send[kind], self._recv[kind]
         ids, refused = [], []
         add_id = ids.append
-        triggers, radio = self._repair_triggers, self.radio
-        model_tx = radio.model_tx_j
+        triggers, model_tx = self._repair_triggers, self.model_tx_j
         unsent = 0
         for node, entries in stage:
             if not node.alive:
@@ -495,9 +498,7 @@ class Simulation:
             for a, b in zip([-1, *refused], [*refused, len(slots)]):
                 codes += slots[a + 1:b]
         self.ledger.book(si, ids, codes)
-        radio.model_tx_j = model_tx
-        radio.tx_events += sent
-        radio.rx_events += sent - len(refused)
+        self.model_tx_j = model_tx
         self.dropped += unsent + len(refused)
 
     def _monitoring(self, full_refresh: bool) -> None:
@@ -510,14 +511,14 @@ class Simulation:
     # -- sensing and relaying ------------------------------------------------
 
     def _events(self, count: int) -> None:
-        """Book ``count`` area events the way ``_exchanges`` books a stage: each
-        covered node under its sense cap senses, schedules and starts the relay
-        walk. A packet is dropped at an origin with no route (sensed, not sent),
-        a dead next hop (marked not known-alive; a repair is scheduled), a relay
-        with no route (it receives and queues) or a relay that cannot pay."""
+        """Book a slice's ``count`` area events as ``_exchanges`` books a stage:
+        each covered node under its sense cap senses, schedules and starts the
+        relay walk. A packet is dropped at an origin with no route (sensed, not
+        sent), a dead next hop (marked not known-alive; a repair is scheduled),
+        a stranded relay (it receives and queues) or a relay that cannot pay."""
         cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
         book, si, triggers = charge, self.slice_index, self._repair_triggers
-        sensed, relayed, cap = self._sensed_this_slice, self._relayed_this_slice, self._sense_cap
+        sensed, relayed, cap = [0] * len(nodes), [0] * len(nodes), self._sense_cap
         table, relay_handling = self._relay_by_depth, self._relay_handling
         ids, codes = [], []
         add_id, add_code = ids.append, codes.append
@@ -525,9 +526,8 @@ class Simulation:
             PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
         warmup, sense, (queue_cost, queue_code) = self._warmup, self._sense_send, self._recv_queue
         send_cost, send_code = self._send[scheduling_kind]
-        radio = self.radio
-        model_tx = radio.model_tx_j
-        tx_events = rx_events = delivered = dropped = 0
+        model_tx = self.model_tx_j
+        delivered = dropped = 0
         for _ in range(count):
             ex, ey = rng.uniform(0.0, cfg.area_width), rng.uniform(0.0, cfg.area_height)
             # Tested only after the previous node was handled, so a node an
@@ -551,7 +551,6 @@ class Simulation:
                     dropped += 1
                     continue
                 model_tx += link.tx_j
-                tx_events += 1
                 if cfg.scheduling:
                     if book(node, scheduling_kind, send_cost, si) is None:
                         dropped += 1
@@ -559,7 +558,6 @@ class Simulation:
                         add_id(origin)
                         add_code(send_code)
                         model_tx += link.tx_j
-                        tx_events += 1
                 current = node
                 while (hop := link.node_id) != SINK_ID:
                     target = nodes[hop]
@@ -575,7 +573,6 @@ class Simulation:
                         else:
                             add_id(hop)
                             add_code(queue_code)
-                            rx_events += 1
                         dropped += 1
                         break
                     depth = relayed[hop]
@@ -587,15 +584,11 @@ class Simulation:
                     add_code(code)
                     current, link = target, target.link
                     model_tx += link.tx_j
-                    tx_events += 1
-                    rx_events += 1
                     relayed[hop] = depth + 1
                 else:   # the walk reached the sink
                     delivered += 1
         self.ledger.book(si, ids, array("I", codes))
-        radio.model_tx_j = model_tx
-        radio.tx_events += tx_events
-        radio.rx_events += rx_events
+        self.model_tx_j = model_tx
         self.delivered += delivered
         self.dropped += dropped
 
@@ -666,15 +659,12 @@ class Simulation:
         cfg = self.cfg
         alive = attrgetter("alive")
         initial_total = sum(n.battery for n in self.nodes) / 1e9
-        booked = 0.0   # nJ, whole, so the sum is exact
+        booked = sends = receives = 0.0   # whole nJ and counts, so the sums are exact
         repair_next, since_repair = False, 0
         for index in range(cfg.total_slices):
             if not any(map(alive, self.nodes)):
                 break
             self.slice_index = index
-            # Packets each node sensed, and relayed, in this slice.
-            self._sensed_this_slice = [0] * len(self.nodes)
-            self._relayed_this_slice = [0] * len(self.nodes)
             if index < cfg.init_slices:
                 phase = Phase.INITIALIZATION
                 self._init_work(index)
@@ -691,8 +681,8 @@ class Simulation:
                 # the periodic repair interval elapsing.
                 repair_next = bool(self._repair_triggers) or (
                     cfg.maintenance_period > 0 and since_repair >= cfg.maintenance_period)
-            flows, energy = self.ledger.totals(index)
-            booked += energy
+            flows, energy, tx, rx = self.ledger.totals(index)
+            booked, sends, receives = booked + energy, sends + tx, receives + rx
             self.records.append(SliceRecord(
                 index=index,
                 phase=phase,
@@ -700,11 +690,6 @@ class Simulation:
                 energy_j=energy / 1e9,
                 alive_nodes=sum(map(alive, self.nodes)),
             ))
-        # One send and one receive each carry one packet, priced alike.
-        radio = self.radio
-        radio.charged_tx_j = radio.tx_events * cfg.profile.p_tx
-        radio.model_rx_j = radio.rx_events * (cfg.bits_per_packet * rx_energy_per_bit(cfg.radio))
-        radio.charged_rx_j = radio.rx_events * cfg.profile.p_rx
         return RunResult(
             records=self.records,
             nodes=self.nodes,
@@ -713,7 +698,12 @@ class Simulation:
             dropped=self.dropped,
             initial_battery_total=initial_total,
             ledger_total=booked / 1e9,
-            radio=self.radio,
+            # One send and one receive each carry one packet, priced alike.
+            radio=RadioAudit(
+                model_tx_j=self.model_tx_j,
+                model_rx_j=receives * (cfg.bits_per_packet * rx_energy_per_bit(cfg.radio)),
+                charged_tx_j=sends * cfg.profile.p_tx, charged_rx_j=receives * cfg.profile.p_rx,
+                tx_events=int(sends), rx_events=int(receives)),
         )
 
 

@@ -171,7 +171,9 @@ class _PerHandling(Simulation):
     per handling, an event loop, ``_handle_event`` and the relay walk, and
     the warm-up loop that booked through ``_charge``, verbatim, except that
     each handling is priced on its own, not from the run's cost table, and
-    each hop's model joules from geometry, not from the node's link."""
+    interned with its own usage's sends and receives, and each hop's model
+    joules come from geometry, not from the node's link. The run's radio
+    audit counts its events from those sends and receives."""
 
     def _hop_tx_j(self, node: NodeState) -> float:
         """The radio model's joules for ``node`` to send one packet to its
@@ -194,13 +196,9 @@ class _PerHandling(Simulation):
         if booked is None:
             self.dropped += 1
             return None
-        self.ledger.book(self.slice_index, [node.node_id], array("I", (self.ledger.code(kind, cost),)))
-        radio = self.radio
-        if usage.b_tx:
-            radio.model_tx_j += tx_j
-            radio.tx_events += usage.b_tx
-        if usage.b_rx:
-            radio.rx_events += usage.b_rx
+        code = self.ledger.code(kind, cost, usage.b_tx, usage.b_rx)
+        self.ledger.book(self.slice_index, [node.node_id], array("I", (code,)))
+        self.model_tx_j += tx_j
         return booked
 
     def _handle_event(self, node: NodeState) -> None:
@@ -256,6 +254,9 @@ class _PerHandling(Simulation):
             current = target
 
     def _collection_work(self, full_refresh: bool) -> None:
+        # Packets each node sensed, and relayed, in this slice.
+        self._sensed_this_slice = [0] * len(self.nodes)
+        self._relayed_this_slice = [0] * len(self.nodes)
         if self.cfg.monitoring:
             self._monitoring(full_refresh)
         events = _poisson(self.rng, self.cfg.event_rate)
@@ -305,6 +306,8 @@ class _FullScan(_Logged):
     testing each one only after the previous one was handled."""
 
     def _collection_work(self, full_refresh):
+        self._sensed_this_slice = [0] * len(self.nodes)
+        self._relayed_this_slice = [0] * len(self.nodes)
         if self.cfg.monitoring:
             self._monitoring(full_refresh)
         for _ in range(_poisson(self.rng, self.cfg.event_rate)):
@@ -551,8 +554,10 @@ class TestCostTable:
         table += [(sim._relay_handling(depth), relayed, _relay_usage(depth)) for depth in range(33)]
         for (cost, code), kind, usage in table:
             assert type(cost) is float and cost == round(task_energy(usage, profile) * 1e9)
-            # Each handling is interned in the ledger's table under its code.
-            assert sim.ledger.handlings[code] == (kind, cost) and sim.ledger.code(kind, cost) == code
+            # Each handling is interned in the ledger's table under its code,
+            # with its usage's sends and receives.
+            handling = kind, cost, usage.b_tx, usage.b_rx
+            assert sim.ledger.handlings[code] == handling and sim.ledger.code(*handling) == code
         assert len(set(sim.ledger.handlings)) == len(sim.ledger.handlings)
 
 

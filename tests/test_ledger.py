@@ -4,8 +4,8 @@ Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
 every handling, and counts its non-``None`` returns as booked handlings, so
 those calls must be the ledger, row for row. The ledger keeps its rows in
 one group of two typed columns per slice, node ids and handling codes, each
-code naming a (kind, whole-nanojoule price) pair in the run's handling
-table; it stays out of reference cycles, and a node's battery drop is
+code naming a (kind, whole-nanojoule price, sends, receives) handling in the
+run's handling table; it stays out of reference cycles, and a node's battery drop is
 exactly the sum of its rows.
 """
 
@@ -44,7 +44,7 @@ def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
     result = simulator.run(ScenarioConfig(**fields))
     handlings = result.ledger.handlings
     assert len(booked) == len(result.ledger) > 0
-    assert [(i, node_id, *handlings[code])
+    assert [(i, node_id, *handlings[code][:2])
             for i, (nodes, codes) in enumerate(result.ledger.groups)
             for node_id, code in zip(nodes, codes)] == booked
     assert [(e.slice_index, e.node_id, e.kind, e.energy) for e in result.ledger] == [
@@ -109,12 +109,14 @@ def test_rows_compare_equal_however_they_were_booked():
     stages = {1: [([3, 4], [500.0, 250.0])], 2: [([], [])],
               4: [([7], [2000.0]), ([8, 9], [1000.0, 3000.0])]}
     per_stage, per_row = Ledger(), Ledger()
-    per_row.code(PacketKind.SENSED, 1.0)   # so that the two ledgers' codes differ
+    per_row.code(PacketKind.SENSED, 1.0, 1, 0)   # so that the two ledgers' codes differ
     for slice_index, booked in stages.items():
         for ids, costs in booked:
-            per_stage.book(slice_index, ids, array("I", [per_stage.code(relayed, c) for c in costs]))
+            per_stage.book(slice_index, ids,
+                           array("I", [per_stage.code(relayed, c, 1, 1) for c in costs]))
             for node_id, cost in zip(ids, costs):
-                per_row.book(slice_index, [node_id], array("I", (per_row.code(relayed, cost),)))
+                per_row.book(slice_index, [node_id],
+                             array("I", (per_row.code(relayed, cost, 1, 1),)))
     per_row.book(6, [], array("I"))   # empty trailing slices
     assert per_stage.groups[4][1] != per_row.groups[4][1]
     assert (len(per_stage.groups), len(per_row.groups)) == (5, 7)
@@ -124,19 +126,35 @@ def test_rows_compare_equal_however_they_were_booked():
             ChargeEntry(4, 8, PacketKind.RELAYED_DATA, 1e-6),
             ChargeEntry(4, 9, PacketKind.RELAYED_DATA, 3e-6)]
     assert list(per_stage) == list(per_row) == rows and len(per_row) == 5
-    per_row.book(6, [1], array("I", (per_row.code(relayed, 3000.0),)))
+    per_row.book(6, [1], array("I", (per_row.code(relayed, 3000.0, 1, 1),)))
     assert list(per_stage) != list(per_row)
 
 
 def test_totals_of_a_slice_without_rows():
     ledger = Ledger()
-    ledger.code(PacketKind.ROUTING_INFO, 4000.0)   # in the table, booked nowhere
-    ledger.book(2, [5, 6], array("I", (ledger.code(PacketKind.SENSED, 1500.0),
-                                       ledger.code(PacketKind.SCHEDULING, 250.0))))
+    ledger.code(PacketKind.ROUTING_INFO, 4000.0, 1, 1)   # in the table, booked nowhere
+    ledger.book(2, [5, 6, 7], array("I", (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
+                                          ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
+                                          ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))))
     for slice_index in (0, 1, 3):
-        assert ledger.totals(slice_index) == (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0)
-    assert ledger.totals(2) == (ConstituentFlowVector(1, 1, 0, 0, 0), 1750.0)
-    assert len(ledger.groups) == 4 and len(ledger) == 2
+        assert ledger.totals(slice_index) == (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0, 0, 0)
+    assert ledger.totals(2) == (ConstituentFlowVector(1, 2, 0, 0, 0), 2000.0, 2, 1)
+    assert len(ledger.groups) == 4 and len(ledger) == 3
+
+
+def test_handlings_of_one_kind_and_price_differ_by_their_legs():
+    # Mix charging prices by kind alone: a warm-up and a sense-and-send cost
+    # the same, and so do a queued receive and a plain relay receive. Their
+    # sends and receives keep them apart, and the slice totals count them.
+    ledger = Ledger()
+    sensed, relayed = PacketKind.SENSED, PacketKind.RELAYED_DATA
+    codes = [ledger.code(sensed, 900.0, 0, 0), ledger.code(sensed, 900.0, 1, 0),
+             ledger.code(relayed, 700.0, 0, 1), ledger.code(relayed, 700.0, 1, 1)]
+    assert codes == [0, 1, 2, 3] and ledger.code(sensed, 900.0, 1, 0) == 1
+    ledger.book(0, [1, 1, 2, 3, 3], array("I", [0, 1, 2, 3, 3]))
+    assert ledger.totals(0) == (ConstituentFlowVector(2, 0, 3, 0, 0), 3900.0, 3, 3)
+    assert [(e.kind, e.energy) for e in ledger] == [
+        (sensed, 9e-7), (sensed, 9e-7), (relayed, 7e-7), (relayed, 7e-7), (relayed, 7e-7)]
 
 
 def test_reference_counting_alone_frees_the_ledger():
@@ -180,19 +198,23 @@ def test_decoded_rows_add_up_to_every_battery_drop_and_slice_energy(fields):
     cfg = ScenarioConfig(**fields)
     result = simulator.run(cfg)
     ledger = result.ledger
-    handlings, pairs = ledger.handlings, list(ledger.handlings)
-    # One code per distinct (kind, nJ) pair, and each code gives its pair back.
-    assert len(set(pairs)) == len(pairs)
-    assert [ledger.code(*pair) for pair in pairs] == list(range(len(pairs)))
-    assert [handlings[ledger.code(*pair)] for pair in pairs] == pairs
-    assert handlings == pairs   # looking a pair up interned nothing new
+    handlings, table = ledger.handlings, list(ledger.handlings)
+    # One code per distinct (kind, nJ, sends, receives) handling, and each
+    # code gives its handling back.
+    assert len(set(table)) == len(table)
+    assert [ledger.code(*handling) for handling in table] == list(range(len(table)))
+    assert [handlings[ledger.code(*handling)] for handling in table] == table
+    assert handlings == table   # looking a handling up interned nothing new
     drops, energies = [0.0] * cfg.nodes, [0.0] * len(result.records)
+    sends = receives = 0
     for index, (nodes, codes) in enumerate(ledger.groups):
         for node_id, code in zip(nodes, codes):
-            _, nanojoules = handlings[code]
+            _, nanojoules, tx, rx = handlings[code]
             drops[node_id] += nanojoules
             energies[index] += nanojoules
+            sends, receives = sends + tx, receives + rx
     initial = round(cfg.initial_battery * 1e9)
     assert [initial - node.battery for node in result.nodes] == drops
     assert [rec.energy_j for rec in result.records] == [e / 1e9 for e in energies]
     assert result.ledger_total == sum(energies) / 1e9
+    assert (result.radio.tx_events, result.radio.rx_events) == (sends, receives)

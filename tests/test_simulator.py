@@ -214,7 +214,7 @@ class TestRun:
             result = run(ScenarioConfig(**fields))
             expected, handlings = [0.0] * len(result.records), result.ledger.handlings
             for index, (_, codes) in enumerate(result.ledger.groups):
-                for _, nanojoules in map(handlings.__getitem__, reversed(codes)):
+                for _, nanojoules, _, _ in map(handlings.__getitem__, reversed(codes)):
                     assert nanojoules == round(nanojoules) > 0
                     expected[index] += nanojoules
             assert [rec.energy_j for rec in result.records] == [e / 1e9 for e in expected], fields
