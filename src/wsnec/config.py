@@ -11,8 +11,10 @@ parameter ranges. Every key has a default, so a minimal file is just::
     nodes = 25
 
 All defaults are synthetic (chosen for a well-behaved reference scenario,
-not measured from hardware). Validation is total: loading collects every
-out-of-boundary value and reports them all at once, before any computation.
+not measured from hardware). Validation comes before any computation, and
+loading reports in one error every unknown section or key, every malformed
+value, every ``[sim]`` and ``[sweep]`` violation, and the first violation of
+each of ``[energy]``, ``[mix]`` and ``[radio]``.
 """
 
 from __future__ import annotations
@@ -275,17 +277,23 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
                 ranges[key] = (lo, hi)
         sweep = SweepConfig(runs=runs, ranges=ranges)
 
+    # Each sub-model stops at its first violation; a failed one is left at
+    # its default, so that the scenario's own checks still run.
+    models = {}
+    for name, build in (("profile", lambda: replace(DEFAULT_PROFILE, **energy)),
+                        ("mix", lambda: ConstituentResourceMix(mix_rows)),
+                        ("radio", lambda: RadioModelParams(**radio))):
+        try:
+            models[name] = build()
+        except ValueError as exc:
+            violations.append(str(exc))
+    try:
+        cfg = ScenarioConfig(sweep=sweep, **models, **sim)
+    except ConfigError as exc:
+        violations.extend(exc.violations)
     if violations:
         raise ConfigError(violations)
-
-    try:
-        profile = replace(DEFAULT_PROFILE, **energy)
-        mix = ConstituentResourceMix(mix_rows)
-        radio_params = RadioModelParams(**radio)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
-
-    return ScenarioConfig(profile=profile, mix=mix, radio=radio_params, sweep=sweep, **sim)
+    return cfg
 
 
 def with_overrides(cfg: ScenarioConfig, **changes) -> ScenarioConfig:

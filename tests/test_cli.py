@@ -26,6 +26,7 @@ from wsnec.traceio import (
 )
 from wsnec.simulator import Phase, SliceRecord, run
 from wsnec.energy_core import ConstituentFlowVector
+from test_config_io import BAD_IN_EVERY_SECTION
 from test_golden import DEFAULT_TRACE_SHA256, FIT_REPORT_PINS
 
 MINIMAL = "[sim]\nseed = 5\nnodes = 2\ntotal_slices = 12\n"
@@ -72,6 +73,15 @@ class TestSimulate:
         out = tmp_path / "trace.csv"
         assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
         assert f"parameter boundary {boundary} violated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_violations_in_every_section_are_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BAD_IN_EVERY_SECTION)
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        for boundary in ("nodes >= 1", "p_cpu >= 0", "mix[local][sens] >= 0", "eps_fs > 0"):
+            assert f"parameter boundary {boundary} violated" in err
         assert not out.exists()
 
     def test_probability_section_is_rejected(self, tmp_path, capsys):
@@ -510,3 +520,4 @@ def test_package_runs_as_a_module(tmp_path):
                            "--output", str(module)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert module.read_bytes() == direct.read_bytes()
+

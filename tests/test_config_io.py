@@ -34,6 +34,11 @@ from wsnec.traceio import (
 )
 
 
+# One violation in each of [sim], [energy], [mix] and [radio].
+BAD_IN_EVERY_SECTION = ("[sim]\nseed = 1\nnodes = 0\n\n[energy]\np_cpu = -1\n\n"
+                        "[radio]\neps_fs = -1\n\n[mix]\nlocal = 1, 1, 1, 1, -1\n")
+
+
 class TestScenarioConfig:
     def test_defaults_are_valid(self):
         ScenarioConfig()
@@ -152,6 +157,17 @@ class TestLoadConfig:
         path.write_text("[sim]\nseed = 1\nnodes = 2\nr_sense = 0\n")
         with pytest.raises(ConfigError, match=r"r_sense > 0"):
             load_config(str(path))
+
+    def test_every_section_is_checked_at_once(self, tmp_path):
+        # Each sub-model reports its first violation, and the [sim] checks run
+        # even though the sub-models failed.
+        path = tmp_path / "bad.ini"
+        path.write_text(BAD_IN_EVERY_SECTION)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert len(exc.value.violations) == 4
+        for boundary in ("nodes >= 1", "p_cpu >= 0", "mix[local][sens] >= 0", "eps_fs > 0"):
+            assert sum(boundary in v for v in exc.value.violations) == 1, boundary
 
     def test_type_errors_reported(self, tmp_path):
         path = tmp_path / "bad.ini"
