@@ -521,3 +521,35 @@ def test_package_runs_as_a_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert module.read_bytes() == direct.read_bytes()
 
+
+# The SHA-256 of a run's handling table and raw row columns, codes included.
+LEDGER_DIGEST = """\
+import hashlib, sys
+from wsnec import config, simulator
+ledger = simulator.run(config.load_config(sys.argv[1])).ledger
+digest = hashlib.sha256(repr(ledger.handlings).encode())
+for nodes, codes in ledger.groups:
+    digest.update(nodes.tobytes() + codes.tobytes())
+print(len(ledger), digest.hexdigest())
+"""
+
+
+def test_runs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Handlings are interned in a dict keyed by packet kind, whose hash
+    # follows PYTHONHASHSEED; codes and rows must not.
+    cfg = write_cfg(tmp_path, sample_config())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        trace = tmp_path / f"trace-{seed}.csv"
+        proc = subprocess.run([sys.executable, "-m", "wsnec", "simulate", "--config", cfg,
+                               "--output", str(trace)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEFAULT_TRACE_SHA256
+        proc = subprocess.run([sys.executable, "-c", LEDGER_DIGEST, cfg],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] and digests[0].startswith("13302 ")
