@@ -29,29 +29,29 @@ totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends; the run's ledger
 total is those slice energies added up. ``charge`` touches the battery
 only. Each run prices its handlings once (queued relays by queue depth),
-each a code into the ledger's table of (kind, price, sends, receives)
-handlings. The ledger keeps one row group per slice, two typed columns each
-(node, code), and hands each row out as a ``ChargeEntry`` when iterated;
-each booking loop gathers the node ids it books (the event loop also their
-codes) in local lists and appends them to its slice's group once per stage
-or slice. A stage's codes follow from its send count and refused receives.
-Every energy inside a run (batteries, residuals, prices) is a whole number
-of nanojoules in a float, exact below 2^53, so sums are exact in any order
-and a battery that lands on zero kills its node; a run rejects a battery or
-nonzero price that rounds to 0 nJ, and batteries that add up past 2^53 nJ.
-Joules, nJ / 1e9, appear only in slice energies, ledger entries and the
-run's totals. Neighbor lists and the nodes an event covers are found through
-a uniform cell grid, with cells as wide as the radio or sensing range,
-instead of scanning every node; as nodes never move, the grid sorts the
-nodes around each cell once and keeps them. Identical configurations (same
-seed) produce identical traces, byte for byte once serialized. Alongside the
-profile-based charges the run keeps a per-bit radio-model audit of the same
-tx/rx events as an independent cross-check on radio energy accounting: the
-booking loops sum the model's tx joules per link, and the slice totals count
-the handlings' sends and receives. No handling sends or receives more than
+each a code into the run's (kind, price, sends, receives) table. The ledger
+keeps one row group per slice, two typed columns each (node, code), and
+hands each row out as a ``ChargeEntry`` when iterated; each booking loop
+gathers the node ids it books (the event loop also their codes) in local
+lists and appends them to its slice's group once per stage or slice. A
+stage's codes follow from its send count and refused receives. Every energy
+inside a run (batteries, residuals, prices) is a whole number of nanojoules
+in a float, exact below 2^53, so sums are exact in any order and a battery
+that lands on zero kills its node; a run rejects a battery or nonzero price
+that rounds to 0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ /
+1e9, appear only in slice energies, ledger entries and the run's totals.
+Neighbor lists and the nodes an event covers are found through a uniform
+cell grid, with cells as wide as the radio or sensing range, instead of
+scanning every node; as nodes never move, the grid sorts the nodes around
+each cell once and keeps them. Identical configurations (same seed) produce
+identical traces, byte for byte once serialized. Alongside the profile-based
+charges the run keeps a per-bit radio-model audit of the same tx/rx events
+as an independent cross-check on radio energy accounting: the booking loops
+sum the model's tx joules per link, and the slice totals count sends and
+receives from each handling's legs. No handling sends or receives more than
 one packet, and the first-order radio model prices every received packet
-alike, so the other three sums are event counts times run constants, all set
-when the run ends.
+alike, so the audit's other three sums are event counts times run
+constants, set when the run ends.
 """
 
 from __future__ import annotations
