@@ -5,8 +5,8 @@ every handling, and counts its non-``None`` returns as booked handlings, so
 those calls must be the ledger, row for row. The ledger keeps its rows in
 one group of two typed columns per slice, node ids and handling codes, each
 code naming a (kind, whole-nanojoule price, sends, receives) handling in the
-run's handling table; it stays out of reference cycles, and a node's battery drop is
-exactly the sum of its rows.
+run's handling table; it stays out of reference cycles, and a node's battery
+drop is exactly the sum of its rows.
 """
 
 import gc
