@@ -69,8 +69,7 @@ def cmd_simulate(args) -> int:
     traceio.write_trace(args.output, result.records)
     consumed = result.initial_battery_total - result.final_battery_total
     print(f"seed: {cfg.seed}")
-    print(f"slices: {len(result.records)}  alive nodes: "
-          f"{result.records[-1].alive_nodes if result.records else 0}/{cfg.nodes}")
+    print(f"slices: {len(result.records)}  alive nodes: {result.records[-1].alive_nodes}/{cfg.nodes}")
     print(f"energy consumed: {consumed:.6g} J  delivered: {result.delivered}  "
           f"dropped: {result.dropped}")
     print(f"trace written to {args.output}")

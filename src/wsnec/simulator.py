@@ -29,12 +29,12 @@ totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends; the run's ledger
 total is those slice energies added up. ``charge`` touches the battery
 only. Each run prices its handlings once (queued relays by queue depth),
-each a code into the run's (kind, price, sends, receives) table. The ledger
-keeps one row group per slice, two typed columns each (node, code), and
-hands each row out as a ``ChargeEntry`` when iterated; each booking loop
-gathers the node ids it books (the event loop also their codes) in local
-lists and appends them to its slice's group once per stage or slice. A
-stage's codes follow from its send count and refused receives. Every energy
+each a code into the run's (kind, price, sends, receives) table. The
+booking loops append rows to the ledger's open slice, two typed columns
+(node, code), an exchange stage in one step, its codes following from its
+send count and refused receives; the run closes the slice when it ends,
+sealing it as the next row group, so groups line up with slices. The
+ledger hands each row out as a ``ChargeEntry`` when iterated. Every energy
 inside a run (batteries, residuals, prices) is a whole number of nanojoules
 in a float, exact below 2^53, so sums are exact in any order and a battery
 that lands on zero kills its node; a run rejects a battery or nonzero price
@@ -169,20 +169,22 @@ class Ledger:
 
     ``handlings`` is the run's table of ``(PacketKind, whole-nJ price,
     sends, receives)`` handlings; a row names one by its index there, its
-    code. ``groups[i]`` holds slice ``i``'s rows as two typed columns,
-    ``nodes`` (``'i'``) and ``codes`` (``'I'``: relay prices grow with queue
-    depth, past 2^16 codes in a dense enough run), so no column outgrows one
-    slice. Entries, in joules, are built when read. Nothing the ledger holds
-    refers back to it, so reference counting alone frees it.
+    code. The booking loops append the slice being booked to the open
+    columns ``nodes`` (``'i'``) and ``codes`` (``'I'``: relay prices grow
+    with queue depth, past 2^16 codes in a dense enough run), and ``close``
+    seals them as the next group of ``groups``, one per slice, so no column
+    outgrows one slice. Entries, in joules, are built when read. Nothing the
+    ledger holds refers back to it, so reference counting alone frees it.
     """
 
-    __slots__ = ("groups", "handlings", "_codes", "_weights", "__weakref__")
+    __slots__ = ("groups", "nodes", "codes", "handlings", "_codes", "_weights", "__weakref__")
 
     def __init__(self):
         self.groups: list[tuple[array, array]] = []
+        self.nodes, self.codes = array("i"), array("I")
         self.handlings: list[tuple[PacketKind, float, int, int]] = []
         self._codes: dict[tuple[PacketKind, float, int, int], int] = {}
-        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 3))   # see ``totals``
+        self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 3))   # see ``close``
 
     def code(self, kind: PacketKind, nanojoules: float, sends: int, receives: int) -> int:
         """The code of ``(kind, nanojoules, sends, receives)``, interned on first use."""
@@ -192,25 +194,16 @@ class Ledger:
             self.handlings.append(handling)
         return code
 
-    def book(self, slice_index: int, node_ids: list[int], codes: array) -> None:
-        """Append handlings booked in one slice, in booking order, in one step:
-        their node ids and their codes, an ``array('I')``."""
-        while len(self.groups) <= slice_index:
-            self.groups.append((array("i"), array("I")))
-        nodes, column = self.groups[slice_index]
-        nodes.fromlist(node_ids)
-        column.extend(codes)
-
-    def totals(self, slice_index: int) -> tuple[ConstituentFlowVector, float, float, float]:
-        """The slice's rows: their count per constituent, their nJ, their sends
-        and their receives, each handling's row count times its one-hot flow
-        slot, its price and its legs, exact below 2^53. A slice that booked
-        nothing gets an empty group, so groups line up with slices; the
-        group's columns are trimmed to its rows. The weights are rebuilt once
-        the handling table has grown; it only grows."""
-        self.book(slice_index, [], array("I"))
-        nodes, codes = self.groups[slice_index]
-        self.groups[slice_index] = nodes[:], codes[:]
+    def close(self) -> tuple[ConstituentFlowVector, float, float, float]:
+        """Seal the open slice as the next group, its columns sized to its
+        rows, start an empty one, and tally the sealed rows: their count per
+        constituent, their nJ, their sends and their receives, each
+        handling's row count times its one-hot flow slot, its price and its
+        legs, exact below 2^53. The weights are rebuilt once the handling
+        table has grown; it only grows."""
+        nodes, codes = self.nodes[:], self.codes[:]
+        self.groups.append((nodes, codes))
+        self.nodes, self.codes = array("i"), array("I")
         if len(self._weights) != len(self.handlings):
             self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
                                       + tally for kind, *tally in self.handlings])
@@ -256,7 +249,7 @@ class RunResult:
     nodes: list[NodeState]
     ledger: Ledger
     delivered: int
-    dropped: int
+    dropped: int   # packet drops plus refused charges: a refused or stranded relay counts one of each
     initial_battery_total: float
     ledger_total: float   # joules: the slices' energies added up
     radio: RadioAudit
@@ -497,7 +490,8 @@ class Simulation:
             slots, codes = codes, array("I")
             for a, b in zip([-1, *refused], [*refused, len(slots)]):
                 codes += slots[a + 1:b]
-        self.ledger.book(si, ids, codes)
+        self.ledger.nodes.fromlist(ids)
+        self.ledger.codes.extend(codes)
         self.model_tx_j = model_tx
         self.dropped += unsent + len(refused)
 
@@ -520,8 +514,7 @@ class Simulation:
         book, si, triggers = charge, self.slice_index, self._repair_triggers
         sensed, relayed, cap = [0] * len(nodes), [0] * len(nodes), self._sense_cap
         table, relay_handling = self._relay_by_depth, self._relay_handling
-        ids, codes = [], []
-        add_id, add_code = ids.append, codes.append
+        add_id, add_code = self.ledger.nodes.append, self.ledger.codes.append
         sensed_kind, scheduling_kind, relayed_kind = (
             PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
         warmup, sense, (queue_cost, queue_code) = self._warmup, self._sense_send, self._recv_queue
@@ -587,7 +580,6 @@ class Simulation:
                     relayed[hop] = depth + 1
                 else:   # the walk reached the sink
                     delivered += 1
-        self.ledger.book(si, ids, array("I", codes))
         self.model_tx_j = model_tx
         self.delivered += delivered
         self.dropped += dropped
@@ -638,7 +630,7 @@ class Simulation:
         first, last = idx == 0, idx == n - 1
         do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
         if first:
-            kind, (cost, code), ids = PacketKind.SENSED, self._warmup, []
+            kind, (cost, code), ledger = PacketKind.SENSED, self._warmup, self.ledger
             for node in self.nodes:
                 if not node.alive:
                     continue
@@ -646,8 +638,8 @@ class Simulation:
                     if charge(node, kind, cost, self.slice_index) is None:
                         self.dropped += 1
                     else:
-                        ids.append(node.node_id)
-            self.ledger.book(self.slice_index, ids, array("I", (code,)) * len(ids))
+                        ledger.nodes.append(node.node_id)
+                        ledger.codes.append(code)
         if do_handshake:
             self._monitoring(full_refresh=True)
         if last:
@@ -681,7 +673,7 @@ class Simulation:
                 # the periodic repair interval elapsing.
                 repair_next = bool(self._repair_triggers) or (
                     cfg.maintenance_period > 0 and since_repair >= cfg.maintenance_period)
-            flows, energy, tx, rx = self.ledger.totals(index)
+            flows, energy, tx, rx = self.ledger.close()
             booked, sends, receives = booked + energy, sends + tx, receives + rx
             self.records.append(SliceRecord(
                 index=index,

@@ -10,7 +10,6 @@ nanojoules; and the radio audit must not move.
 
 import dataclasses
 import math
-from array import array
 from collections import Counter
 
 import pytest
@@ -197,7 +196,8 @@ class _PerHandling(Simulation):
             self.dropped += 1
             return None
         code = self.ledger.code(kind, cost, usage.b_tx, usage.b_rx)
-        self.ledger.book(self.slice_index, [node.node_id], array("I", (code,)))
+        self.ledger.nodes.append(node.node_id)
+        self.ledger.codes.append(code)
         self.model_tx_j += tx_j
         return booked
 

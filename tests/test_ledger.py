@@ -102,6 +102,7 @@ def test_ledger_costs_at_most_9_bytes_a_row(fields):
     # default run's 80 slices) and any spare capacity. Each group's 2-tuple
     # adds 56 B a slice (0.3 B a row), which this bound leaves out.
     assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 9
+    assert all(sys.getsizeof(c) == sys.getsizeof(c[:]) for c in columns)   # no spare capacity
 
 
 def test_rows_compare_equal_however_they_were_booked():
@@ -110,14 +111,17 @@ def test_rows_compare_equal_however_they_were_booked():
               4: [([7], [2000.0]), ([8, 9], [1000.0, 3000.0])]}
     per_stage, per_row = Ledger(), Ledger()
     per_row.code(PacketKind.SENSED, 1.0, 1, 0)   # so that the two ledgers' codes differ
-    for slice_index, booked in stages.items():
-        for ids, costs in booked:
-            per_stage.book(slice_index, ids,
-                           array("I", [per_stage.code(relayed, c, 1, 1) for c in costs]))
+    for slice_index in range(5):
+        for ids, costs in stages.get(slice_index, []):
+            per_stage.nodes.fromlist(ids)
+            per_stage.codes.extend(array("I", [per_stage.code(relayed, c, 1, 1) for c in costs]))
             for node_id, cost in zip(ids, costs):
-                per_row.book(slice_index, [node_id],
-                             array("I", (per_row.code(relayed, cost, 1, 1),)))
-    per_row.book(6, [], array("I"))   # empty trailing slices
+                per_row.nodes.append(node_id)
+                per_row.codes.append(per_row.code(relayed, cost, 1, 1))
+        per_stage.close()
+        per_row.close()
+    per_row.close()   # empty trailing slices
+    per_row.close()
     assert per_stage.groups[4][1] != per_row.groups[4][1]
     assert (len(per_stage.groups), len(per_row.groups)) == (5, 7)
     rows = [ChargeEntry(1, 3, PacketKind.RELAYED_DATA, 5e-7),
@@ -126,19 +130,23 @@ def test_rows_compare_equal_however_they_were_booked():
             ChargeEntry(4, 8, PacketKind.RELAYED_DATA, 1e-6),
             ChargeEntry(4, 9, PacketKind.RELAYED_DATA, 3e-6)]
     assert list(per_stage) == list(per_row) == rows and len(per_row) == 5
-    per_row.book(6, [1], array("I", (per_row.code(relayed, 3000.0, 1, 1),)))
+    per_row.nodes.append(1)
+    per_row.codes.append(per_row.code(relayed, 3000.0, 1, 1))
+    per_row.close()
     assert list(per_stage) != list(per_row)
 
 
 def test_totals_of_a_slice_without_rows():
     ledger = Ledger()
     ledger.code(PacketKind.ROUTING_INFO, 4000.0, 1, 1)   # in the table, booked nowhere
-    ledger.book(2, [5, 6, 7], array("I", (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
-                                          ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
-                                          ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))))
-    for slice_index in (0, 1, 3):
-        assert ledger.totals(slice_index) == (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0, 0, 0)
-    assert ledger.totals(2) == (ConstituentFlowVector(1, 2, 0, 0, 0), 2000.0, 2, 1)
+    empty = (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0, 0, 0)
+    assert [ledger.close(), ledger.close()] == [empty, empty]   # slices 0 and 1
+    ledger.nodes.fromlist([5, 6, 7])
+    ledger.codes.extend(array("I", (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
+                                    ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
+                                    ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))))
+    assert ledger.close() == (ConstituentFlowVector(1, 2, 0, 0, 0), 2000.0, 2, 1)
+    assert ledger.close() == empty   # slice 3
     assert len(ledger.groups) == 4 and len(ledger) == 3
 
 
@@ -151,8 +159,9 @@ def test_handlings_of_one_kind_and_price_differ_by_their_legs():
     codes = [ledger.code(sensed, 900.0, 0, 0), ledger.code(sensed, 900.0, 1, 0),
              ledger.code(relayed, 700.0, 0, 1), ledger.code(relayed, 700.0, 1, 1)]
     assert codes == [0, 1, 2, 3] and ledger.code(sensed, 900.0, 1, 0) == 1
-    ledger.book(0, [1, 1, 2, 3, 3], array("I", [0, 1, 2, 3, 3]))
-    assert ledger.totals(0) == (ConstituentFlowVector(2, 0, 3, 0, 0), 3900.0, 3, 3)
+    ledger.nodes.fromlist([1, 1, 2, 3, 3])
+    ledger.codes.extend(array("I", [0, 1, 2, 3, 3]))
+    assert ledger.close() == (ConstituentFlowVector(2, 0, 3, 0, 0), 3900.0, 3, 3)
     assert [(e.kind, e.energy) for e in ledger] == [
         (sensed, 9e-7), (sensed, 9e-7), (relayed, 7e-7), (relayed, 7e-7), (relayed, 7e-7)]
 
@@ -205,6 +214,8 @@ def test_decoded_rows_add_up_to_every_battery_drop_and_slice_energy(fields):
     assert [ledger.code(*handling) for handling in table] == list(range(len(table)))
     assert [handlings[ledger.code(*handling)] for handling in table] == table
     assert handlings == table   # looking a handling up interned nothing new
+    # One sealed group per slice run, depleted runs that stop early included.
+    assert len(ledger.groups) == len(result.records)
     drops, energies = [0.0] * cfg.nodes, [0.0] * len(result.records)
     sends = receives = 0
     for index, (nodes, codes) in enumerate(ledger.groups):
