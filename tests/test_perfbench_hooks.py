@@ -96,3 +96,22 @@ def test_route_and_radio_calls_per_run(fields, hops, tx_prices):
     metrics = hooks.metrics(1, 0.0)
     assert metrics["simulator.select_next_hop.calls"][0] == hops
     assert metrics["radio.tx_energy_per_bit.calls"][0] == tx_prices
+
+
+def test_refused_charges_as_the_tracer_counts_them():
+    # perfbench's workloads keep 0.5 J batteries and refuse no charge, so the
+    # refusal observer fires only here: a 0.004 J run refuses 4,561 of its
+    # 5,936 charges, and each charge it books is one ledger row.
+    tracer, modules = _tracer_and_modules()
+    hooks = tracer.Tracer(modules)
+    hooks.install()
+    try:
+        result = modules.simulator.run(ScenarioConfig(initial_battery=0.004))
+    finally:
+        hooks.uninstall()
+    metrics = hooks.metrics(1, 0.0)
+    calls, refused, entries = (metrics[name][0] for name in (
+        "simulator.charge.calls", "simulator.charge.refused", "simulator.ledger_entries"))
+    assert (calls, refused, entries) == (5936, 4561, 1375)
+    assert calls - refused == len(result.ledger)
+    assert hooks.absent == [] and hooks.observer_errors == 0
