@@ -27,30 +27,30 @@ Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends; the run's ledger
-total is those slice energies added up. ``charge`` touches the battery
-only. Each run prices its handlings once (queued relays by queue depth),
-each a code into the run's (kind, price, sends, receives) table. The
-booking loops append rows to the ledger's open slice, two typed columns
-(node, code), an exchange stage in one step, its codes following from its
-send count and refused receives; the run closes the slice when it ends,
-sealing it as the next row group, so groups line up with slices. The
-ledger hands each row out as a ``ChargeEntry`` when iterated. Every energy
-inside a run (batteries, residuals, prices) is a whole number of nanojoules
-in a float, exact below 2^53, so sums are exact in any order and a battery
-that lands on zero kills its node; a run rejects a battery or nonzero price
-that rounds to 0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ /
-1e9, appear only in slice energies, ledger entries and the run's totals.
-Neighbor lists and the nodes an event covers are found through a uniform
-cell grid, with cells as wide as the radio or sensing range, instead of
-scanning every node; as nodes never move, the grid sorts the nodes around
-each cell once and keeps them. Identical configurations (same seed) produce
-identical traces, byte for byte once serialized. Alongside the profile-based
-charges the run keeps a per-bit radio-model audit of the same tx/rx events
-as an independent cross-check on radio energy accounting: the booking loops
-sum the model's tx joules per link, and the slice totals count sends and
-receives from each handling's legs. No handling sends or receives more than
-one packet, and the first-order radio model prices every received packet
-alike, so the audit's other three sums are event counts times run
+total is those slice energies added up. ``charge(node, cost)`` is the whole
+charge rule and touches the battery only. Each run prices its handlings once
+(queued relays by queue depth), each a code into the run's (kind, price,
+sends, receives) table. The booking loops append rows to the ledger's open
+slice, two typed columns (node, code), an exchange stage in one step, its
+codes following from its send count and refused receives; the run closes the
+slice when it ends, sealing it as the next row group, so groups line up with
+slices. The ledger hands each row out as a ``ChargeEntry`` when iterated.
+Every energy inside a run (batteries, residuals, prices) is a whole number
+of nanojoules in a float, exact below 2^53, so sums are exact in any order
+and a battery that lands on zero kills its node; a run rejects a battery or
+nonzero price that rounds to 0 nJ, and batteries that add up past 2^53 nJ.
+Joules, nJ / 1e9, appear only in slice energies, ledger entries and the
+run's totals. Neighbor lists and the nodes an event covers are found through
+a uniform cell grid, with cells as wide as the radio or sensing range,
+instead of scanning every node; as nodes never move, the grid sorts the
+nodes around each cell once and keeps them. Identical configurations (same
+seed) produce identical traces, byte for byte once serialized. Alongside the
+profile-based charges the run keeps a per-bit radio-model audit of the same
+tx/rx events as an independent cross-check on radio energy accounting: the
+booking loops sum the model's tx joules per link, and the slice totals count
+sends and receives from each handling's legs. No handling sends or receives
+more than one packet, and the first-order radio model prices every received
+packet alike, so the audit's other three sums are event counts times run
 constants, set when the run ends.
 """
 
@@ -259,11 +259,10 @@ class RunResult:
         return sum(n.battery for n in self.nodes) / 1e9
 
 
-def charge(node: NodeState, kind: PacketKind, cost: float,
-           slice_index: int) -> float | None:
+def charge(node: NodeState, cost: float) -> float | None:
     """Charge one packet handling of price ``cost`` (whole nJ) against the
     node's battery and return ``cost``. The caller books the handling in the
-    ledger, under a code that carries its radio legs.
+    ledger's open slice, under a code that carries its kind and radio legs.
 
     Dead nodes handle nothing; a node that cannot afford the cost ignores
     the task. Both cases return ``None``. A node whose battery lands on
@@ -399,11 +398,9 @@ class Simulation:
         self._route(self.nodes)
         self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
         self.ledger = Ledger()
-        self.records: list[SliceRecord] = []
         self.model_tx_j = 0.0   # the radio model's send joules, summed in booking order
         self.delivered = 0
         self.dropped = 0
-        self.slice_index = 0
         self._repair_triggers: list[int] = []
         self._sense_cap = int(cfg.delta_t // cfg.g_sense) if cfg.g_sense > 0 else math.inf
         # Cost table: every handling priced and interned once, as a (price,
@@ -457,7 +454,7 @@ class Simulation:
         items, skipping a sender dead at its turn. A probe keeps the residual
         of a neighbor that answers; a silent one is marked not known-alive, and
         a silent next hop schedules a repair. Refused receives are cut out."""
-        book, si, nodes = charge, self.slice_index, self.nodes
+        book, nodes = charge, self.nodes
         (send_cost, send_code), (recv_cost, recv_code) = self._send[kind], self._recv[kind]
         ids, refused = [], []
         add_id = ids.append
@@ -467,13 +464,13 @@ class Simulation:
             if not node.alive:
                 continue
             for nbr in entries:
-                if book(node, kind, send_cost, si) is None:
+                if book(node, send_cost) is None:
                     unsent += 1
                     continue
                 add_id(node.node_id)
                 model_tx += nbr.tx_j
                 target = nodes[nbr.node_id]
-                if book(target, kind, recv_cost, si) is None:
+                if book(target, recv_cost) is None:
                     refused.append(len(ids) + len(refused))   # its slot had none been refused
                     if probe:
                         nbr.known_alive = False
@@ -511,14 +508,12 @@ class Simulation:
         sent), a dead next hop (marked not known-alive; a repair is scheduled),
         a stranded relay (it receives and queues) or a relay that cannot pay."""
         cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
-        book, si, triggers = charge, self.slice_index, self._repair_triggers
+        book, triggers = charge, self._repair_triggers
         sensed, relayed, cap = [0] * len(nodes), [0] * len(nodes), self._sense_cap
         table, relay_handling = self._relay_by_depth, self._relay_handling
         add_id, add_code = self.ledger.nodes.append, self.ledger.codes.append
-        sensed_kind, scheduling_kind, relayed_kind = (
-            PacketKind.SENSED, PacketKind.SCHEDULING, PacketKind.RELAYED_DATA)
         warmup, sense, (queue_cost, queue_code) = self._warmup, self._sense_send, self._recv_queue
-        send_cost, send_code = self._send[scheduling_kind]
+        send_cost, send_code = self._send[PacketKind.SCHEDULING]
         model_tx = self.model_tx_j
         delivered = dropped = 0
         for _ in range(count):
@@ -534,7 +529,7 @@ class Simulation:
                     continue
                 link = node.link
                 cost, code = warmup if link is None else sense
-                if book(node, sensed_kind, cost, si) is None:
+                if book(node, cost) is None:
                     dropped += 1
                     continue
                 add_id(origin)
@@ -545,7 +540,7 @@ class Simulation:
                     continue
                 model_tx += link.tx_j
                 if cfg.scheduling:
-                    if book(node, scheduling_kind, send_cost, si) is None:
+                    if book(node, send_cost) is None:
                         dropped += 1
                     else:
                         add_id(origin)
@@ -561,7 +556,7 @@ class Simulation:
                         break
                     if target.link is None:
                         # Stranded relay: receives and queues, cannot forward.
-                        if book(target, relayed_kind, queue_cost, si) is None:
+                        if book(target, queue_cost) is None:
                             dropped += 1
                         else:
                             add_id(hop)
@@ -570,7 +565,7 @@ class Simulation:
                         break
                     depth = relayed[hop]
                     cost, code = table[depth] if depth < len(table) else relay_handling(depth)
-                    if book(target, relayed_kind, cost, si) is None:
+                    if book(target, cost) is None:
                         dropped += 2   # a refused charge and a drop
                         break
                     add_id(hop)
@@ -630,12 +625,12 @@ class Simulation:
         first, last = idx == 0, idx == n - 1
         do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
         if first:
-            kind, (cost, code), ledger = PacketKind.SENSED, self._warmup, self.ledger
+            (cost, code), ledger = self._warmup, self.ledger
             for node in self.nodes:
                 if not node.alive:
                     continue
                 for _ in range(self.cfg.warmup_packets):
-                    if charge(node, kind, cost, self.slice_index) is None:
+                    if charge(node, cost) is None:
                         self.dropped += 1
                     else:
                         ledger.nodes.append(node.node_id)
@@ -653,10 +648,10 @@ class Simulation:
         initial_total = sum(n.battery for n in self.nodes) / 1e9
         booked = sends = receives = 0.0   # whole nJ and counts, so the sums are exact
         repair_next, since_repair = False, 0
+        records: list[SliceRecord] = []
         for index in range(cfg.total_slices):
             if not any(map(alive, self.nodes)):
                 break
-            self.slice_index = index
             if index < cfg.init_slices:
                 phase = Phase.INITIALIZATION
                 self._init_work(index)
@@ -675,7 +670,7 @@ class Simulation:
                     cfg.maintenance_period > 0 and since_repair >= cfg.maintenance_period)
             flows, energy, tx, rx = self.ledger.close()
             booked, sends, receives = booked + energy, sends + tx, receives + rx
-            self.records.append(SliceRecord(
+            records.append(SliceRecord(
                 index=index,
                 phase=phase,
                 flows=flows,
@@ -683,7 +678,7 @@ class Simulation:
                 alive_nodes=sum(map(alive, self.nodes)),
             ))
         return RunResult(
-            records=self.records,
+            records=records,
             nodes=self.nodes,
             ledger=self.ledger,
             delivered=self.delivered,

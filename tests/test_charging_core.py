@@ -191,7 +191,7 @@ class _PerHandling(Simulation):
         joules = (constituent_alpha(cfg.mix.row(kind.constituent), cfg.profile)
                   if cfg.mix_charging else task_energy(usage, cfg.profile))
         cost = float(round(joules * 1e9))
-        booked = charge(node, kind, cost, self.slice_index)
+        booked = charge(node, cost)
         if booked is None:
             self.dropped += 1
             return None
@@ -290,14 +290,14 @@ class _PerHandling(Simulation):
 
 
 class _Logged(_PerHandling):
-    """Records every node an event reaches, in order."""
+    """Records every node an event reaches, with its slice, in order."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.handled = []
 
     def _handle_event(self, node):
-        self.handled.append((self.slice_index, node.node_id))
+        self.handled.append((len(self.ledger.groups), node.node_id))
         super()._handle_event(node)
 
 

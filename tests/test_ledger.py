@@ -1,12 +1,13 @@
 """The run's ledger: what the ``charge`` hook sees, and how the rows are kept.
 
-Tracing wraps ``wsnec.simulator.charge``, which the simulator looks up on
-every handling, and counts its non-``None`` returns as booked handlings, so
-those calls must be the ledger, row for row. The ledger keeps its rows in
-one group of two typed columns per slice, node ids and handling codes, each
-code naming a (kind, whole-nanojoule price, sends, receives) handling in the
-run's handling table; it stays out of reference cycles, and a node's battery
-drop is exactly the sum of its rows.
+Tracing wraps ``wsnec.simulator.charge(node, cost)``, which the simulator
+looks up on every handling, and counts its non-``None`` returns as booked
+handlings, so those calls, each in the ledger's open slice, must be the
+ledger, row for row. The ledger keeps its rows in one group of two typed
+columns per slice, node ids and handling codes, each code naming a (kind,
+whole-nanojoule price, sends, receives) handling in the run's handling
+table; it stays out of reference cycles, and a node's battery drop is
+exactly the sum of its rows.
 """
 
 import gc
@@ -30,25 +31,27 @@ from wsnec.simulator import ChargeEntry, Ledger, PacketKind
     {"repair_radius_hops": 2, "initial_battery": 0.02}],
     ids=["default", "depleted", "mix-charging", "repair-2-hops"])
 def test_charge_hook_returns_are_the_ledger(monkeypatch, fields):
+    # A charge falls in the open slice, whose index is the sealed group count.
     booked = []
     original = simulator.charge
+    sim = simulator.Simulation(ScenarioConfig(**fields))
 
-    def recording(node, kind, cost, slice_index):
-        returned = original(node, kind, cost, slice_index)
+    def recording(node, cost):
+        returned = original(node, cost)
         if returned is not None:
             assert returned == cost
-            booked.append((slice_index, node.node_id, kind, cost))
+            booked.append((len(sim.ledger.groups), node.node_id, cost))
         return returned
 
     monkeypatch.setattr(simulator, "charge", recording)
-    result = simulator.run(ScenarioConfig(**fields))
+    result = sim.run()
     handlings = result.ledger.handlings
     assert len(booked) == len(result.ledger) > 0
-    assert [(i, node_id, *handlings[code][:2])
+    assert [(i, node_id, handlings[code][1])
             for i, (nodes, codes) in enumerate(result.ledger.groups)
             for node_id, code in zip(nodes, codes)] == booked
-    assert [(e.slice_index, e.node_id, e.kind, e.energy) for e in result.ledger] == [
-        (i, node_id, kind, nanojoules / 1e9) for i, node_id, kind, nanojoules in booked]
+    assert [(e.slice_index, e.node_id, e.energy) for e in result.ledger] == [
+        (i, node_id, nanojoules / 1e9) for i, node_id, nanojoules in booked]
     # One row group per slice, as long as the rows booked in that slice.
     groups, counts = result.ledger.groups, Counter(row[0] for row in booked)
     assert len(groups) == len(result.records)

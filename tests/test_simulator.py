@@ -143,7 +143,7 @@ class TestCharge:
     def test_battery_equal_to_cost_dies_at_zero(self):
         cost = self._price(ResourceUsageVector(b_cpu=1, b_tx=1))
         node = self._node(80_000.0)   # 2e-5 J + 6e-5 J
-        entry = charge(node, PacketKind.SENSED, cost, 0)
+        entry = charge(node, cost)
         assert entry == cost == 80_000.0
         assert node.battery == 0.0 and not node.alive
 
@@ -152,13 +152,13 @@ class TestCharge:
         node.alive = False
         before = node.battery
         cost = self._price(ResourceUsageVector(b_cpu=1))
-        assert charge(node, PacketKind.SENSED, cost, 0) is None
+        assert charge(node, cost) is None
         assert node.battery == before
 
     def test_unaffordable_task_ignored(self):
         node = self._node(1_000.0)
         cost = self._price(ResourceUsageVector(b_cpu=1))
-        assert charge(node, PacketKind.SENSED, cost, 0) is None
+        assert charge(node, cost) is None
         assert node.battery == 1_000.0 and node.alive
 
 
