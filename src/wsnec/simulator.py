@@ -27,30 +27,30 @@ Every packet handling is charged against the node's battery through the
 per-resource price profile and booked in the run's ledger; per-slice flow
 totals per constituent plus the slice energy form the trace, and both are
 read from the slice's ledger rows when the slice ends; the run's ledger
-total is those slice energies added up. ``charge(node, cost)`` is the whole
-charge rule and touches the battery only. Each run prices its handlings once
-(queued relays by queue depth), each a code into the run's (kind, price,
-sends, receives) table. The booking loops append rows to the ledger's open
-slice, two typed columns (node, code), an exchange stage in one step, its
-codes following from its send count and refused receives; the run closes the
-slice when it ends, sealing it as the next row group, so groups line up with
-slices. The ledger hands each row out as a ``ChargeEntry`` when iterated.
-Every energy inside a run (batteries, residuals, prices) is a whole number
-of nanojoules in a float, exact below 2^53, so sums are exact in any order
-and a battery that lands on zero kills its node; a run rejects a battery or
-nonzero price that rounds to 0 nJ, and batteries that add up past 2^53 nJ.
-Joules, nJ / 1e9, appear only in slice energies, ledger entries and the
-run's totals. Neighbor lists and the nodes an event covers are found through
-a uniform cell grid, with cells as wide as the radio or sensing range,
-instead of scanning every node; as nodes never move, the grid sorts the
-nodes around each cell once and keeps them. Identical configurations (same
-seed) produce identical traces, byte for byte once serialized. Alongside the
-profile-based charges the run keeps a per-bit radio-model audit of the same
-tx/rx events as an independent cross-check on radio energy accounting: the
-booking loops sum the model's tx joules per link, and the slice totals count
-sends and receives from each handling's legs. No handling sends or receives
-more than one packet, and the first-order radio model prices every received
-packet alike, so the audit's other three sums are event counts times run
+total is those slice energies added up. ``charge(node, cost)`` touches the
+battery only. Each run prices its handlings once (relays by queue depth),
+each a code into the run's (kind, price, sends, receives) table. The
+booking loops append rows to the ledger's open slice, two typed columns
+(node, code), an exchange stage in one step, its codes following from its
+send count and refused receives; the run closes the slice when it ends,
+sealing it as the next row group, so groups line up with slices. The
+ledger hands each row out as a ``ChargeEntry`` when iterated. Every energy
+inside a run (batteries, residuals, prices) is a whole number of nanojoules
+in a float, exact below 2^53, so sums are exact in any order and a battery
+that lands on zero kills its node; a run rejects a battery or nonzero price
+that rounds to 0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ /
+1e9, appear only in slice energies, ledger entries and the run's totals.
+Neighbor lists and the nodes an event covers are found through a uniform
+cell grid, with cells as wide as the radio or sensing range, instead of
+scanning every node; as nodes never move, the grid sorts the nodes around
+each cell once and keeps them. Identical configurations (same seed) produce
+identical traces, byte for byte once serialized. Alongside the profile-based
+charges the run keeps a per-bit radio-model audit of the same tx/rx events
+as an independent cross-check on radio energy accounting: the booking loops
+sum the model's tx joules per link, and the slice totals count sends and
+receives from each handling's legs. No handling sends or receives more than
+one packet, and the first-order radio model prices every received packet
+alike, so the audit's other three sums are event counts times run
 constants, set when the run ends.
 """
 
