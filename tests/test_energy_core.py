@@ -223,6 +223,72 @@ class TestValidation:
         assert Constituent.SINK.value == "snk"
 
 
+MASK_ILG = (True, True, True, False, False)
+
+
+class TestValueContract:
+    """What the mix and coefficient constructors accept, store and print."""
+
+    def test_coefficient_repr(self):
+        cv = CoefficientVector((1, 2.5, -3, 7, 9), MASK_ILG)
+        assert repr(cv) == ("CoefficientVector(alpha=(1.0, 2.5, -3.0, 0.0, 0.0), "
+                            "active=(True, True, True, False, False))")
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3]], [[0.0] * 5] * 4, [[0.0] * 5] * 6, [[0.0] * 5] * 4 + [[0.0] * 4],
+    ], ids=["1x3", "4x5", "6x5", "ragged"])
+    def test_mix_shape_error(self, rows):
+        with pytest.raises(ValueError, match=r"^mix must be a 5x5 matrix \(constituents x resources\)$"):
+            ConstituentResourceMix(rows)
+
+    def test_mix_negative_weight_names_its_cell(self):
+        rows = [[0.0] * 5 for _ in range(5)]
+        rows[1][2] = -1
+        with pytest.raises(BoundaryError,
+                           match=r"^parameter boundary mix\[local\]\[rx\] >= 0 violated \(got -1\.0\)$"):
+            ConstituentResourceMix(rows)
+
+    def test_mix_accepts_a_generator_and_stores_float_tuples(self):
+        mix = ConstituentResourceMix(([k, 0, 1, 0, 2] for k in range(5)))
+        assert mix.rows == tuple((float(k), 0.0, 1.0, 0.0, 2.0) for k in range(5))
+        assert all(type(w) is float for row in mix.rows for w in row)
+        assert mix.row(Constituent.GLOBAL) == (2.0, 0.0, 1.0, 0.0, 2.0)
+        assert mix == ConstituentResourceMix(mix.rows)
+        assert mix != ConstituentResourceMix([[0] * 5] * 5)
+        assert mix != mix.rows
+
+    @pytest.mark.parametrize("alpha, active, message", [
+        ((1.0,) * 4, None, r"^alpha must have 5 entries \(one per constituent\)$"),
+        ((1.0,) * 6, None, r"^alpha must have 5 entries \(one per constituent\)$"),
+        ((1.0,) * 5, (True,) * 4, r"^active mask must have 5 entries$"),
+        ((1.0,) * 5, (True,) * 6, r"^active mask must have 5 entries$"),
+        ((1.0, math.nan, 0, 0, 0), MASK_ILG, r"^active coefficient must be finite, got nan$"),
+        ((1.0, 0, -math.inf, 0, 0), None, r"^active coefficient must be finite, got -inf$"),
+    ], ids=["alpha-4", "alpha-6", "mask-4", "mask-6", "nan", "-inf"])
+    def test_coefficient_errors(self, alpha, active, message):
+        with pytest.raises(ValueError, match=message):
+            CoefficientVector(alpha, active)
+
+    def test_coefficients_default_all_active_and_zero_inactive_entries(self):
+        cv = CoefficientVector([1, 2, 3, 4, 5])
+        assert cv.alpha == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert cv.active == (True,) * 5
+        assert cv.active_constituents() == CONSTITUENT_ORDER
+        cv = CoefficientVector((1, 2, 3, math.inf, math.nan), MASK_ILG)
+        assert cv.alpha == (1.0, 2.0, 3.0, 0.0, 0.0)
+        assert all(type(a) is float for a in cv.alpha)
+        assert cv.active_constituents() == CONSTITUENT_ORDER[:3]
+        assert not cv.is_active(Constituent.SINK) and cv.get(Constituent.SINK) == 0.0
+
+    def test_coefficient_equality(self):
+        cv = CoefficientVector((1, 2, 3, 0, 0), MASK_ILG)
+        assert cv == CoefficientVector((1.0, 2.0, 3.0, 9.0, 9.0), [1, 1, 1, 0, 0])
+        assert not cv != CoefficientVector((1, 2, 3, 0, 0), MASK_ILG)
+        assert cv != CoefficientVector((1, 2, 3, 0, 0))
+        assert cv != CoefficientVector((1, 2, 4, 0, 0), MASK_ILG)
+        assert cv != cv.alpha and not cv == cv.alpha
+
+
 @pytest.mark.parametrize("build", [
     lambda: ResourcePowerProfile(p_cpu=-1, p_mem=0, p_rx=0, p_tx=0, p_sens=0),
     lambda: ResourceUsageVector(b_cpu=1.5),
