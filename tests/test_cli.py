@@ -390,7 +390,8 @@ class TestBudget:
     @pytest.mark.parametrize("model, message", [
         ("constituent,alpha\nlocal\n", "malformed model row: 'local'"),
         ("constituent,alpha\nlocal,1e-5\nlocal,2e-5\n", "'local' listed twice"),
-    ], ids=["short-row", "duplicate-constituent"])
+        ("\n \n\t\n", "empty model file"),
+    ], ids=["short-row", "duplicate-constituent", "blank-lines-only"])
     def test_malformed_model_is_validation_error(self, tmp_path, capsys, model, message):
         tasks, model_path, out = self._paths(tmp_path)
         (tmp_path / "model.csv").write_text(model)

@@ -276,6 +276,25 @@ class TestReportAndModel:
         assert loaded.active == (False, True, True, False, False)
         assert loaded.get(Constituent.GLOBAL) == 1.5
 
+    @pytest.mark.parametrize("text", ["", "\n", "\n   \n\t\n \n"],
+                             ids=["empty", "one-blank", "whitespace-only"])
+    def test_blank_model_file_is_empty(self, tmp_path, text):
+        path = tmp_path / "model.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^empty model file$"):
+            read_coefficients(str(path))
+
+    def test_only_the_first_block_is_read(self, tmp_path):
+        # Blank and whitespace-only lines before it and between the later
+        # blocks; the later blocks would be rejected if they were read.
+        path = tmp_path / "model.csv"
+        path.write_text("\n  \n\t\nconstituent,alpha\nlocal,0.5\nglobal,1.5\n \n\n"
+                        "constituent,alpha\nindividual,9.0\nlocal,9.0\n\t\n"
+                        "slice,observed_j\nsnk,1\n")
+        loaded = read_coefficients(str(path))
+        assert loaded == CoefficientVector((0.0, 0.5, 1.5, 0.0, 0.0),
+                                           (False, True, True, False, False))
+
 
 class TestTasksAndSchedule:
     def test_tasks_round_trip_and_schedule(self, tmp_path):
