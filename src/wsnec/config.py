@@ -40,13 +40,13 @@ class ConfigError(ValueError):
 DEFAULT_PROFILE = ResourcePowerProfile(
     p_cpu=2e-5, p_mem=1e-5, p_rx=4e-5, p_tx=6e-5, p_sens=3e-5)
 
-DEFAULT_MIX_ROWS = (
+DEFAULT_MIX = ConstituentResourceMix((
     (1.0, 0.0, 0.0, 1.0, 1.0),   # individual: process, transmit, sense
     (1.0, 0.0, 1.0, 1.0, 0.0),   # local: process, exchange with neighbors
     (1.0, 1.0, 1.0, 1.0, 0.0),   # global: process, queue, relay
     (1.0, 0.0, 0.0, 0.0, 0.0),   # environment: bookkeeping only
     (1.0, 0.0, 1.0, 1.0, 0.0),   # sink-directed management
-)
+))
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class ScenarioConfig:
     mix_charging: bool = False       # charge packets by mix row instead of handling usage
     # sub-models
     profile: ResourcePowerProfile = DEFAULT_PROFILE
-    mix: ConstituentResourceMix = field(default_factory=lambda: ConstituentResourceMix(DEFAULT_MIX_ROWS))
+    mix: ConstituentResourceMix = DEFAULT_MIX
     radio: RadioModelParams = RadioModelParams()
     sweep: SweepConfig | None = None
 
@@ -238,7 +238,7 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
     energy = _parse_section(parser, "energy", _ENERGY_SCHEMA, violations)
     radio = _parse_section(parser, "radio", _RADIO_SCHEMA, violations)
 
-    mix_rows = list(DEFAULT_MIX_ROWS)
+    mix_rows = list(DEFAULT_MIX.rows)
     if parser.has_section("mix"):
         for key, raw in parser.items("mix"):
             if key not in _MIX_KEYS:

@@ -9,8 +9,9 @@ A node's energy use is accounted two ways that must stay consistent:
   single joules-per-packet coefficient obtained as a weighted mix of the
   resource prices.
 
-Everything here is pure arithmetic over immutable values; no simulation
-state, safe for unrestricted concurrent use.
+Everything here is pure arithmetic over immutable values: every value type
+is a frozen dataclass that validates its fields once, on construction. No
+simulation state, safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Constituent(Enum):
@@ -98,31 +99,25 @@ class ResourceUsageVector:
         return (self.b_cpu, self.b_mem, self.b_rx, self.b_tx, self.b_sens)
 
 
+@dataclass(frozen=True)
 class ConstituentResourceMix:
     """5x5 nonnegative weight matrix: row k holds the per-packet resource
-    weights (cpu, mem, rx, tx, sens) of constituent k in canonical order."""
+    weights (cpu, mem, rx, tx, sens) of constituent k in canonical order.
+    Any iterable of rows is accepted and stored as a tuple of float tuples."""
 
-    def __init__(self, rows: Iterable[Sequence[float]]):
-        rows = [tuple(float(w) for w in row) for row in rows]
+    rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(tuple(float(w) for w in row) for row in self.rows)
         if len(rows) != 5 or any(len(row) != 5 for row in rows):
             raise ValueError("mix must be a 5x5 matrix (constituents x resources)")
         for k, row in enumerate(rows):
             for r, w in enumerate(row):
                 nonneg(f"mix[{CONSTITUENT_ORDER[k].value}][{RESOURCE_NAMES[r]}]", w)
-        self._rows = tuple(rows)
+        object.__setattr__(self, "rows", rows)
 
     def row(self, constituent: Constituent) -> tuple[float, ...]:
-        return self._rows[CONSTITUENT_ORDER.index(constituent)]
-
-    @property
-    def rows(self) -> tuple[tuple[float, ...], ...]:
-        return self._rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ConstituentResourceMix) and self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"ConstituentResourceMix({list(map(list, self._rows))!r})"
+        return self.rows[CONSTITUENT_ORDER.index(constituent)]
 
 
 @dataclass(frozen=True)
@@ -153,34 +148,32 @@ class ConstituentFlowVector:
         return self.as_tuple()[CONSTITUENT_ORDER.index(constituent)]
 
 
+@dataclass(frozen=True)
 class CoefficientVector:
-    """Per-constituent joules-per-packet coefficients plus an active mask.
+    """Per-constituent joules-per-packet coefficients plus an active mask;
+    ``active=None`` means all five are active.
 
     Fitted vectors may carry negative entries (a least-squares artifact);
-    vectors constructed from a resource mix are always nonnegative. Inactive
+    vectors built from a resource mix are always nonnegative. Inactive
     entries are stored as 0.0.
     """
 
-    def __init__(self, alpha: Sequence[float], active: Sequence[bool] | None = None):
-        alpha = tuple(float(a) for a in alpha)
+    alpha: tuple[float, ...]
+    active: tuple[bool, ...] | None = None
+
+    def __post_init__(self):
+        alpha = tuple(float(a) for a in self.alpha)
         if len(alpha) != 5:
             raise ValueError("alpha must have 5 entries (one per constituent)")
-        if active is None:
-            active = (True,) * 5
-        active = tuple(bool(a) for a in active)
+        active = (True,) * 5 if self.active is None else tuple(bool(a) for a in self.active)
         if len(active) != 5:
             raise ValueError("active mask must have 5 entries")
         for a, is_active in zip(alpha, active):
             if is_active and not math.isfinite(a):
                 raise ValueError(f"active coefficient must be finite, got {a!r}")
-        self.alpha = tuple(a if is_active else 0.0 for a, is_active in zip(alpha, active))
-        self.active = active
-
-    @classmethod
-    def from_mix(cls, mix: ConstituentResourceMix, profile: ResourcePowerProfile,
-                 active: Sequence[bool] | None = None) -> "CoefficientVector":
-        alpha = [constituent_alpha(mix.row(c), profile) for c in CONSTITUENT_ORDER]
-        return cls(alpha, active)
+        object.__setattr__(self, "alpha",
+                           tuple(a if is_active else 0.0 for a, is_active in zip(alpha, active)))
+        object.__setattr__(self, "active", active)
 
     def get(self, constituent: Constituent) -> float:
         return self.alpha[CONSTITUENT_ORDER.index(constituent)]
@@ -190,13 +183,6 @@ class CoefficientVector:
 
     def active_constituents(self) -> tuple[Constituent, ...]:
         return tuple(c for c, a in zip(CONSTITUENT_ORDER, self.active) if a)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CoefficientVector)
-                and self.alpha == other.alpha and self.active == other.active)
-
-    def __repr__(self) -> str:
-        return f"CoefficientVector(alpha={self.alpha!r}, active={self.active!r})"
 
 
 def task_energy(usage: ResourceUsageVector, profile: ResourcePowerProfile) -> float:

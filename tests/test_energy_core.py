@@ -4,12 +4,14 @@ The reference oracles here (dot products, double sums) are coded as plain
 loops, independent of the implementation under test.
 """
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from wsnec.config import DEFAULT_MIX, ScenarioConfig
 from wsnec.energy_core import (
     CONSTITUENT_ORDER,
     BoundaryError,
@@ -151,7 +153,8 @@ def test_mix_consistency_with_expanded_double_sum():
         for k in range(5):
             for r in range(5):
                 expanded += mix.rows[k][r] * profile.as_tuple()[r] * flows[k]
-        coeffs = CoefficientVector.from_mix(mix, profile)
+        coeffs = CoefficientVector(
+            [constituent_alpha(mix.row(c), profile) for c in CONSTITUENT_ORDER])
         got = overall_energy(coeffs, ConstituentFlowVector(*flows))
         assert got == pytest.approx(expanded, rel=1e-9)
 
@@ -159,7 +162,8 @@ def test_mix_consistency_with_expanded_double_sum():
 def test_from_mix_is_nonnegative():
     mix = ConstituentResourceMix([[1, 0, 2, 0, 1]] * 5)
     profile = ResourcePowerProfile(1e-5, 2e-5, 3e-5, 4e-5, 5e-5)
-    coeffs = CoefficientVector.from_mix(mix, profile)
+    coeffs = CoefficientVector(
+        [constituent_alpha(mix.row(c), profile) for c in CONSTITUENT_ORDER])
     assert all(a >= 0 for a in coeffs.alpha)
 
 
@@ -287,6 +291,23 @@ class TestValueContract:
         assert cv != CoefficientVector((1, 2, 3, 0, 0))
         assert cv != CoefficientVector((1, 2, 4, 0, 0), MASK_ILG)
         assert cv != cv.alpha and not cv == cv.alpha
+
+    def test_values_are_frozen_and_hashable(self):
+        cv = CoefficientVector((1, 2, 3, 0, 0), MASK_ILG)
+        mix = ConstituentResourceMix([[1, 0, 1, 0, 1]] * 5)
+        for value, name, junk in [(cv, "alpha", (math.nan,) * 5), (cv, "active", (True,) * 5),
+                                  (mix, "rows", ((-1.0,) * 5,) * 5)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, junk)
+        assert cv.alpha == (1.0, 2.0, 3.0, 0.0, 0.0) and cv.active == MASK_ILG
+        assert mix.rows == ((1.0, 0.0, 1.0, 0.0, 1.0),) * 5
+        assert hash(cv) == hash(CoefficientVector([1.0, 2.0, 3.0, -5.0, 7.0], list(MASK_ILG)))
+        assert hash(mix) == hash(ConstituentResourceMix(([1, 0, 1, 0, 1] for _ in range(5))))
+
+    def test_scenario_mix_default_is_the_module_constant(self):
+        assert ScenarioConfig().mix is DEFAULT_MIX
+        assert hash(ScenarioConfig()) == hash(ScenarioConfig())
+        assert ScenarioConfig(mix=ConstituentResourceMix(DEFAULT_MIX.rows)) == ScenarioConfig()
 
 
 @pytest.mark.parametrize("build", [
