@@ -10,6 +10,7 @@ its own header row.
 from __future__ import annotations
 
 import configparser
+import itertools
 from typing import Sequence
 
 from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector
@@ -41,19 +42,6 @@ def _read_lines(path: str, header: str, what: str) -> list[str]:
     if not lines or lines[0] != header:
         raise ValueError(f"{what} header must be exactly {header!r}")
     return lines[1:]
-
-
-def _split_blocks(text: str) -> list[list[str]]:
-    blocks: list[list[str]] = [[]]
-    for line in text.splitlines():
-        if line.strip() == "":
-            if blocks[-1]:
-                blocks.append([])
-        else:
-            blocks[-1].append(line)
-    if blocks and not blocks[-1]:
-        blocks.pop()
-    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +159,8 @@ def read_coefficients(path: str) -> CoefficientVector:
     a bare ``constituent,alpha`` CSV; constituents not listed are inactive.
     Each row has one field per header column and names a constituent once."""
     with open(path, encoding="utf-8") as fh:
-        blocks = _split_blocks(fh.read())
+        blocks = [list(block) for blank, block in
+                  itertools.groupby(fh.read().splitlines(), lambda ln: not ln.strip()) if not blank]
     if not blocks:
         raise ValueError("empty model file")
     header = blocks[0][0].split(",")
