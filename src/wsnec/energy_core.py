@@ -154,7 +154,7 @@ class CoefficientVector:
     ``active=None`` means all five are active.
 
     Fitted vectors may carry negative entries (a least-squares artifact);
-    vectors built from a resource mix are always nonnegative. Inactive
+    vectors constructed from a resource mix are always nonnegative. Inactive
     entries are stored as 0.0.
     """
 
