@@ -203,6 +203,57 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/thing.ini")
 
+    SIM = "[sim]\nseed = 1\nnodes = 2\n"
+    SWEEP_CHOICES = ("(choose from ['event_rate', 'g_sense', 'initial_battery', "
+                     "'maintenance_period', 'monitor_period', 'r_sense', 'r_tx', "
+                     "'warmup_packets'])")
+
+    @pytest.mark.parametrize("text, violations", [
+        pytest.param(
+            "[sweep]\nruns = 0\nevent_rate = q:1\nr_tx = 5:1\nbogus = 1:2\n\n"
+            "[radio]\neps_fs = x\neps_mp = -1\n\n"
+            "[mix]\nindividual = 1, 2\nlocal = 1, 1, 1, 1, -1\nother = 1, 1, 1, 1, 1\n\n"
+            "[bogus]\nx = 1\n\n[energy]\np_cpu = -1\np_tx = y\n\n[sim]\nnodes = 2\nwidget = 3\n",
+            ["unknown section [bogus]",
+             "[sim] unknown key 'widget'",
+             "[sim] missing required key 'seed'",
+             "[energy] p_tx: expected float, got 'y'",
+             "[radio] eps_fs: expected float, got 'x'",
+             "[mix] individual: expected 5 weights, got 2",
+             "[mix] unknown key 'other'",
+             "[sweep] event_rate: expected float, got 'q'",
+             f"[sweep] unknown parameter 'bogus' {SWEEP_CHOICES}",
+             "parameter boundary p_cpu >= 0 violated (got -1.0)",
+             "parameter boundary mix[local][sens] >= 0 violated (got -1.0)",
+             "parameter boundary eps_mp > 0 violated (got -1.0)",
+             "sweep runs must be >= 1 (got 0)",
+             "sweep range for r_tx must be low:high with low <= high (got 5.0:1.0)"],
+            id="every-section-out-of-order"),
+        pytest.param(SIM + "[sweep]\nnodes = 1:5\n",
+                     [f"[sweep] unknown parameter 'nodes' {SWEEP_CHOICES}"], id="sweep-nodes"),
+        pytest.param(SIM + "[sweep]\nr_tx = a:b\n",
+                     ["[sweep] r_tx: expected float, got 'a'",
+                      "[sweep] r_tx: expected float, got 'b'"], id="sweep-both-ends"),
+        pytest.param(SIM + "[sweep]\nr_tx = 1\n",
+                     ["[sweep] r_tx: expected low:high, got '1'"], id="sweep-one-end"),
+        pytest.param(SIM + "[sweep]\nruns = x\n",
+                     ["[sweep] runs: expected int, got 'x'"], id="sweep-runs"),
+        pytest.param(SIM + "[mix]\nlocal = 1,2\nglobal = a,b,c,d,e\n",
+                     ["[mix] local: expected 5 weights, got 2",
+                      "[mix] global: weights must be numbers, got 'a,b,c,d,e'"], id="mix"),
+        pytest.param(SIM + "monitoring = maybe\n",
+                     ["[sim] monitoring: expected bool, got 'maybe'"], id="sim-bool"),
+    ])
+    def test_violation_lists(self, tmp_path, text, violations):
+        # Whole lists, in order: unknown sections, then each section's keys
+        # ([sim], [energy], [radio], [mix], [sweep]), then the sub-models'
+        # first violations, then the scenario's own checks.
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.violations == violations
+
 
 class TestTraceRoundTrip:
     def test_exact_round_trip(self, tmp_path):
