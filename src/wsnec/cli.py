@@ -18,8 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import estimation, policy, simulator, traceio
-from .config import (SWEEPABLE, ConfigError, ScenarioConfig, SweepConfig, load_config,
-                     sweep_violations, with_overrides)
+from .config import SWEEPABLE, SweepConfig, load_config, with_overrides
 from .energy_core import CONSTITUENT_ORDER, Constituent, ConstituentFlowVector, bound
 
 EXIT_OK = 0
@@ -120,16 +119,14 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=_seed_override(args))
-    sweep = cfg.sweep or SweepConfig()
     if args.runs is not None:
-        sweep = replace(sweep, runs=args.runs)
-        if violations := sweep_violations(sweep):
-            raise ConfigError(violations)
+        cfg = replace(cfg, sweep=replace(cfg.sweep or SweepConfig(), runs=args.runs))
+    sweep = cfg.sweep or SweepConfig()
     master = random.Random(cfg.seed)
     rows = []
     for run_index in range(sweep.runs):
         sampled = {}
-        for name, (low, high) in sorted(sweep.ranges.items()):
+        for name, (low, high) in sweep.ranges:
             if SWEEPABLE[name]:
                 sampled[name] = master.randint(int(low), int(high))
             else:
@@ -223,9 +220,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except estimation.RankDeficientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

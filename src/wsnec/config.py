@@ -15,17 +15,23 @@ not measured from hardware). Validation comes before any computation, and
 loading reports in one error every unknown section or key, every malformed
 value, every ``[sim]`` and ``[sweep]`` violation, and the first violation of
 each of ``[energy]``, ``[mix]`` and ``[radio]``.
+
+Each section has one schema, its keys with the converter of each value
+(``[mix]`` has one key per constituent, ``[sweep]`` ``runs`` and one
+``low:high`` range per sweepable parameter). One loop reads every section
+through its schema, and ``sample_config`` writes the keys of the same schemas.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
-from .energy_core import ConstituentResourceMix, ResourcePowerProfile
+from .energy_core import CONSTITUENT_ORDER, ConstituentResourceMix, ResourcePowerProfile
 from .radio import RadioModelParams
 
 
@@ -51,10 +57,17 @@ DEFAULT_MIX = ConstituentResourceMix((
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Batch-experiment settings: run count and per-parameter uniform ranges."""
+    """Batch-experiment settings: run count and per-parameter uniform ranges.
+
+    ``ranges`` is given as a mapping or as pairs of parameter name and
+    ``(low, high)``, and stored as pairs sorted by name, the order a sweep
+    draws them in; so a sweep, like the rest of a scenario, hashes."""
 
     runs: int = 50
-    ranges: dict = field(default_factory=dict)   # param -> (low, high)
+    ranges: tuple[tuple[str, tuple[float, float]], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "ranges", tuple(sorted(dict(self.ranges).items())))
 
 
 @dataclass(frozen=True)
@@ -129,16 +142,10 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
                    f"[0, {cfg.area_width!r}] x [0, {cfg.area_height!r}]")
     if cfg.total_slices < cfg.init_slices:
         out.append(f"total_slices ({cfg.total_slices}) must cover init_slices ({cfg.init_slices})")
-    if cfg.sweep is not None:
-        out.extend(sweep_violations(cfg.sweep))
-    return out
-
-
-def sweep_violations(sweep: SweepConfig) -> list[str]:
-    out = []
+    sweep = cfg.sweep or SweepConfig()   # the default sweep is valid
     if sweep.runs < 1:
         out.append(f"sweep runs must be >= 1 (got {sweep.runs!r})")
-    for name, (low, high) in sweep.ranges.items():
+    for name, (low, high) in sweep.ranges:
         if name not in SWEEPABLE:
             out.append(f"sweep parameter {name!r} is not sweepable "
                        f"(choose from {sorted(SWEEPABLE)})")
@@ -157,54 +164,65 @@ def sweep_violations(sweep: SweepConfig) -> list[str]:
     return out
 
 
+#: Parameters cmd_sweep may randomize, each flagged when its [sim] field is an
+#: integer (drawn with randint).
+SWEEPABLE: dict[str, bool] = {
+    name: type(getattr(ScenarioConfig, name)) is int
+    for name in ("event_rate", "r_sense", "g_sense", "r_tx", "initial_battery",
+                 "maintenance_period", "monitor_period", "warmup_packets")}
+
+
 # ---------------------------------------------------------------------------
 # INI loading
 
-#: Every scalar field of ScenarioConfig, typed by its default (the annotations
-#: are strings under ``from __future__ import annotations``).
-_SIM_SCHEMA: dict[str, type] = {f.name: type(f.default) for f in fields(ScenarioConfig)
-                                if type(f.default) in (int, float, bool)}
-
-_ENERGY_SCHEMA = {f.name: float for f in fields(ResourcePowerProfile)}
-
-_RADIO_SCHEMA = {f.name: float for f in fields(RadioModelParams)}
-
-_MIX_KEYS = ("individual", "local", "global", "environment", "snk")
-
-#: Parameters cmd_sweep may randomize, with their integer-ness.
-SWEEPABLE: dict[str, bool] = {
-    "event_rate": False, "r_sense": False, "g_sense": False,
-    "r_tx": False, "initial_battery": False,
-    "maintenance_period": True, "monitor_period": True, "warmup_packets": True,
-}
-
-
-def _convert(raw: str, kind: type, where: str, violations: list[str]):
+def _scalar(kind: type, raw: str):
     raw = raw.strip()
     try:
         if kind is bool:
-            state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
-            if state is None:
-                raise ValueError
-            return state
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"expected {kind.__name__}, got {raw!r}") from None
+
+
+def _weights(raw: str) -> tuple[float, ...]:
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 5:
+        raise ValueError(f"expected 5 weights, got {len(parts)}")
+    try:
+        return tuple(float(p) for p in parts)
     except ValueError:
-        violations.append(f"{where}: expected {kind.__name__}, got {raw!r}")
-        return None
+        raise ValueError(f"weights must be numbers, got {raw!r}") from None
 
 
-def _parse_section(parser, section: str, schema: dict, violations: list[str]) -> dict:
-    out = {}
-    if not parser.has_section(section):
-        return out
-    for key, raw in parser.items(section):
-        if key not in schema:
-            violations.append(f"[{section}] unknown key {key!r}")
-            continue
-        value = _convert(raw, schema[key], f"[{section}] {key}", violations)
-        if value is not None:
-            out[key] = value
-    return out
+def _low_high(raw: str) -> tuple[float, float]:
+    parts = raw.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected low:high, got {raw!r}")
+    ends, tails = [], []
+    for part in parts:   # each malformed end is a violation of its own
+        try:
+            ends.append(_scalar(float, part))
+        except ValueError as exc:
+            tails.extend(exc.args)
+    if tails:
+        raise ValueError(*tails)
+    return tuple(ends)
+
+
+#: Each section's keys, each with the converter of its value. A converter
+#: raises ValueError with one argument per violation, each the tail that
+#: follows "[section] key: ". [sim] takes every scalar field of ScenarioConfig,
+#: typed by its default (the annotations are strings under
+#: ``from __future__ import annotations``). Sections are read in this order.
+_SCHEMAS: dict[str, dict[str, Callable[[str], object]]] = {
+    "sim": {f.name: functools.partial(_scalar, type(f.default)) for f in fields(ScenarioConfig)
+            if type(f.default) in (int, float, bool)},
+    "energy": {f.name: functools.partial(_scalar, float) for f in fields(ResourcePowerProfile)},
+    "radio": {f.name: functools.partial(_scalar, float) for f in fields(RadioModelParams)},
+    "mix": {c.value: _weights for c in CONSTITUENT_ORDER},
+    "sweep": {"runs": functools.partial(_scalar, int), **dict.fromkeys(SWEEPABLE, _low_high)},
+}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
@@ -222,73 +240,42 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError([f"cannot parse config: {exc}"]) from exc
 
-    violations: list[str] = []
-    known = {"sim", "energy", "mix", "radio", "sweep"}
-    for section in parser.sections():
-        if section not in known:
-            violations.append(f"unknown section [{section}]")
-
-    sim = _parse_section(parser, "sim", _SIM_SCHEMA, violations)
-    if overrides:
-        sim.update(overrides)
-    for required in ("seed", "nodes"):
-        if required not in sim:
-            violations.append(f"[sim] missing required key {required!r}")
-
-    energy = _parse_section(parser, "energy", _ENERGY_SCHEMA, violations)
-    radio = _parse_section(parser, "radio", _RADIO_SCHEMA, violations)
-
-    mix_rows = list(DEFAULT_MIX.rows)
-    if parser.has_section("mix"):
-        for key, raw in parser.items("mix"):
-            if key not in _MIX_KEYS:
-                violations.append(f"[mix] unknown key {key!r}")
-                continue
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            if len(parts) != 5:
-                violations.append(f"[mix] {key}: expected 5 weights, got {len(parts)}")
+    violations = [f"unknown section [{section}]" for section in parser.sections()
+                  if section not in _SCHEMAS]
+    read: dict[str, dict] = {}
+    for section, schema in _SCHEMAS.items():
+        read[section] = values = {}
+        for key, raw in parser.items(section) if parser.has_section(section) else ():
+            if key not in schema:
+                violations.append(f"[{section}] unknown key {key!r}" if section != "sweep" else
+                                  f"[sweep] unknown parameter {key!r} (choose from {sorted(SWEEPABLE)})")
                 continue
             try:
-                mix_rows[_MIX_KEYS.index(key)] = tuple(float(p) for p in parts)
-            except ValueError:
-                violations.append(f"[mix] {key}: weights must be numbers, got {raw!r}")
+                values[key] = schema[key](raw)
+            except ValueError as exc:
+                violations.extend(f"[{section}] {key}: {tail}" for tail in exc.args)
+        if section == "sim":
+            values.update(overrides or {})
+            violations.extend(f"[sim] missing required key {key!r}"
+                              for key in ("seed", "nodes") if key not in values)
 
-    sweep = None
-    if parser.has_section("sweep"):
-        runs = SweepConfig.runs
-        ranges = {}
-        for key, raw in parser.items("sweep"):
-            if key == "runs":
-                value = _convert(raw, int, "[sweep] runs", violations)
-                if value is not None:
-                    runs = value
-                continue
-            if key not in SWEEPABLE:
-                violations.append(f"[sweep] unknown parameter {key!r} "
-                                  f"(choose from {sorted(SWEEPABLE)})")
-                continue
-            parts = raw.split(":")
-            if len(parts) != 2:
-                violations.append(f"[sweep] {key}: expected low:high, got {raw!r}")
-                continue
-            lo = _convert(parts[0], float, f"[sweep] {key}", violations)
-            hi = _convert(parts[1], float, f"[sweep] {key}", violations)
-            if lo is not None and hi is not None:
-                ranges[key] = (lo, hi)
-        sweep = SweepConfig(runs=runs, ranges=ranges)
+    mix_rows = dict(zip(_SCHEMAS["mix"], DEFAULT_MIX.rows)) | read["mix"]
+    ranges = read["sweep"]
+    sweep = (SweepConfig(ranges.pop("runs", SweepConfig.runs), ranges)
+             if parser.has_section("sweep") else None)
 
     # Each sub-model stops at its first violation; a failed one is left at
     # its default, so that the scenario's own checks still run.
     models = {}
-    for name, build in (("profile", lambda: replace(DEFAULT_PROFILE, **energy)),
-                        ("mix", lambda: ConstituentResourceMix(mix_rows)),
-                        ("radio", lambda: RadioModelParams(**radio))):
+    for name, build in (("profile", lambda: replace(DEFAULT_PROFILE, **read["energy"])),
+                        ("mix", lambda: ConstituentResourceMix(tuple(mix_rows.values()))),
+                        ("radio", lambda: RadioModelParams(**read["radio"]))):
         try:
             models[name] = build()
         except ValueError as exc:
             violations.append(str(exc))
     try:
-        cfg = ScenarioConfig(sweep=sweep, **models, **sim)
+        cfg = ScenarioConfig(sweep=sweep, **models, **read["sim"])
     except ConfigError as exc:
         violations.extend(exc.violations)
     if violations:
@@ -312,24 +299,24 @@ def sample_config() -> str:
 
     mix_lines = "\n".join(
         f"{name} = " + ", ".join(str(w) for w in row)
-        for name, row in zip(_MIX_KEYS, cfg.mix.rows))
+        for name, row in zip(_SCHEMAS["mix"], cfg.mix.rows))
     return f"""\
 # Scenario configuration. Every key is optional except [sim] seed and nodes;
 # values shown are the defaults (synthetic reference scenario).
 
 [sim]
-{lines(cfg, _SIM_SCHEMA)}
+{lines(cfg, _SCHEMAS["sim"])}
 
 [energy]
 # joules per packet handled by each resource
-{lines(cfg.profile, _ENERGY_SCHEMA)}
+{lines(cfg.profile, _SCHEMAS["energy"])}
 
 [mix]
 # per-packet resource weights (cpu, mem, rx, tx, sens) per constituent
 {mix_lines}
 
 [radio]
-{lines(cfg.radio, [key for key in _RADIO_SCHEMA if key != "d0"])}
+{lines(cfg.radio, [key for key in _SCHEMAS["radio"] if key != "d0"])}
 # d0 defaults to sqrt(eps_fs / eps_mp)
 
 [sweep]

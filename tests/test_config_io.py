@@ -79,6 +79,13 @@ class TestScenarioConfig:
                 ScenarioConfig(sweep=SweepConfig(ranges={name: ends}))
         ScenarioConfig(sweep=SweepConfig(ranges={"maintenance_period": (4.0, 16.0)}))
 
+    def test_a_scenario_with_a_sweep_hashes(self):
+        mapped = ScenarioConfig(sweep=SweepConfig(runs=3, ranges={"r_tx": (24.0, 40.0)}))
+        pairs = ScenarioConfig(sweep=SweepConfig(runs=3, ranges=[("r_tx", (24.0, 40.0))]))
+        assert hash(mapped) == hash(pairs) and mapped == pairs
+        sweep = SweepConfig(ranges={"r_tx": (24.0, 40.0), "event_rate": (6.0, 30.0)})
+        assert sweep.ranges == (("event_rate", (6.0, 30.0)), ("r_tx", (24.0, 40.0)))
+
     def test_with_overrides_revalidates(self):
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
@@ -106,11 +113,11 @@ class TestLoadConfig:
         assert cfg == dataclasses.replace(
             ScenarioConfig(), sweep=cfg.sweep)   # sweep section is extra
         assert cfg.sweep is not None and cfg.sweep.runs == 50
-        assert cfg.sweep.ranges["event_rate"] == (6.0, 30.0)
+        assert dict(cfg.sweep.ranges)["event_rate"] == (6.0, 30.0)
         # One "key = value" line per schema key before [sweep], whose ranges
         # reuse some [sim] names: benchmark inputs substitute the first
         # "key = " line of a [sim] key by regex.
-        keys = [*config._SIM_SCHEMA, *config._ENERGY_SCHEMA, *config._RADIO_SCHEMA]
+        keys = [*config._SCHEMAS["sim"], *config._SCHEMAS["energy"], *config._SCHEMAS["radio"]]
         assert len(keys) == len(set(keys))
         head = text[:text.index("[sweep]")]
         for key in keys:
@@ -253,6 +260,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert exc.value.violations == violations
+
+    def test_sweep_range_violations_come_in_name_order(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(self.SIM + "[sweep]\nr_tx = 5:1\nevent_rate = 2:1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.violations == [
+            f"sweep range for {name} must be low:high with low <= high (got {ends})"
+            for name, ends in (("event_rate", "2.0:1.0"), ("r_tx", "5.0:1.0"))]
 
 
 class TestTraceRoundTrip:
