@@ -24,7 +24,11 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .energy_core import CONSTITUENT_ORDER, CoefficientVector, ConstituentFlowVector
+from .energy_core import (
+    CONSTITUENT_ORDER,
+    CoefficientVector,
+    ConstituentFlowVector,
+)
 
 #: Smallest-to-largest singular value ratio below which the design matrix is
 #: treated as rank-deficient.
