@@ -20,11 +20,12 @@ DEFAULT_TRACE_SHA256 = "aa036f2773db06ef8825e8939ccc5044a3a167ac256a275a91d068db
 SWEEP_8_SEED_1_SHA256 = "f5369594aa930a6e9bd5e1155cc7936f76e36cd0c774a6037a2c60f4d7b72218"
 MIX_CHARGING_TRACE_SHA256 = "99074c8aa725773d0977fbcc0319c02814b6ea5ac0d7c38b130e0660062efc9d"
 
-# Ledger rows of five runs: the default scenario, a depleted one (refused
+# Ledger rows of six runs: the default scenario, a depleted one (refused
 # charges), mix charging (per-constituent prices), 200 nodes at the sample
-# density (multi-hop routes, periodic repair floods over 200 nodes) and
-# 2-hop repairs on a drained battery (probe timeouts flood only the nodes
-# within two hops of a trigger): (entries, SHA-256).
+# density (multi-hop routes, periodic repair floods over 200 nodes), 2-hop
+# repairs on a drained battery (probe timeouts flood only the nodes within
+# two hops of a trigger) and 40 dense nodes under 400 events a slice, whose
+# deep relay queues intern more than 256 handlings: (entries, SHA-256).
 LEDGER_PINS = {
     "default": ({}, 13302, "213887980a56f0e6a3724f0a079149eefeadff6a2b77597f66f8f76f2e42f1e1"),
     "depleted": ({"initial_battery": 0.004}, 1375,
@@ -35,6 +36,10 @@ LEDGER_PINS = {
                   "54bc8f877019e9e03bd2af1cdaf5e5c06acb2724720fed617ad4f8dcb545be41"),
     "repair-2-hops": ({"repair_radius_hops": 2, "initial_battery": 0.02}, 5559,
                       "6819b57deb11b9aab990b5031de9af545386dea7975272d3a8967af9addd28f4"),
+    "past-256-codes": ({"seed": 3, "nodes": 40, "area_width": 60.0, "area_height": 60.0,
+                        "sink_x": 2.0, "sink_y": 2.0, "event_rate": 400.0, "g_sense": 0.0,
+                        "total_slices": 8, "initial_battery": 50.0}, 39680,
+                       "96a94247d0752106f17e6b94312beebb009b12e8d44136452d83ac4e888a5063"),
 }
 
 
@@ -141,6 +146,15 @@ def test_ledger_rows_are_pinned(name):
     for e in ledger:
         rows.update(f"{e.slice_index},{e.node_id},{e.kind.value},{e.energy.hex()}\n".encode())
     assert (len(ledger), rows.hexdigest()) == (entries, digest)
+
+
+def test_the_past_256_codes_run_books_its_257th_handling_in_slice_3():
+    # Its first code of 256 or more is a relay booked by the event loop.
+    ledger = simulator.run(config.ScenarioConfig(**LEDGER_PINS["past-256-codes"][0])).ledger
+    assert len(ledger.handlings) == 822
+    assert [max(codes) >= 256 for _, codes in ledger.groups] == [False] * 3 + [True] * 5
+    first = next(code for code in ledger.groups[3][1] if code >= 256)
+    assert ledger.handlings[first][0] is simulator.PacketKind.RELAYED_DATA
 
 
 @pytest.mark.parametrize("name", PHASE_PINS)
