@@ -30,11 +30,12 @@ read from the slice's ledger rows when the slice ends; the run's ledger
 total is those slice energies added up. ``charge(node, cost)`` touches the
 battery only. Each run prices its handlings once (relays by queue depth),
 each a code into the run's (kind, price, sends, receives) table. The
-booking loops append rows to the ledger's open slice, two typed columns
-(node, code), an exchange stage in one step, its codes following from its
-send count and refused receives; the run closes the slice when it ends,
-sealing it as the next row group, so groups line up with slices. The
-ledger hands each row out as a ``ChargeEntry`` when iterated. Every energy
+booking loops append rows to the ledger's open slice, two columns (node,
+code) of the narrowest array types that hold them, an exchange stage in
+one step, its codes following from its send count and refused receives;
+the run closes the slice when it ends, sealing it as the next row group,
+so groups line up with slices. The ledger hands each row out as a
+``ChargeEntry`` when iterated. Every energy
 inside a run (batteries, residuals, prices) is a whole number of nanojoules
 in a float, exact below 2^53, so sums are exact in any order and a battery
 that lands on zero kills its node; a run rejects a battery or nonzero price
@@ -170,18 +171,21 @@ class Ledger:
     ``handlings`` is the run's table of ``(PacketKind, whole-nJ price,
     sends, receives)`` handlings; a row names one by its index there, its
     code. The booking loops append the slice being booked to the open
-    columns ``nodes`` (``'i'``) and ``codes`` (``'I'``: relay prices grow
-    with queue depth, past 2^16 codes in a dense enough run), and ``close``
-    seals them as the next group of ``groups``, one per slice, so no column
-    outgrows one slice. Entries, in joules, are built when read. Nothing the
-    ledger holds refers back to it, so reference counting alone frees it.
+    columns ``nodes`` (``'H'``, or ``'i'`` past 2^16 nodes) and ``codes``
+    (``'B'``; ``code`` widens the open column, a new object, to ``'H'`` at
+    the 257th handling and to ``'I'`` at the 65,537th: relay prices grow
+    with queue depth), and ``close`` seals them as the next group of
+    ``groups``, one per slice, so no column outgrows one slice, and each
+    group keeps the type it needed. Entries, in joules, are built when read.
+    Nothing the ledger holds refers back to it, so reference counting alone
+    frees it.
     """
 
     __slots__ = ("groups", "nodes", "codes", "handlings", "_codes", "_weights", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, node_count: int):
         self.groups: list[tuple[array, array]] = []
-        self.nodes, self.codes = array("i"), array("I")
+        self.nodes, self.codes = array("H" if node_count <= 2 ** 16 else "i"), array("B")
         self.handlings: list[tuple[PacketKind, float, int, int]] = []
         self._codes: dict[tuple[PacketKind, float, int, int], int] = {}
         self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 3))   # see ``close``
@@ -192,6 +196,8 @@ class Ledger:
         code = self._codes.setdefault(handling, len(self.handlings))
         if code == len(self.handlings):
             self.handlings.append(handling)
+            if code == 2 ** 8 or code == 2 ** 16:
+                self.codes = array("H" if code == 2 ** 8 else "I", self.codes)
         return code
 
     def close(self) -> tuple[ConstituentFlowVector, float, float, float]:
@@ -203,11 +209,11 @@ class Ledger:
         table has grown; it only grows."""
         nodes, codes = self.nodes[:], self.codes[:]
         self.groups.append((nodes, codes))
-        self.nodes, self.codes = array("i"), array("I")
+        self.nodes, self.codes = array(nodes.typecode), array(codes.typecode)
         if len(self._weights) != len(self.handlings):
             self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
                                       + tally for kind, *tally in self.handlings])
-        counts = np.bincount(np.frombuffer(codes, np.uintc), minlength=len(self.handlings))
+        counts = np.bincount(np.frombuffer(codes, codes.typecode), minlength=len(self.handlings))
         *flows, energy, sends, receives = (counts @ self._weights).tolist()
         return ConstituentFlowVector(*flows), energy, sends, receives
 
@@ -397,7 +403,7 @@ class Simulation:
             if node.dist_to_sink <= cfg.r_tx else None for node in self.nodes]
         self._route(self.nodes)
         self._sense_grid = CellGrid(self.nodes, cfg.r_sense, max(cfg.area_width, cfg.area_height))
-        self.ledger = Ledger()
+        self.ledger = Ledger(cfg.nodes)
         self.model_tx_j = 0.0   # the radio model's send joules, summed in booking order
         self.delivered = 0
         self.dropped = 0
@@ -482,9 +488,9 @@ class Simulation:
                     nbr.last_residual = target.battery
                     nbr.known_alive = True
         sent = (len(ids) + len(refused)) // 2
-        codes = array("I", (send_code, recv_code)) * sent
+        codes = array(self.ledger.codes.typecode, (send_code, recv_code)) * sent
         if refused:   # keep the slots between refused receives
-            slots, codes = codes, array("I")
+            slots, codes = codes, array(codes.typecode)
             for a, b in zip([-1, *refused], [*refused, len(slots)]):
                 codes += slots[a + 1:b]
         self.ledger.nodes.fromlist(ids)
@@ -564,7 +570,10 @@ class Simulation:
                         dropped += 1
                         break
                     depth = relayed[hop]
-                    cost, code = table[depth] if depth < len(table) else relay_handling(depth)
+                    if depth >= len(table):   # a new code may widen the column
+                        relay_handling(depth)
+                        add_code = self.ledger.codes.append
+                    cost, code = table[depth]
                     if book(target, cost) is None:
                         dropped += 2   # a refused charge and a drop
                         break

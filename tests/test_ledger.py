@@ -6,8 +6,9 @@ handlings, so those calls, each in the ledger's open slice, must be the
 ledger, row for row. The ledger keeps its rows in one group of two typed
 columns per slice, node ids and handling codes, each code naming a (kind,
 whole-nanojoule price, sends, receives) handling in the run's handling
-table; it stays out of reference cycles, and a node's battery drop is
-exactly the sum of its rows.
+table; each column takes the narrowest type that holds it, the code column
+widening as the table grows. It stays out of reference cycles, and a
+node's battery drop is exactly the sum of its rows.
 """
 
 import gc
@@ -95,16 +96,16 @@ def test_each_nodes_battery_drop_is_the_sum_of_its_rows(fields):
 
 
 @pytest.mark.parametrize("fields", [{}, {"nodes": 200}], ids=["default", "200-nodes"])
-def test_ledger_costs_at_most_9_bytes_a_row(fields):
+def test_ledger_costs_at_most_4_bytes_a_row(fields):
     ledger = simulator.run(ScenarioConfig(**fields)).ledger
     columns = [column for group in ledger.groups for column in group]
-    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {("i", "I")}
+    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {("H", "B")}
     assert all(len(nodes) == len(codes) for nodes, codes in ledger.groups)
     assert len(ledger) > 10_000
-    # 8 B a row, plus each column's header (128 B a slice, 0.8 B a row on the
-    # default run's 80 slices) and any spare capacity. Each group's 2-tuple
-    # adds 56 B a slice (0.3 B a row), which this bound leaves out.
-    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 9
+    # 3 B a row, plus each column's header (160 B a slice, 0.96 B a row on
+    # the default run's 80 slices) and any spare capacity. Each group's
+    # 2-tuple adds 56 B a slice (0.34 B a row), which this bound leaves out.
+    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 4
     assert all(sys.getsizeof(c) == sys.getsizeof(c[:]) for c in columns)   # no spare capacity
 
 
@@ -112,12 +113,13 @@ def test_rows_compare_equal_however_they_were_booked():
     relayed = PacketKind.RELAYED_DATA
     stages = {1: [([3, 4], [500.0, 250.0])], 2: [([], [])],
               4: [([7], [2000.0]), ([8, 9], [1000.0, 3000.0])]}
-    per_stage, per_row = Ledger(), Ledger()
+    per_stage, per_row = Ledger(10), Ledger(10)
     per_row.code(PacketKind.SENSED, 1.0, 1, 0)   # so that the two ledgers' codes differ
     for slice_index in range(5):
         for ids, costs in stages.get(slice_index, []):
             per_stage.nodes.fromlist(ids)
-            per_stage.codes.extend(array("I", [per_stage.code(relayed, c, 1, 1) for c in costs]))
+            codes = [per_stage.code(relayed, c, 1, 1) for c in costs]
+            per_stage.codes.extend(array(per_stage.codes.typecode, codes))
             for node_id, cost in zip(ids, costs):
                 per_row.nodes.append(node_id)
                 per_row.codes.append(per_row.code(relayed, cost, 1, 1))
@@ -140,14 +142,15 @@ def test_rows_compare_equal_however_they_were_booked():
 
 
 def test_totals_of_a_slice_without_rows():
-    ledger = Ledger()
+    ledger = Ledger(8)
     ledger.code(PacketKind.ROUTING_INFO, 4000.0, 1, 1)   # in the table, booked nowhere
     empty = (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0, 0, 0)
     assert [ledger.close(), ledger.close()] == [empty, empty]   # slices 0 and 1
     ledger.nodes.fromlist([5, 6, 7])
-    ledger.codes.extend(array("I", (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
-                                    ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
-                                    ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))))
+    codes = (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
+             ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
+             ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))
+    ledger.codes.extend(array(ledger.codes.typecode, codes))
     assert ledger.close() == (ConstituentFlowVector(1, 2, 0, 0, 0), 2000.0, 2, 1)
     assert ledger.close() == empty   # slice 3
     assert len(ledger.groups) == 4 and len(ledger) == 3
@@ -157,16 +160,86 @@ def test_handlings_of_one_kind_and_price_differ_by_their_legs():
     # Mix charging prices by kind alone: a warm-up and a sense-and-send cost
     # the same, and so do a queued receive and a plain relay receive. Their
     # sends and receives keep them apart, and the slice totals count them.
-    ledger = Ledger()
+    ledger = Ledger(4)
     sensed, relayed = PacketKind.SENSED, PacketKind.RELAYED_DATA
     codes = [ledger.code(sensed, 900.0, 0, 0), ledger.code(sensed, 900.0, 1, 0),
              ledger.code(relayed, 700.0, 0, 1), ledger.code(relayed, 700.0, 1, 1)]
     assert codes == [0, 1, 2, 3] and ledger.code(sensed, 900.0, 1, 0) == 1
     ledger.nodes.fromlist([1, 1, 2, 3, 3])
-    ledger.codes.extend(array("I", [0, 1, 2, 3, 3]))
+    ledger.codes.extend(array(ledger.codes.typecode, [0, 1, 2, 3, 3]))
     assert ledger.close() == (ConstituentFlowVector(2, 0, 3, 0, 0), 3900.0, 3, 3)
     assert [(e.kind, e.energy) for e in ledger] == [
         (sensed, 9e-7), (sensed, 9e-7), (relayed, 7e-7), (relayed, 7e-7), (relayed, 7e-7)]
+
+
+def test_the_code_column_widens_past_256_and_65536_handlings():
+    # Rows booked on both sides of each boundary, slice by slice, against
+    # plain lists; every handling distinct by its price.
+    kinds = list(PacketKind)
+    ledger, slices, tallies = Ledger(5), [[]], []
+
+    def intern_up_to(last):
+        for i in range(len(ledger.handlings), last + 1):
+            assert ledger.code(kinds[i % 6], float(i + 1), i % 2, i // 2 % 2) == i
+
+    def book(*codes):
+        for code in codes:
+            node_id = len(slices[-1])
+            ledger.nodes.append(node_id)
+            ledger.codes.append(code)   # read again: a widened column is a new object
+            slices[-1].append((node_id, code))
+
+    def close():
+        tallies.append(ledger.close())
+        slices.append([])
+
+    intern_up_to(255)
+    book(0, 255)
+    close()
+    book(255)
+    intern_up_to(256)   # widens the open column, its row kept
+    book(256, 0)
+    close()
+    intern_up_to(65_535)
+    book(300, 65_535)
+    close()
+    book(65_535)
+    intern_up_to(65_536)
+    book(65_536, 7)
+    close()
+    close()   # an empty slice keeps the widest type
+    del slices[-1]
+    assert len(ledger.handlings) == 65_537
+    assert [(nodes.typecode, codes.typecode) for nodes, codes in ledger.groups] == [
+        ("H", "B"), ("H", "H"), ("H", "H"), ("H", "I"), ("H", "I")]
+    assert [list(zip(nodes, codes)) for nodes, codes in ledger.groups] == slices
+    expected = []
+    for rows in slices:
+        flows, energy, sends, receives = [0] * 5, 0.0, 0, 0
+        for _, code in rows:
+            kind, nanojoules, tx, rx = ledger.handlings[code]
+            flows[kind.flow_slot] += 1
+            energy, sends, receives = energy + nanojoules, sends + tx, receives + rx
+        expected.append((ConstituentFlowVector(*flows), energy, sends, receives))
+    assert tallies == expected
+    assert list(ledger) == [
+        ChargeEntry(index, node_id, ledger.handlings[code][0], ledger.handlings[code][1] / 1e9)
+        for index, rows in enumerate(slices) for node_id, code in rows]
+
+
+@pytest.mark.parametrize("nodes, typecode", [(2 ** 16, "H"), (2 ** 16 + 1, "i")])
+def test_the_node_column_holds_the_highest_node_id(nodes, typecode):
+    sim = simulator.Simulation(ScenarioConfig(nodes=nodes, r_tx=0.0))
+    assert sim.ledger.nodes.typecode == typecode
+    ledger = Ledger(nodes)
+    ledger.nodes.append(nodes - 1)
+    ledger.codes.append(ledger.code(PacketKind.SENSED, 1.0, 0, 0))
+    ledger.close()
+    assert [e.node_id for e in ledger] == [nodes - 1]
+    assert ledger.groups[0][0].typecode == typecode
+    if typecode == "H":   # 2^16 nodes have ids up to 65,535, the most 'H' holds
+        with pytest.raises(OverflowError):
+            ledger.nodes.append(nodes)
 
 
 def test_reference_counting_alone_frees_the_ledger():
