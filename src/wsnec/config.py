@@ -233,7 +233,8 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """
     if not os.path.exists(path):
         raise ConfigError([f"config file not found: {path}"])
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No header names a section "\n", so [DEFAULT] is an unknown section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -250,6 +250,12 @@ class TestLoadConfig:
                       "[mix] global: weights must be numbers, got 'a,b,c,d,e'"], id="mix"),
         pytest.param(SIM + "monitoring = maybe\n",
                      ["[sim] monitoring: expected bool, got 'maybe'"], id="sim-bool"),
+        pytest.param("[DEFAULT]\nseed = 1\n\n[sim]\nnodes = 2\n",
+                     ["unknown section [DEFAULT]", "[sim] missing required key 'seed'"],
+                     id="default-section"),
+        pytest.param("[DEFAULT]\nseed = 1\n\n[sim]\nnodes = 2\n\n[energy]\np_cpu = 1e-5\n",
+                     ["unknown section [DEFAULT]", "[sim] missing required key 'seed'"],
+                     id="default-section-beside-energy"),
     ])
     def test_violation_lists(self, tmp_path, text, violations):
         # Whole lists, in order: unknown sections, then each section's keys
