@@ -30,12 +30,12 @@ read from the slice's ledger rows when the slice ends; the run's ledger
 total is those slice energies added up. ``charge(node, cost)`` touches the
 battery only. Each run prices its handlings once (relays by queue depth),
 each a code into the run's (kind, price, sends, receives) table. The
-booking loops append rows to the ledger's open slice, two columns (node,
-code) of the narrowest array types that hold them, an exchange stage in
-one step, its codes following from its send count and refused receives;
-the run closes the slice when it ends, sealing it as the next row group,
-so groups line up with slices. The ledger hands each row out as a
-``ChargeEntry`` when iterated. Every energy
+booking loops append rows to the ledger's open slice, two typed columns
+(node, code), an exchange stage in one step, its codes following from its
+send count and refused receives; the run closes the slice when it ends,
+sealing it as the next row group, each column of the narrowest type that
+holds it (3 bytes a row in most runs), so groups line up with slices. The
+ledger hands each row out as a ``ChargeEntry`` when iterated. Every energy
 inside a run (batteries, residuals, prices) is a whole number of nanojoules
 in a float, exact below 2^53, so sums are exact in any order and a battery
 that lands on zero kills its node; a run rejects a battery or nonzero price
@@ -172,11 +172,11 @@ class Ledger:
     sends, receives)`` handlings; a row names one by its index there, its
     code. The booking loops append the slice being booked to the open
     columns ``nodes`` (``'H'``, or ``'i'`` past 2^16 nodes) and ``codes``
-    (``'B'``; ``code`` widens the open column, a new object, to ``'H'`` at
-    the 257th handling and to ``'I'`` at the 65,537th: relay prices grow
-    with queue depth), and ``close`` seals them as the next group of
-    ``groups``, one per slice, so no column outgrows one slice, and each
-    group keeps the type it needed. Entries, in joules, are built when read.
+    (``'I'``, whose appends take the fast path that narrower types lack),
+    and ``close`` seals them as the next group of ``groups``, one per slice,
+    so no column outgrows one slice, its codes narrowed to ``'B'`` while the
+    table has at most 256 handlings, else to ``'H'`` up to 65,536 (relay
+    prices grow with queue depth). Entries, in joules, are built when read.
     Nothing the ledger holds refers back to it, so reference counting alone
     frees it.
     """
@@ -185,7 +185,7 @@ class Ledger:
 
     def __init__(self, node_count: int):
         self.groups: list[tuple[array, array]] = []
-        self.nodes, self.codes = array("H" if node_count <= 2 ** 16 else "i"), array("B")
+        self.nodes, self.codes = array("H" if node_count <= 2 ** 16 else "i"), array("I")
         self.handlings: list[tuple[PacketKind, float, int, int]] = []
         self._codes: dict[tuple[PacketKind, float, int, int], int] = {}
         self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 3))   # see ``close``
@@ -196,24 +196,26 @@ class Ledger:
         code = self._codes.setdefault(handling, len(self.handlings))
         if code == len(self.handlings):
             self.handlings.append(handling)
-            if code == 2 ** 8 or code == 2 ** 16:
-                self.codes = array("H" if code == 2 ** 8 else "I", self.codes)
         return code
 
     def close(self) -> tuple[ConstituentFlowVector, float, float, float]:
         """Seal the open slice as the next group, its columns sized to its
-        rows, start an empty one, and tally the sealed rows: their count per
-        constituent, their nJ, their sends and their receives, each
-        handling's row count times its one-hot flow slot, its price and its
-        legs, exact below 2^53. The weights are rebuilt once the handling
-        table has grown; it only grows."""
-        nodes, codes = self.nodes[:], self.codes[:]
+        rows, its codes of the narrowest type that holds the table, start an
+        empty one, and tally the sealed rows: their count per constituent,
+        their nJ, their sends and their receives, each handling's row count
+        times its one-hot flow slot, its price and its legs, exact below
+        2^53. The weights are rebuilt once the handling table has grown; it
+        only grows."""
+        wide, size = np.frombuffer(self.codes, np.uintc), len(self.handlings)
+        typecode = "B" if size <= 2 ** 8 else "H" if size <= 2 ** 16 else "I"
+        # The copy drops the spare capacity that reading bytes leaves.
+        nodes, codes = self.nodes[:], array(typecode, wide.astype(typecode).tobytes())[:]
         self.groups.append((nodes, codes))
-        self.nodes, self.codes = array(nodes.typecode), array(codes.typecode)
-        if len(self._weights) != len(self.handlings):
+        self.nodes, self.codes = array(nodes.typecode), array("I")
+        if len(self._weights) != size:
             self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
                                       + tally for kind, *tally in self.handlings])
-        counts = np.bincount(np.frombuffer(codes, codes.typecode), minlength=len(self.handlings))
+        counts = np.bincount(wide, minlength=size)
         *flows, energy, sends, receives = (counts @ self._weights).tolist()
         return ConstituentFlowVector(*flows), energy, sends, receives
 
@@ -488,9 +490,9 @@ class Simulation:
                     nbr.last_residual = target.battery
                     nbr.known_alive = True
         sent = (len(ids) + len(refused)) // 2
-        codes = array(self.ledger.codes.typecode, (send_code, recv_code)) * sent
+        codes = array("I", (send_code, recv_code)) * sent
         if refused:   # keep the slots between refused receives
-            slots, codes = codes, array(codes.typecode)
+            slots, codes = codes, array("I")
             for a, b in zip([-1, *refused], [*refused, len(slots)]):
                 codes += slots[a + 1:b]
         self.ledger.nodes.fromlist(ids)
@@ -570,10 +572,7 @@ class Simulation:
                         dropped += 1
                         break
                     depth = relayed[hop]
-                    if depth >= len(table):   # a new code may widen the column
-                        relay_handling(depth)
-                        add_code = self.ledger.codes.append
-                    cost, code = table[depth]
+                    cost, code = table[depth] if depth < len(table) else relay_handling(depth)
                     if book(target, cost) is None:
                         dropped += 2   # a refused charge and a drop
                         break

@@ -6,9 +6,9 @@ handlings, so those calls, each in the ledger's open slice, must be the
 ledger, row for row. The ledger keeps its rows in one group of two typed
 columns per slice, node ids and handling codes, each code naming a (kind,
 whole-nanojoule price, sends, receives) handling in the run's handling
-table; each column takes the narrowest type that holds it, the code column
-widening as the table grows. It stays out of reference cycles, and a
-node's battery drop is exactly the sum of its rows.
+table; each sealed column takes the narrowest type that holds it, codes
+by the size of the table. It stays out of reference cycles, and a node's
+battery drop is exactly the sum of its rows.
 """
 
 import gc
@@ -118,8 +118,7 @@ def test_rows_compare_equal_however_they_were_booked():
     for slice_index in range(5):
         for ids, costs in stages.get(slice_index, []):
             per_stage.nodes.fromlist(ids)
-            codes = [per_stage.code(relayed, c, 1, 1) for c in costs]
-            per_stage.codes.extend(array(per_stage.codes.typecode, codes))
+            per_stage.codes.extend(array("I", [per_stage.code(relayed, c, 1, 1) for c in costs]))
             for node_id, cost in zip(ids, costs):
                 per_row.nodes.append(node_id)
                 per_row.codes.append(per_row.code(relayed, cost, 1, 1))
@@ -147,10 +146,9 @@ def test_totals_of_a_slice_without_rows():
     empty = (ConstituentFlowVector(0, 0, 0, 0, 0), 0.0, 0, 0)
     assert [ledger.close(), ledger.close()] == [empty, empty]   # slices 0 and 1
     ledger.nodes.fromlist([5, 6, 7])
-    codes = (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
-             ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
-             ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))
-    ledger.codes.extend(array(ledger.codes.typecode, codes))
+    ledger.codes.extend(array("I", (ledger.code(PacketKind.SENSED, 1500.0, 1, 0),
+                                    ledger.code(PacketKind.SCHEDULING, 250.0, 1, 0),
+                                    ledger.code(PacketKind.NEIGHBOR_INFO, 250.0, 0, 1))))
     assert ledger.close() == (ConstituentFlowVector(1, 2, 0, 0, 0), 2000.0, 2, 1)
     assert ledger.close() == empty   # slice 3
     assert len(ledger.groups) == 4 and len(ledger) == 3
@@ -166,13 +164,13 @@ def test_handlings_of_one_kind_and_price_differ_by_their_legs():
              ledger.code(relayed, 700.0, 0, 1), ledger.code(relayed, 700.0, 1, 1)]
     assert codes == [0, 1, 2, 3] and ledger.code(sensed, 900.0, 1, 0) == 1
     ledger.nodes.fromlist([1, 1, 2, 3, 3])
-    ledger.codes.extend(array(ledger.codes.typecode, [0, 1, 2, 3, 3]))
+    ledger.codes.extend(array("I", [0, 1, 2, 3, 3]))
     assert ledger.close() == (ConstituentFlowVector(2, 0, 3, 0, 0), 3900.0, 3, 3)
     assert [(e.kind, e.energy) for e in ledger] == [
         (sensed, 9e-7), (sensed, 9e-7), (relayed, 7e-7), (relayed, 7e-7), (relayed, 7e-7)]
 
 
-def test_the_code_column_widens_past_256_and_65536_handlings():
+def test_sealed_codes_widen_past_256_and_65536_handlings():
     # Rows booked on both sides of each boundary, slice by slice, against
     # plain lists; every handling distinct by its price.
     kinds = list(PacketKind)
@@ -186,7 +184,7 @@ def test_the_code_column_widens_past_256_and_65536_handlings():
         for code in codes:
             node_id = len(slices[-1])
             ledger.nodes.append(node_id)
-            ledger.codes.append(code)   # read again: a widened column is a new object
+            ledger.codes.append(code)
             slices[-1].append((node_id, code))
 
     def close():
@@ -197,7 +195,7 @@ def test_the_code_column_widens_past_256_and_65536_handlings():
     book(0, 255)
     close()
     book(255)
-    intern_up_to(256)   # widens the open column, its row kept
+    intern_up_to(256)   # after a row booked: the whole group is sealed as 'H'
     book(256, 0)
     close()
     intern_up_to(65_535)
@@ -207,7 +205,7 @@ def test_the_code_column_widens_past_256_and_65536_handlings():
     intern_up_to(65_536)
     book(65_536, 7)
     close()
-    close()   # an empty slice keeps the widest type
+    close()   # an empty slice takes the table's type too
     del slices[-1]
     assert len(ledger.handlings) == 65_537
     assert [(nodes.typecode, codes.typecode) for nodes, codes in ledger.groups] == [
