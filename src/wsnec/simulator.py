@@ -34,8 +34,8 @@ booking loops append rows to the ledger's open slice, two typed columns
 (node, code), an exchange stage in one step, its codes following from its
 send count and refused receives; the run closes the slice when it ends,
 sealing it as the next row group, each column of the narrowest type that
-holds it (3 bytes a row in most runs), so groups line up with slices. The
-ledger hands each row out as a ``ChargeEntry`` when iterated. Every energy
+holds it, so groups line up with slices. The ledger hands each row out as
+a ``ChargeEntry`` when iterated. Every energy
 inside a run (batteries, residuals, prices) is a whole number of nanojoules
 in a float, exact below 2^53, so sums are exact in any order and a battery
 that lands on zero kills its node; a run rejects a battery or nonzero price
@@ -171,21 +171,19 @@ class Ledger:
     ``handlings`` is the run's table of ``(PacketKind, whole-nJ price,
     sends, receives)`` handlings; a row names one by its index there, its
     code. The booking loops append the slice being booked to the open
-    columns ``nodes`` (``'H'``, or ``'i'`` past 2^16 nodes) and ``codes``
-    (``'I'``, whose appends take the fast path that narrower types lack),
-    and ``close`` seals them as the next group of ``groups``, one per slice,
-    so no column outgrows one slice, its codes narrowed to ``'B'`` while the
-    table has at most 256 handlings, else to ``'H'`` up to 65,536 (relay
-    prices grow with queue depth). Entries, in joules, are built when read.
-    Nothing the ledger holds refers back to it, so reference counting alone
-    frees it.
+    columns ``nodes`` and ``codes`` (``'I'``, whose appends skip the
+    argument parsing of narrower types), and ``close`` seals them as the
+    next group of ``groups``, one per slice, so no column outgrows one
+    slice, each of the narrowest type for the run's node count or the
+    table's size. Entries, in joules, are built when read. Nothing the
+    ledger holds refers back to it, so reference counting alone frees it.
     """
 
-    __slots__ = ("groups", "nodes", "codes", "handlings", "_codes", "_weights", "__weakref__")
+    __slots__ = ("groups", "nodes", "codes", "handlings", "_node_count", "_codes", "_weights", "__weakref__")
 
     def __init__(self, node_count: int):
         self.groups: list[tuple[array, array]] = []
-        self.nodes, self.codes = array("H" if node_count <= 2 ** 16 else "i"), array("I")
+        self.nodes, self.codes, self._node_count = array("I"), array("I"), node_count
         self.handlings: list[tuple[PacketKind, float, int, int]] = []
         self._codes: dict[tuple[PacketKind, float, int, int], int] = {}
         self._weights = np.zeros((0, len(CONSTITUENT_ORDER) + 3))   # see ``close``
@@ -199,23 +197,20 @@ class Ledger:
         return code
 
     def close(self) -> tuple[ConstituentFlowVector, float, float, float]:
-        """Seal the open slice as the next group, its columns sized to its
-        rows, its codes of the narrowest type that holds the table, start an
-        empty one, and tally the sealed rows: their count per constituent,
-        their nJ, their sends and their receives, each handling's row count
-        times its one-hot flow slot, its price and its legs, exact below
-        2^53. The weights are rebuilt once the handling table has grown; it
-        only grows."""
-        wide, size = np.frombuffer(self.codes, np.uintc), len(self.handlings)
-        typecode = "B" if size <= 2 ** 8 else "H" if size <= 2 ** 16 else "I"
-        # The copy drops the spare capacity that reading bytes leaves.
-        nodes, codes = self.nodes[:], array(typecode, wide.astype(typecode).tobytes())[:]
-        self.groups.append((nodes, codes))
-        self.nodes, self.codes = array(nodes.typecode), array("I")
+        """Seal the open slice as the next group, its columns narrowed and
+        sized to its rows, start an empty one, and tally the sealed rows:
+        their count per constituent, their nJ, their sends and their
+        receives, each handling's row count times its one-hot flow slot, its
+        price and its legs, exact below 2^53. The weights are rebuilt once
+        the handling table has grown; it only grows."""
+        codes, size = np.frombuffer(self.codes, np.uintc), len(self.handlings)
+        self.groups.append((_narrowed(np.frombuffer(self.nodes, np.uintc), self._node_count),
+                            _narrowed(codes, size)))
+        self.nodes, self.codes = array("I"), array("I")
         if len(self._weights) != size:
             self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
                                       + tally for kind, *tally in self.handlings])
-        counts = np.bincount(wide, minlength=size)
+        counts = np.bincount(codes, minlength=size)
         *flows, energy, sends, receives = (counts @ self._weights).tolist()
         return ConstituentFlowVector(*flows), energy, sends, receives
 
@@ -228,6 +223,13 @@ class Ledger:
         for index, (nodes, codes) in enumerate(self.groups):
             yield from map(ChargeEntry, repeat(index, len(nodes)), nodes,
                            map(kinds.__getitem__, codes), map(joules.__getitem__, codes))
+
+
+def _narrowed(values: np.ndarray, bound: int) -> array:
+    """``values``, each below ``bound``, in the narrowest of ``'B'``, ``'H'``
+    and ``'I'``, with no spare capacity: ``[:]`` drops what reading bytes leaves."""
+    typecode = "B" if bound <= 2 ** 8 else "H" if bound <= 2 ** 16 else "I"
+    return array(typecode, values.astype(typecode).tobytes())[:]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ handlings, so those calls, each in the ledger's open slice, must be the
 ledger, row for row. The ledger keeps its rows in one group of two typed
 columns per slice, node ids and handling codes, each code naming a (kind,
 whole-nanojoule price, sends, receives) handling in the run's handling
-table; each sealed column takes the narrowest type that holds it, codes
-by the size of the table. It stays out of reference cycles, and a node's
-battery drop is exactly the sum of its rows.
+table; each sealed column takes the narrowest type that holds it, node ids
+by the run's node count and codes by the size of the table. It stays out
+of reference cycles, and a node's battery drop is exactly the sum of its
+rows.
 """
 
 import gc
@@ -95,17 +96,20 @@ def test_each_nodes_battery_drop_is_the_sum_of_its_rows(fields):
     assert all(booked)
 
 
-@pytest.mark.parametrize("fields", [{}, {"nodes": 200}], ids=["default", "200-nodes"])
-def test_ledger_costs_at_most_4_bytes_a_row(fields):
+@pytest.mark.parametrize("fields, typecodes, row_bytes", [
+    ({}, ("B", "B"), 3), ({"nodes": 200}, ("B", "B"), 3),
+    ({"nodes": 300, "area_width": 346.4, "area_height": 346.4, "total_slices": 20}, ("H", "B"), 4)],
+    ids=["default", "200-nodes", "300-nodes"])
+def test_ledger_costs_at_most_4_bytes_a_row(fields, typecodes, row_bytes):
     ledger = simulator.run(ScenarioConfig(**fields)).ledger
     columns = [column for group in ledger.groups for column in group]
-    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {("H", "B")}
+    assert {tuple(c.typecode for c in group) for group in ledger.groups} == {typecodes}
     assert all(len(nodes) == len(codes) for nodes, codes in ledger.groups)
     assert len(ledger) > 10_000
-    # 3 B a row, plus each column's header (160 B a slice, 0.96 B a row on
-    # the default run's 80 slices) and any spare capacity. Each group's
+    # 2 or 3 B a row, plus each column's header (160 B a slice, 0.96 B a row
+    # on the default run's 80 slices) and any spare capacity. Each group's
     # 2-tuple adds 56 B a slice (0.34 B a row), which this bound leaves out.
-    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= 4
+    assert sum(map(sys.getsizeof, columns)) / len(ledger) <= row_bytes
     assert all(sys.getsizeof(c) == sys.getsizeof(c[:]) for c in columns)   # no spare capacity
 
 
@@ -209,7 +213,7 @@ def test_sealed_codes_widen_past_256_and_65536_handlings():
     del slices[-1]
     assert len(ledger.handlings) == 65_537
     assert [(nodes.typecode, codes.typecode) for nodes, codes in ledger.groups] == [
-        ("H", "B"), ("H", "H"), ("H", "H"), ("H", "I"), ("H", "I")]
+        ("B", "B"), ("B", "H"), ("B", "H"), ("B", "I"), ("B", "I")]
     assert [list(zip(nodes, codes)) for nodes, codes in ledger.groups] == slices
     expected = []
     for rows in slices:
@@ -225,19 +229,16 @@ def test_sealed_codes_widen_past_256_and_65536_handlings():
         for index, rows in enumerate(slices) for node_id, code in rows]
 
 
-@pytest.mark.parametrize("nodes, typecode", [(2 ** 16, "H"), (2 ** 16 + 1, "i")])
+@pytest.mark.parametrize("nodes, typecode", [
+    (256, "B"), (257, "H"), (2 ** 16, "H"), (2 ** 16 + 1, "I")])
 def test_the_node_column_holds_the_highest_node_id(nodes, typecode):
-    sim = simulator.Simulation(ScenarioConfig(nodes=nodes, r_tx=0.0))
-    assert sim.ledger.nodes.typecode == typecode
-    ledger = Ledger(nodes)
+    # The simulation's own ledger, sealed by the run's node count.
+    ledger = simulator.Simulation(ScenarioConfig(nodes=nodes, r_tx=0.0)).ledger
     ledger.nodes.append(nodes - 1)
-    ledger.codes.append(ledger.code(PacketKind.SENSED, 1.0, 0, 0))
+    ledger.codes.append(0)
     ledger.close()
-    assert [e.node_id for e in ledger] == [nodes - 1]
     assert ledger.groups[0][0].typecode == typecode
-    if typecode == "H":   # 2^16 nodes have ids up to 65,535, the most 'H' holds
-        with pytest.raises(OverflowError):
-            ledger.nodes.append(nodes)
+    assert [e.node_id for e in ledger] == [nodes - 1]
 
 
 def test_reference_counting_alone_frees_the_ledger():
