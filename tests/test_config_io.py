@@ -21,6 +21,8 @@ from wsnec.estimation import ErrorReport, fit_ls
 from wsnec.policy import BudgetProblem, TaskDescriptor, select_tasks
 from wsnec.simulator import Phase, SliceRecord, run
 from wsnec.traceio import (
+    OBSERVATIONS_HEADER,
+    TASKS_HEADER,
     TRACE_HEADER,
     observations_from_slices,
     read_coefficients,
@@ -396,6 +398,53 @@ class TestTasksAndSchedule:
         path.write_text("id,constituent,pf_size,importance,mandatory\n1,local,1,1.0,maybe\n")
         with pytest.raises(ValueError, match="mandatory"):
             read_tasks(str(path))
+
+
+# Each CSV reader's messages, exactly: a wrong header, a row of the wrong
+# width, and the first problem in row order when a row that fails another
+# check comes before a row of the wrong width, and after it.
+READER_MESSAGES = {
+    "trace": (read_trace, TRACE_HEADER, "0,collection,1.0,2.0",
+              "1,collection,0.0,0.0,0.0,0.0,0.0,1.0,3", "1,nope,0.0,0.0,0.0,0.0,0.0,1.0,3",
+              "slice indices must increase (got 1 after 1)"),
+    "observations": (read_observations, OBSERVATIONS_HEADER, "0,1.0,2.0",
+                     "0,1.0,2.0,3.0,0.0,0.0,0.5", "x,1.0,2.0,3.0,0.0,0.0,0.5",
+                     "invalid literal for int() with base 10: 'x'"),
+    "task file": (read_tasks, TASKS_HEADER, "1,local,2",
+                  "1,local,2,1.0,true", "2,quantum,2,1.0,true",
+                  "unknown constituent 'quantum' in task row"),
+}
+ROW_NOUNS = {"trace": "trace", "observations": "observation", "task file": "task"}
+
+
+class TestReaderMessages:
+    def _error(self, tmp_path, what, lines):
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            READER_MESSAGES[what][0](str(path))
+        return str(exc.value)
+
+    @pytest.mark.parametrize("what", READER_MESSAGES)
+    def test_header(self, tmp_path, what):
+        header = READER_MESSAGES[what][1]
+        for lines in ([], [header + ",extra"], [header.upper()]):
+            assert self._error(tmp_path, what, lines) == (
+                f"{what} header must be exactly {header!r}")
+
+    @pytest.mark.parametrize("what", READER_MESSAGES)
+    def test_row_width(self, tmp_path, what):
+        _, header, short, valid, *_ = READER_MESSAGES[what]
+        for row in (short, valid + ",1", valid + ","):
+            assert self._error(tmp_path, what, [header, valid, row]) == (
+                f"malformed {ROW_NOUNS[what]} row: {row!r}")
+
+    @pytest.mark.parametrize("what", READER_MESSAGES)
+    def test_first_problem_in_row_order(self, tmp_path, what):
+        _, header, short, valid, bad, message = READER_MESSAGES[what]
+        assert self._error(tmp_path, what, [header, valid, bad, short]) == message
+        assert self._error(tmp_path, what, [header, valid, short, bad]) == (
+            f"malformed {ROW_NOUNS[what]} row: {short!r}")
 
 
 def test_observations_from_slices_masks_and_annotates():

@@ -76,6 +76,18 @@ DEPLETED_ROLLING_REPORT_8 = (
     ["windows fitted: 43  skipped: 30", "excluded from scoring: 16",
      "one-step MAPE: 12.408%  max: 43.673%"])
 
+# `fit --fit-fraction` on that trace, which books 0 J from slice 64 on: the
+# split reports whose scored slices include unscored ones, none scored at
+# 0.8. (SHA-256 of the report, the stdout lines that count and score them.)
+DEPLETED_SPLIT_REPORTS = {
+    "0.7": ("d0d790a0347ccfe81e5f665f2de35208632abdb61b845aff313bfac2607f7cad",
+            ["fit on 56 slices, scored 24", "excluded from scoring: 18",
+             "MAPE: 19.425%  max: 24.899%  dominant constituent: global"]),
+    "0.8": ("398f57b65fd83f8a4d9bb5e8cb401f3281270ab02bf5eaca3bfe27b5b0105c07",
+            ["fit on 64 slices, scored 16", "excluded from scoring: 16",
+             "MAPE: nan%  max: nan%  dominant constituent: global"]),
+}
+
 # SHA-256 of each run's per-slice phase string (I, C or M per slice) where
 # the pins above do not reach the run loop: short initializations, a repair
 # after every collection slice, repairs triggered only by probe timeouts,
@@ -254,6 +266,20 @@ def test_depleted_rolling_report_is_pinned(tmp_path, capsys):
     code = cli.main(["fit", "--input", str(trace), "--output", str(report), "--window", "8"])
     lines = capsys.readouterr().out.splitlines()
     digest, counted = DEPLETED_ROLLING_REPORT_8
+    assert code == 0
+    assert _sha256(report) == digest
+    assert lines[:3] == counted
+
+
+@pytest.mark.parametrize("fraction", DEPLETED_SPLIT_REPORTS)
+def test_depleted_split_reports_are_pinned(fraction, tmp_path, capsys):
+    trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+    records = simulator.run(config.ScenarioConfig(initial_battery=0.004)).records
+    traceio.write_trace(str(trace), records)
+    code = cli.main(["fit", "--input", str(trace), "--output", str(report),
+                     "--fit-fraction", fraction])
+    lines = capsys.readouterr().out.splitlines()
+    digest, counted = DEPLETED_SPLIT_REPORTS[fraction]
     assert code == 0
     assert _sha256(report) == digest
     assert lines[:3] == counted
