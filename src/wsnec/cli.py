@@ -42,24 +42,19 @@ def _parse_mask(text: str) -> tuple[bool, ...]:
 def _dominant(fit: estimation.FitResult, obs: estimation.ObservationSet) -> Constituent:
     """Constituent with the largest fitted alpha x total-flow energy share."""
     totals = obs.flows.sum(axis=0)
-    actives = [c for c, a in zip(CONSTITUENT_ORDER, obs.active) if a]
+    actives = fit.coefficients.active_constituents()
     shares = [fit.coefficients.get(c) * t for c, t in zip(actives, totals)]
     return actives[int(np.argmax(shares))]
 
 
 def _score(predictions: list[tuple[int, float, float]]) -> estimation.ErrorReport:
-    """Percentage errors of (slice, observed, predicted) rows. A percentage
-    error needs observed energy > 0, so the other rows read nan and stay out
-    of the summary, which reads nan when no row is scored."""
-    kept = [k for k, (_, energy, _) in enumerate(predictions) if energy > 0]
-    if len(kept) < len(predictions):
-        print(f"excluded from scoring: {len(predictions) - len(kept)}")
-    errors = (estimation.error_report([predictions[k][2] for k in kept],
-                                      [predictions[k][1] for k in kept])
-              if kept else estimation.ErrorReport((), np.nan, np.nan))
-    pct = dict(zip(kept, errors.pct_errors))
-    return estimation.ErrorReport(tuple(pct.get(k, np.nan) for k in range(len(predictions))),
-                                  errors.mape, errors.max_abs_pct)
+    """Percentage errors of (slice, observed, predicted) rows; prints the unscored count."""
+    errors = estimation.error_report([p for _, _, p in predictions],
+                                     [o for _, o, _ in predictions])
+    excluded = np.isnan(errors.pct_errors).sum()
+    if excluded:
+        print(f"excluded from scoring: {excluded}")
+    return errors
 
 
 def cmd_simulate(args) -> int:

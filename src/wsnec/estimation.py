@@ -95,11 +95,10 @@ class ObservationSet:
                           energies: Sequence[float], active=(True,) * 5,
                           slices=None) -> "ObservationSet":
         active = _mask_tuple(active)
-        cols = [i for i, a in enumerate(active) if a]
-        flows = np.array([[row[i] for i in cols] for row in (fv.as_tuple() for fv in flow_vectors)], float)
-        if flows.size == 0:
-            flows = flows.reshape(0, len(cols))
-        return cls(flows, np.asarray(list(energies), dtype=float), active,
+        flows = np.array([fv.as_tuple() for fv in flow_vectors], float).reshape(-1, 5)
+        # Picked columns come out Fortran-ordered, which the solve rounds differently.
+        return cls(np.ascontiguousarray(flows[:, np.flatnonzero(active)]),
+                   np.asarray(list(energies), dtype=float), active,
                    None if slices is None else tuple(slices))
 
     def rows(self, start: int, stop: int) -> "ObservationSet":
@@ -188,8 +187,7 @@ def predict_rows(coefficients: CoefficientVector, obs: ObservationSet) -> np.nda
     """Predicted energies for every observation row."""
     if obs.active != coefficients.active:
         raise ValueError("observation mask does not match coefficient mask")
-    alpha_active = np.array([a for a, act in zip(coefficients.alpha, coefficients.active) if act])
-    return obs.flows @ alpha_active
+    return obs.flows @ np.asarray(coefficients.alpha)[np.flatnonzero(coefficients.active)]
 
 
 @dataclass
@@ -202,18 +200,20 @@ class ErrorReport:
 def error_report(predictions: Sequence[float], observations: Sequence[float]) -> ErrorReport:
     """Percentage-error metrics of predictions against observed energies.
 
-    Per-slice errors are kept signed so spikes stay visible; the summary
-    metrics are absolute. Observed values must be strictly positive.
-    """
+    Per-row errors are kept signed so spikes stay visible; the summary
+    metrics are absolute. A percentage error needs observed energy > 0, so
+    any other row reads nan; the summary covers the scored rows, nan if none."""
     preds = np.asarray(list(predictions), dtype=float)
     obs = np.asarray(list(observations), dtype=float)
-    if preds.shape != obs.shape or preds.ndim != 1 or preds.size == 0:
-        raise ValueError("predictions and observations must be equal-length, nonempty vectors")
-    if np.any(obs <= 0):
-        raise ValueError("observed values must be > 0 for percentage metrics")
-    pct = (preds - obs) / obs * 100.0
-    return ErrorReport(tuple(float(p) for p in pct),
-                       float(np.mean(np.abs(pct))), float(np.max(np.abs(pct))))
+    if preds.shape != obs.shape or preds.ndim != 1:
+        raise ValueError("predictions and observations must be equal-length vectors")
+    scored = obs > 0
+    pct = np.full(obs.shape, np.nan)
+    pct[scored] = (preds[scored] - obs[scored]) / obs[scored] * 100.0
+    abs_pct = np.abs(pct[scored])
+    if not abs_pct.size:
+        return ErrorReport(tuple(pct.tolist()), np.nan, np.nan)
+    return ErrorReport(tuple(pct.tolist()), float(np.mean(abs_pct)), float(np.max(abs_pct)))
 
 
 @dataclass

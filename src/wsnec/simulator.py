@@ -459,12 +459,13 @@ class Simulation:
             node.link = None if not node.alive else (
                 sink_links[node.node_id] or select_next_hop(node, nodes))
 
-    def _exchanges(self, stage, kind: PacketKind, probe: bool) -> None:
+    def _exchanges(self, stage, kind: PacketKind) -> None:
         """Book one exchange stage over lazy (sender, ``Neighbor`` entries)
-        items, skipping a sender dead at its turn. A probe keeps the residual
-        of a neighbor that answers; a silent one is marked not known-alive, and
-        a silent next hop schedules a repair. Refused receives are cut out."""
-        book, nodes = charge, self.nodes
+        items, skipping a sender dead at its turn. Every kind but a routing
+        announcement probes: a probe keeps the residual of a neighbor that
+        answers; a silent one is marked not known-alive, and a silent next
+        hop schedules a repair. Refused receives are cut out."""
+        book, nodes, probe = charge, self.nodes, kind is not PacketKind.ROUTING_INFO
         (send_cost, send_code), (recv_cost, recv_code) = self._send[kind], self._recv[kind]
         ids, refused = [], []
         add_id = ids.append
@@ -507,7 +508,7 @@ class Simulation:
         stage = _links(self.nodes) if full_refresh else (
             (node, (link,)) for node in self.nodes
             if (link := node.link) is not None and link.node_id != SINK_ID)
-        self._exchanges(stage, PacketKind.NEIGHBOR_INFO, probe=True)
+        self._exchanges(stage, PacketKind.NEIGHBOR_INFO)
 
     # -- sensing and relaying ------------------------------------------------
 
@@ -617,13 +618,9 @@ class Simulation:
     def _route_setup(self, participants: list[NodeState]) -> None:
         """Topology probes from every alive participant, their next hops
         recomputed, then a routing announcement to each of their neighbors."""
-        self._exchanges(_links(participants), PacketKind.TOPOLOGY_INFO, probe=True)
+        self._exchanges(_links(participants), PacketKind.TOPOLOGY_INFO)
         self._route(participants)
-        self._exchanges(_links(participants), PacketKind.ROUTING_INFO, probe=False)
-
-    def _maintenance_work(self) -> None:
-        self._route_setup(self._repair_participants())
-        self._repair_triggers.clear()
+        self._exchanges(_links(participants), PacketKind.ROUTING_INFO)
 
     # -- initialization --------------------------------------------------------
 
@@ -633,7 +630,6 @@ class Simulation:
         Short initializations fold the stages together."""
         n = self.cfg.init_slices
         first, last = idx == 0, idx == n - 1
-        do_handshake = (n == 1) or (n == 2 and first) or (n >= 3 and not first and not last)
         if first:
             (cost, code), ledger = self._warmup, self.ledger
             for node in self.nodes:
@@ -645,7 +641,7 @@ class Simulation:
                     else:
                         ledger.nodes.append(node.node_id)
                         ledger.codes.append(code)
-        if do_handshake:
+        if first if n <= 2 else not (first or last):
             self._monitoring(full_refresh=True)
         if last:
             self._route_setup(self.nodes)
@@ -660,8 +656,6 @@ class Simulation:
         repair_next, since_repair = False, 0
         records: list[SliceRecord] = []
         for index in range(cfg.total_slices):
-            if not any(map(alive, self.nodes)):
-                break
             if index < cfg.init_slices:
                 phase = Phase.INITIALIZATION
                 self._init_work(index)
@@ -670,7 +664,8 @@ class Simulation:
                 period = cfg.monitor_period
                 self._collection_work(period > 0 and (index - cfg.init_slices) % period == 0)
                 if repair_next:
-                    self._maintenance_work()
+                    self._route_setup(self._repair_participants())
+                    self._repair_triggers.clear()
                     since_repair = 0
                 else:
                     since_repair += 1
@@ -687,6 +682,8 @@ class Simulation:
                 energy_j=energy / 1e9,
                 alive_nodes=sum(map(alive, self.nodes)),
             ))
+            if not records[-1].alive_nodes:
+                break
         return RunResult(
             records=records,
             nodes=self.nodes,

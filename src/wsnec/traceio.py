@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector
 from .estimation import ErrorReport, FitResult, ObservationSet, RollingFit
@@ -35,13 +35,19 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path: str, header: str, what: str) -> list[str]:
-    """The non-blank lines after ``header``, which must be the first one."""
+def _read_rows(path: str, header: str, what: str, row: str) -> Iterator[list[str]]:
+    """The fields of each non-blank line after ``header``, which must be the
+    first one; each line's field count is checked against the header's as it is reached."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
     if not lines or lines[0] != header:
         raise ValueError(f"{what} header must be exactly {header!r}")
-    return lines[1:]
+    width = header.count(",") + 1
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != width:
+            raise ValueError(f"malformed {row} row: {ln!r}")
+        yield parts
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +70,7 @@ def read_trace(path: str) -> list[SliceRecord]:
     """Read a trace file back into slice records."""
     records = []
     previous = None
-    for ln in _read_lines(path, TRACE_HEADER, "trace"):
-        parts = ln.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"malformed trace row: {ln!r}")
+    for parts in _read_rows(path, TRACE_HEADER, "trace", "trace"):
         index = int(parts[0])
         if previous is not None and index <= previous:
             raise ValueError(f"slice indices must increase (got {index} after {previous})")
@@ -102,10 +105,7 @@ def write_observations(path: str, rows: Sequence[tuple[int, ConstituentFlowVecto
 def read_observations(path: str,
                       active=(True, True, True, False, False)) -> ObservationSet:
     flows, energies, runs = [], [], []
-    for ln in _read_lines(path, OBSERVATIONS_HEADER, "observations"):
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"malformed observation row: {ln!r}")
+    for parts in _read_rows(path, OBSERVATIONS_HEADER, "observations", "observation"):
         runs.append(int(parts[0]))
         flows.append(ConstituentFlowVector(*map(float, parts[1:6])))
         energies.append(float(parts[6]))
@@ -148,8 +148,8 @@ def write_rolling_report(path: str, rolling: RollingFit,
     lines = ["window_start,window_stop,constituent,alpha"]
     for wf in rolling.fits:
         coeffs = wf.result.coefficients
-        lines += [f"{wf.start},{wf.stop},{c.value},{_fmt(a)}"
-                  for c, a, on in zip(CONSTITUENT_ORDER, coeffs.alpha, coeffs.active) if on]
+        lines += [f"{wf.start},{wf.stop},{c.value},{_fmt(coeffs.get(c))}"
+                  for c in coeffs.active_constituents()]
     _write_lines(path, lines + _prediction_lines(predictions, errors, "skipped_windows",
                                                  len(rolling.skipped)))
 
@@ -167,8 +167,7 @@ def read_coefficients(path: str) -> CoefficientVector:
     if header[0] != "constituent" or "alpha" not in header:
         raise ValueError("model file must start with a constituent,alpha block")
     alpha_col = header.index("alpha")
-    alpha = [0.0] * 5
-    active = [False] * 5
+    alphas: dict[Constituent, float] = {}
     for ln in blocks[0][1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
@@ -176,12 +175,11 @@ def read_coefficients(path: str) -> CoefficientVector:
         constituent = _CONSTITUENTS.get(parts[0])
         if constituent is None:
             raise ValueError(f"unknown constituent {parts[0]!r}")
-        k = CONSTITUENT_ORDER.index(constituent)
-        if active[k]:
+        if constituent in alphas:
             raise ValueError(f"constituent {parts[0]!r} listed twice in model file")
-        alpha[k] = float(parts[alpha_col])
-        active[k] = True
-    return CoefficientVector(alpha, active)
+        alphas[constituent] = float(parts[alpha_col])
+    return CoefficientVector([alphas.get(c, 0.0) for c in CONSTITUENT_ORDER],
+                             [c in alphas for c in CONSTITUENT_ORDER])
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +187,8 @@ def read_coefficients(path: str) -> CoefficientVector:
 
 def read_tasks(path: str) -> list[TaskDescriptor]:
     tasks = []
-    for ln in _read_lines(path, TASKS_HEADER, "task file"):
-        parts = [p.strip() for p in ln.split(",")]
-        if len(parts) != 5:
-            raise ValueError(f"malformed task row: {ln!r}")
+    for parts in _read_rows(path, TASKS_HEADER, "task file", "task"):
+        parts = [p.strip() for p in parts]
         constituent = _CONSTITUENTS.get(parts[1])
         if constituent is None:
             raise ValueError(f"unknown constituent {parts[1]!r} in task row")

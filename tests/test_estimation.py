@@ -188,9 +188,44 @@ class TestErrorReport:
         assert report.max_abs_pct == pytest.approx(max(abs(x) for x in pct), rel=1e-12)
         assert report.pct_errors == pytest.approx(tuple(pct), rel=1e-12)
 
-    def test_zero_observation_rejected(self):
-        with pytest.raises(ValueError):
-            error_report([1.0], [0.0])
+    def test_unscored_rows_read_nan(self):
+        # A percentage error needs observed energy > 0: zero and negative
+        # observations read nan, and the summary covers the other rows.
+        report = error_report([1.0, 87.0, 2.0, 110.0, 3.0], [0.0, 100.0, -1.0, 100.0, -0.0])
+        assert [math.isnan(p) for p in report.pct_errors] == [True, False, True, False, True]
+        assert report.pct_errors[1] == pytest.approx(-13.0, rel=1e-12)
+        assert report.pct_errors[3] == pytest.approx(10.0, rel=1e-12)
+        assert report.mape == pytest.approx(11.5, rel=1e-12)
+        assert report.max_abs_pct == pytest.approx(13.0, rel=1e-12)
+        # With no row scored, or no row at all, the summary reads nan.
+        for preds, obs in (([1.0], [0.0]), ([1.0, 2.0], [-1.0, 0.0]), ([], [])):
+            report = error_report(preds, obs)
+            assert len(report.pct_errors) == len(obs)
+            assert all(math.isnan(p) for p in report.pct_errors)
+            assert math.isnan(report.mape) and math.isnan(report.max_abs_pct)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(-1e3, 1e3),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))),
+        max_size=30))
+    def test_matches_a_loop_over_rows(self, rows):
+        pct, scored = [], []
+        for predicted, observed in rows:
+            if observed > 0:
+                pct.append((predicted - observed) / observed * 100.0)
+                scored.append(abs(pct[-1]))
+            else:
+                pct.append(math.nan)
+        report = error_report([p for p, _ in rows], [o for _, o in rows])
+        assert len(report.pct_errors) == len(rows)
+        for got, want in zip(report.pct_errors, pct):
+            assert got == want or math.isnan(got) and math.isnan(want)
+        if scored:
+            assert report.mape == pytest.approx(sum(scored) / len(scored), rel=1e-12)
+            assert report.max_abs_pct == max(scored)
+        else:
+            assert math.isnan(report.mape) and math.isnan(report.max_abs_pct)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
