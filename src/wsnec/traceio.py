@@ -148,8 +148,8 @@ def write_rolling_report(path: str, rolling: RollingFit,
     lines = ["window_start,window_stop,constituent,alpha"]
     for wf in rolling.fits:
         coeffs = wf.result.coefficients
-        lines += [f"{wf.start},{wf.stop},{c.value},{_fmt(coeffs.get(c))}"
-                  for c in coeffs.active_constituents()]
+        lines += [f"{wf.start},{wf.stop},{c.value},{_fmt(a)}"
+                  for c, a, on in zip(CONSTITUENT_ORDER, coeffs.alpha, coeffs.active) if on]
     _write_lines(path, lines + _prediction_lines(predictions, errors, "skipped_windows",
                                                  len(rolling.skipped)))
 
