@@ -44,6 +44,14 @@ COMMANDS = {
                        "<tmp>/model.csv", "--fit-fraction", "0.7"], ["model.csv"]),
     "fit-window-20": (["fit", "--input", "<tmp>/trace-1.csv", "--output",
                        "<tmp>/rolling-20.csv", "--window", "20"], ["rolling-20.csv"]),
+    # Masks that are not a leading run of constituents, so that a column
+    # pick taking the first n alphas shows.
+    "fit-window-20-individual-global": (
+        ["fit", "--input", "<tmp>/trace-1.csv", "--output", "<tmp>/rolling-20-ig.csv",
+         "--window", "20", "--mask", "individual,global"], ["rolling-20-ig.csv"]),
+    "fit-split-0.7-local-global": (
+        ["fit", "--input", "<tmp>/trace-1.csv", "--output", "<tmp>/model-lg.csv",
+         "--fit-fraction", "0.7", "--mask", "local,global"], ["model-lg.csv"]),
     **{f"budget-{battery}J": (["budget", "--tasks", "<tmp>/tasks-64.csv", "--model",
                                "<tmp>/model.csv", "--battery", battery, "--output",
                                f"<tmp>/schedule-{battery}J.csv"], [f"schedule-{battery}J.csv"])

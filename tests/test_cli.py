@@ -293,6 +293,17 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--output", str(b), "--runs", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("runs_args, rows", [([], 50), (["--runs", "3"], 3)])
+    def test_no_sweep_section_is_the_default_sweep(self, tmp_path, runs_args, rows):
+        written = []
+        for name, text in (("bare.ini", MINIMAL), ("empty.ini", MINIMAL + "[sweep]\n")):
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["sweep", "--config", write_cfg(tmp_path, text, name),
+                             "--output", str(out), *runs_args]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert read_observations(str(tmp_path / "bare.ini.csv"), active=(True,) * 5).n_obs == rows
+
     def test_fractional_integer_range_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\nruns = 3\nmonitor_period = 2.5:2.7\n")
         out = tmp_path / "o.csv"
