@@ -79,15 +79,7 @@ def cmd_fit(args) -> int:
 
     if args.window is not None:
         rolling = estimation.rolling_fit(obs, args.window)
-        # Each fitted window predicts the slice after it, when there is one;
-        # a rank-deficient window predicts nothing.
-        fitted = [wf for wf in rolling.fits if wf.stop < obs.n_obs]
-        targets = [wf.stop for wf in fitted]
-        alphas = np.array([wf.result.coefficients.alpha for wf in fitted]).reshape(-1, 5)
-        alphas = alphas[:, np.flatnonzero(obs.active)]
-        predicted = np.matmul(obs.flows[targets, None, :], alphas[..., None])[:, 0, 0]
-        predictions = [(obs.slices[t], float(obs.energy[t]), p)
-                       for t, p in zip(targets, predicted.tolist())]
+        predictions = [(obs.slices[t], float(obs.energy[t]), p) for t, p in rolling.predictions]
         print(f"windows fitted: {len(rolling.fits)}  skipped: {len(rolling.skipped)}")
         errors = _score(predictions)
         traceio.write_rolling_report(args.output, rolling, predictions, errors)

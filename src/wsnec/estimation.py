@@ -227,16 +227,19 @@ class WindowFit:
 class RollingFit:
     fits: list[WindowFit] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)   # (start, reason)
+    predictions: list[tuple[int, float]] = field(default_factory=list)   # (row, predicted)
 
 
 def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
-    """Refit the model on every length-``window`` run of consecutive rows.
+    """Refit the model on every length-``window`` run of consecutive rows, and
+    predict the row after each fitted window, if any: its flows times the window's alphas.
 
-    Rank-deficient windows are recorded in ``skipped`` and do not abort the
-    sweep; the window must exceed the constituent count and fit in the data.
-    Every window gets the fit ``fit_ls`` would give it, bit for bit: the
-    windows are strided views of the observations, and each block of windows
-    (sized by ``WINDOW_BLOCK_VALUES``) is one call of the stacked solve.
+    Rank-deficient windows are recorded in ``skipped``, predict nothing and do not abort
+    the sweep; the window must exceed the constituent count and fit in the data.
+    Every window gets the fit ``fit_ls`` would give it, bit for bit: the windows are
+    strided views of the observations, and each block of windows (sized by
+    ``WINDOW_BLOCK_VALUES``) is one call of the stacked solve. One stacked ``matmul``
+    over C-ordered alphas makes each prediction the one-row dot, bit for bit.
     """
     n = obs.n_constituents
     if window <= n:
@@ -254,4 +257,9 @@ def rolling_fit(obs: ObservationSet, window: int) -> RollingFit:
                 out.skipped.append((start, str(fit)))
             else:
                 out.fits.append(WindowFit(start, start + window, fit))
+    fitted = [wf for wf in out.fits if wf.stop < obs.n_obs]
+    alphas = np.array([wf.result.coefficients.alpha for wf in fitted]).reshape(-1, 5)
+    alphas = np.take(alphas, np.flatnonzero(obs.active), axis=1)   # C-ordered, unlike [:, cols]
+    predicted = np.matmul(obs.flows[[wf.stop for wf in fitted], None, :], alphas[..., None])
+    out.predictions = [(wf.stop, p) for wf, p in zip(fitted, predicted[:, 0, 0].tolist())]
     return out

@@ -371,6 +371,11 @@ def assert_rolling_matches_reference(obs, window):
     assert [(wf.start, wf.stop) for wf in rolling.fits] == [(s, s + window) for s, _ in fits]
     for wf, (_, ref) in zip(rolling.fits, fits):
         assert_same_fit(wf.result, ref)
+    # Each fitted window predicts the row after it, if any, with a one-row dot.
+    active = np.flatnonzero(obs.active)
+    assert rolling.predictions == [
+        (start + window, float(obs.flows[start + window] @ np.asarray(ref.coefficients.alpha)[active]))
+        for start, ref in fits if start + window < obs.n_obs]
     return rolling
 
 
