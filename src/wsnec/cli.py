@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import estimation, policy, simulator, traceio
-from .config import SWEEPABLE, SweepConfig, load_config, with_overrides
+from .config import SWEEPABLE, load_config, with_overrides
 from .energy_core import CONSTITUENT_ORDER, Constituent, ConstituentFlowVector, bound
 
 EXIT_OK = 0
@@ -107,26 +107,25 @@ def cmd_fit(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=_seed_override(args))
     if args.runs is not None:
-        cfg = replace(cfg, sweep=replace(cfg.sweep or SweepConfig(), runs=args.runs))
-    sweep = cfg.sweep or SweepConfig()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, runs=args.runs))
     master = random.Random(cfg.seed)
     rows = []
-    for run_index in range(sweep.runs):
+    for run_index in range(cfg.sweep.runs):
         sampled = {}
-        for name, (low, high) in sweep.ranges:
+        for name, (low, high) in cfg.sweep.ranges:
             if SWEEPABLE[name]:
                 sampled[name] = master.randint(int(low), int(high))
             else:
                 sampled[name] = master.uniform(low, high)
         run_seed = master.getrandbits(32)
-        run_cfg = with_overrides(cfg, seed=run_seed, sweep=None, **sampled)
+        run_cfg = with_overrides(cfg, seed=run_seed, **sampled)
         result = simulator.run(run_cfg)
         # Integer-valued flows, so the plain sums are exact.
         total = ConstituentFlowVector(*map(sum, zip(*(rec.flows.as_tuple()
                                                      for rec in result.records))))
         rows.append((run_index, total, result.ledger_total))
     traceio.write_observations(args.output, rows)
-    print(f"sweep: {sweep.runs} runs, master seed {cfg.seed}")
+    print(f"sweep: {cfg.sweep.runs} runs, master seed {cfg.seed}")
     print(f"observations written to {args.output}")
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Scenario configuration: defaults, INI loading and total validation.
 
-A scenario is described by a plain-text INI file with one section per
-concern: ``[sim]`` for the network and workload, ``[energy]`` for the
-per-resource packet prices, ``[mix]`` for the constituent resource-weight
-matrix, ``[radio]`` for the per-bit radio model and ``[sweep]`` for batch-run
-parameter ranges. Every key has a default, so a minimal file is just::
+A scenario is described by a plain-text INI file with one section per concern:
+``[sim]`` for the network and workload, ``[energy]`` for the per-resource packet
+prices, ``[mix]`` for the constituent resource-weight matrix, ``[radio]`` for the
+per-bit radio model and ``[sweep]`` for batch-run parameter ranges. Every key has a
+default, and a file without ``[sweep]`` gets the default sweep; a minimal file is just::
 
     [sim]
     seed = 1
@@ -99,7 +99,7 @@ class ScenarioConfig:
     profile: ResourcePowerProfile = DEFAULT_PROFILE
     mix: ConstituentResourceMix = DEFAULT_MIX
     radio: RadioModelParams = RadioModelParams()
-    sweep: SweepConfig | None = None
+    sweep: SweepConfig = SweepConfig()
 
     def __post_init__(self):
         violations = scenario_violations(self)
@@ -142,10 +142,9 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
                    f"[0, {cfg.area_width!r}] x [0, {cfg.area_height!r}]")
     if cfg.total_slices < cfg.init_slices:
         out.append(f"total_slices ({cfg.total_slices}) must cover init_slices ({cfg.init_slices})")
-    sweep = cfg.sweep or SweepConfig()   # the default sweep is valid
-    if sweep.runs < 1:
-        out.append(f"sweep runs must be >= 1 (got {sweep.runs!r})")
-    for name, (low, high) in sweep.ranges:
+    if cfg.sweep.runs < 1:
+        out.append(f"sweep runs must be >= 1 (got {cfg.sweep.runs!r})")
+    for name, (low, high) in cfg.sweep.ranges:
         if name not in SWEEPABLE:
             out.append(f"sweep parameter {name!r} is not sweepable "
                        f"(choose from {sorted(SWEEPABLE)})")
@@ -262,8 +261,7 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
     mix_rows = dict(zip(_SCHEMAS["mix"], DEFAULT_MIX.rows)) | read["mix"]
     ranges = read["sweep"]
-    sweep = (SweepConfig(ranges.pop("runs", SweepConfig.runs), ranges)
-             if parser.has_section("sweep") else None)
+    sweep = SweepConfig(ranges.pop("runs", SweepConfig.runs), ranges)
 
     # Each sub-model stops at its first violation; a failed one is left at
     # its default, so that the scenario's own checks still run.
