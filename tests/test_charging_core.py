@@ -570,6 +570,25 @@ def test_radio_audit_unchanged_on_depleted_scenario():
     assert (result.delivered, result.dropped, len(result.ledger)) == (20, 4659, 1375)
 
 
+@pytest.mark.parametrize("battery, outcome, alive, first_death, below_warmup", [
+    (0.5, (779, 559, 13302), 25, None, 0),
+    (0.05, (581, 1397, 11491), 22, 53, 7),
+    (0.02, (257, 3680, 5756), 23, 25, 17),
+    (0.004, (20, 4659, 1375), 24, 25, 23),
+    (0.001, (0, 3205, 357), 17, 2, 15),
+])
+def test_depletion_outcomes_of_the_sample_scenario(battery, outcome, alive, first_death,
+                                                   below_warmup):
+    # (delivered, dropped, ledger rows), the nodes alive after the last slice,
+    # the first slice that ends with a death, and the live nodes left with less
+    # than the 50,000 nJ of the cheapest handling, a warm-up reading.
+    result = Simulation(ScenarioConfig(initial_battery=battery)).run()
+    assert (result.delivered, result.dropped, len(result.ledger)) == outcome
+    assert result.records[-1].alive_nodes == alive
+    assert next((rec.index for rec in result.records if rec.alive_nodes < 25), None) == first_death
+    assert sum(node.alive and node.battery < 50_000 for node in result.nodes) == below_warmup
+
+
 def test_radio_audit_unchanged_under_mix_charging():
     # Mix charging prices a handling by its kind alone, so handlings that send
     # and ones that do not share a kind and a price: a warm-up and a

@@ -98,6 +98,16 @@ class TestScenarioConfig:
         assert "nodes" not in SWEEPABLE and "g_tx" not in SWEEPABLE
         assert SWEEPABLE["maintenance_period"] and not SWEEPABLE["r_sense"]
 
+    def test_every_numeric_field_declares_its_boundary(self):
+        # seed has its own check (float() of a huge int overflows), and the
+        # sink is checked against the area.
+        numeric = {f.name for f in dataclasses.fields(ScenarioConfig)
+                   if type(f.default) in (int, float)}
+        assert set(config._BOUNDS) == numeric - {"seed", "sink_x", "sink_y"}
+        assert SWEEPABLE == {"event_rate": False, "r_sense": False, "g_sense": False,
+                             "r_tx": False, "initial_battery": False, "maintenance_period": True,
+                             "monitor_period": True, "warmup_packets": True}
+
 
 class TestLoadConfig:
     def test_minimal_file(self, tmp_path):
