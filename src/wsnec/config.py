@@ -20,6 +20,11 @@ Each section has one schema, its keys with the converter of each value
 (``[mix]`` has one key per constituent, ``[sweep]`` ``runs`` and one
 ``low:high`` range per sweepable parameter). One loop reads every section
 through its schema, and ``sample_config`` writes the keys of the same schemas.
+
+Each bounded ``[sim]`` field declares, in its ``ScenarioConfig`` line, its
+default, its boundary (``>=`` or ``>`` a threshold) and whether a sweep may
+draw it. The boundary map and ``SWEEPABLE`` are derived from those fields, and
+the scenario's and the sweep ranges' checks read their rule and message from it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import operator
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .energy_core import CONSTITUENT_ORDER, ConstituentResourceMix, ResourcePowerProfile
@@ -70,31 +76,37 @@ class SweepConfig:
         object.__setattr__(self, "ranges", tuple(sorted(dict(self.ranges).items())))
 
 
+def _param(default, op: str, threshold: int, sweep: bool = False):
+    """A bounded [sim] field: its default, the boundary ``value op threshold``
+    (``op`` is ">=" or ">") and whether a sweep may draw it."""
+    return field(default=default, metadata={"bound": (op, threshold), "sweep": sweep})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # network and workload
+    # network and workload; seed and the sink have checks of their own
     seed: int = 1
-    nodes: int = 25
-    area_width: float = 100.0
-    area_height: float = 100.0
+    nodes: int = _param(25, ">=", 1)
+    area_width: float = _param(100.0, ">", 0)
+    area_height: float = _param(100.0, ">", 0)
     sink_x: float = 5.0
     sink_y: float = 5.0
-    r_tx: float = 30.0
-    r_sense: float = 12.0
-    g_sense: float = 0.05
-    delta_t: float = 1.0
-    init_slices: int = 3
-    total_slices: int = 80
-    event_rate: float = 18.0         # area events per slice
-    initial_battery: float = 0.5     # joules per node
-    bits_per_packet: int = 1024
-    maintenance_period: int = 8      # slices between periodic repairs; 0 = never
-    repair_radius_hops: int = 0      # 0 = whole network participates
-    monitor_period: int = 10         # full neighbor-table refresh interval; 0 = off
+    r_tx: float = _param(30.0, ">=", 0, sweep=True)
+    r_sense: float = _param(12.0, ">", 0, sweep=True)
+    g_sense: float = _param(0.05, ">=", 0, sweep=True)
+    delta_t: float = _param(1.0, ">", 0)
+    init_slices: int = _param(3, ">=", 0)
+    total_slices: int = _param(80, ">=", 1)
+    event_rate: float = _param(18.0, ">=", 0, sweep=True)  # area events per slice
+    initial_battery: float = _param(0.5, ">", 0, sweep=True)  # joules per node
+    bits_per_packet: int = _param(1024, ">=", 1)
+    maintenance_period: int = _param(8, ">=", 0, sweep=True)  # slices per periodic repair; 0 = never
+    repair_radius_hops: int = _param(0, ">=", 0)  # 0 = whole network participates
+    monitor_period: int = _param(10, ">=", 0, sweep=True)  # full neighbor refresh interval; 0 = off
     monitoring: bool = True
     scheduling: bool = True
-    warmup_packets: int = 2          # boot-time sensor readings per node (first init slice)
-    mix_charging: bool = False       # charge packets by mix row instead of handling usage
+    warmup_packets: int = _param(2, ">=", 0, sweep=True)  # boot readings per node, first init slice
+    mix_charging: bool = False  # charge packets by mix row instead of handling usage
     # sub-models
     profile: ResourcePowerProfile = DEFAULT_PROFILE
     mix: ConstituentResourceMix = DEFAULT_MIX
@@ -107,34 +119,23 @@ class ScenarioConfig:
             raise ConfigError(violations)
 
 
-#: Boundary name and predicate per scalar field, reused for sweep ranges.
-_BOUNDS: dict[str, tuple[str, Callable[[float], bool]]] = {
-    "nodes": ("nodes >= 1", lambda v: v >= 1),
-    "area_width": ("area_width > 0", lambda v: v > 0),
-    "area_height": ("area_height > 0", lambda v: v > 0),
-    "r_tx": ("r_tx >= 0", lambda v: v >= 0),
-    "r_sense": ("r_sense > 0", lambda v: v > 0),
-    "g_sense": ("g_sense >= 0", lambda v: v >= 0),
-    "delta_t": ("delta_t > 0", lambda v: v > 0),
-    "init_slices": ("init_slices >= 0", lambda v: v >= 0),
-    "total_slices": ("total_slices >= 1", lambda v: v >= 1),
-    "event_rate": ("event_rate >= 0", lambda v: v >= 0),
-    "initial_battery": ("initial_battery > 0", lambda v: v > 0),
-    "bits_per_packet": ("bits_per_packet >= 1", lambda v: v >= 1),
-    "maintenance_period": ("maintenance_period >= 0", lambda v: v >= 0),
-    "repair_radius_hops": ("repair_radius_hops >= 0", lambda v: v >= 0),
-    "monitor_period": ("monitor_period >= 0", lambda v: v >= 0),
-    "warmup_packets": ("warmup_packets >= 0", lambda v: v >= 0),
-}
+#: Boundary (op, threshold) per bounded [sim] field, in field order, reused for
+#: sweep ranges; and the fields a sweep may draw, each flagged when it is an
+#: integer (drawn with randint).
+_BOUNDS: dict[str, tuple[str, int]] = {
+    f.name: f.metadata["bound"] for f in fields(ScenarioConfig) if "bound" in f.metadata}
+SWEEPABLE: dict[str, bool] = {
+    f.name: type(f.default) is int for f in fields(ScenarioConfig) if f.metadata.get("sweep")}
+_HOLDS = {">=": operator.ge, ">": operator.gt}
 
 
 def scenario_violations(cfg: ScenarioConfig) -> list[str]:
     """Every boundary violated by the scenario, as human-readable strings."""
     out = []
-    for name, (boundary, ok) in _BOUNDS.items():
+    for name, (op, threshold) in _BOUNDS.items():
         value = getattr(cfg, name)
-        if not (math.isfinite(float(value)) and ok(value)):
-            out.append(f"parameter boundary {boundary} violated (got {value!r})")
+        if not (math.isfinite(float(value)) and _HOLDS[op](value, threshold)):
+            out.append(f"parameter boundary {name} {op} {threshold} violated (got {value!r})")
     if not cfg.seed >= 0:   # random.Random seeds with |seed|
         out.append(f"parameter boundary seed >= 0 violated (got {cfg.seed!r})")
     if not (0 <= cfg.sink_x <= cfg.area_width and 0 <= cfg.sink_y <= cfg.area_height):
@@ -156,19 +157,11 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
         if SWEEPABLE[name] and not (float(low).is_integer() and float(high).is_integer()):
             out.append(f"sweep range {low!r}:{high!r} for integer {name} needs whole-number ends")
             continue
-        boundary, ok = _BOUNDS[name]
-        if not (ok(low) and ok(high)):
+        op, threshold = _BOUNDS[name]
+        if not (_HOLDS[op](low, threshold) and _HOLDS[op](high, threshold)):
             out.append(f"sweep range {low!r}:{high!r} for {name} violates "
-                       f"parameter boundary {boundary}")
+                       f"parameter boundary {name} {op} {threshold}")
     return out
-
-
-#: Parameters cmd_sweep may randomize, each flagged when its [sim] field is an
-#: integer (drawn with randint).
-SWEEPABLE: dict[str, bool] = {
-    name: type(getattr(ScenarioConfig, name)) is int
-    for name in ("event_rate", "r_sense", "g_sense", "r_tx", "initial_battery",
-                 "maintenance_period", "monitor_period", "warmup_packets")}
 
 
 # ---------------------------------------------------------------------------
