@@ -55,7 +55,7 @@ def _mask_tuple(active) -> tuple[bool, bool, bool, bool, bool]:
     return active
 
 
-@dataclass
+@dataclass(eq=False)
 class ObservationSet:
     """M observations of active-constituent flows and energies, optionally slice- or run-labelled."""
 
@@ -107,7 +107,7 @@ class ObservationSet:
             None if self.slices is None else self.slices[start:stop])
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     coefficients: CoefficientVector
     residuals: np.ndarray

@@ -284,6 +284,20 @@ class TestRollingFit:
         assert rolling.fits  # healthy windows still fitted
 
 
+def test_fit_values_compare_by_identity():
+    # Observations and fits hold arrays, whose == is elementwise; they compare
+    # by identity, so == between them, and between rolling fits, is a bool.
+    rng = np.random.default_rng(47)
+    b = rng.uniform(1, 50, size=(30, 3))
+    e = b @ np.array([1e-4, 2e-4, 3e-4])
+    obs, twin = obs_from_arrays(b, e), obs_from_arrays(b.copy(), e.copy())
+    fit, rolling = fit_ls(obs), rolling_fit(obs, 10)
+    assert (obs == obs) is True and (obs == twin) is False
+    assert (fit == fit) is True and (fit == fit_ls(obs)) is False
+    assert (rolling == rolling) is True and (rolling == rolling_fit(obs, 10)) is False
+    assert (rolling.fits[0] == rolling.fits[0]) is True
+
+
 def reference_fit_ls(obs: ObservationSet) -> FitResult:
     """The one-window fit that the stacked ``_solve`` replaces, verbatim: one
     2-D SVD and one 2-D solve per call, sharing no solver code with ``estimation``."""
