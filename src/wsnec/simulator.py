@@ -633,8 +633,6 @@ class Simulation:
         if first:
             (cost, code), ledger = self._warmup, self.ledger
             for node in self.nodes:
-                if not node.alive:
-                    continue
                 for _ in range(self.cfg.warmup_packets):
                     if charge(node, cost) is None:
                         self.dropped += 1
