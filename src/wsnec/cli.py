@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sweep", help="run seeded scenario batches over parameter ranges")
-    p.add_argument("--config", required=True, help="scenario INI file with a [sweep] section")
+    p.add_argument("--config", required=True, help="scenario INI file; its [sweep] section is optional")
     p.add_argument("--output", required=True, help="observations CSV to write")
     p.add_argument("--runs", type=int, help="override the configured run count")
     p.add_argument("--seed", type=int, help="override the master seed")
