@@ -120,12 +120,13 @@ class ScenarioConfig:
 
 
 #: Boundary (op, threshold) per bounded [sim] field, in field order, reused for
-#: sweep ranges; and the fields a sweep may draw, each flagged when it is an
-#: integer (drawn with randint).
+#: sweep ranges; the integer fields, those whose default is an int; and the
+#: fields a sweep may draw, each flagged when it is an integer (drawn with randint).
 _BOUNDS: dict[str, tuple[str, int]] = {
     f.name: f.metadata["bound"] for f in fields(ScenarioConfig) if "bound" in f.metadata}
+_INTEGERS = {f.name for f in fields(ScenarioConfig) if type(f.default) is int}
 SWEEPABLE: dict[str, bool] = {
-    f.name: type(f.default) is int for f in fields(ScenarioConfig) if f.metadata.get("sweep")}
+    f.name: f.name in _INTEGERS for f in fields(ScenarioConfig) if f.metadata.get("sweep")}
 _HOLDS = {">=": operator.ge, ">": operator.gt}
 
 
@@ -136,6 +137,8 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
         value = getattr(cfg, name)
         if not (math.isfinite(float(value)) and _HOLDS[op](value, threshold)):
             out.append(f"parameter boundary {name} {op} {threshold} violated (got {value!r})")
+        elif name in _INTEGERS and not hasattr(value, "__index__"):   # range() needs an int
+            out.append(f"parameter {name} must be an integer (got {value!r})")
     if not cfg.seed >= 0:   # random.Random seeds with |seed|
         out.append(f"parameter boundary seed >= 0 violated (got {cfg.seed!r})")
     if not (0 <= cfg.sink_x <= cfg.area_width and 0 <= cfg.sink_y <= cfg.area_height):

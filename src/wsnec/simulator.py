@@ -175,8 +175,9 @@ class Ledger:
     argument parsing of narrower types), and ``close`` seals them as the
     next group of ``groups``, one per slice, so no column outgrows one
     slice, each of the narrowest type for the run's node count or the
-    table's size. Entries, in joules, are built when read. Nothing the
-    ledger holds refers back to it, so reference counting alone frees it.
+    table's size; each handling's row of ``close``'s weights is built once.
+    Entries, in joules, are built when read. Nothing the ledger holds refers
+    back to it, so reference counting alone frees it.
     """
 
     __slots__ = ("groups", "nodes", "codes", "handlings", "_node_count", "_codes", "_weights", "__weakref__")
@@ -200,16 +201,17 @@ class Ledger:
         """Seal the open slice as the next group, its columns narrowed and
         sized to its rows, start an empty one, and tally the sealed rows:
         their count per constituent, their nJ, their sends and their
-        receives, each handling's row count times its one-hot flow slot, its
-        price and its legs, exact below 2^53. The weights are rebuilt once
-        the handling table has grown; it only grows."""
+        receives, each handling's row count times its row of weights (its
+        one-hot flow slot, its price and its legs), exact below 2^53; a row
+        is built once, by the first close after its handling was interned."""
         codes, size = np.frombuffer(self.codes, np.uintc), len(self.handlings)
         self.groups.append((_narrowed(np.frombuffer(self.nodes, np.uintc), self._node_count),
                             _narrowed(codes, size)))
         self.nodes, self.codes = array("I"), array("I")
         if len(self._weights) != size:
-            self._weights = np.array([[kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))]
-                                      + tally for kind, *tally in self.handlings])
+            self._weights = np.append(self._weights, [
+                [kind.flow_slot == slot for slot in range(len(CONSTITUENT_ORDER))] + tally
+                for kind, *tally in self.handlings[len(self._weights):]], axis=0)
         counts = np.bincount(codes, minlength=size)
         *flows, energy, sends, receives = (counts @ self._weights).tolist()
         return ConstituentFlowVector(*flows), energy, sends, receives
@@ -305,15 +307,16 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-class CellGrid:
+class CellGrid(dict):
     """Nodes hashed into square cells at least ``radius`` wide.
 
     Every node within ``radius`` of a point lies in the 3x3 block of cells
     around the point's cell, so ``near`` returns a superset of those nodes,
     in ascending node id; callers apply the exact distance test and their
-    own ``alive`` test. Nodes never move, so each cell's block is sorted on
-    its first query and the same tuple is returned for every later query in
-    that cell. Node and query coordinates lie in ``[0, extent]``.
+    own ``alive`` test. The grid maps each cell's key, ``_key``, to its
+    block; nodes never move, so a missing block is sorted from its key on
+    its first lookup, and every later lookup in that cell returns the same
+    tuple. Node and query coordinates lie in ``[0, extent]``.
     """
 
     def __init__(self, nodes: list[NodeState], radius: float, extent: float):
@@ -322,7 +325,6 @@ class CellGrid:
         # whose rounded distance is at most ``radius`` in adjacent cells.
         self.size = max(radius, extent * 2.0 ** -20) * (1.0 + 1e-9)
         self._cells: dict[tuple[int, int], list[NodeState]] = {}
-        self._blocks: dict[tuple[int, int], tuple[NodeState, ...]] = {}
         for node in nodes:
             self._cells.setdefault(self._key(node.x, node.y), []).append(node)
 
@@ -330,14 +332,13 @@ class CellGrid:
         return math.floor(x / self.size), math.floor(y / self.size)
 
     def near(self, x: float, y: float) -> tuple[NodeState, ...]:
-        size = self.size
-        key = math.floor(x / size), math.floor(y / size)
-        block = self._blocks.get(key)
-        if block is None:
-            cx, cy = key
-            block = self._blocks[key] = tuple(sorted(
-                (node for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
-                 for node in self._cells.get((i, j), ())), key=attrgetter("node_id")))
+        return self[self._key(x, y)]
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[NodeState, ...]:
+        cx, cy = key
+        block = self[key] = tuple(sorted(
+            (node for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+             for node in self._cells.get((i, j), ())), key=attrgetter("node_id")))
         return block
 
 
@@ -474,11 +475,12 @@ class Simulation:
         for node, entries in stage:
             if not node.alive:
                 continue
+            sender = node.node_id
             for nbr in entries:
                 if book(node, send_cost) is None:
                     unsent += 1
                     continue
-                add_id(node.node_id)
+                add_id(sender)
                 model_tx += nbr.tx_j
                 target = nodes[nbr.node_id]
                 if book(target, recv_cost) is None:
@@ -486,7 +488,7 @@ class Simulation:
                     if probe:
                         nbr.known_alive = False
                         if node.link is nbr:
-                            triggers.append(node.node_id)
+                            triggers.append(sender)
                     continue
                 add_id(nbr.node_id)
                 if probe:
@@ -518,7 +520,9 @@ class Simulation:
         relay walk. A packet is dropped at an origin with no route (sensed, not
         sent), a dead next hop (marked not known-alive; a repair is scheduled),
         a stranded relay (it receives and queues) or a relay that cannot pay."""
-        cfg, rng, nodes, near = self.cfg, self.rng, self.nodes, self._sense_grid.near
+        cfg, nodes, blocks, random = self.cfg, self.nodes, self._sense_grid, self.rng.random
+        hypot, floor, size, r_sense = math.hypot, math.floor, blocks.size, cfg.r_sense
+        width, height, scheduling = cfg.area_width, cfg.area_height, cfg.scheduling
         book, triggers = charge, self._repair_triggers
         sensed, relayed, cap = [0] * len(nodes), [0] * len(nodes), self._sense_cap
         table, relay_handling = self._relay_by_depth, self._relay_handling
@@ -528,11 +532,11 @@ class Simulation:
         model_tx = self.model_tx_j
         delivered = dropped = 0
         for _ in range(count):
-            ex, ey = rng.uniform(0.0, cfg.area_width), rng.uniform(0.0, cfg.area_height)
+            ex, ey = width * random(), height * random()   # rng.uniform(0.0, side), bit for bit
             # Tested only after the previous node was handled, so a node an
             # earlier handling of the same event killed is skipped.
-            for node in near(ex, ey):
-                if not (node.alive and math.hypot(node.x - ex, node.y - ey) <= cfg.r_sense):
+            for node in blocks[floor(ex / size), floor(ey / size)]:   # CellGrid.near(ex, ey)
+                if not (node.alive and hypot(node.x - ex, node.y - ey) <= r_sense):
                     continue
                 origin = node.node_id
                 seen = sensed[origin]
@@ -550,7 +554,7 @@ class Simulation:
                     dropped += 1
                     continue
                 model_tx += link.tx_j
-                if cfg.scheduling:
+                if scheduling:
                     if book(node, send_cost) is None:
                         dropped += 1
                     else:
@@ -575,7 +579,10 @@ class Simulation:
                         dropped += 1
                         break
                     depth = relayed[hop]
-                    cost, code = table[depth] if depth < len(table) else relay_handling(depth)
+                    try:
+                        cost, code = table[depth]
+                    except IndexError:   # the first relay at this depth in the run
+                        cost, code = relay_handling(depth)
                     if book(target, cost) is None:
                         dropped += 2   # a refused charge and a drop
                         break

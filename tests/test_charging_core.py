@@ -104,6 +104,34 @@ def make_nodes(points, battery=1.0):
     return [NodeState(i, x, y, battery + i, 0.0) for i, (x, y) in enumerate(points)]
 
 
+class _LookedUp(CellGrid):
+    """A grid that keeps the block of every lookup, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.blocks = []
+
+    def __getitem__(self, key):
+        block = super().__getitem__(key)
+        self.blocks.append(block)
+        return block
+
+
+class _Draws:
+    """Stands in for a run's generator: ``random()`` gives ``values`` in turn."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
+def _draw_at(coordinate, side):
+    """A draw that puts an event at ``coordinate`` of ``[0, side]``, exactly
+    when a draw next to the quotient does."""
+    draw = coordinate / side
+    return next((near for near in (draw, math.nextafter(draw, 0.0), math.nextafter(draw, 1.0))
+                 if side * near == coordinate), draw)
+
+
 class TestCellGrid:
     @settings(max_examples=300, deadline=None)
     @given(layouts())
@@ -145,6 +173,28 @@ class TestCellGrid:
         assert [n.node_id for n in nodes[0].neighbors] == [1]
         grid = CellGrid(nodes, 0.5, EXTENT)
         assert [n.node_id for n in grid.near(1.0, 3.0)] == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), nodes=st.integers(1, 40),
+           r_sense=st.sampled_from([0.5, 3.0, 12.0, 150.0]), side=st.sampled_from([10.0, 100.0]),
+           data=st.data())
+    def test_events_look_up_the_block_near_returns(self, seed, nodes, r_sense, side, data):
+        # Few nodes in small cells leave most cells empty; events also fall
+        # on cell borders, on 0 and on the extent itself.
+        cfg = ScenarioConfig(seed=seed, nodes=nodes, r_sense=r_sense, area_width=side,
+                             area_height=side, sink_x=side / 2, sink_y=0.0)
+        sim = Simulation(cfg)
+        grid = sim._sense_grid = _LookedUp(sim.nodes, r_sense, side)
+        borders = [k * grid.size for k in range(int(side / grid.size) + 1) if k * grid.size <= side]
+        at = st.one_of(st.floats(0.0, side), st.sampled_from([side, *borders]))
+        points = data.draw(st.lists(st.tuples(at, at), min_size=1, max_size=30))
+        draws = [_draw_at(coordinate, side) for point in points for coordinate in point]
+        sim.rng = _Draws(draws)
+        sim._events(len(points))
+        used, grid.blocks = grid.blocks, []
+        assert len(used) == len(points)
+        for block, fx, fy in zip(used, draws[::2], draws[1::2]):
+            assert block is grid.near(side * fx, side * fy)
 
     def test_zero_range_gives_no_neighbors(self):
         nodes = make_nodes([(0.0, 0.0), (0.0, 0.0), (1e-12, 0.0), (EXTENT, EXTENT)])

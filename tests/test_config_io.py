@@ -88,6 +88,26 @@ class TestScenarioConfig:
         sweep = SweepConfig(ranges={"r_tx": (24.0, 40.0), "event_rate": (6.0, 30.0)})
         assert sweep.ranges == (("event_rate", (6.0, 30.0)), ("r_tx", (24.0, 40.0)))
 
+    @pytest.mark.parametrize("name, value", [
+        ("nodes", 2.5), ("warmup_packets", 1.5), ("total_slices", 4.5), ("nodes", 3.0),
+        ("init_slices", 1.0), ("bits_per_packet", 1024.5), ("maintenance_period", 8.0),
+        ("repair_radius_hops", 0.5), ("monitor_period", 10.0),
+    ])
+    def test_integer_fields_take_only_integers(self, name, value):
+        # A whole or fractional float passes the boundary; run would then
+        # fail with a TypeError of range() instead of a ConfigError.
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**{name: value})
+        assert exc.value.violations == [f"parameter {name} must be an integer (got {value!r})"]
+        with_overrides(ScenarioConfig(), **{name: int(value)})
+
+    def test_a_float_outside_its_boundary_keeps_the_boundary_message(self):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(nodes=0.5, warmup_packets=1.5)
+        assert exc.value.violations == [
+            "parameter boundary nodes >= 1 violated (got 0.5)",
+            "parameter warmup_packets must be an integer (got 1.5)"]
+
     def test_with_overrides_revalidates(self):
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):

@@ -19,12 +19,12 @@ from array import array
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsnec import simulator
 from wsnec.config import ScenarioConfig
-from wsnec.energy_core import ConstituentFlowVector
+from wsnec.energy_core import CONSTITUENT_ORDER, ConstituentFlowVector
 from wsnec.simulator import ChargeEntry, Ledger, PacketKind
 
 
@@ -267,7 +267,7 @@ scenarios = st.fixed_dictionaries({
     "seed": st.integers(0, 2 ** 31 - 1),
     "nodes": st.integers(1, 3) | st.integers(20, 60),
     "area_width": st.sampled_from([20.0, 100.0]),   # 20 m a side: dense
-    "event_rate": st.sampled_from([0.0, 18.0]),
+    "event_rate": st.sampled_from([0.0, 18.0, 120.0]),   # 120: new relay depths in many slices
     "r_tx": st.sampled_from([0.0, 30.0]),
     "mix_charging": st.booleans(),
     "initial_battery": st.floats(0.001, 0.05) | st.just(0.5),
@@ -277,6 +277,8 @@ scenarios = st.fixed_dictionaries({
 
 @settings(max_examples=40, deadline=None)
 @given(scenarios)
+@example({"seed": 1, "nodes": 40, "area_width": 100.0, "event_rate": 120.0, "r_tx": 30.0,
+          "mix_charging": False, "initial_battery": 0.5, "total_slices": 30})
 def test_decoded_rows_add_up_to_every_battery_drop_and_slice_energy(fields):
     fields["area_height"] = fields["area_width"]
     cfg = ScenarioConfig(**fields)
@@ -292,15 +294,19 @@ def test_decoded_rows_add_up_to_every_battery_drop_and_slice_energy(fields):
     # One sealed group per slice run, depleted runs that stop early included.
     assert len(ledger.groups) == len(result.records)
     drops, energies = [0.0] * cfg.nodes, [0.0] * len(result.records)
+    flows = [[0.0] * len(CONSTITUENT_ORDER) for _ in result.records]
     sends = receives = 0
     for index, (nodes, codes) in enumerate(ledger.groups):
         for node_id, code in zip(nodes, codes):
-            _, nanojoules, tx, rx = handlings[code]
+            kind, nanojoules, tx, rx = handlings[code]
             drops[node_id] += nanojoules
             energies[index] += nanojoules
+            flows[index][CONSTITUENT_ORDER.index(kind.constituent)] += 1
             sends, receives = sends + tx, receives + rx
     initial = round(cfg.initial_battery * 1e9)
     assert [initial - node.battery for node in result.nodes] == drops
     assert [rec.energy_j for rec in result.records] == [e / 1e9 for e in energies]
+    # Each slice's flows are its group's rows counted by constituent.
+    assert [list(rec.flows.as_tuple()) for rec in result.records] == flows
     assert result.ledger_total == sum(energies) / 1e9
     assert (result.radio.tx_events, result.radio.rx_events) == (sends, receives)
