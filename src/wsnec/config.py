@@ -141,6 +141,8 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
             out.append(f"parameter {name} must be an integer (got {value!r})")
     if not cfg.seed >= 0:   # random.Random seeds with |seed|
         out.append(f"parameter boundary seed >= 0 violated (got {cfg.seed!r})")
+    elif not hasattr(cfg.seed, "__index__"):
+        out.append(f"parameter seed must be an integer (got {cfg.seed!r})")
     if not (0 <= cfg.sink_x <= cfg.area_width and 0 <= cfg.sink_y <= cfg.area_height):
         out.append(f"sink ({cfg.sink_x!r}, {cfg.sink_y!r}) outside area "
                    f"[0, {cfg.area_width!r}] x [0, {cfg.area_height!r}]")
@@ -148,6 +150,8 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
         out.append(f"total_slices ({cfg.total_slices}) must cover init_slices ({cfg.init_slices})")
     if cfg.sweep.runs < 1:
         out.append(f"sweep runs must be >= 1 (got {cfg.sweep.runs!r})")
+    elif not hasattr(cfg.sweep.runs, "__index__"):
+        out.append(f"parameter runs must be an integer (got {cfg.sweep.runs!r})")
     for name, (low, high) in cfg.sweep.ranges:
         if name not in SWEEPABLE:
             out.append(f"sweep parameter {name!r} is not sweepable "

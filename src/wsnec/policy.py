@@ -6,13 +6,14 @@ optional tasks are a 0/1 knapsack maximizing total importance with the
 battery as a strict budget. Costs are real-valued joules, so the exact
 solver is a Pareto-frontier dynamic program (non-dominated cost/importance
 states per item prefix, Nemhauser & Ullmann 1969) rather than an
-integer-capacity table. The frontier is held as three numpy arrays (cost,
-importance, chosen subset as a uint64 bitmask) and each item extends, merges
-and prunes it in bulk; the last item only picks the winner. The frontier can
-double with every item (it does when importance is proportional to cost), so
-its size is capped: past 64 optional tasks, or once one item's candidate
-states would exceed ``STATE_LIMIT``, selection falls back to a density greedy
-and says so in the report.
+integer-capacity table. The frontier is held as two numpy arrays: each
+state's cost and importance as one complex number, cost - i * importance,
+which one sort orders, and its chosen subset as a uint64 bitmask. Each item
+extends, merges and prunes it in bulk; the last item only picks the winner.
+The frontier can double with every item (it does when importance is
+proportional to cost), so its size is capped: past 64 optional tasks, or
+once one item's candidate states would exceed ``STATE_LIMIT``, selection
+falls back to a density greedy and says so in the report.
 
 The budget inequality is strict: a schedule consuming exactly the battery
 is not feasible.
@@ -121,52 +122,53 @@ def _knapsack_exact(costs: list[float], values: list[float], capacity: float) ->
 
     Pareto-frontier DP: after each item, keep only non-dominated
     (cost, value) states; the chosen subset rides along as a bitmask.
-    States are ordered by (cost, -value, mask) and a state survives only if
-    its value beats every state before it, so the survivors' costs and
-    values strictly increase and the last one wins (ties: cheapest, then
-    lowest ids). Because the old costs increase, the extended costs never
-    decrease: the states that still fit are a prefix, and a stable sort on
-    cost merges the two sorted runs. Of a run of equal costs only the top
-    value, with the lowest mask holding it, can survive; ``reduceat`` finds
-    it without a second sort. The last item builds no frontier.
+    A state is one complex number, cost - i * value: an item extends it by
+    one add, and one stable sort orders old and new states by cost, then by
+    value descending (numpy orders complex numbers by real, then imaginary
+    part). A state survives only if its value beats every state before it,
+    so the survivors' costs and values strictly increase and the last one
+    wins (ties: cheapest, then lowest ids); if the values already rise
+    along the sorted states, all survive. Of a run of equal costs only the
+    first, the top value, can survive, and it takes the lowest mask of the
+    states equal to it in value too. Because the old costs increase, the
+    extended costs never decrease: the states that still fit are a prefix.
+    The last item builds no frontier.
     Returns the winning bitmask, or None if one item's candidate states
     would exceed ``STATE_LIMIT``.
     """
-    fc = np.zeros(1)
-    fv = np.zeros(1)
-    fm = np.zeros(1, dtype=np.uint64)
+    z = np.zeros(1, dtype=complex)
+    m = np.zeros(1, dtype=np.uint64)
     for i, (cost, value) in enumerate(zip(costs, values)):
-        nc = fc + cost
-        fits = int(nc.searchsorted(capacity))
-        if len(fc) + fits > STATE_LIMIT:
+        fits = int((z.real + cost).searchsorted(capacity))
+        if len(z) + fits > STATE_LIMIT:
             return None
         if not fits:
             continue
-        nv = fv[:fits] + value
-        nm = fm[:fits] | np.uint64(1 << i)
+        nz = z[:fits] + complex(cost, -value)
         if i == len(costs) - 1:
-            # nv and nc never decrease, so the cheapest extensions of the top
-            # value start at k. On a full tie the old best's lower mask wins.
-            k = int(nv.searchsorted(nv[-1]))
-            if (-nv[-1], nc[k]) >= (-fv[-1], fc[-1]):
-                return int(fm[-1])
-            return int(nm[k:fits][nc[k:fits] == nc[k]].min())
-        c = np.concatenate((fc, nc[:fits]))
-        order = c.argsort(kind="stable")
-        c = c[order]
-        v = np.concatenate((fv, nv))[order]
-        m = np.concatenate((fm, nm))[order]
-        del fc, fv, fm, nc, nv, nm  # lowers the peak of a capped solve
-        first = np.concatenate(([True], c[1:] != c[:-1]))
-        if not first.all():
-            starts = first.nonzero()[0]
-            top = np.maximum.reduceat(v, starts)
-            at_top = v == top[first.cumsum() - 1]
-            m = np.minimum.reduceat(np.where(at_top, m, ~np.uint64(0)), starts)
-            c, v = c[starts], top
-        keep = v > np.maximum.accumulate(np.concatenate(([-np.inf], v[:-1])))
-        fc, fv, fm = (c, v, m) if keep.all() else (c[keep], v[keep], m[keep])
-    return int(fm[-1])
+            # The extensions' values never decrease, so the cheapest
+            # extensions of the top value start at k. On a full tie the old
+            # best's lower mask wins.
+            k = int((nz.imag == nz[-1].imag).argmax())
+            if (z[-1].imag, z[-1].real) <= (nz[k].imag, nz[k].real):
+                return int(m[-1])
+            return int(m[k:fits][nz.real[k:] == nz[k].real].min()) | 1 << i
+        z = np.concatenate((z, nz))
+        del nz  # lowers the peak of a capped solve
+        order = z.argsort(kind="stable")
+        z = z[order]
+        m = np.concatenate((m, m[:fits] | np.uint64(1 << i)))[order]
+        del order
+        v = z.imag
+        if not (v[1:] < v[:-1]).all():
+            tie = z[1:] == z[:-1]
+            if tie.any():
+                starts = np.concatenate(([True], ~tie)).nonzero()[0]
+                z, m = z[starts], np.minimum.reduceat(m, starts)
+                v = z.imag
+            keep = v < np.minimum.accumulate(np.concatenate(([np.inf], v[:-1])))
+            z, m = z[keep], m[keep]
+    return int(m[-1])
 
 
 def _knapsack_greedy(costs: list[float], capacity: float, order: list[int]) -> int:

@@ -108,6 +108,26 @@ class TestScenarioConfig:
             "parameter boundary nodes >= 1 violated (got 0.5)",
             "parameter warmup_packets must be an integer (got 1.5)"]
 
+    @pytest.mark.parametrize("kwargs, violation", [
+        ({"seed": 1.5}, "parameter seed must be an integer (got 1.5)"),
+        ({"seed": 2.0}, "parameter seed must be an integer (got 2.0)"),
+        ({"seed": math.inf}, "parameter seed must be an integer (got inf)"),
+        ({"sweep": SweepConfig(runs=2.5)}, "parameter runs must be an integer (got 2.5)"),
+        ({"sweep": SweepConfig(runs=3.0)}, "parameter runs must be an integer (got 3.0)"),
+    ])
+    def test_seed_and_sweep_runs_take_only_integers(self, kwargs, violation):
+        # cmd_sweep's range(runs) would raise a TypeError, and a float seed
+        # would seed random.Random from its hash.
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**kwargs)
+        assert exc.value.violations == [violation]
+
+    def test_a_float_seed_or_run_count_below_its_boundary_keeps_the_boundary_message(self):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(seed=-1.5, sweep=SweepConfig(runs=0.5))
+        assert exc.value.violations == ["parameter boundary seed >= 0 violated (got -1.5)",
+                                        "sweep runs must be >= 1 (got 0.5)"]
+
     def test_with_overrides_revalidates(self):
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):

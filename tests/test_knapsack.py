@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
@@ -136,9 +137,13 @@ class TestEquivalence:
 def branches(costs, values, capacity) -> set[str]:
     """The solver branches a list takes, read off the reference DP's frontiers.
 
-    "equal costs": a task before the last merges states of equal cost;
-    "fits nowhere": a task extends no state under capacity; the rest name
-    how the last task's winner is decided against the best old state.
+    Of a task before the last that extends some state: "every state
+    survives" when the values strictly rise along its merged states, else
+    "equal cost, best importance kept" when two merged states tie in cost
+    but not in value, and "equal cost and importance, lowest mask" when two
+    tie in both. "fits nowhere": a task extends no state under capacity;
+    the rest name how the last task's winner is decided against the best
+    old state.
     """
     taken = set()
     frontier = [(0.0, 0.0, 0)]
@@ -148,8 +153,14 @@ def branches(costs, values, capacity) -> set[str]:
         if not extended:
             taken.add("fits nowhere")
         merged = sorted(frontier + extended, key=lambda s: (s[0], -s[1], s[2]))
-        if i < len(costs) - 1 and any(a[0] == b[0] for a, b in zip(merged, merged[1:])):
-            taken.add("equal costs")
+        if i < len(costs) - 1 and extended:
+            pairs = list(zip(merged, merged[1:]))
+            if all(a[1] < b[1] for a, b in pairs):
+                taken.add("every state survives")
+            if any(a[0] == b[0] and a[1] != b[1] for a, b in pairs):
+                taken.add("equal cost, best importance kept")
+            if any(a[:2] == b[:2] for a, b in pairs):
+                taken.add("equal cost and importance, lowest mask")
         if i == len(costs) - 1 and extended:
             old = frontier[-1]
             top = max(v for _, v, _ in extended)
@@ -204,7 +215,7 @@ class TestMergeAndLastTask:
         # are both on the frontier, in that cost order; with the last task
         # both round to (1.3, 8.0), and {0, 1, 3} wins as the lower mask.
         costs, values = [0.1, 0.2, 0.3, 1.0], [1.0, 2.0, 2.9999999999999996, 5.0]
-        assert branches(costs, values, 1.35) == {"extension wins"}
+        assert branches(costs, values, 1.35) == {"every state survives", "extension wins"}
         assert assert_same(costs, values, 1.35) == 0b1011
         # {0} (0.1, 1.0) and {0, 1} (0.2, 1.0000000000000002) extend to the
         # same importance as {2} alone: the cheapest extension, {2}, wins.
@@ -228,7 +239,7 @@ class TestMergeAndLastTask:
         # 0b1101 and 0b1011, so the lowest is the last of the run.
         costs = [1e-17, 3e-17, 0.0, 1.0, 1e-17]
         values = [1.0, 1.0, 2.220446049250313e-16, 1e17, 1.0]
-        assert "equal costs" in branches(costs, values, 10.0)
+        assert "equal cost and importance, lowest mask" in branches(costs, values, 10.0)
         assert assert_same(costs, values, 10.0) == 0b1011
 
     @settings(max_examples=300, deadline=None)
@@ -236,13 +247,77 @@ class TestMergeAndLastTask:
     def test_matches_reference_on_fit_budget_lists(self, case):
         assert_same(*case)
 
-    @pytest.mark.parametrize("branch", ["equal costs", "fits nowhere", "old wins",
-                                        "extension wins", "cheaper wins", "lower mask wins"])
+    @pytest.mark.parametrize("branch", [
+        "every state survives", "equal cost, best importance kept",
+        "equal cost and importance, lowest mask", "fits nowhere", "old wins", "extension wins",
+        "cheaper wins", "lower mask wins"])
     def test_every_branch_fires_on_fit_budget_lists(self, branch):
         case = find(fit_budget_lists(), lambda case: branch in branches(*case),
                     settings=settings(max_examples=2000, database=None, derandomize=True,
                                       phases=[Phase.generate]))
         assert_same(*case)
+
+
+def benchmark_random_list(seed: int):
+    """62 optional tasks shaped like fit-budget's random lists: three
+    per-packet coefficients, pf 1-40, six-decimal importances and a capacity
+    of 0.25-0.5 of the total cost. Their frontiers reach 300-600 states."""
+    rng = random.Random(seed)
+    alphas = [rng.uniform(2e-5, 2e-4) for _ in range(3)]
+    costs = [rng.choice(alphas) * rng.randint(1, 40) for _ in range(62)]
+    values = [round(rng.uniform(0.5, 10.0), 6) for _ in range(62)]
+    return costs, values, rng.uniform(0.25, 0.5) * sum(costs)
+
+
+def benchmark_equal_list(seed: int):
+    """16 equal-density tasks shaped like fit-budget's: distinct subset sums
+    and room for 3/4 of the packets plus half a packet. Every subset under
+    the capacity stays on the frontier, up to 49,152 states."""
+    rng = random.Random(seed)
+    alpha = rng.uniform(2e-5, 2e-4)
+    sizes = [256 * 2 ** k + rng.randrange(16) for k in range(16)]
+    rng.shuffle(sizes)
+    return ([alpha * pf for pf in sizes], [float(pf) for pf in sizes],
+            alpha * (int(0.75 * sum(sizes)) + 0.5))
+
+
+class TestBenchmarkSize:
+    """The solver against the reference on lists as large as the benchmark's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_lists_of_62_tasks(self, seed):
+        case = benchmark_random_list(seed)
+        assert "equal cost, best importance kept" in branches(*case)
+        assert_same(*case)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_density_lists_of_16_tasks(self, seed):
+        case = benchmark_equal_list(seed)
+        assert "every state survives" in branches(*case)
+        assert_same(*case)
+
+
+PARTS = [-1.0, -0.0, 0.0, 2.0 ** -52, 0.5, 1.0]
+
+
+class TestComplexOrder:
+    """The solver sorts states as complex numbers, relying on numpy's stable
+    sort ordering them by real part, then imaginary part, equal ones kept in
+    place. A numpy that changed this would fail here, not in the solver."""
+
+    def test_equal_costs_negative_importances_and_signed_zeros(self):
+        z = np.array([1 - 2j, complex(0.0, -0.0), 1 - 3j, complex(-0.0, 0.0), 0.5 + 0j,
+                      1 - 2j, 0j, -1 + 5j, complex(-0.0, -1.0)])
+        assert z.argsort(kind="stable").tolist() == [7, 8, 1, 3, 6, 4, 2, 0, 5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(PARTS), st.floats(-2.0, 2.0)),
+                              st.one_of(st.sampled_from(PARTS), st.floats(-2.0, 2.0))),
+                    max_size=300))
+    def test_stable_sort_is_by_real_then_imaginary_part(self, parts):
+        z = np.array([complex(re, im) for re, im in parts], dtype=complex)
+        expected = sorted(range(len(parts)), key=lambda k: parts[k])
+        assert z.argsort(kind="stable").tolist() == expected
 
 
 def equal_density_problem(a: float) -> BudgetProblem:
