@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import configparser
 import functools
-import math
 import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from .energy_core import CONSTITUENT_ORDER, ConstituentResourceMix, ResourcePowerProfile
+from .energy_core import CONSTITUENT_ORDER, FLOAT_MAX, ConstituentResourceMix, ResourcePowerProfile
 from .radio import RadioModelParams
 
 
@@ -135,7 +134,7 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
     out = []
     for name, (op, threshold) in _BOUNDS.items():
         value = getattr(cfg, name)
-        if not (math.isfinite(float(value)) and _HOLDS[op](value, threshold)):
+        if not (-FLOAT_MAX <= value <= FLOAT_MAX and _HOLDS[op](value, threshold)):
             out.append(f"parameter boundary {name} {op} {threshold} violated (got {value!r})")
         elif name in _INTEGERS and not hasattr(value, "__index__"):   # range() needs an int
             out.append(f"parameter {name} must be an integer (got {value!r})")
@@ -157,7 +156,7 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
             out.append(f"sweep parameter {name!r} is not sweepable "
                        f"(choose from {sorted(SWEEPABLE)})")
             continue
-        if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        if not -FLOAT_MAX <= low <= high <= FLOAT_MAX:
             out.append(f"sweep range for {name} must be low:high with low <= high "
                        f"(got {low!r}:{high!r})")
             continue

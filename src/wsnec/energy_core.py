@@ -17,6 +17,7 @@ simulation state, safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -36,6 +37,7 @@ class Constituent(Enum):
 CONSTITUENT_ORDER: tuple[Constituent, ...] = tuple(Constituent)
 
 RESOURCE_NAMES = ("cpu", "mem", "rx", "tx", "sens")
+FLOAT_MAX = sys.float_info.max   # compares exactly with any int, which float() may overflow
 
 
 class BoundaryError(ValueError):

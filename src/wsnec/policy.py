@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, bound, nonneg
+from .energy_core import CONSTITUENT_ORDER, FLOAT_MAX, CoefficientVector, Constituent, bound, nonneg
 
 #: Optional-task count above which selection switches to the greedy heuristic.
 EXACT_LIMIT = 64
@@ -50,7 +50,8 @@ class TaskDescriptor:
 
     def __post_init__(self):
         bound(isinstance(self.pf_size, int) and self.pf_size >= 1, "integer pf_size >= 1", self.pf_size)
-        bound(math.isfinite(self.importance) and self.importance > 0, "importance > 0", self.importance)
+        bound(self.pf_size <= FLOAT_MAX, "pf_size within float range", self.pf_size)
+        bound(0 < self.importance <= FLOAT_MAX, "importance > 0", self.importance)
 
 
 def task_cost(task: TaskDescriptor, coefficients: CoefficientVector) -> float:

@@ -15,9 +15,11 @@ readings, neighbor handshakes, route setup), then collection slices (area
 events sensed and relayed hop by hop, next-hop monitoring probes, periodic
 full neighbor refreshes). Exactly one maintenance slice follows a collection
 slice once a next-hop death was detected (a probe timeout or a relay toward
-a dead node) or the periodic repair interval elapsed. It does the collection
-work plus a network-wide (or hop-limited) topology probe and routing
-announcement flood, which is what makes those slices expensive. Probes and
+a dead node) or the periodic repair interval elapsed since the last one. It
+does the collection work plus a topology probe and routing announcement
+flood, which make it expensive, among the alive nodes within
+``repair_radius_hops`` hops of an alive trigger, through alive nodes (every
+alive node for radius 0 or an untriggered periodic repair). Probes and
 floods are exchange stages: each sender, read with its neighbor entries,
 costs itself a send per entry and, if sent, that neighbor a receive. One
 loop books each exchange stage, and one a slice's events (sense, schedule
@@ -35,12 +37,12 @@ booking loops append rows to the ledger's open slice, two typed columns
 send count and refused receives; the run closes the slice when it ends,
 sealing it as the next row group, each column of the narrowest type that
 holds it, so groups line up with slices. The ledger hands each row out as
-a ``ChargeEntry`` when iterated. Every energy
-inside a run (batteries, residuals, prices) is a whole number of nanojoules
-in a float, exact below 2^53, so sums are exact in any order and a battery
-that lands on zero kills its node; a run rejects a battery or nonzero price
-that rounds to 0 nJ, and batteries that add up past 2^53 nJ. Joules, nJ /
-1e9, appear only in slice energies, ledger entries and the run's totals.
+a ``ChargeEntry`` when iterated. Every energy inside a run (batteries,
+residuals, prices) is a whole number of nanojoules in a float, exact below
+2^53, so sums are exact in any order and a battery that lands on zero kills
+its node; a run rejects a battery or nonzero price that rounds to 0 nJ, a
+price past 2^53 nJ and batteries that add up past it. Joules, nJ / 1e9,
+appear only in slice energies, ledger entries and the run's totals.
 Neighbor lists and the nodes an event covers are found through a uniform
 cell grid, with cells as wide as the radio or sensing range, instead of
 scanning every node; as nodes never move, the grid sorts the nodes around
@@ -61,7 +63,6 @@ import functools
 import math
 import random
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -431,13 +432,15 @@ class Simulation:
         """The whole-nJ price of one handling of ``usage``, or under mix
         charging of one ``kind`` packet, and its code in the ledger, which
         keeps the usage's sends and receives. A nonzero price that rounds to
-        0 nJ is rejected."""
+        0 nJ is rejected, and so is one past 2^53 nJ, which no battery pays."""
         cfg = self.cfg
         joules = (constituent_alpha(cfg.mix.row(kind.constituent), cfg.profile)
                   if cfg.mix_charging else task_energy(usage, cfg.profile))
         nanojoules = round(joules * 1e9, 0)
         if joules and not nanojoules:
             raise ConfigError([f"{kind.value} handling price {joules!r} J rounds to 0 nJ"])
+        if nanojoules > 2 ** 53:
+            raise ConfigError([f"{kind.value} handling price = {nanojoules:.6g} nJ exceeds 2^53"])
         return nanojoules, self.ledger.code(kind, nanojoules, usage.b_tx, usage.b_rx)
 
     def _relay_handling(self, depth: int) -> tuple[float, int]:
@@ -605,22 +608,18 @@ class Simulation:
     # -- maintenance ----------------------------------------------------------
 
     def _repair_participants(self) -> list[NodeState]:
-        alive = [n for n in self.nodes if n.alive]
-        radius = self.cfg.repair_radius_hops
+        """By node id, the alive nodes within ``repair_radius_hops`` hops of an
+        alive trigger, through alive nodes; every alive node when the radius
+        is 0 or nothing triggered (a periodic repair)."""
+        nodes, radius = self.nodes, self.cfg.repair_radius_hops
         if radius <= 0 or not self._repair_triggers:
-            return alive
-        start = sorted(set(t for t in self._repair_triggers if self.nodes[t].alive))
-        seen = set(start)
-        frontier = deque((node_id, 0) for node_id in start)
-        while frontier:
-            node_id, depth = frontier.popleft()
-            if depth == radius:
-                continue
-            for nbr in self.nodes[node_id].neighbors:
-                if nbr.node_id not in seen and self.nodes[nbr.node_id].alive:
-                    seen.add(nbr.node_id)
-                    frontier.append((nbr.node_id, depth + 1))
-        return [self.nodes[i] for i in sorted(seen)]
+            return [n for n in nodes if n.alive]
+        reached = frontier = {t for t in self._repair_triggers if nodes[t].alive}
+        for _ in range(radius):
+            frontier = {nbr.node_id for i in frontier for nbr in nodes[i].neighbors
+                        if nodes[nbr.node_id].alive} - reached
+            reached |= frontier
+        return [nodes[i] for i in sorted(reached)]
 
     def _route_setup(self, participants: list[NodeState]) -> None:
         """Topology probes from every alive participant, their next hops
@@ -658,7 +657,7 @@ class Simulation:
         alive = attrgetter("alive")
         initial_total = sum(n.battery for n in self.nodes) / 1e9
         booked = sends = receives = 0.0   # whole nJ and counts, so the sums are exact
-        repair_next, since_repair = False, 0
+        repair_next, last_repair = False, cfg.init_slices - 1   # the last maintenance slice
         records: list[SliceRecord] = []
         for index in range(cfg.total_slices):
             if index < cfg.init_slices:
@@ -671,13 +670,11 @@ class Simulation:
                 if repair_next:
                     self._route_setup(self._repair_participants())
                     self._repair_triggers.clear()
-                    since_repair = 0
-                else:
-                    since_repair += 1
+                    last_repair = index
                 # One maintenance slice follows a detected next-hop failure or
-                # the periodic repair interval elapsing.
+                # the periodic repair interval elapsing since the last one.
                 repair_next = bool(self._repair_triggers) or (
-                    cfg.maintenance_period > 0 and since_repair >= cfg.maintenance_period)
+                    cfg.maintenance_period > 0 and index - last_repair >= cfg.maintenance_period)
             flows, energy, tx, rx = self.ledger.close()
             booked, sends, receives = booked + energy, sends + tx, receives + rx
             records.append(SliceRecord(

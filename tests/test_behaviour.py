@@ -58,6 +58,15 @@ COMMANDS = {
        for battery in ("0.05", "0.001", "1e-07")},
     "simulate-missing-config": (["simulate", "--config", "<tmp>/missing.ini", "--output",
                                  "<tmp>/never.csv"], []),
+    # Inputs rejected before anything is written: a handling price past 2^53 nJ,
+    # an integer past float range and a task's pf_size past it.
+    "simulate-price-past-2^53": (["simulate", "--config", "<tmp>/price.ini", "--output",
+                                  "<tmp>/never.csv"], []),
+    "simulate-nodes-past-float-range": (["simulate", "--config", "<tmp>/huge.ini", "--output",
+                                         "<tmp>/never.csv"], []),
+    "budget-pf-size-past-float-range": (["budget", "--tasks", "<tmp>/tasks-huge.csv", "--model",
+                                         "<tmp>/model.csv", "--battery", "0.05", "--output",
+                                         "<tmp>/never.csv"], []),
 }
 
 
@@ -69,11 +78,18 @@ def behaviour() -> dict:
     """Run every command in a fresh temporary directory; the manifest entries."""
     sample = sample_config()
     depleted = sample.replace("initial_battery = 0.5\n", "initial_battery = 0.004\n")
-    assert depleted != sample
+    price = sample.replace("p_tx = 6e-05\n", "p_tx = 1e300\n")
+    huge = sample.replace("nodes = 25\n", f"nodes = {10 ** 400}\n")
+    assert sample not in (depleted, price, huge)
+    tasks_huge = ("id,constituent,pf_size,importance,mandatory\n1,local,1,1.0,true\n"
+                  f"2,global,1,1.0,true\n3,individual,{10 ** 400},5.0,false\n")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sample.ini").write_text(sample, encoding="utf-8")
         (Path(tmp) / "depleted.ini").write_text(depleted, encoding="utf-8")
+        (Path(tmp) / "price.ini").write_text(price, encoding="utf-8")
+        (Path(tmp) / "huge.ini").write_text(huge, encoding="utf-8")
+        (Path(tmp) / "tasks-huge.csv").write_text(tasks_huge, encoding="utf-8")
         (Path(tmp) / TASKS.name).write_bytes(TASKS.read_bytes())
         for name, (argv, files) in COMMANDS.items():
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -85,6 +101,7 @@ def behaviour() -> dict:
                 "stderr": _sha256(stderr.getvalue().replace(tmp, TMP).encode()),
                 "files": {f: _sha256((Path(tmp) / f).read_bytes()) for f in files},
             }
+        assert not (Path(tmp) / "never.csv").exists()   # no rejected command writes
     return out
 
 

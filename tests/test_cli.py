@@ -96,13 +96,26 @@ class TestSimulate:
         (MINIMAL + "initial_battery = 1e-10\n", "initial_battery 1e-10 J rounds to 0 nJ"),
         (MINIMAL + "initial_battery = 5e6\n", "initial_battery = 1e+16 nJ exceeds 2^53"),
         (MINIMAL + "initial_battery = 1e300\n", "initial_battery = inf nJ exceeds 2^53"),
-    ], ids=["prices", "battery", "network-battery", "past-float-range"])
+        (MINIMAL + "[energy]\np_tx = 1e300\n", "sensed handling price = inf nJ exceeds 2^53"),
+        (MINIMAL + "mix_charging = true\n[mix]\nglobal = 1e300, 0, 0, 0, 0\n",
+         "topology_info handling price = 2e+304 nJ exceeds 2^53"),
+    ], ids=["prices", "battery", "network-battery", "past-float-range", "price-past-2^53",
+            "mix-price-past-2^53"])
     def test_energy_outside_whole_nanojoule_range_rejected(self, tmp_path, capsys, text,
                                                             message):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "trace.csv"
         assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_integer_past_float_range_is_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"[sim]\nseed = 5\nnodes = {10 ** 400}\n")
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration")
+        assert f"parameter boundary nodes >= 1 violated (got {10 ** 400})" in err
         assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -397,6 +410,15 @@ class TestBudget:
         code = cli.main(["budget", "--tasks", str(tasks), "--model", str(model),
                          "--battery", "10.0", "--output", str(tmp_path / "s.csv")])
         assert code == 1
+
+    def test_pf_size_past_float_range_is_a_validation_error(self, tmp_path, capsys):
+        tasks, model, out = self._paths(tmp_path)
+        Path(tasks).write_text(self.TASKS + f"5,individual,{10 ** 400},1.0,false\n")
+        code = cli.main(["budget", "--tasks", tasks, "--model", model,
+                         "--battery", "10.0", "--output", out])
+        assert code == 1
+        assert "parameter boundary pf_size within float range violated" in capsys.readouterr().err
+        assert not Path(out).exists()
 
     @pytest.mark.parametrize("model, message", [
         ("constituent,alpha\nlocal\n", "malformed model row: 'local'"),

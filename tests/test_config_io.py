@@ -128,6 +128,19 @@ class TestScenarioConfig:
         assert exc.value.violations == ["parameter boundary seed >= 0 violated (got -1.5)",
                                         "sweep runs must be >= 1 (got 0.5)"]
 
+    @pytest.mark.parametrize("kwargs, violation", [
+        ({"area_width": 10 ** 400},
+         f"parameter boundary area_width > 0 violated (got {10 ** 400!r})"),
+        ({"sweep": SweepConfig(ranges={"maintenance_period": (4, 10 ** 400)})},
+         "sweep range for maintenance_period must be low:high with low <= high "
+         f"(got 4:{10 ** 400!r})"),
+    ], ids=["float-field", "sweep-range-end"])
+    def test_an_int_past_float_range_is_a_violation_like_inf(self, kwargs, violation):
+        # float() of such an int raises OverflowError; it is never converted.
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**kwargs)
+        assert exc.value.violations == [violation]
+
     def test_with_overrides_revalidates(self):
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
@@ -139,7 +152,7 @@ class TestScenarioConfig:
         assert SWEEPABLE["maintenance_period"] and not SWEEPABLE["r_sense"]
 
     def test_every_numeric_field_declares_its_boundary(self):
-        # seed has its own check (float() of a huge int overflows), and the
+        # seed has its own check (it takes any int >= 0, past float range too), and the
         # sink is checked against the area.
         numeric = {f.name for f in dataclasses.fields(ScenarioConfig)
                    if type(f.default) in (int, float)}
@@ -190,6 +203,20 @@ class TestLoadConfig:
             load_config(str(path))
         path.write_text(f"[sim]\nseed = {10 ** 400}\nnodes = 4\n")
         assert load_config(str(path)).seed == 10 ** 400   # never made a float
+
+    @pytest.mark.parametrize("name", [
+        "bits_per_packet", "init_slices", "maintenance_period", "monitor_period", "nodes",
+        "repair_radius_hops", "total_slices", "warmup_packets"])
+    def test_an_integer_past_float_range_is_a_violation(self, tmp_path, name):
+        assert name in config._INTEGERS
+        keys = {"seed": 1, "nodes": 2, name: 10 ** 400}
+        path = tmp_path / "huge.ini"
+        path.write_text("[sim]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+        op, threshold = config._BOUNDS[name]
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.violations[0] == (
+            f"parameter boundary {name} {op} {threshold} violated (got {10 ** 400})")
 
     def test_seed_override_satisfies_requirement(self, tmp_path):
         path = tmp_path / "noseed.ini"

@@ -8,6 +8,7 @@ solver must match it on every instance.
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,20 @@ class TestTaskCost:
     def test_zero_pf_rejected_by_type(self):
         with pytest.raises(ValueError):
             TaskDescriptor(1, Constituent.GLOBAL, 0, 1.0)
+
+    @pytest.mark.parametrize("pf_size, importance, boundary", [
+        (10 ** 400, 1.0, "pf_size within float range"),
+        (1, 10 ** 400, "importance > 0"),
+        (1, math.inf, "importance > 0"),
+    ])
+    def test_values_past_float_range_rejected(self, pf_size, importance, boundary):
+        # task_cost would overflow on alpha * pf_size; rejected where the task is built.
+        with pytest.raises(ValueError, match=f"parameter boundary {boundary} violated"):
+            TaskDescriptor(1, Constituent.GLOBAL, pf_size, importance)
+
+    def test_largest_pf_size_within_float_range_accepted(self):
+        pf_size = int(sys.float_info.max)
+        assert task_cost(TaskDescriptor(1, Constituent.GLOBAL, pf_size, 1.0), ALPHA) == math.inf
 
     def test_cost_is_alpha_times_pf(self):
         task = TaskDescriptor(1, Constituent.GLOBAL, 3, 1.0)

@@ -4,8 +4,11 @@ import dataclasses
 import math
 import random
 import statistics
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnec.config import ConfigError, ScenarioConfig
 from wsnec.energy_core import (
@@ -117,10 +120,25 @@ class TestBuildTopology:
      "sensed handling price 4e-10 J rounds to 0 nJ"),
     ({"mix_charging": True, "profile": ResourcePowerProfile(4e-10, 0.0, 0.0, 0.0, 0.0)},
      "handling price 4e-10 J rounds to 0 nJ"),
+    ({"profile": ResourcePowerProfile(0.0, 0.0, 0.0, 1e7, 0.0)},
+     r"sensed handling price = 1e\+16 nJ exceeds 2\^53"),
+    ({"profile": ResourcePowerProfile(0.0, 0.0, 0.0, 1e300, 0.0)},
+     r"sensed handling price = inf nJ exceeds 2\^53"),
+    ({"mix_charging": True, "profile": ResourcePowerProfile(1e300, 0.0, 0.0, 0.0, 0.0)},
+     r"handling price = inf nJ exceeds 2\^53"),
 ])
 def test_energies_outside_whole_nanojoules_rejected(fields, message):
     with pytest.raises(ConfigError, match=message):
         Simulation(cfg_with(**fields))
+
+
+def test_a_relay_price_past_2_53_nanojoules_is_rejected_at_its_depth():
+    # 1e15 nJ a buffer slot: a queued receive fits under 2^53 nJ, the relay
+    # behind ten others does not, and it is priced when first reached.
+    sim = Simulation(cfg_with(profile=ResourcePowerProfile(0.0, 1e6, 0.0, 0.0, 0.0)))
+    assert sim._relay_handling(9)[0] == 9e15
+    with pytest.raises(ConfigError, match=r"relayed_data handling price = 1e\+16 nJ exceeds 2\^53"):
+        sim._relay_handling(10)
 
 
 def test_whole_nanojoule_limits_accepted():
@@ -128,6 +146,41 @@ def test_whole_nanojoule_limits_accepted():
     Simulation(cfg_with(nodes=2, initial_battery=6e-10))
     Simulation(cfg_with(nodes=9, initial_battery=1e6))
     Simulation(cfg_with(nodes=2, profile=ResourcePowerProfile(6e-10, 0.0, 0.0, 0.0, 0.0)))
+
+
+def reference_repair_participants(self) -> list[NodeState]:
+    """``Simulation._repair_participants`` as a breadth-first walk of
+    ``(node, depth)`` pairs, verbatim from before it took hop sets."""
+    alive = [n for n in self.nodes if n.alive]
+    radius = self.cfg.repair_radius_hops
+    if radius <= 0 or not self._repair_triggers:
+        return alive
+    start = sorted(set(t for t in self._repair_triggers if self.nodes[t].alive))
+    seen = set(start)
+    frontier = deque((node_id, 0) for node_id in start)
+    while frontier:
+        node_id, depth = frontier.popleft()
+        if depth == radius:
+            continue
+        for nbr in self.nodes[node_id].neighbors:
+            if nbr.node_id not in seen and self.nodes[nbr.node_id].alive:
+                seen.add(nbr.node_id)
+                frontier.append((nbr.node_id, depth + 1))
+    return [self.nodes[i] for i in sorted(seen)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 30), r_tx=st.floats(0.0, 150.0),
+       radius=st.integers(0, 4), data=st.data())
+def test_repair_participants_match_the_breadth_first_walk(seed, n, r_tx, radius, data):
+    # Dead nodes anywhere, and triggers that are none, repeated or dead.
+    sim = Simulation(cfg_with(seed=seed, nodes=n, r_tx=r_tx, repair_radius_hops=radius))
+    for node, alive in zip(sim.nodes, data.draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        node.alive = alive
+    sim._repair_triggers = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    got = sim._repair_participants()
+    assert got == reference_repair_participants(sim)
+    assert all(a is b for a, b in zip(got, reference_repair_participants(sim)))
 
 
 class TestCharge:
