@@ -52,8 +52,8 @@ def bound(condition: bool, boundary: str, value) -> None:
 
 def nonneg(name: str, value: float) -> float:
     """``value`` as a float, which must be finite and >= 0."""
-    value = float(value)
-    if not 0 <= value < math.inf:
+    value = value if isinstance(value, int) and abs(value) > FLOAT_MAX else float(value)
+    if not 0 <= value <= FLOAT_MAX:
         bound(False, f"{name} >= 0", value)
     return value
 

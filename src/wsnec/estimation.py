@@ -184,10 +184,11 @@ def _dependent_columns(s: np.ndarray, vt: np.ndarray, active: tuple[bool, ...]) 
 
 
 def predict_rows(coefficients: CoefficientVector, obs: ObservationSet) -> np.ndarray:
-    """Predicted energies for every observation row."""
+    """Each row's energy as its one-row dot with the active alphas, as ``rolling_fit`` predicts."""
     if obs.active != coefficients.active:
         raise ValueError("observation mask does not match coefficient mask")
-    return obs.flows @ np.asarray(coefficients.alpha)[np.flatnonzero(coefficients.active)]
+    alpha = np.take(coefficients.alpha, np.flatnonzero(coefficients.active))
+    return np.matmul(obs.flows[:, None, :], alpha[:, None])[:, 0, 0]
 
 
 @dataclass

@@ -56,25 +56,18 @@ def _read_rows(path: str, header: str, what: str, row: str) -> Iterator[list[str
 def write_trace(path: str, records: Sequence[SliceRecord]) -> None:
     lines = [TRACE_HEADER]
     for rec in records:
-        f = rec.flows
-        lines.append(",".join([
-            str(rec.index), rec.phase.value,
-            _fmt(f.b_individual), _fmt(f.b_local), _fmt(f.b_global),
-            _fmt(f.b_environment), _fmt(f.b_snk),
-            _fmt(rec.energy_j), str(rec.alive_nodes),
-        ]))
+        lines.append(",".join([str(rec.index), rec.phase.value, *map(_fmt, rec.flows.as_tuple()),
+                               _fmt(rec.energy_j), str(rec.alive_nodes)]))
     _write_lines(path, lines)
 
 
 def read_trace(path: str) -> list[SliceRecord]:
     """Read a trace file back into slice records."""
     records = []
-    previous = None
     for parts in _read_rows(path, TRACE_HEADER, "trace", "trace"):
         index = int(parts[0])
-        if previous is not None and index <= previous:
-            raise ValueError(f"slice indices must increase (got {index} after {previous})")
-        previous = index
+        if records and index <= records[-1].index:
+            raise ValueError(f"slice indices must increase (got {index} after {records[-1].index})")
         phase = _PHASES.get(parts[1])
         if phase is None:
             raise ValueError(f"unknown phase {parts[1]!r}")

@@ -12,7 +12,8 @@ alters an output on purpose rewrites it, from the repository root::
 
     PYTHONPATH=src python tests/test_behaviour.py
 
-and says which entries moved and why.
+which prints one line per entry it moves, adds or removes, naming the fields
+that changed. The change then says which entries moved and why.
 """
 
 import contextlib
@@ -105,9 +106,31 @@ def behaviour() -> dict:
     return out
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per entry that moved, was added or was removed: its name and
+    the fields that changed (``exit``, ``stdout``, ``stderr``, ``files``)."""
+    lines = []
+    for name in [*new, *(name for name in old if name not in new)]:
+        if name not in old or name not in new:
+            lines.append(f"{name}: {'added' if name in new else 'removed'}")
+        elif moved := [f for f in new[name] if old[name].get(f) != new[name][f]]:
+            lines.append(f"{name}: {', '.join(moved)}")
+    return lines
+
+
 def test_every_command_behaves_as_the_manifest_says():
     assert behaviour() == json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
+def test_changes_name_each_moved_added_and_removed_entry():
+    entry = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"x.csv": "c"}}
+    old = {"kept": entry, "moved": entry, "gone": entry}
+    new = {"kept": entry, "moved": {**entry, "exit": 1, "files": {"x.csv": "d"}}, "new": entry}
+    assert changes(old, new) == ["moved: exit, files", "new: added", "gone: removed"]
+
+
 if __name__ == "__main__":
-    MANIFEST.write_text(json.dumps(behaviour(), indent=2) + "\n", encoding="utf-8")
+    old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
+    new = behaviour()
+    print("\n".join(changes(old, new)) or "no entry changed")
+    MANIFEST.write_text(json.dumps(new, indent=2) + "\n", encoding="utf-8")

@@ -25,7 +25,7 @@ from wsnec.energy_core import (
     overall_energy,
     task_energy,
 )
-from wsnec.flow_models import environment_flow
+from wsnec.flow_models import LocalParams, environment_flow
 from wsnec.policy import BudgetProblem, TaskDescriptor
 from wsnec.radio import RadioModelParams, tx_energy_per_bit
 
@@ -322,3 +322,19 @@ class TestValueContract:
 def test_scalar_boundaries_raise_one_error_family(build):
     with pytest.raises(BoundaryError, match="parameter boundary"):
         build()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("p_cpu", lambda: ResourcePowerProfile(10 ** 400, 0, 0, 0, 0)),
+    ("b_local", lambda: ConstituentFlowVector(b_local=10 ** 400)),
+    ("e_battery", lambda: BudgetProblem((), CoefficientVector([1] * 5), 10 ** 400,
+                                        enforce_positivity=False)),
+    ("distance", lambda: tx_energy_per_bit(10 ** 400, RadioModelParams())),
+    ("g_tx", lambda: LocalParams(n=1, net_dens=1, g_tx=10 ** 400)),
+    ("b_ph", lambda: environment_flow(b_ph=10 ** 400)),
+], ids=["profile", "flows", "budget", "tx-distance", "local-params", "environment-flow"])
+def test_an_int_past_float_range_breaks_its_boundary(name, build):
+    # float() of such an int overflows, so it is compared unconverted.
+    with pytest.raises(BoundaryError) as exc:
+        build()
+    assert str(exc.value) == f"parameter boundary {name} >= 0 violated (got {10 ** 400!r})"

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnec import estimation
+from wsnec import estimation, simulator
+from wsnec.config import ScenarioConfig
 
 from wsnec.energy_core import (
     CONSTITUENT_ORDER,
@@ -33,6 +34,7 @@ from wsnec.estimation import (
     predict_rows,
     rolling_fit,
 )
+from wsnec.traceio import observations_from_slices
 
 MASK_ILG = (True, True, True, False, False)
 
@@ -164,6 +166,31 @@ class TestPredict:
         obs = ObservationSet(np.ones((3, 5)), np.ones(3), (True,) * 5)
         with pytest.raises(ValueError, match="mask"):
             predict_rows(a, obs)
+
+    @pytest.mark.parametrize("battery", [0.5, 0.004])
+    def test_split_and_rolling_predictions_are_each_rows_one_row_dot(self, battery):
+        # One rule on both paths, so one model predicts a slice identically in
+        # split and rolling reports: flows[t] @ the C-ordered active alphas.
+        checked = 0
+        for seed in range(1, 9):
+            records = simulator.run(ScenarioConfig(seed=seed, initial_battery=battery)).records
+            for mask in (MASK_ILG, (False, True, True, False, False),
+                         (True, False, True, False, False)):
+                obs = observations_from_slices(records, mask)
+                active = np.flatnonzero(mask)
+                split = int(obs.n_obs * 0.7)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    model = fit_ls(obs.rows(0, split)).coefficients
+                    rolling = rolling_fit(obs, 20)
+                predicted = predict_rows(model, obs.rows(split, obs.n_obs))
+                assert predicted.tolist() == [float(obs.flows[t] @ np.take(model.alpha, active))
+                                              for t in range(split, obs.n_obs)]
+                by_stop = {wf.stop: wf.result.coefficients.alpha for wf in rolling.fits}
+                assert [p for _, p in rolling.predictions] == [
+                    float(obs.flows[t] @ np.take(by_stop[t], active)) for t, _ in rolling.predictions]
+                checked += len(predicted) + len(rolling.predictions)
+        assert checked == {0.5: 2016, 0.004: 1380}[battery]
 
 
 class TestErrorReport:
@@ -390,6 +417,10 @@ def assert_rolling_matches_reference(obs, window):
     assert rolling.predictions == [
         (start + window, float(obs.flows[start + window] @ np.asarray(ref.coefficients.alpha)[active]))
         for start, ref in fits if start + window < obs.n_obs]
+    # predict_rows, the split path's kernel, takes the same one-row dot on every row.
+    for _, ref in fits:
+        assert predict_rows(ref.coefficients, obs).tolist() == [
+            float(row @ np.asarray(ref.coefficients.alpha)[active]) for row in obs.flows]
     return rolling
 
 

@@ -56,7 +56,7 @@ SCHEDULE_PINS = {
 # `fit` reports on the default trace: a 70/30 split fit and a 20-slice rolling fit.
 FIT_REPORT_PINS = {
     "split-0.7": (["--fit-fraction", "0.7"],
-                  "b8e5e2003ad8224d750338bf680b4cb6ff21933e2061f1b4da05d190e5c6e3aa"),
+                  "28e81140644b296e726ac539f8806654cf775937704053b9078e80c791026b36"),
     "window-20": (["--window", "20"],
                   "bee7a59bc9f544e9bf777e9d30b0212a69934b76ca624af4fe0fb211e4350171"),
 }

@@ -38,6 +38,28 @@ def cfg_with(**kw) -> ScenarioConfig:
 PROFILE = ResourcePowerProfile(2e-5, 1e-5, 4e-5, 6e-5, 3e-5)
 
 
+@st.composite
+def scenario_families(draw):
+    """A short scenario from one of five families: tiny (1-3 nodes), dense (20-40
+    nodes on 30 m x 30 m), event-free, mix-charging or depleted (0.001-0.05 J)."""
+    total = draw(st.integers(1, 30))
+    fields = {"seed": draw(st.integers(0, 2 ** 31 - 1)), "total_slices": total,
+              "init_slices": draw(st.integers(0, min(3, total)))}
+    family = draw(st.sampled_from(["tiny", "dense", "event-free", "mix-charging", "depleted"]))
+    if family == "tiny":
+        fields["nodes"] = draw(st.integers(1, 3))
+    elif family == "dense":
+        fields.update(nodes=draw(st.integers(20, 40)), area_width=30.0, area_height=30.0,
+                      sink_x=1.5, sink_y=1.5)
+    elif family == "event-free":
+        fields["event_rate"] = 0.0
+    elif family == "mix-charging":
+        fields["mix_charging"] = True
+    else:
+        fields["initial_battery"] = draw(st.floats(0.001, 0.05))
+    return ScenarioConfig(**fields)
+
+
 class TestClassifyPacket:
     def test_sensed_is_individual(self):
         assert PacketKind.SENSED.constituent is Constituent.INDIVIDUAL
@@ -257,6 +279,29 @@ class TestRun:
         assert result.initial_battery_total == initial / 1e9
         assert result.final_battery_total == (initial - drained) / 1e9
         assert result.ledger_total == booked / 1e9
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario_families())
+    def test_books_balance_in_every_scenario_family(self, cfg):
+        # Each node's battery drop is its rows' whole nJ, exactly; those nJ
+        # over 1e9 are the ledger total; nodes never revive; no battery goes
+        # below 0; and every delivery was sensed and sent outside initialization.
+        result = run(cfg)
+        handlings, drops = result.ledger.handlings, [0.0] * cfg.nodes
+        sense_sends = 0
+        for rec, (nodes, codes) in zip(result.records, result.ledger.groups, strict=True):
+            for node_id, code in zip(nodes, codes):
+                kind, nanojoules, sends, _ = handlings[code]
+                drops[node_id] += nanojoules
+                sense_sends += (kind is PacketKind.SENSED and sends > 0
+                                and rec.phase is not Phase.INITIALIZATION)
+        battery = round(cfg.initial_battery * 1e9)
+        assert [battery - node.battery for node in result.nodes] == drops
+        assert sum(drops) / 1e9 == result.ledger_total
+        alive = [rec.alive_nodes for rec in result.records]
+        assert alive == sorted(alive, reverse=True)
+        assert all(node.battery >= 0 for node in result.nodes)
+        assert result.delivered <= sense_sends
 
     def test_slice_energy_equals_ledger_per_slice(self):
         # The slice's whole-nJ rows, added in any order (here the reverse of
