@@ -74,8 +74,7 @@ def cmd_fit(args) -> int:
     bound(0 < args.fit_fraction <= 1, "0 < fit_fraction <= 1", args.fit_fraction)
     bound(args.window is None or args.fit_fraction == 1, "fit_fraction = 1 with --window", args.fit_fraction)
     mask = _parse_mask(args.mask)
-    records = traceio.read_trace(args.input)
-    obs = traceio.observations_from_slices(records, mask)
+    obs = traceio.read_trace_observations(args.input, mask)
 
     if args.window is not None:
         rolling = estimation.rolling_fit(obs, args.window)

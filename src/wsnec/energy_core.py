@@ -50,9 +50,19 @@ def bound(condition: bool, boundary: str, value) -> None:
         raise BoundaryError(f"parameter boundary {boundary} violated (got {value!r})")
 
 
+def as_float(value):
+    """``float(value)``, but an int past float range is kept: it compares exactly with FLOAT_MAX."""
+    return value if isinstance(value, int) and abs(value) > FLOAT_MAX else float(value)
+
+
+def finite(value) -> bool:
+    """``math.isfinite(value)``, but False for an int past float range, which it overflows on."""
+    return abs(value) <= FLOAT_MAX if isinstance(value, int) else math.isfinite(value)
+
+
 def nonneg(name: str, value: float) -> float:
     """``value`` as a float, which must be finite and >= 0."""
-    value = value if isinstance(value, int) and abs(value) > FLOAT_MAX else float(value)
+    value = as_float(value)
     if not 0 <= value <= FLOAT_MAX:
         bound(False, f"{name} >= 0", value)
     return value
@@ -110,7 +120,7 @@ class ConstituentResourceMix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(float(w) for w in row) for row in self.rows)
+        rows = tuple(tuple(map(as_float, row)) for row in self.rows)
         if len(rows) != 5 or any(len(row) != 5 for row in rows):
             raise ValueError("mix must be a 5x5 matrix (constituents x resources)")
         for k, row in enumerate(rows):
@@ -164,17 +174,22 @@ class CoefficientVector:
     active: tuple[bool, ...] | None = None
 
     def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
+        try:
+            alpha = tuple(map(float, self.alpha))
+        except OverflowError:   # an int past float range is kept, and rejected below if active
+            if iter(self.alpha) is self.alpha:   # a spent iterator keeps its error
+                raise
+            alpha = tuple(map(as_float, self.alpha))
         if len(alpha) != 5:
             raise ValueError("alpha must have 5 entries (one per constituent)")
-        active = (True,) * 5 if self.active is None else tuple(bool(a) for a in self.active)
+        active = (True,) * 5 if self.active is None else tuple(map(bool, self.active))
         if len(active) != 5:
             raise ValueError("active mask must have 5 entries")
         for a, is_active in zip(alpha, active):
-            if is_active and not math.isfinite(a):
+            if is_active and not -FLOAT_MAX <= a <= FLOAT_MAX:
                 raise ValueError(f"active coefficient must be finite, got {a!r}")
         object.__setattr__(self, "alpha",
-                           tuple(a if is_active else 0.0 for a, is_active in zip(alpha, active)))
+                           tuple([a if is_active else 0.0 for a, is_active in zip(alpha, active)]))
         object.__setattr__(self, "active", active)
 
     def get(self, constituent: Constituent) -> float:
@@ -194,7 +209,7 @@ def task_energy(usage: ResourceUsageVector, profile: ResourcePowerProfile) -> fl
 
 def constituent_alpha(mix_row: Sequence[float], profile: ResourcePowerProfile) -> float:
     """Joules per constituent packet: resource prices weighted by the mix row."""
-    weights = [float(w) for w in mix_row]
+    weights = list(map(as_float, mix_row))
     if len(weights) != 5:
         raise ValueError("mix_row must have 5 weights (cpu, mem, rx, tx, sens)")
     for r, w in enumerate(weights):

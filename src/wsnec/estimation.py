@@ -9,8 +9,9 @@ phases. Rank deficiency is surfaced as an error naming the dependent
 columns instead of returning garbage coefficients. Every solve is stacked,
 one SVD and one stacked product per step for a (K, m, n) stack of windows:
 ``fit_ls`` is the K = 1 case, and each rolling window's fit is bit-identical
-to ``fit_ls`` on it. Only sigma^2 is summed per window, as ``r @ r``; a stacked
-``einsum`` rounds it differently in the last bit in about half of windows.
+to ``fit_ls`` on it. sigma^2 too is a stacked product, each window's one-row
+``r @ r``; a stacked ``einsum`` rounds it differently in the last bit in about
+half of windows.
 
 No intercept term anywhere: zero flows must predict zero energy.
 """
@@ -24,11 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .energy_core import (
-    CONSTITUENT_ORDER,
-    CoefficientVector,
-    ConstituentFlowVector,
-)
+from .energy_core import CONSTITUENT_ORDER, CoefficientVector
 
 #: Smallest-to-largest singular value ratio below which the design matrix is
 #: treated as rank-deficient.
@@ -91,15 +88,12 @@ class ObservationSet:
         return self.flows.shape[1]
 
     @classmethod
-    def from_flow_vectors(cls, flow_vectors: Sequence[ConstituentFlowVector],
-                          energies: Sequence[float], active=(True,) * 5,
-                          slices=None) -> "ObservationSet":
+    def from_rows(cls, rows: Sequence[tuple], active=(True,) * 5) -> "ObservationSet":
+        """Observations from (label, five flows, energy, ...) rows. ``np.take`` keeps the active
+        columns C-ordered; ``[:, cols]`` gives them Fortran-ordered, which the solve rounds differently."""
         active = _mask_tuple(active)
-        flows = np.array([fv.as_tuple() for fv in flow_vectors], float).reshape(-1, 5)
-        # Picked columns come out Fortran-ordered, which the solve rounds differently.
-        return cls(np.ascontiguousarray(flows[:, np.flatnonzero(active)]),
-                   np.asarray(list(energies), dtype=float), active,
-                   None if slices is None else tuple(slices))
+        flows = np.take(np.array([r[1] for r in rows], float).reshape(-1, 5), np.flatnonzero(active), axis=1)
+        return cls(flows, np.array([r[2] for r in rows], float), active, tuple(r[0] for r in rows))
 
     def rows(self, start: int, stop: int) -> "ObservationSet":
         return ObservationSet(
@@ -152,22 +146,22 @@ def _solve(flows: np.ndarray, energy: np.ndarray,
                                  / s[..., None])[..., 0]
         residuals = energy - np.matmul(flows, alpha_active[..., None])[..., 0]
         # Classical per-coefficient standard-error proxy: sqrt(sigma^2 * (b^T b)^-1_kk).
-        sigma2 = np.array([r @ r for r in residuals]) / (m - n)
+        sigma2 = np.matmul(residuals[:, None, :], residuals[..., None])[:, 0, 0] / (m - n)
         stderr = np.sqrt(sigma2[:, None] * np.sum((v / s[:, None, :]) ** 2, axis=2))
         condition = s[:, 0] / s[:, -1]
         negative = (alpha_active < 0).any(axis=1)
     alpha = np.zeros((len(s), 5))
     alpha[:, np.flatnonzero(active)] = alpha_active
     out: list[FitResult | RankDeficientError] = []
-    for k in range(len(s)):
-        if not full_rank[k]:
+    for k, (a, r, c, se, ok, neg) in enumerate(zip(alpha.tolist(), residuals, condition.tolist(),
+                                                   stderr.tolist(), full_rank.tolist(), negative.tolist())):
+        if not ok:
             out.append(RankDeficientError(_dependent_columns(s[k], vt[k], active)))
             continue
-        if negative[k]:
+        if neg:
             warnings.warn("fitted coefficients contain negative entries (least-squares artifact)",
                           stacklevel=3)
-        out.append(FitResult(CoefficientVector(alpha[k], active), residuals[k],
-                             float(condition[k]), m, tuple(stderr[k].tolist())))
+        out.append(FitResult(CoefficientVector(a, active), r, c, m, tuple(se)))
     return out
 
 

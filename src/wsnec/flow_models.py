@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy_core import BoundaryError, bound, nonneg  # BoundaryError re-exported
+from .energy_core import BoundaryError, bound, finite, nonneg  # BoundaryError re-exported
 
 #: Denominators closer to zero than this are treated as misconfiguration.
 EPSILON_DIV = 1e-9
@@ -44,7 +44,7 @@ class IndividualParams:
     b_sec: float = 0.0
 
     def __post_init__(self):
-        bound(math.isfinite(self.r_sense) and self.r_sense > 0, "r_sense > 0", self.r_sense)
+        bound(finite(self.r_sense) and self.r_sense > 0, "r_sense > 0", self.r_sense)
         for name in ("g_sense", "b_os", "b_sec"):
             nonneg(name, getattr(self, name))
 
@@ -111,7 +111,7 @@ class ProbabilityModelConfig:
     def __post_init__(self):
         for name in ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss"):
             nonneg(name, getattr(self, name))
-        bound(math.isfinite(self.area) and self.area > 0, "area > 0", self.area)
+        bound(finite(self.area) and self.area > 0, "area > 0", self.area)
         bound(0 <= self.p_cap < 1, "0 <= p_cap < 1", self.p_cap)
 
     @property
@@ -141,7 +141,7 @@ def p_sense(r_sense: float, g_sense: float, cfg: ProbabilityModelConfig) -> floa
     sigma*r^2 / (sigma*r^2 + g + 1): increasing in coverage radius,
     non-increasing in sensing delay, bounded below 1, then capped.
     """
-    bound(math.isfinite(r_sense) and r_sense > 0, "r_sense > 0", r_sense)
+    bound(finite(r_sense) and r_sense > 0, "r_sense > 0", r_sense)
     nonneg("g_sense", g_sense)
     coverage = cfg.sigma_sense * r_sense * r_sense
     return min(cfg.p_cap, coverage / (coverage + g_sense + 1.0))
@@ -180,7 +180,7 @@ def p_pktls(dist_to_sink: float, r_tx: float, net_dens: int,
     bound(net_dens >= 1, "net_dens >= 1", net_dens)
     if dist_to_sink == 0:
         return 0.0
-    bound(math.isfinite(r_tx) and r_tx > 0, "r_tx > 0 when dist_to_sink > 0", r_tx)
+    bound(finite(r_tx) and r_tx > 0, "r_tx > 0 when dist_to_sink > 0", r_tx)
     hops = math.ceil(dist_to_sink / r_tx)
     p_hop = min(0.5, cfg.kappa_loss / net_dens)
     return min(cfg.p_cap, 1.0 - (1.0 - p_hop) ** hops)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy_core import bound, nonneg
+from .energy_core import as_float, bound, finite, nonneg
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ class RadioModelParams:
 
     def __post_init__(self):
         for name in ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp"):
-            v = float(getattr(self, name))
-            bound(math.isfinite(v) and v > 0, f"{name} > 0", v)
-        bound(math.isfinite(self.alpha_pl) and self.alpha_pl > 1, "alpha_pl > 1", self.alpha_pl)
+            v = as_float(getattr(self, name))
+            bound(finite(v) and v > 0, f"{name} > 0", v)
+        bound(finite(self.alpha_pl) and self.alpha_pl > 1, "alpha_pl > 1", self.alpha_pl)
         if self.d0 is None:
             object.__setattr__(self, "d0", math.sqrt(self.eps_fs / self.eps_mp))
-        bound(math.isfinite(self.d0) and self.d0 > 0, "d0 > 0", self.d0)
+        bound(finite(self.d0) and self.d0 > 0, "d0 > 0", self.d0)
 
 
 def tx_energy_per_bit(d: float, params: RadioModelParams) -> float:

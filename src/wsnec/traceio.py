@@ -13,7 +13,8 @@ import configparser
 import itertools
 from typing import Iterator, Sequence
 
-from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector
+from .energy_core import (CONSTITUENT_ORDER, FLOAT_MAX, CoefficientVector, Constituent, ConstituentFlowVector,
+                          nonneg)
 from .estimation import ErrorReport, FitResult, ObservationSet, RollingFit
 from .policy import ScheduleResult, TaskDescriptor, task_cost
 from .simulator import Phase, SliceRecord
@@ -61,28 +62,43 @@ def write_trace(path: str, records: Sequence[SliceRecord]) -> None:
     _write_lines(path, lines)
 
 
-def read_trace(path: str) -> list[SliceRecord]:
-    """Read a trace file back into slice records."""
-    records = []
+def _flows(fields: Sequence[str]) -> list[float]:
+    """Five flow fields as floats, each checked as ``ConstituentFlowVector`` checks it; the
+    checks run only if the min or the sum shows a negative, nan or infinite flow."""
+    flows = list(map(float, fields))
+    if not (0 <= min(flows) and sum(flows) <= FLOAT_MAX):
+        list(map(nonneg, OBSERVATIONS_HEADER.split(",")[1:6], flows))
+    return flows
+
+
+def _trace_rows(path: str) -> list[tuple[int, list[float], float, Phase, int]]:
+    """A trace's (slice, flows, energy, phase, alive nodes) rows, each checked as it is
+    reached: its width, a slice index above the last, a known phase, then its flows."""
+    rows = []
     for parts in _read_rows(path, TRACE_HEADER, "trace", "trace"):
         index = int(parts[0])
-        if records and index <= records[-1].index:
-            raise ValueError(f"slice indices must increase (got {index} after {records[-1].index})")
+        if rows and index <= rows[-1][0]:
+            raise ValueError(f"slice indices must increase (got {index} after {rows[-1][0]})")
         phase = _PHASES.get(parts[1])
         if phase is None:
             raise ValueError(f"unknown phase {parts[1]!r}")
-        records.append(SliceRecord(
-            index=index, phase=phase,
-            flows=ConstituentFlowVector(*map(float, parts[2:7])),
-            energy_j=float(parts[7]), alive_nodes=int(parts[8])))
-    return records
+        rows.append((index, _flows(parts[2:7]), float(parts[7]), phase, int(parts[8])))
+    return rows
+
+
+def read_trace(path: str) -> list[SliceRecord]:
+    """Read a trace file back into slice records."""
+    return [SliceRecord(i, p, ConstituentFlowVector(*f), e, a) for i, f, e, p, a in _trace_rows(path)]
+
+
+def read_trace_observations(path: str, active=(True, True, True, False, False)) -> ObservationSet:
+    """``observations_from_slices(read_trace(path), active)``, with no record or flow vector per row."""
+    return ObservationSet.from_rows(_trace_rows(path), active)
 
 
 def observations_from_slices(records: Sequence[SliceRecord],
                              active=(True, True, True, False, False)) -> ObservationSet:
-    return ObservationSet.from_flow_vectors(
-        [r.flows for r in records], [r.energy_j for r in records], active,
-        slices=[r.index for r in records])
+    return ObservationSet.from_rows([(r.index, r.flows.as_tuple(), r.energy_j) for r in records], active)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +113,9 @@ def write_observations(path: str, rows: Sequence[tuple[int, ConstituentFlowVecto
 
 def read_observations(path: str,
                       active=(True, True, True, False, False)) -> ObservationSet:
-    flows, energies, runs = [], [], []
-    for parts in _read_rows(path, OBSERVATIONS_HEADER, "observations", "observation"):
-        runs.append(int(parts[0]))
-        flows.append(ConstituentFlowVector(*map(float, parts[1:6])))
-        energies.append(float(parts[6]))
-    return ObservationSet.from_flow_vectors(flows, energies, active, slices=runs)
+    rows = [(int(parts[0]), _flows(parts[1:6]), float(parts[6]))
+            for parts in _read_rows(path, OBSERVATIONS_HEADER, "observations", "observation")]
+    return ObservationSet.from_rows(rows, active)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +127,8 @@ def _prediction_lines(predictions: Sequence[tuple[int, float, float]], errors: E
     percentage error) row per prediction, then the error summary ending in
     the ``last`` column."""
     lines = ["", "slice,observed_j,predicted_j,pct_error"]
-    for (idx, observed, predicted), pct in zip(predictions, errors.pct_errors):
-        lines.append(f"{idx},{_fmt(observed)},{_fmt(predicted)},{_fmt(pct)}")
+    lines += [f"{idx},{float(observed)!r},{float(predicted)!r},{float(pct)!r}"
+              for (idx, observed, predicted), pct in zip(predictions, errors.pct_errors)]
     lines.append("")
     lines.append(f"mape_pct,max_abs_pct_error,{last}")
     lines.append(f"{_fmt(errors.mape)},{_fmt(errors.max_abs_pct)},{value}")
@@ -141,8 +154,8 @@ def write_rolling_report(path: str, rolling: RollingFit,
     lines = ["window_start,window_stop,constituent,alpha"]
     for wf in rolling.fits:
         coeffs = wf.result.coefficients
-        lines += [f"{wf.start},{wf.stop},{c.value},{_fmt(a)}"
-                  for c, a, on in zip(CONSTITUENT_ORDER, coeffs.alpha, coeffs.active) if on]
+        lines += [f"{wf.start},{wf.stop},{name},{a!r}"   # names looked up once; alphas are floats
+                  for name, a, on in zip(_CONSTITUENTS, coeffs.alpha, coeffs.active) if on]
     _write_lines(path, lines + _prediction_lines(predictions, errors, "skipped_windows",
                                                  len(rolling.skipped)))
 

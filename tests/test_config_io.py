@@ -3,8 +3,12 @@
 import dataclasses
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnec import config
 from wsnec.config import (
@@ -16,7 +20,7 @@ from wsnec.config import (
     sample_config,
     with_overrides,
 )
-from wsnec.energy_core import CoefficientVector, Constituent, ConstituentFlowVector
+from wsnec.energy_core import BoundaryError, CoefficientVector, Constituent, ConstituentFlowVector
 from wsnec.estimation import ErrorReport, fit_ls
 from wsnec.policy import BudgetProblem, TaskDescriptor, select_tasks
 from wsnec.simulator import Phase, SliceRecord, run
@@ -29,6 +33,7 @@ from wsnec.traceio import (
     read_observations,
     read_tasks,
     read_trace,
+    read_trace_observations,
     write_observations,
     write_report,
     write_schedule,
@@ -480,10 +485,11 @@ class TestTasksAndSchedule:
 # Each CSV reader's messages, exactly: a wrong header, a row of the wrong
 # width, and the first problem in row order when a row that fails another
 # check comes before a row of the wrong width, and after it.
+READER_TRACE_ROWS = (TRACE_HEADER, "0,collection,1.0,2.0", "1,collection,0.0,0.0,0.0,0.0,0.0,1.0,3",
+                     "1,nope,0.0,0.0,0.0,0.0,0.0,1.0,3", "slice indices must increase (got 1 after 1)")
 READER_MESSAGES = {
-    "trace": (read_trace, TRACE_HEADER, "0,collection,1.0,2.0",
-              "1,collection,0.0,0.0,0.0,0.0,0.0,1.0,3", "1,nope,0.0,0.0,0.0,0.0,0.0,1.0,3",
-              "slice indices must increase (got 1 after 1)"),
+    "trace": (read_trace, *READER_TRACE_ROWS),
+    "trace to arrays": (read_trace_observations, *READER_TRACE_ROWS),
     "observations": (read_observations, OBSERVATIONS_HEADER, "0,1.0,2.0",
                      "0,1.0,2.0,3.0,0.0,0.0,0.5", "x,1.0,2.0,3.0,0.0,0.0,0.5",
                      "invalid literal for int() with base 10: 'x'"),
@@ -491,7 +497,9 @@ READER_MESSAGES = {
                   "1,local,2,1.0,true", "2,quantum,2,1.0,true",
                   "unknown constituent 'quantum' in task row"),
 }
-ROW_NOUNS = {"trace": "trace", "observations": "observation", "task file": "task"}
+# (file noun, row noun) of each reader's messages; the fit path's reader reads traces.
+NOUNS = {"trace": ("trace", "trace"), "trace to arrays": ("trace", "trace"),
+         "observations": ("observations", "observation"), "task file": ("task file", "task")}
 
 
 class TestReaderMessages:
@@ -507,21 +515,97 @@ class TestReaderMessages:
         header = READER_MESSAGES[what][1]
         for lines in ([], [header + ",extra"], [header.upper()]):
             assert self._error(tmp_path, what, lines) == (
-                f"{what} header must be exactly {header!r}")
+                f"{NOUNS[what][0]} header must be exactly {header!r}")
 
     @pytest.mark.parametrize("what", READER_MESSAGES)
     def test_row_width(self, tmp_path, what):
         _, header, short, valid, *_ = READER_MESSAGES[what]
         for row in (short, valid + ",1", valid + ","):
             assert self._error(tmp_path, what, [header, valid, row]) == (
-                f"malformed {ROW_NOUNS[what]} row: {row!r}")
+                f"malformed {NOUNS[what][1]} row: {row!r}")
 
     @pytest.mark.parametrize("what", READER_MESSAGES)
     def test_first_problem_in_row_order(self, tmp_path, what):
         _, header, short, valid, bad, message = READER_MESSAGES[what]
         assert self._error(tmp_path, what, [header, valid, bad, short]) == message
         assert self._error(tmp_path, what, [header, valid, short, bad]) == (
-            f"malformed {ROW_NOUNS[what]} row: {short!r}")
+            f"malformed {NOUNS[what][1]} row: {short!r}")
+
+
+FLOW_NAMES = ("b_individual", "b_local", "b_global", "b_environment", "b_snk")
+# Each way to spoil one trace row: (its new fields from the old ones and the
+# previous row's index, the error class and message it must give).
+SPOILS = {
+    "short": (lambda f, prev: f[:-1], ValueError, lambda f, new: f"malformed trace row: {','.join(new)!r}"),
+    "long": (lambda f, prev: f + ["1"], ValueError, lambda f, new: f"malformed trace row: {','.join(new)!r}"),
+    "index": (lambda f, prev: [str(prev)] + f[1:], ValueError,
+              lambda f, new: f"slice indices must increase (got {new[0]} after {new[0]})"),
+    "phase": (lambda f, prev: f[:1] + ["nope"] + f[2:], ValueError, lambda f, new: "unknown phase 'nope'"),
+    **{f"flow-{text}-{c}": (lambda f, prev, c=c, text=text: f[:2 + c] + [text] + f[3 + c:], BoundaryError,
+                             lambda f, new, c=c, text=text:
+                             f"parameter boundary {FLOW_NAMES[c]} >= 0 violated (got {float(text)!r})")
+       for text in ("-1.5", "nan", "inf") for c in (0, 2, 4)},
+    "energy-text": (lambda f, prev: f[:7] + ["x"] + f[8:], ValueError,
+                    lambda f, new: "could not convert string to float: 'x'"),
+    "energy-nan": (lambda f, prev: f[:7] + ["nan"] + f[8:], ValueError,
+                   lambda f, new: "observations must be finite"),
+    "alive-float": (lambda f, prev: f[:8] + ["3.0"], ValueError,
+                    lambda f, new: "invalid literal for int() with base 10: '3.0'"),
+}
+
+
+def _outcome(read):
+    """What a reader gives: the arrays' dtype, shape, C-contiguity and bytes with the
+    labels and mask, or the class and message of what it raises."""
+    try:
+        obs = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ([(a.dtype, a.shape, a.flags["C_CONTIGUOUS"], a.tobytes()) for a in (obs.flows, obs.energy)],
+            obs.slices, obs.active)
+
+
+class TestTraceToArrays:
+    """``read_trace_observations`` against ``observations_from_slices(read_trace(path), mask)``,
+    and both against the error each spoiled row must give."""
+
+    flow = st.one_of(st.just(0.0), st.just(-0.0), st.integers(0, 10 ** 6).map(float),
+                     st.floats(0.0, allow_infinity=False))
+
+    @settings(max_examples=400, deadline=None)
+    @given(indices=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=30, unique=True).map(sorted),
+           data=st.data(),
+           mask=st.tuples(*[st.booleans()] * 5).filter(any))
+    def test_same_arrays_or_same_error(self, indices, data, mask):
+        records = [SliceRecord(i, data.draw(st.sampled_from(Phase)),
+                               ConstituentFlowVector(*data.draw(st.tuples(*[self.flow] * 5))),
+                               data.draw(st.floats(allow_nan=False, allow_infinity=False)),
+                               data.draw(st.integers(0, 10 ** 4)))
+                   for i in indices]
+        spoil = data.draw(st.sampled_from([None, "header", *SPOILS]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace(str(path), records)
+            lines = path.read_text().splitlines()
+            expected = None
+            if spoil == "header":
+                lines[0] = lines[0].upper()
+                expected = (ValueError, f"trace header must be exactly {TRACE_HEADER!r}")
+            elif spoil is not None and len(records) > (spoil == "index"):
+                row = data.draw(st.integers(spoil == "index", len(records) - 1))
+                fields = lines[row + 1].split(",")
+                change, error, message = SPOILS[spoil]
+                new = change(fields, records[row - 1].index)
+                lines[row + 1] = ",".join(new)
+                expected = (error, message(fields, new))
+            path.write_text("\n".join(lines) + "\n")
+            got = _outcome(lambda: read_trace_observations(str(path), mask))
+            reference = _outcome(lambda: observations_from_slices(read_trace(str(path)), mask))
+        assert got == reference
+        if expected is None:   # C-ordered arrays, which the solve needs
+            assert [contiguous for _, _, contiguous, _ in got[0]] == [True, True]
+        else:
+            assert got == expected
 
 
 def test_observations_from_slices_masks_and_annotates():

@@ -25,7 +25,14 @@ from wsnec.energy_core import (
     overall_energy,
     task_energy,
 )
-from wsnec.flow_models import LocalParams, environment_flow
+from wsnec.flow_models import (
+    IndividualParams,
+    LocalParams,
+    ProbabilityModelConfig,
+    environment_flow,
+    p_pktls,
+    p_sense,
+)
 from wsnec.policy import BudgetProblem, TaskDescriptor
 from wsnec.radio import RadioModelParams, tx_energy_per_bit
 
@@ -338,3 +345,46 @@ def test_an_int_past_float_range_breaks_its_boundary(name, build):
     with pytest.raises(BoundaryError) as exc:
         build()
     assert str(exc.value) == f"parameter boundary {name} >= 0 violated (got {10 ** 400!r})"
+
+
+HUGE = 10 ** 400
+ALL_ZERO_MIX = [[0.0] * 5 for _ in range(5)]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CoefficientVector([HUGE, 0, 0, 0, 0]), ValueError,
+     f"active coefficient must be finite, got {HUGE!r}"),
+    (lambda: CoefficientVector([1, 2, -HUGE, 0, 0]), ValueError,
+     f"active coefficient must be finite, got {-HUGE!r}"),
+    (lambda: ConstituentResourceMix([[0.0] * 5, [0.0, 0.0, 0.0, HUGE, 0.0]] + ALL_ZERO_MIX[2:]),
+     BoundaryError, f"parameter boundary mix[local][tx] >= 0 violated (got {HUGE!r})"),
+    (lambda: constituent_alpha([0.0, HUGE, 0.0, 0.0, 0.0], ScenarioConfig().profile),
+     BoundaryError, f"parameter boundary weight[mem] >= 0 violated (got {HUGE!r})"),
+    (lambda: RadioModelParams(e_t_elec=HUGE), BoundaryError,
+     f"parameter boundary e_t_elec > 0 violated (got {HUGE!r})"),
+    (lambda: RadioModelParams(alpha_pl=HUGE), BoundaryError,
+     f"parameter boundary alpha_pl > 1 violated (got {HUGE!r})"),
+    (lambda: RadioModelParams(d0=HUGE), BoundaryError,
+     f"parameter boundary d0 > 0 violated (got {HUGE!r})"),
+    (lambda: IndividualParams(r_sense=HUGE), BoundaryError,
+     f"parameter boundary r_sense > 0 violated (got {HUGE!r})"),
+    (lambda: ProbabilityModelConfig(area=HUGE), BoundaryError,
+     f"parameter boundary area > 0 violated (got {HUGE!r})"),
+    (lambda: p_sense(HUGE, 0.0, ProbabilityModelConfig()), BoundaryError,
+     f"parameter boundary r_sense > 0 violated (got {HUGE!r})"),
+    (lambda: p_pktls(1.0, HUGE, 1, ProbabilityModelConfig()), BoundaryError,
+     f"parameter boundary r_tx > 0 when dist_to_sink > 0 violated (got {HUGE!r})"),
+], ids=["alpha-active", "alpha-active-negative", "mix", "constituent-alpha", "radio-e_t_elec",
+        "radio-alpha_pl", "radio-d0", "individual-r_sense", "probability-area", "p_sense-r_sense",
+        "p_pktls-r_tx"])
+def test_an_int_past_float_range_is_rejected_as_inf_is(build, error, message):
+    # float() and math.isfinite() of such an int overflow: each site reports it
+    # the way it reports inf, with its own message, and not as OverflowError.
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_an_inactive_alpha_past_float_range_is_stored_as_zero():
+    cv = CoefficientVector([1, HUGE, 2, -HUGE, 0], (True, False, True, False, False))
+    assert cv.alpha == (1.0, 0.0, 2.0, 0.0, 0.0) and all(type(a) is float for a in cv.alpha)
