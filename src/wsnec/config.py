@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from .energy_core import CONSTITUENT_ORDER, FLOAT_MAX, ConstituentResourceMix, ResourcePowerProfile
+from .energy_core import CONSTITUENT_ORDER, ConstituentResourceMix, ResourcePowerProfile, finite, shown
 from .radio import RadioModelParams
 
 
@@ -134,31 +134,31 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
     out = []
     for name, (op, threshold) in _BOUNDS.items():
         value = getattr(cfg, name)
-        if not (-FLOAT_MAX <= value <= FLOAT_MAX and _HOLDS[op](value, threshold)):
-            out.append(f"parameter boundary {name} {op} {threshold} violated (got {value!r})")
+        if not (finite(value) and _HOLDS[op](value, threshold)):
+            out.append(f"parameter boundary {name} {op} {threshold} violated (got {shown(value)})")
         elif name in _INTEGERS and not hasattr(value, "__index__"):   # range() needs an int
-            out.append(f"parameter {name} must be an integer (got {value!r})")
+            out.append(f"parameter {name} must be an integer (got {shown(value)})")
     if not cfg.seed >= 0:   # random.Random seeds with |seed|
-        out.append(f"parameter boundary seed >= 0 violated (got {cfg.seed!r})")
+        out.append(f"parameter boundary seed >= 0 violated (got {shown(cfg.seed)})")
     elif not hasattr(cfg.seed, "__index__"):
-        out.append(f"parameter seed must be an integer (got {cfg.seed!r})")
+        out.append(f"parameter seed must be an integer (got {shown(cfg.seed)})")
     if not (0 <= cfg.sink_x <= cfg.area_width and 0 <= cfg.sink_y <= cfg.area_height):
-        out.append(f"sink ({cfg.sink_x!r}, {cfg.sink_y!r}) outside area "
-                   f"[0, {cfg.area_width!r}] x [0, {cfg.area_height!r}]")
+        out.append(f"sink ({shown(cfg.sink_x)}, {shown(cfg.sink_y)}) outside area "
+                   f"[0, {shown(cfg.area_width)}] x [0, {shown(cfg.area_height)}]")
     if cfg.total_slices < cfg.init_slices:
-        out.append(f"total_slices ({cfg.total_slices}) must cover init_slices ({cfg.init_slices})")
+        out.append(f"total_slices ({shown(cfg.total_slices)}) must cover init_slices ({shown(cfg.init_slices)})")
     if cfg.sweep.runs < 1:
-        out.append(f"sweep runs must be >= 1 (got {cfg.sweep.runs!r})")
+        out.append(f"sweep runs must be >= 1 (got {shown(cfg.sweep.runs)})")
     elif not hasattr(cfg.sweep.runs, "__index__"):
-        out.append(f"parameter runs must be an integer (got {cfg.sweep.runs!r})")
+        out.append(f"parameter runs must be an integer (got {shown(cfg.sweep.runs)})")
     for name, (low, high) in cfg.sweep.ranges:
         if name not in SWEEPABLE:
             out.append(f"sweep parameter {name!r} is not sweepable "
                        f"(choose from {sorted(SWEEPABLE)})")
             continue
-        if not -FLOAT_MAX <= low <= high <= FLOAT_MAX:
+        if not (finite(low) and finite(high) and low <= high):
             out.append(f"sweep range for {name} must be low:high with low <= high "
-                       f"(got {low!r}:{high!r})")
+                       f"(got {shown(low)}:{shown(high)})")
             continue
         if SWEEPABLE[name] and not (float(low).is_integer() and float(high).is_integer()):
             out.append(f"sweep range {low!r}:{high!r} for integer {name} needs whole-number ends")

@@ -9,9 +9,9 @@ A node's energy use is accounted two ways that must stay consistent:
   single joules-per-packet coefficient obtained as a weighted mix of the
   resource prices.
 
-Everything here is pure arithmetic over immutable values: every value type
-is a frozen dataclass that validates its fields once, on construction. No
-simulation state, safe for unrestricted concurrent use.
+Everything here is pure arithmetic over immutable values: each value type is
+a frozen dataclass that converts and checks each field once, when built, and
+keeps the value it checked. No simulation state, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -44,10 +44,18 @@ class BoundaryError(ValueError):
     """A parameter violated its documented boundary."""
 
 
+def shown(value) -> str:
+    """``repr(value)``, or the sign and bit length of an int too long for ``repr``."""
+    try:
+        return repr(value)
+    except ValueError:   # past sys.get_int_max_str_digits()
+        return f"<{'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits>"
+
+
 def bound(condition: bool, boundary: str, value) -> None:
     """Raise :class:`BoundaryError` citing ``boundary`` unless ``condition`` holds."""
     if not condition:
-        raise BoundaryError(f"parameter boundary {boundary} violated (got {value!r})")
+        raise BoundaryError(f"parameter boundary {boundary} violated (got {shown(value)})")
 
 
 def as_float(value):
@@ -120,13 +128,12 @@ class ConstituentResourceMix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(as_float, row)) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         if len(rows) != 5 or any(len(row) != 5 for row in rows):
             raise ValueError("mix must be a 5x5 matrix (constituents x resources)")
-        for k, row in enumerate(rows):
-            for r, w in enumerate(row):
-                nonneg(f"mix[{CONSTITUENT_ORDER[k].value}][{RESOURCE_NAMES[r]}]", w)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(
+            tuple(nonneg(f"mix[{c.value}][{r}]", w) for r, w in zip(RESOURCE_NAMES, row))
+            for c, row in zip(CONSTITUENT_ORDER, rows)))
 
     def row(self, constituent: Constituent) -> tuple[float, ...]:
         return self.rows[CONSTITUENT_ORDER.index(constituent)]
@@ -147,11 +154,8 @@ class ConstituentFlowVector:
     b_snk: float = 0.0
 
     def __post_init__(self):
-        # A finite float >= 0 is kept as it is; anything else goes through nonneg.
         for name in ("b_individual", "b_local", "b_global", "b_environment", "b_snk"):
-            value = getattr(self, name)
-            if type(value) is not float or not 0 <= value < math.inf:
-                object.__setattr__(self, name, nonneg(name, value))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.b_individual, self.b_local, self.b_global, self.b_environment, self.b_snk)
@@ -174,20 +178,15 @@ class CoefficientVector:
     active: tuple[bool, ...] | None = None
 
     def __post_init__(self):
-        try:
-            alpha = tuple(map(float, self.alpha))
-        except OverflowError:   # an int past float range is kept, and rejected below if active
-            if iter(self.alpha) is self.alpha:   # a spent iterator keeps its error
-                raise
-            alpha = tuple(map(as_float, self.alpha))
+        alpha = tuple(map(as_float, self.alpha))
         if len(alpha) != 5:
             raise ValueError("alpha must have 5 entries (one per constituent)")
         active = (True,) * 5 if self.active is None else tuple(map(bool, self.active))
         if len(active) != 5:
             raise ValueError("active mask must have 5 entries")
         for a, is_active in zip(alpha, active):
-            if is_active and not -FLOAT_MAX <= a <= FLOAT_MAX:
-                raise ValueError(f"active coefficient must be finite, got {a!r}")
+            if is_active and not finite(a):
+                raise ValueError(f"active coefficient must be finite, got {shown(a)}")
         object.__setattr__(self, "alpha",
                            tuple([a if is_active else 0.0 for a, is_active in zip(alpha, active)]))
         object.__setattr__(self, "active", active)
@@ -209,11 +208,10 @@ def task_energy(usage: ResourceUsageVector, profile: ResourcePowerProfile) -> fl
 
 def constituent_alpha(mix_row: Sequence[float], profile: ResourcePowerProfile) -> float:
     """Joules per constituent packet: resource prices weighted by the mix row."""
-    weights = list(map(as_float, mix_row))
+    weights = tuple(mix_row)
     if len(weights) != 5:
         raise ValueError("mix_row must have 5 weights (cpu, mem, rx, tx, sens)")
-    for r, w in enumerate(weights):
-        nonneg(f"weight[{RESOURCE_NAMES[r]}]", w)
+    weights = [nonneg(f"weight[{r}]", w) for r, w in zip(RESOURCE_NAMES, weights)]
     return math.fsum(w * p for w, p in zip(weights, profile.as_tuple()))
 
 

@@ -46,7 +46,7 @@ class IndividualParams:
     def __post_init__(self):
         bound(finite(self.r_sense) and self.r_sense > 0, "r_sense > 0", self.r_sense)
         for name in ("g_sense", "b_os", "b_sec"):
-            nonneg(name, getattr(self, name))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class LocalParams:
         bound(isinstance(self.n, int) and self.n >= 1, "n >= 1", self.n)
         bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
         for name in ("g_tx", "r_tx", "b_mon", "b_sec", "b_ohead"):
-            nonneg(name, getattr(self, name))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ class GlobalParams:
     b_ohead: float = 0.0
 
     def __post_init__(self):
-        nonneg("dist_to_sink", self.dist_to_sink)
+        object.__setattr__(self, "dist_to_sink", nonneg("dist_to_sink", self.dist_to_sink))
         bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
         for name in ("r_tx", "b_sec", "b_topo", "b_rout", "b_ohead"):
-            nonneg(name, getattr(self, name))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class ProbabilityModelConfig:
 
     def __post_init__(self):
         for name in ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss"):
-            nonneg(name, getattr(self, name))
+            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
         bound(finite(self.area) and self.area > 0, "area > 0", self.area)
         bound(0 <= self.p_cap < 1, "0 <= p_cap < 1", self.p_cap)
 

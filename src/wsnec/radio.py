@@ -34,6 +34,7 @@ class RadioModelParams:
         for name in ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp"):
             v = as_float(getattr(self, name))
             bound(finite(v) and v > 0, f"{name} > 0", v)
+            object.__setattr__(self, name, v)
         bound(finite(self.alpha_pl) and self.alpha_pl > 1, "alpha_pl > 1", self.alpha_pl)
         if self.d0 is None:
             object.__setattr__(self, "d0", math.sqrt(self.eps_fs / self.eps_mp))

@@ -13,7 +13,7 @@ import configparser
 import itertools
 from typing import Iterator, Sequence
 
-from .energy_core import (CONSTITUENT_ORDER, FLOAT_MAX, CoefficientVector, Constituent, ConstituentFlowVector,
+from .energy_core import (CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector, finite,
                           nonneg)
 from .estimation import ErrorReport, FitResult, ObservationSet, RollingFit
 from .policy import ScheduleResult, TaskDescriptor, task_cost
@@ -66,7 +66,7 @@ def _flows(fields: Sequence[str]) -> list[float]:
     """Five flow fields as floats, each checked as ``ConstituentFlowVector`` checks it; the
     checks run only if the min or the sum shows a negative, nan or infinite flow."""
     flows = list(map(float, fields))
-    if not (0 <= min(flows) and sum(flows) <= FLOAT_MAX):
+    if not (0 <= min(flows) and finite(sum(flows))):
         list(map(nonneg, OBSERVATIONS_HEADER.split(",")[1:6], flows))
     return flows
 

@@ -4,16 +4,23 @@ The reference oracles here (dot products, double sums) are coded as plain
 loops, independent of the implementation under test.
 """
 
+import collections
 import dataclasses
+import functools
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wsnec.config import DEFAULT_MIX, ScenarioConfig
+from wsnec.config import DEFAULT_MIX, ConfigError, ScenarioConfig, SweepConfig
 from wsnec.energy_core import (
     CONSTITUENT_ORDER,
+    FLOAT_MAX,
+    RESOURCE_NAMES,
     BoundaryError,
     CoefficientVector,
     Constituent,
@@ -21,11 +28,17 @@ from wsnec.energy_core import (
     ConstituentResourceMix,
     ResourcePowerProfile,
     ResourceUsageVector,
+    as_float,
+    bound,
     constituent_alpha,
+    finite,
+    nonneg,
     overall_energy,
+    shown,
     task_energy,
 )
 from wsnec.flow_models import (
+    GlobalParams,
     IndividualParams,
     LocalParams,
     ProbabilityModelConfig,
@@ -388,3 +401,145 @@ def test_an_int_past_float_range_is_rejected_as_inf_is(build, error, message):
 def test_an_inactive_alpha_past_float_range_is_stored_as_zero():
     cv = CoefficientVector([1, HUGE, 2, -HUGE, 0], (True, False, True, False, False))
     assert cv.alpha == (1.0, 0.0, 2.0, 0.0, 0.0) and all(type(a) is float for a in cv.alpha)
+
+
+# An int too long for repr(): past sys.get_int_max_str_digits(), 4,300 by default.
+HUGER = 10 ** 5000
+HUGER_SHOWN = "<positive int of 16610 bits>"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: nonneg("x", -HUGER), BoundaryError,
+     "parameter boundary x >= 0 violated (got <negative int of 16610 bits>)"),
+    (lambda: ScenarioConfig(nodes=HUGER), ConfigError,
+     f"invalid configuration:\n  parameter boundary nodes >= 1 violated (got {HUGER_SHOWN})"),
+    (lambda: ScenarioConfig(seed=-HUGER), ConfigError,
+     "invalid configuration:\n  parameter boundary seed >= 0 violated (got <negative int of 16610 bits>)"),
+    (lambda: ScenarioConfig(area_width=HUGER), ConfigError,
+     f"invalid configuration:\n  parameter boundary area_width > 0 violated (got {HUGER_SHOWN})"),
+    (lambda: ScenarioConfig(init_slices=HUGER), ConfigError,
+     f"invalid configuration:\n  parameter boundary init_slices >= 0 violated (got {HUGER_SHOWN})\n"
+     f"  total_slices (80) must cover init_slices ({HUGER_SHOWN})"),
+    (lambda: ScenarioConfig(sweep=SweepConfig(ranges={"maintenance_period": (4, HUGER)})), ConfigError,
+     "invalid configuration:\n  sweep range for maintenance_period must be low:high with low <= high "
+     f"(got 4:{HUGER_SHOWN})"),
+    (lambda: TaskDescriptor(1, Constituent.LOCAL, HUGER, 1.0), BoundaryError,
+     f"parameter boundary pf_size within float range violated (got {HUGER_SHOWN})"),
+    (lambda: CoefficientVector([HUGER, 0, 0, 0, 0]), ValueError,
+     f"active coefficient must be finite, got {HUGER_SHOWN}"),
+    (lambda: ConstituentFlowVector(b_local=HUGER), BoundaryError,
+     f"parameter boundary b_local >= 0 violated (got {HUGER_SHOWN})"),
+], ids=["nonneg", "scenario-nodes", "scenario-seed", "scenario-area_width", "scenario-init_slices",
+        "sweep-range", "task-pf_size", "alpha-active", "flows"])
+def test_an_int_too_long_for_repr_is_reported_by_its_size(build, error, message):
+    # repr() of such an int raises ValueError, so the message shows its sign and bit length.
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_the_formatter_shows_repr_when_it_can():
+    assert [shown(v) for v in (10 ** 400, -0.0, math.nan, "1", True)] == [
+        repr(10 ** 400), "-0.0", "nan", "'1'", "True"]
+
+
+def test_radio_and_flow_params_keep_the_converted_value():
+    params = RadioModelParams(e_t_elec="5e-8", eps_fs=10)
+    assert (params.e_t_elec, params.eps_fs) == (5e-8, 10.0) and type(params.eps_fs) is float
+    assert tx_energy_per_bit(10.0, params) == 5e-8 + 10.0 * 100.0
+    assert IndividualParams(r_sense=10, g_sense="0.5").g_sense == 0.5
+    assert GlobalParams(dist_to_sink="3", net_dens=1).dist_to_sink == 3.0
+    assert type(BudgetProblem((), CoefficientVector([1] * 5), 2, enforce_positivity=False).e_battery) is float
+
+
+def _radio_rule(name):
+    def rule(x):
+        v = as_float(x)
+        bound(finite(v) and v > 0, f"{name} > 0", v)
+        return v
+    return rule
+
+
+def _active_alpha(x):
+    a = as_float(x)
+    if not finite(a):
+        raise ValueError(f"active coefficient must be finite, got {shown(a)}")
+    return a
+
+
+def _at(i, x, fill=0.0):
+    return [x if j == i else fill for j in range(5)]
+
+
+Site = collections.namedtuple("Site", "name build read rule")
+PROFILE = ResourcePowerProfile(2e-5, 1e-5, 4e-5, 6e-5, 3e-5)
+PARAMS = [(IndividualParams, {"r_sense": 1.0}, ("g_sense", "b_os", "b_sec")),
+          (LocalParams, {"n": 1, "net_dens": 1}, ("g_tx", "r_tx", "b_mon", "b_sec", "b_ohead")),
+          (GlobalParams, {"dist_to_sink": 0.0, "net_dens": 1},
+           ("dist_to_sink", "r_tx", "b_sec", "b_topo", "b_rout", "b_ohead")),
+          (ProbabilityModelConfig, {},
+           ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss")),
+          (RadioModelParams, {"d0": 1.0}, ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp"))]
+
+
+def _sites():
+    """Every field that goes through nonneg or as_float: its name, a build from one input
+    value (every other field valid), a read of what was stored, and the rule it stores by."""
+    sites = []
+    flows, prices = ([f.name for f in dataclasses.fields(cls)]
+                     for cls in (ConstituentFlowVector, ResourcePowerProfile))
+    for i, (flow, price, r) in enumerate(zip(flows, prices, RESOURCE_NAMES)):
+        sites += [
+            Site(flow, lambda x, f=flow: ConstituentFlowVector(**{f: x}), operator.attrgetter(flow),
+                 functools.partial(nonneg, flow)),
+            Site(price, lambda x, i=i: ResourcePowerProfile(*_at(i, x)), operator.attrgetter(price),
+                 functools.partial(nonneg, price)),
+            Site(f"constituent_alpha {r}", lambda x, i=i: constituent_alpha(_at(i, x), PROFILE), lambda v: v,
+                 lambda x, i=i, r=r: math.fsum(w * p for w, p in zip(_at(i, nonneg(f"weight[{r}]", x)),
+                                                                    PROFILE.as_tuple())))]
+        for k, c in enumerate(CONSTITUENT_ORDER):
+            name = f"mix[{c.value}][{r}]"
+            sites.append(Site(name, lambda x, i=i, k=k: ConstituentResourceMix(_at(k, _at(i, x), [0] * 5)),
+                              lambda v, i=i, k=k: v.rows[k][i], functools.partial(nonneg, name)))
+        for wrap in (list, iter):   # an iterator converts as a list does
+            sites += [
+                Site(f"alpha[{i}] {wrap.__name__}", lambda x, i=i, w=wrap: CoefficientVector(w(_at(i, x))),
+                     lambda v, i=i: v.alpha[i], _active_alpha),
+                Site(f"inactive alpha[{i}] {wrap.__name__}",
+                     lambda x, i=i, w=wrap: CoefficientVector(w(_at(i, x)), _at(i, False, True)),
+                     lambda v, i=i: v.alpha[i], lambda x: (as_float(x), 0.0)[1])]
+    for cls, base, names in PARAMS:
+        sites += [Site(f"{cls.__name__}.{n}", lambda x, c=cls, b=base, n=n: c(**{**b, n: x}),
+                       operator.attrgetter(n), _radio_rule(n) if cls is RadioModelParams else
+                       functools.partial(nonneg, n)) for n in names]
+    return sites + [Site("e_battery", lambda x: BudgetProblem((), CoefficientVector([1] * 5), x,
+                                                             enforce_positivity=False),
+                         operator.attrgetter("e_battery"), functools.partial(nonneg, "e_battery"))]
+
+
+SITES = {site.name: site for site in _sites()}
+NUMBERS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, FLOAT_MAX]),
+    st.integers(), st.sampled_from([10 ** 400, -10 ** 400]), st.booleans(),
+    st.floats().map(repr), st.integers(-10 ** 400, 10 ** 400).map(str), st.sampled_from(["x", "", " 2.5 "]))
+
+
+def _outcome(f, x):
+    """What ``f(x)`` gives: ("ok", float.hex of the value) or (exception class, message)."""
+    try:
+        value = f(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert type(value) is float
+    return "ok", value.hex()
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(list(SITES.values())), NUMBERS)
+@example(SITES["alpha[1] iter"], 10 ** 400)
+@example(SITES["inactive alpha[1] iter"], 10 ** 400)
+def test_each_field_stores_what_its_rule_gives(site, x):
+    # One rule for every value type: the stored value is nonneg / as_float of the input, bit for
+    # bit (-0.0 stays -0.0), or construction raises what the rule raises, list or iterator alike.
+    _, build, read, rule = site
+    assert _outcome(lambda x: read(build(x)), x) == _outcome(rule, x)

@@ -5,7 +5,9 @@ No linter ships with the project, so this test is its unused-import and
 dead-helper check. The package ``__init__`` imports to re-export, and
 ``flow_models`` re-exports ``BoundaryError`` by design (its callers catch it
 there). A private name (one leading underscore) is the module's own, so one
-that the module never reads is dead code.
+that the module never reads is dead code. Whether a number is in float range
+is decided in ``energy_core`` alone: no other module reads ``FLOAT_MAX``, and
+none names ``OverflowError``.
 """
 
 import ast
@@ -77,3 +79,32 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(source) == [
         "_a (line 1)", "_b (line 5)", "_E (line 9)", "_F (line 13)", "_G (line 14)",
         "_H (line 16)"]
+
+
+def float_range_reads(module: str, source: str) -> list[str]:
+    """Each ``FLOAT_MAX`` read outside ``energy_core`` and each ``OverflowError``, as
+    a name, an attribute or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        for name in names:
+            if name == "OverflowError" or (name == "FLOAT_MAX" and module != "energy_core.py"):
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_float_range_is_read_only_in_energy_core(module):
+    assert float_range_reads(module, (PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_float_range_read():
+    source = ("from .energy_core import FLOAT_MAX as M\nimport sys\n\n"
+              "def f(x):\n    try:\n        return x <= energy_core.FLOAT_MAX\n"
+              "    except OverflowError:\n        return sys.float_info.max\n")
+    assert float_range_reads("config.py", source) == [
+        "FLOAT_MAX (line 1)", "FLOAT_MAX (line 6)", "OverflowError (line 7)"]
+    assert float_range_reads("energy_core.py", source) == ["OverflowError (line 7)"]
