@@ -9,6 +9,7 @@ from . import traceio
 from .config import ConfigError, ScenarioConfig, SweepConfig, load_config, sample_config
 from .energy_core import (
     CONSTITUENT_ORDER,
+    BoundaryError,
     CoefficientVector,
     Constituent,
     ConstituentFlowVector,
@@ -29,7 +30,6 @@ from .estimation import (
     rolling_fit,
 )
 from .flow_models import (
-    BoundaryError,
     FlowSingularityError,
     GlobalParams,
     IndividualParams,

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import configparser
 import functools
-import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from .energy_core import CONSTITUENT_ORDER, ConstituentResourceMix, ResourcePowerProfile, finite, shown
+from .energy_core import (CONSTITUENT_ORDER, ConstituentResourceMix, ResourcePowerProfile, finite, shown,
+                          within)
 from .radio import RadioModelParams
 
 
@@ -126,7 +126,6 @@ _BOUNDS: dict[str, tuple[str, int]] = {
 _INTEGERS = {f.name for f in fields(ScenarioConfig) if type(f.default) is int}
 SWEEPABLE: dict[str, bool] = {
     f.name: f.name in _INTEGERS for f in fields(ScenarioConfig) if f.metadata.get("sweep")}
-_HOLDS = {">=": operator.ge, ">": operator.gt}
 
 
 def scenario_violations(cfg: ScenarioConfig) -> list[str]:
@@ -134,7 +133,7 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
     out = []
     for name, (op, threshold) in _BOUNDS.items():
         value = getattr(cfg, name)
-        if not (finite(value) and _HOLDS[op](value, threshold)):
+        if not within(value, op, threshold):
             out.append(f"parameter boundary {name} {op} {threshold} violated (got {shown(value)})")
         elif name in _INTEGERS and not hasattr(value, "__index__"):   # range() needs an int
             out.append(f"parameter {name} must be an integer (got {shown(value)})")
@@ -155,18 +154,17 @@ def scenario_violations(cfg: ScenarioConfig) -> list[str]:
         if name not in SWEEPABLE:
             out.append(f"sweep parameter {name!r} is not sweepable "
                        f"(choose from {sorted(SWEEPABLE)})")
-            continue
-        if not (finite(low) and finite(high) and low <= high):
+        elif not (finite(low) and finite(high) and low <= high):
             out.append(f"sweep range for {name} must be low:high with low <= high "
                        f"(got {shown(low)}:{shown(high)})")
-            continue
-        if SWEEPABLE[name] and not (float(low).is_integer() and float(high).is_integer()):
-            out.append(f"sweep range {low!r}:{high!r} for integer {name} needs whole-number ends")
-            continue
-        op, threshold = _BOUNDS[name]
-        if not (_HOLDS[op](low, threshold) and _HOLDS[op](high, threshold)):
-            out.append(f"sweep range {low!r}:{high!r} for {name} violates "
-                       f"parameter boundary {name} {op} {threshold}")
+        elif SWEEPABLE[name] and not (float(low).is_integer() and float(high).is_integer()):
+            out.append(f"sweep range {shown(low)}:{shown(high)} for integer {name} "
+                       "needs whole-number ends")
+        else:
+            op, threshold = _BOUNDS[name]
+            if not (within(low, op, threshold) and within(high, op, threshold)):
+                out.append(f"sweep range {shown(low)}:{shown(high)} for {name} violates "
+                           f"parameter boundary {name} {op} {threshold}")
     return out
 
 

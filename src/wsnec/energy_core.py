@@ -68,11 +68,16 @@ def finite(value) -> bool:
     return abs(value) <= FLOAT_MAX if isinstance(value, int) else math.isfinite(value)
 
 
-def nonneg(name: str, value: float) -> float:
-    """``value`` as a float, which must be finite and >= 0."""
+def within(value, op: str = ">=", threshold=0) -> bool:
+    """Whether ``value`` is finite and ``value op threshold``, unconverted; ``op`` is ">=" or ">"."""
+    return threshold <= value <= FLOAT_MAX if op == ">=" else threshold < value <= FLOAT_MAX
+
+
+def checked(name: str, value, op: str = ">=", threshold=0) -> float:
+    """``value`` as a float, which must be finite and ``value op threshold`` (boundary ``name``)."""
     value = as_float(value)
-    if not 0 <= value <= FLOAT_MAX:
-        bound(False, f"{name} >= 0", value)
+    if not within(value, op, threshold):
+        bound(False, f"{name} {op} {threshold}", value)
     return value
 
 
@@ -95,7 +100,7 @@ class ResourcePowerProfile:
 
     def __post_init__(self):
         for name in ("p_cpu", "p_mem", "p_rx", "p_tx", "p_sens"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.p_cpu, self.p_mem, self.p_rx, self.p_tx, self.p_sens)
@@ -132,7 +137,7 @@ class ConstituentResourceMix:
         if len(rows) != 5 or any(len(row) != 5 for row in rows):
             raise ValueError("mix must be a 5x5 matrix (constituents x resources)")
         object.__setattr__(self, "rows", tuple(
-            tuple(nonneg(f"mix[{c.value}][{r}]", w) for r, w in zip(RESOURCE_NAMES, row))
+            tuple(checked(f"mix[{c.value}][{r}]", w) for r, w in zip(RESOURCE_NAMES, row))
             for c, row in zip(CONSTITUENT_ORDER, rows)))
 
     def row(self, constituent: Constituent) -> tuple[float, ...]:
@@ -155,7 +160,7 @@ class ConstituentFlowVector:
 
     def __post_init__(self):
         for name in ("b_individual", "b_local", "b_global", "b_environment", "b_snk"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.b_individual, self.b_local, self.b_global, self.b_environment, self.b_snk)
@@ -211,7 +216,7 @@ def constituent_alpha(mix_row: Sequence[float], profile: ResourcePowerProfile) -
     weights = tuple(mix_row)
     if len(weights) != 5:
         raise ValueError("mix_row must have 5 weights (cpu, mem, rx, tx, sens)")
-    weights = [nonneg(f"weight[{r}]", w) for r, w in zip(RESOURCE_NAMES, weights)]
+    weights = [checked(f"weight[{r}]", w) for r, w in zip(RESOURCE_NAMES, weights)]
     return math.fsum(w * p for w, p in zip(weights, profile.as_tuple()))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy_core import BoundaryError, bound, finite, nonneg  # BoundaryError re-exported
+from .energy_core import as_float, bound, checked, within
 
 #: Denominators closer to zero than this are treated as misconfiguration.
 EPSILON_DIV = 1e-9
@@ -44,9 +44,9 @@ class IndividualParams:
     b_sec: float = 0.0
 
     def __post_init__(self):
-        bound(finite(self.r_sense) and self.r_sense > 0, "r_sense > 0", self.r_sense)
+        object.__setattr__(self, "r_sense", checked("r_sense", self.r_sense, ">", 0))
         for name in ("g_sense", "b_os", "b_sec"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class LocalParams:
         bound(isinstance(self.n, int) and self.n >= 1, "n >= 1", self.n)
         bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
         for name in ("g_tx", "r_tx", "b_mon", "b_sec", "b_ohead"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ class GlobalParams:
     b_ohead: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dist_to_sink", nonneg("dist_to_sink", self.dist_to_sink))
+        object.__setattr__(self, "dist_to_sink", checked("dist_to_sink", self.dist_to_sink))
         bound(isinstance(self.net_dens, int) and self.net_dens >= 1, "net_dens >= 1", self.net_dens)
         for name in ("r_tx", "b_sec", "b_topo", "b_rout", "b_ohead"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ class ProbabilityModelConfig:
 
     def __post_init__(self):
         for name in ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss"):
-            object.__setattr__(self, name, nonneg(name, getattr(self, name)))
-        bound(finite(self.area) and self.area > 0, "area > 0", self.area)
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
+        object.__setattr__(self, "area", checked("area", self.area, ">", 0))
+        object.__setattr__(self, "p_cap", as_float(self.p_cap))
         bound(0 <= self.p_cap < 1, "0 <= p_cap < 1", self.p_cap)
 
     @property
@@ -126,8 +127,8 @@ def solve_flow_total(numerator: float, probability: float) -> float:
     the division guard; a probability that close to 1 means the model is
     misconfigured, not that the flow is infinite.
     """
-    numerator = nonneg("flow numerator", numerator)
-    nonneg("probability", probability)
+    numerator = checked("flow numerator", numerator)
+    probability = checked("probability", probability)
     denom = 1.0 - probability
     if denom < EPSILON_DIV:
         raise FlowSingularityError(
@@ -141,8 +142,8 @@ def p_sense(r_sense: float, g_sense: float, cfg: ProbabilityModelConfig) -> floa
     sigma*r^2 / (sigma*r^2 + g + 1): increasing in coverage radius,
     non-increasing in sensing delay, bounded below 1, then capped.
     """
-    bound(finite(r_sense) and r_sense > 0, "r_sense > 0", r_sense)
-    nonneg("g_sense", g_sense)
+    r_sense = checked("r_sense", r_sense, ">", 0)
+    g_sense = checked("g_sense", g_sense)
     coverage = cfg.sigma_sense * r_sense * r_sense
     return min(cfg.p_cap, coverage / (coverage + g_sense + 1.0))
 
@@ -150,7 +151,7 @@ def p_sense(r_sense: float, g_sense: float, cfg: ProbabilityModelConfig) -> floa
 def p_coll(n: int, g_tx: float, net_dens: int, cfg: ProbabilityModelConfig) -> float:
     """Collision probability: linear in neighbors, delay and density, capped."""
     bound(n >= 1, "n >= 1", n)
-    nonneg("g_tx", g_tx)
+    g_tx = checked("g_tx", g_tx)
     bound(net_dens >= 1, "net_dens >= 1", net_dens)
     return min(cfg.local_cap, cfg.kappa_coll * n * g_tx * net_dens)
 
@@ -159,7 +160,7 @@ def p_ohear(n: int, net_dens: int, r_tx: float, cfg: ProbabilityModelConfig) -> 
     """Overhearing probability: scales with neighbor coverage overlap, capped."""
     bound(n >= 1, "n >= 1", n)
     bound(net_dens >= 1, "net_dens >= 1", net_dens)
-    nonneg("r_tx", r_tx)
+    r_tx = checked("r_tx", r_tx)
     return min(cfg.local_cap, cfg.kappa_ohear * n * r_tx * r_tx / cfg.area)
 
 
@@ -176,11 +177,12 @@ def p_pktls(dist_to_sink: float, r_tx: float, net_dens: int,
     Per-hop loss is kappa_loss / net_dens (denser networks lose less),
     clamped to 0.5; the result is capped like every other probability.
     """
-    nonneg("dist_to_sink", dist_to_sink)
+    dist_to_sink = checked("dist_to_sink", dist_to_sink)
     bound(net_dens >= 1, "net_dens >= 1", net_dens)
     if dist_to_sink == 0:
         return 0.0
-    bound(finite(r_tx) and r_tx > 0, "r_tx > 0 when dist_to_sink > 0", r_tx)
+    r_tx = as_float(r_tx)
+    bound(within(r_tx, ">", 0), "r_tx > 0 when dist_to_sink > 0", r_tx)
     hops = math.ceil(dist_to_sink / r_tx)
     p_hop = min(0.5, cfg.kappa_loss / net_dens)
     return min(cfg.p_cap, 1.0 - (1.0 - p_hop) ** hops)
@@ -215,9 +217,9 @@ def global_flow(params: GlobalParams,
 
 def environment_flow(b_ph: float = 0.0, b_sec: float = 0.0) -> float:
     """Harvesting-management flow: plain sum of its overheads."""
-    return nonneg("b_sec", b_sec) + nonneg("b_ph", b_ph)
+    return checked("b_sec", b_sec) + checked("b_ph", b_ph)
 
 
 def sink_flow(b_ohead: float = 0.0, b_sec: float = 0.0) -> float:
     """Sink-directed management flow: plain sum of its overheads."""
-    return nonneg("b_sec", b_sec) + nonneg("b_ohead", b_ohead)
+    return checked("b_sec", b_sec) + checked("b_ohead", b_ohead)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, bound, finite, nonneg
+from .energy_core import CONSTITUENT_ORDER, CoefficientVector, Constituent, bound, checked, finite
 
 #: Optional-task count above which selection switches to the greedy heuristic.
 EXACT_LIMIT = 64
@@ -51,7 +51,7 @@ class TaskDescriptor:
     def __post_init__(self):
         bound(isinstance(self.pf_size, int) and self.pf_size >= 1, "integer pf_size >= 1", self.pf_size)
         bound(finite(self.pf_size), "pf_size within float range", self.pf_size)
-        bound(0 < self.importance and finite(self.importance), "importance > 0", self.importance)
+        object.__setattr__(self, "importance", checked("importance", self.importance, ">", 0))
 
 
 def task_cost(task: TaskDescriptor, coefficients: CoefficientVector) -> float:
@@ -77,7 +77,7 @@ class BudgetProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "e_battery", nonneg("e_battery", self.e_battery))
+        object.__setattr__(self, "e_battery", checked("e_battery", self.e_battery))
         ids = [t.task_id for t in self.tasks]
         if len(ids) != len(set(ids)):
             raise ValueError("task ids must be unique")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy_core import as_float, bound, finite, nonneg
+from .energy_core import checked
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,16 @@ class RadioModelParams:
     d0: float | None = None     # crossover distance; default makes tx continuous
 
     def __post_init__(self):
-        for name in ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp"):
-            v = as_float(getattr(self, name))
-            bound(finite(v) and v > 0, f"{name} > 0", v)
-            object.__setattr__(self, name, v)
-        bound(finite(self.alpha_pl) and self.alpha_pl > 1, "alpha_pl > 1", self.alpha_pl)
-        if self.d0 is None:
-            object.__setattr__(self, "d0", math.sqrt(self.eps_fs / self.eps_mp))
-        bound(finite(self.d0) and self.d0 > 0, "d0 > 0", self.d0)
+        for name, threshold in (("e_t_elec", 0), ("e_r_elec", 0), ("eps_fs", 0), ("eps_mp", 0),
+                                ("eps_amp", 0), ("alpha_pl", 1)):
+            object.__setattr__(self, name, checked(name, getattr(self, name), ">", threshold))
+        d0 = math.sqrt(self.eps_fs / self.eps_mp) if self.d0 is None else self.d0
+        object.__setattr__(self, "d0", checked("d0", d0, ">", 0))
 
 
 def tx_energy_per_bit(d: float, params: RadioModelParams) -> float:
     """Transmit energy per bit over distance d (fs below d0, mp at and above)."""
-    nonneg("distance", d)
+    d = checked("distance", d)
     if d < params.d0:
         return params.e_t_elec + params.eps_fs * d * d
     return params.e_t_elec + params.eps_mp * d ** 4
@@ -56,7 +53,7 @@ def rx_energy_per_bit(params: RadioModelParams) -> float:
 
 def tx_energy_per_bit_power_law(d: float, params: RadioModelParams) -> float:
     """Transmit energy per bit in the single-coefficient amplifier form."""
-    nonneg("distance", d)
+    d = checked("distance", d)
     return params.e_t_elec + params.eps_amp * d ** params.alpha_pl
 
 
@@ -64,8 +61,7 @@ def relay_threshold(params: RadioModelParams) -> float:
     """Distance above which inserting a midpoint relay saves energy.
 
     ((e_t_elec + e_r_elec) / ((1 - 2^(1-alpha)) * eps_amp)) ^ (1/alpha),
-    in the single-coefficient amplifier form.
+    in the single-coefficient amplifier form; alpha_pl > 1 makes the scale positive.
     """
     scale = 1.0 - 2.0 ** (1.0 - params.alpha_pl)
-    bound(scale > 0, "alpha_pl > 1 for a finite threshold", params.alpha_pl)
     return ((params.e_t_elec + params.e_r_elec) / (scale * params.eps_amp)) ** (1.0 / params.alpha_pl)

@@ -13,8 +13,8 @@ import configparser
 import itertools
 from typing import Iterator, Sequence
 
-from .energy_core import (CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector, finite,
-                          nonneg)
+from .energy_core import (CONSTITUENT_ORDER, CoefficientVector, Constituent, ConstituentFlowVector, checked,
+                          finite)
 from .estimation import ErrorReport, FitResult, ObservationSet, RollingFit
 from .policy import ScheduleResult, TaskDescriptor, task_cost
 from .simulator import Phase, SliceRecord
@@ -67,7 +67,7 @@ def _flows(fields: Sequence[str]) -> list[float]:
     checks run only if the min or the sum shows a negative, nan or infinite flow."""
     flows = list(map(float, fields))
     if not (0 <= min(flows) and finite(sum(flows))):
-        list(map(nonneg, OBSERVATIONS_HEADER.split(",")[1:6], flows))
+        list(map(checked, OBSERVATIONS_HEADER.split(",")[1:6], flows))
     return flows
 
 

@@ -30,9 +30,9 @@ from wsnec.energy_core import (
     ResourceUsageVector,
     as_float,
     bound,
+    checked,
     constituent_alpha,
     finite,
-    nonneg,
     overall_energy,
     shown,
     task_energy,
@@ -43,11 +43,14 @@ from wsnec.flow_models import (
     LocalParams,
     ProbabilityModelConfig,
     environment_flow,
+    p_coll,
+    p_ohear,
     p_pktls,
     p_sense,
+    solve_flow_total,
 )
 from wsnec.policy import BudgetProblem, TaskDescriptor
-from wsnec.radio import RadioModelParams, tx_energy_per_bit
+from wsnec.radio import RadioModelParams, tx_energy_per_bit, tx_energy_per_bit_power_law
 
 
 def dot_oracle(xs, ys):
@@ -409,7 +412,7 @@ HUGER_SHOWN = "<positive int of 16610 bits>"
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: nonneg("x", -HUGER), BoundaryError,
+    (lambda: checked("x", -HUGER), BoundaryError,
      "parameter boundary x >= 0 violated (got <negative int of 16610 bits>)"),
     (lambda: ScenarioConfig(nodes=HUGER), ConfigError,
      f"invalid configuration:\n  parameter boundary nodes >= 1 violated (got {HUGER_SHOWN})"),
@@ -429,7 +432,7 @@ HUGER_SHOWN = "<positive int of 16610 bits>"
      f"active coefficient must be finite, got {HUGER_SHOWN}"),
     (lambda: ConstituentFlowVector(b_local=HUGER), BoundaryError,
      f"parameter boundary b_local >= 0 violated (got {HUGER_SHOWN})"),
-], ids=["nonneg", "scenario-nodes", "scenario-seed", "scenario-area_width", "scenario-init_slices",
+], ids=["checked", "scenario-nodes", "scenario-seed", "scenario-area_width", "scenario-init_slices",
         "sweep-range", "task-pf_size", "alpha-active", "flows"])
 def test_an_int_too_long_for_repr_is_reported_by_its_size(build, error, message):
     # repr() of such an int raises ValueError, so the message shows its sign and bit length.
@@ -452,12 +455,43 @@ def test_radio_and_flow_params_keep_the_converted_value():
     assert type(BudgetProblem((), CoefficientVector([1] * 5), 2, enforce_positivity=False).e_battery) is float
 
 
-def _radio_rule(name):
+RADIO = RadioModelParams()
+CFG = ProbabilityModelConfig()
+
+
+@pytest.mark.parametrize("call, number", [
+    (lambda d: tx_energy_per_bit(d, RADIO), 10),
+    (lambda d: tx_energy_per_bit(d, RADIO), 100),
+    (lambda d: tx_energy_per_bit_power_law(d, RADIO), 10),
+    (lambda p: solve_flow_total(1.0, p), 0),
+    (lambda r: p_sense(r, 0.5, CFG), 5),
+    (lambda g: p_sense(5.0, g, CFG), 2),
+    (lambda g: p_coll(2, g, 3, CFG), 2),
+    (lambda r: p_ohear(2, 3, r, CFG), 30),
+    (lambda d: p_pktls(d, 5.0, 20, CFG), 10),
+    (lambda r: p_pktls(10.0, r, 20, CFG), 3),
+], ids=["tx-fs-d", "tx-mp-d", "tx-power-law-d", "solve-probability", "p_sense-r_sense", "p_sense-g_sense",
+        "p_coll-g_tx", "p_ohear-r_tx", "p_pktls-dist_to_sink", "p_pktls-r_tx"])
+def test_each_checked_argument_is_used_as_converted(call, number):
+    # Each function computes with the float its check returned: an int, a numeric string and
+    # the float give one result, bit for bit.
+    results = [call(x) for x in (number, str(number), float(number))]
+    assert [type(r) for r in results] == [float] * 3 and len({r.hex() for r in results}) == 1
+
+
+def _above(name, threshold):
+    """The rule of a field whose boundary is ``> threshold``, written without ``checked``."""
     def rule(x):
         v = as_float(x)
-        bound(finite(v) and v > 0, f"{name} > 0", v)
+        bound(finite(v) and v > threshold, f"{name} > {threshold}", v)
         return v
     return rule
+
+
+def _p_cap_rule(x):
+    v = as_float(x)
+    bound(0 <= v < 1, "0 <= p_cap < 1", v)
+    return v
 
 
 def _active_alpha(x):
@@ -473,17 +507,28 @@ def _at(i, x, fill=0.0):
 
 Site = collections.namedtuple("Site", "name build read rule")
 PROFILE = ResourcePowerProfile(2e-5, 1e-5, 4e-5, 6e-5, 3e-5)
-PARAMS = [(IndividualParams, {"r_sense": 1.0}, ("g_sense", "b_os", "b_sec")),
+#: The fields whose boundary is ``> threshold``, each with its threshold; every other field of
+#: PARAMS but p_cap is ``>= 0``.
+POSITIVE = {"r_sense": 0, "area": 0, "e_t_elec": 0, "e_r_elec": 0, "eps_fs": 0, "eps_mp": 0, "eps_amp": 0,
+            "alpha_pl": 1, "d0": 0}
+PARAMS = [(IndividualParams, {"r_sense": 1.0}, ("r_sense", "g_sense", "b_os", "b_sec")),
           (LocalParams, {"n": 1, "net_dens": 1}, ("g_tx", "r_tx", "b_mon", "b_sec", "b_ohead")),
           (GlobalParams, {"dist_to_sink": 0.0, "net_dens": 1},
            ("dist_to_sink", "r_tx", "b_sec", "b_topo", "b_rout", "b_ohead")),
           (ProbabilityModelConfig, {},
-           ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss")),
-          (RadioModelParams, {"d0": 1.0}, ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp"))]
+           ("sigma_sense", "kappa_coll", "kappa_ohear", "kappa_idle", "kappa_loss", "area", "p_cap")),
+          (RadioModelParams, {"d0": 1.0},
+           ("e_t_elec", "e_r_elec", "eps_fs", "eps_mp", "eps_amp", "alpha_pl", "d0"))]
+
+
+def _rule(name):
+    if name == "p_cap":
+        return _p_cap_rule
+    return _above(name, POSITIVE[name]) if name in POSITIVE else functools.partial(checked, name)
 
 
 def _sites():
-    """Every field that goes through nonneg or as_float: its name, a build from one input
+    """Every field that goes through checked or as_float: its name, a build from one input
     value (every other field valid), a read of what was stored, and the rule it stores by."""
     sites = []
     flows, prices = ([f.name for f in dataclasses.fields(cls)]
@@ -491,16 +536,16 @@ def _sites():
     for i, (flow, price, r) in enumerate(zip(flows, prices, RESOURCE_NAMES)):
         sites += [
             Site(flow, lambda x, f=flow: ConstituentFlowVector(**{f: x}), operator.attrgetter(flow),
-                 functools.partial(nonneg, flow)),
+                 functools.partial(checked, flow)),
             Site(price, lambda x, i=i: ResourcePowerProfile(*_at(i, x)), operator.attrgetter(price),
-                 functools.partial(nonneg, price)),
+                 functools.partial(checked, price)),
             Site(f"constituent_alpha {r}", lambda x, i=i: constituent_alpha(_at(i, x), PROFILE), lambda v: v,
-                 lambda x, i=i, r=r: math.fsum(w * p for w, p in zip(_at(i, nonneg(f"weight[{r}]", x)),
+                 lambda x, i=i, r=r: math.fsum(w * p for w, p in zip(_at(i, checked(f"weight[{r}]", x)),
                                                                     PROFILE.as_tuple())))]
         for k, c in enumerate(CONSTITUENT_ORDER):
             name = f"mix[{c.value}][{r}]"
             sites.append(Site(name, lambda x, i=i, k=k: ConstituentResourceMix(_at(k, _at(i, x), [0] * 5)),
-                              lambda v, i=i, k=k: v.rows[k][i], functools.partial(nonneg, name)))
+                              lambda v, i=i, k=k: v.rows[k][i], functools.partial(checked, name)))
         for wrap in (list, iter):   # an iterator converts as a list does
             sites += [
                 Site(f"alpha[{i}] {wrap.__name__}", lambda x, i=i, w=wrap: CoefficientVector(w(_at(i, x))),
@@ -510,11 +555,12 @@ def _sites():
                      lambda v, i=i: v.alpha[i], lambda x: (as_float(x), 0.0)[1])]
     for cls, base, names in PARAMS:
         sites += [Site(f"{cls.__name__}.{n}", lambda x, c=cls, b=base, n=n: c(**{**b, n: x}),
-                       operator.attrgetter(n), _radio_rule(n) if cls is RadioModelParams else
-                       functools.partial(nonneg, n)) for n in names]
+                       operator.attrgetter(n), _rule(n)) for n in names]
     return sites + [Site("e_battery", lambda x: BudgetProblem((), CoefficientVector([1] * 5), x,
                                                              enforce_positivity=False),
-                         operator.attrgetter("e_battery"), functools.partial(nonneg, "e_battery"))]
+                         operator.attrgetter("e_battery"), functools.partial(checked, "e_battery")),
+                    Site("importance", lambda x: TaskDescriptor(1, Constituent.LOCAL, 1, x),
+                         operator.attrgetter("importance"), _above("importance", 0))]
 
 
 SITES = {site.name: site for site in _sites()}
@@ -539,7 +585,7 @@ def _outcome(f, x):
 @example(SITES["alpha[1] iter"], 10 ** 400)
 @example(SITES["inactive alpha[1] iter"], 10 ** 400)
 def test_each_field_stores_what_its_rule_gives(site, x):
-    # One rule for every value type: the stored value is nonneg / as_float of the input, bit for
+    # One rule for every value type: the stored value is checked / as_float of the input, bit for
     # bit (-0.0 stays -0.0), or construction raises what the rule raises, list or iterator alike.
     _, build, read, rule = site
     assert _outcome(lambda x: read(build(x)), x) == _outcome(rule, x)

@@ -9,9 +9,9 @@ import random
 
 import pytest
 
+from wsnec.energy_core import BoundaryError
 from wsnec.flow_models import (
     LOCAL_CAP_LIMIT,
-    BoundaryError,
     FlowSingularityError,
     GlobalParams,
     IndividualParams,

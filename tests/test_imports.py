@@ -2,12 +2,15 @@
 and so is every private name it defines at module level.
 
 No linter ships with the project, so this test is its unused-import and
-dead-helper check. The package ``__init__`` imports to re-export, and
-``flow_models`` re-exports ``BoundaryError`` by design (its callers catch it
-there). A private name (one leading underscore) is the module's own, so one
-that the module never reads is dead code. Whether a number is in float range
-is decided in ``energy_core`` alone: no other module reads ``FLOAT_MAX``, and
-none names ``OverflowError``.
+dead-helper check. Only the package ``__init__`` imports to re-export. A
+private name (one leading underscore) is the module's own, so one that the
+module never reads is dead code. Whether a number is in float range is
+decided in ``energy_core`` alone: no other module reads ``FLOAT_MAX``, and
+none names ``OverflowError``. A boundary ``name op threshold`` is checked
+there alone too: no other module compares through ``operator.ge`` or
+``operator.gt``. And ``energy_core`` is pure, so no module drops the result
+of one of its functions that returns a value: a check's caller computes with
+the value the check returned.
 """
 
 import ast
@@ -18,7 +21,6 @@ import pytest
 import wsnec
 
 PACKAGE = Path(wsnec.__file__).resolve().parent
-RE_EXPORTS = {("flow_models.py", "BoundaryError")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,8 +60,7 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
 def test_every_import_is_read(module):
-    unused = unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
-    assert [u for u in unused if (module, u.split()[0]) not in RE_EXPORTS] == []
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_an_unused_import():
@@ -108,3 +109,67 @@ def test_the_check_sees_a_float_range_read():
     assert float_range_reads("config.py", source) == [
         "FLOAT_MAX (line 1)", "FLOAT_MAX (line 6)", "OverflowError (line 7)"]
     assert float_range_reads("energy_core.py", source) == ["OverflowError (line 7)"]
+
+
+def operator_bounds(source: str) -> list[str]:
+    """Each reference to ``operator.ge`` or ``operator.gt``, as an attribute of the
+    imported module (under any alias) or as an imported name."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "operator"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in ("ge", "gt")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("ge", "gt")
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append((node.lineno, node.attr))
+    return [f"operator.{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "energy_core.py"])
+def test_boundaries_are_compared_only_in_energy_core(module):
+    assert operator_bounds((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_operator_bound():
+    source = ("import operator\nimport operator as op\nfrom operator import ge, attrgetter\n\n"
+              "HOLDS = {'>=': operator.ge, '>': op.gt, '<': operator.lt}\nx.gt\n")
+    assert operator_bounds(source) == [
+        "operator.ge (line 3)", "operator.ge (line 5)", "operator.gt (line 5)"]
+
+
+def valued_functions(source: str) -> set[str]:
+    """The module-level functions of ``source`` not annotated ``-> None``."""
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and not (isinstance(node.returns, ast.Constant) and node.returns.value is None)}
+
+
+def dropped_results(source: str, functions: set[str]) -> list[str]:
+    """Each call of one of ``functions``, by name or as an attribute, that is a bare
+    expression statement, so that its result is dropped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in functions:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+ENERGY_CORE_VALUED = valued_functions((PACKAGE / "energy_core.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_checked_value_is_dropped(module):
+    assert dropped_results((PACKAGE / module).read_text(encoding="utf-8"), ENERGY_CORE_VALUED) == []
+
+
+def test_the_check_sees_a_dropped_value():
+    assert {"checked", "as_float", "finite", "within", "count"} <= ENERGY_CORE_VALUED
+    assert "bound" not in ENERGY_CORE_VALUED
+    assert valued_functions("def f() -> None:\n    pass\n\n\ndef g():\n    return 1\n") == {"g"}
+    source = ("def f(d):\n    checked('d', d)\n    bound(d > 0, 'd > 0', d)\n"
+              "    energy_core.checked('d', d)\n    d = checked('d', d)\n    return [checked('d', d)]\n")
+    assert dropped_results(source, ENERGY_CORE_VALUED) == ["checked (line 2)", "checked (line 4)"]
